@@ -59,22 +59,21 @@ def _as_rng(seed):
 def transmit(x, params, seed, alphabet=None):
     """Push one input sequence through the channel and return one trace.
 
-    `x` may be an index array or, with `alphabet` given, a symbol string
-    (in which case a string is returned). `seed` is an int, seed tuple,
-    or numpy Generator; equal (x, params, seed) give identical traces.
+    `x` is an index array or a symbol string (in which case a string is
+    returned) over `alphabet`, which is required: inserted and substituted
+    symbols are drawn from all of it. `seed` is an int, seed tuple, or
+    numpy Generator; equal (x, params, seed) give identical traces.
     """
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
+    if alphabet is None:
+        raise ConfigError("transmit needs `alphabet`: inserted and substituted "
+                          "symbols are drawn from the whole alphabet")
     as_text = isinstance(x, str)
-    if as_text:
-        if alphabet is None:
-            raise ConfigError("alphabet required when transmitting a string")
-        x = alphabet.encode(x)
-    x = np.asarray(x)
+    x = as_indices(x, alphabet)
     if x.size == 0:
         raise ConfigError("cannot transmit an empty sequence")
-    size = alphabet.size if alphabet is not None else int(x.max()) + 1
-    size = max(size, 2)
+    size = alphabet.size
     rng = _as_rng(seed)
 
     cuts = np.cumsum(params.as_tuple())
@@ -114,15 +113,22 @@ def transmit_batch(x, params, count, seed, alphabet_size=None):
     Same event process as `transmit`, vectorised: the number of
     insertions preceding each consume step is geometric with success
     probability 1 - p_ins, and each consume is deletion / substitution /
-    correct with the conditional probabilities. Returns a list of int8
+    correct with the conditional probabilities. `alphabet_size` is
+    required, as `alphabet` is for `transmit`. Returns a list of int8
     arrays.
     """
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
+    if alphabet_size is None:
+        raise ConfigError("transmit_batch needs `alphabet_size`: inserted and "
+                          "substituted symbols are drawn from the whole alphabet")
     x = np.asarray(x, dtype=np.int8)
     if x.size == 0:
         raise ConfigError("cannot transmit an empty sequence")
-    size = alphabet_size if alphabet_size is not None else max(int(x.max()) + 1, 2)
+    size = int(alphabet_size)
+    if size < 2 or x.min() < 0 or x.max() >= size:
+        raise ConfigError(f"`alphabet_size` {size} must be at least 2 and cover "
+                          f"every symbol of x")
     rng = _as_rng(seed)
 
     traces = []

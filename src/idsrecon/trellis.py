@@ -118,6 +118,16 @@ def _iir_along(arr, coeff, axis, reverse=False):
     return res
 
 
+# edge-weight maps for the layer transfers: the weights themselves for
+# sum-product inference, their support for reachability
+def _same(w):
+    return w
+
+
+def _support(w):
+    return np.greater(w, 0).astype(float)
+
+
 @dataclass
 class SweepResult:
     """One direction of inference over the layer arrays.
@@ -128,7 +138,6 @@ class SweepResult:
     layers: list | None
     scales: np.ndarray
     loglik: float
-    final: np.ndarray
 
 
 class Trellis:
@@ -258,13 +267,14 @@ class Trellis:
     def _expand(self, vec, nptr):
         return vec.reshape((-1,) + (1,) * nptr)
 
-    def _inter_forward(self, prev, arr_prev, lay):
-        """Mass flowing from layer t-1 into layer t, before intra edges."""
+    def _inter_forward(self, prev, arr_prev, lay, wmap=_same):
+        """Mass flowing from layer t-1 into layer t, before intra edges.
+        Every edge weight w passes through `wmap(w)` first."""
         p = self.params
         if prev.kind == BOUNDARY:
             # input edges: gather state rows, weight by the message prior
             picked = arr_prev[lay.src_state]
-            pr = self.prior[lay.cycle][lay.cm]
+            pr = wmap(self.prior[lay.cycle][lay.cm])
             src = picked * self._expand(pr, self.K)
             return _transfer(src, prev.wins, lay.wins, lay.shape)
         if prev.kind in (INPUT, POST):
@@ -281,19 +291,20 @@ class Trellis:
         k = prev.trace
         out = np.zeros(lay.shape)
         if p.p_del > 0.0:
-            _transfer(arr_prev * p.p_del, prev.wins, lay.wins, lay.shape, out=out)
-        wsub = prev.w_sub.reshape(
+            _transfer(arr_prev * wmap(p.p_del), prev.wins, lay.wins, lay.shape, out=out)
+        wsub = wmap(prev.w_sub).reshape(
             (prev.n_combo,) + tuple(prev.shape[1 + j] if j == k else 1 for j in range(self.K)))
         _transfer(arr_prev * wsub, prev.wins, lay.wins, lay.shape,
                   axis=k, shift=1, out=out)
         return out
 
-    def _inter_backward(self, lay, arr_next, nxt):
-        """Backward values induced on layer t by its own out-edges."""
+    def _inter_backward(self, lay, arr_next, nxt, wmap=_same):
+        """Backward values induced on layer t by its own out-edges, each
+        edge weight w passed through `wmap(w)` first."""
         p = self.params
         if lay.kind == BOUNDARY:
             out = np.zeros(lay.shape)
-            pr = self.prior[nxt.cycle][nxt.cm]
+            pr = wmap(self.prior[nxt.cycle][nxt.cm])
             aligned = _transfer(arr_next, nxt.wins, lay.wins,
                                 (nxt.n_combo,) + lay.shape[1:])
             np.add.at(out, nxt.src_state, aligned * self._expand(pr, self.K))
@@ -307,12 +318,31 @@ class Trellis:
         out = np.zeros(lay.shape)
         if p.p_del > 0.0:
             _transfer(arr_next, nxt.wins, lay.wins, lay.shape, out=out)
-            out *= p.p_del
+            out *= wmap(p.p_del)
         shifted = _transfer(arr_next, nxt.wins, lay.wins, lay.shape, axis=k, shift=-1)
-        wsub = lay.w_sub.reshape(
+        wsub = wmap(lay.w_sub).reshape(
             (lay.n_combo,) + tuple(lay.shape[1 + j] if j == k else 1 for j in range(self.K)))
         out += shifted * wsub
         return out
+
+    def _pull_forward(self, t, arr, wmap=_same):
+        """Layer t's forward values from layer t-1's: inter-layer edges,
+        then the insertion chains inside an ids layer."""
+        lay = self.layers[t]
+        arr = self._inter_forward(self.layers[t - 1], arr, lay, wmap)
+        if lay.kind == IDS:
+            arr = _iir_along(arr, wmap(self.params.p_ins / self.A), 1 + lay.trace)
+        return arr
+
+    def _pull_backward(self, t, arr, wmap=_same):
+        """Layer t's backward values from layer t+1's: mirror of
+        `_pull_forward`."""
+        lay = self.layers[t]
+        arr = self._inter_backward(lay, arr, self.layers[t + 1], wmap)
+        if lay.kind == IDS:
+            arr = _iir_along(arr, wmap(self.params.p_ins / self.A), 1 + lay.trace,
+                             reverse=True)
+        return arr
 
     def initial_forward_block(self):
         arr = np.zeros(self.layers[0].shape)
@@ -322,168 +352,91 @@ class Trellis:
     def initial_backward_block(self):
         fin = self.layers[-1]
         arr = np.zeros(fin.shape)
-        idx = tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
-        arr[(slice(None),) + idx] = 1.0  # absorbing: every pointer done
+        arr[(slice(None),) + self._absorbing_index()] = 1.0  # every pointer done
         return arr
+
+    def _absorbing_index(self):
+        fin = self.layers[-1]
+        return tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
 
     def step_forward(self, t, arr):
         """Advance a forward front from layer t-1 into layer t.
         Returns (rescaled block, log of the scale divided out)."""
-        lay = self.layers[t]
-        arr = self._inter_forward(self.layers[t - 1], arr, lay)
-        if lay.kind == IDS:
-            arr = _iir_along(arr, self.params.p_ins / self.A, 1 + lay.trace)
+        arr = self._pull_forward(t, arr)
         s = arr.max()
         if s <= 0.0 or not np.isfinite(s):
             raise InfeasibleTrellisError(
-                f"forward mass vanished at layer {t} ({lay.kind}); "
+                f"forward mass vanished at layer {t} ({self.layers[t].kind}); "
                 f"no path explains the traces (delta={self.delta})")
         return arr / s, math.log(s)
 
     def step_backward(self, t, arr):
         """Pull a backward front from layer t+1 into layer t."""
-        lay = self.layers[t]
-        arr = self._inter_backward(lay, arr, self.layers[t + 1])
-        if lay.kind == IDS:
-            arr = _iir_along(arr, self.params.p_ins / self.A, 1 + lay.trace,
-                             reverse=True)
+        arr = self._pull_backward(t, arr)
         s = arr.max()
         if s <= 0.0 or not np.isfinite(s):
             raise InfeasibleTrellisError(
-                f"backward mass vanished at layer {t} ({lay.kind}); "
+                f"backward mass vanished at layer {t} ({self.layers[t].kind}); "
                 f"no path explains the traces (delta={self.delta})")
         return arr / s, math.log(s)
 
-    def forward(self, cycle_hook=None, store=True):
-        """Forward sweep. `cycle_hook(l, t, F_t)`, called at the last post
-        layer of each cycle, may return a per-combo multiplier that rescales
-        the running values before they propagate further."""
+    def forward(self, store=True):
+        """Forward sweep from the origin; `store` keeps every layer."""
         layers = self.layers
         scales = np.zeros(len(layers))
         kept = [None] * len(layers) if store else None
         arr = self.initial_forward_block()
-        read = {t: l for l, t in enumerate(self.post_read_layer)}
         logtot = 0.0
-        for t, lay in enumerate(layers):
+        for t in range(len(layers)):
             if t > 0:
                 arr, ls = self.step_forward(t, arr)
                 logtot += ls
             scales[t] = logtot
-            if cycle_hook is not None and t in read:
-                mult = cycle_hook(read[t], t, arr)
-                if mult is not None:
-                    arr = arr * self._expand(np.asarray(mult, dtype=float), self.K)
             if store:
                 kept[t] = arr
-        fin = layers[-1]
-        idx = tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
-        tot = arr[(slice(None),) + idx].sum()
+        tot = arr[(slice(None),) + self._absorbing_index()].sum()
         if tot <= 0.0:
             raise InfeasibleTrellisError("no forward mass reaches an absorbing vertex")
-        return SweepResult(kept, scales, math.log(tot) + logtot, arr)
+        return SweepResult(kept, scales, math.log(tot) + logtot)
 
-    def backward(self, cycle_hook=None, store=True):
-        """Backward sweep, mirror of `forward`. The hook fires at each
-        cycle's input layer, in decreasing cycle order."""
+    def backward(self, store=True):
+        """Backward sweep from the absorbing vertices, mirror of `forward`."""
         layers = self.layers
         scales = np.zeros(len(layers))
         kept = [None] * len(layers) if store else None
         arr = self.initial_backward_block()
-        read = {t: l for l, t in enumerate(self.input_read_layer)}
         logtot = 0.0
-        scales[-1] = 0.0
         if store:
             kept[-1] = arr
         for t in range(len(layers) - 2, -1, -1):
             arr, ls = self.step_backward(t, arr)
             logtot += ls
             scales[t] = logtot
-            if cycle_hook is not None and t in read:
-                mult = cycle_hook(read[t], t, arr)
-                if mult is not None:
-                    arr = arr * self._expand(np.asarray(mult, dtype=float), self.K)
             if store:
                 kept[t] = arr
         tot = arr[(0,) + (0,) * self.K]
         if tot <= 0.0:
             raise InfeasibleTrellisError("no backward mass reaches the origin")
-        return SweepResult(kept, scales, math.log(tot) + logtot, arr)
+        return SweepResult(kept, scales, math.log(tot) + logtot)
 
     # ------------------------------------------------------------------
-    # structural reachability (used for feasibility and the explicit view)
+    # structural reachability (used for feasibility and the explicit view):
+    # the transfer code of the sweeps above, run in the boolean semiring:
+    # every edge weight is replaced by its support (1 where w > 0) and each
+    # layer is binarised, so a cell is True iff some path from the origin
+    # (forward) or to an absorbing vertex (backward) passes through it
 
     def _reach_forward(self):
-        p = self.params
-        masks = []
-        arr = np.zeros(self.layers[0].shape, dtype=bool)
-        arr[(0,) + (0,) * self.K] = True
-        masks.append(arr)
+        masks = [self.initial_forward_block() > 0]
         for t in range(1, len(self.layers)):
-            prev, lay = self.layers[t - 1], self.layers[t]
-            fa = masks[-1].astype(float)
-            if prev.kind == BOUNDARY:
-                pr = (self.prior[lay.cycle][lay.cm] > 0).astype(float)
-                src = fa[lay.src_state] * self._expand(pr, self.K)
-                nxt = _transfer(src, prev.wins, lay.wins, lay.shape)
-            elif prev.kind in (INPUT, POST):
-                if prev.dst_state is not None:
-                    nxt = np.zeros(lay.shape)
-                    aligned = _transfer(fa, prev.wins, lay.wins,
-                                        (prev.n_combo,) + lay.shape[1:])
-                    np.add.at(nxt, prev.dst_state, aligned)
-                else:
-                    nxt = _transfer(fa, prev.wins, lay.wins, lay.shape)
-            else:
-                k = prev.trace
-                nxt = np.zeros(lay.shape)
-                if p.p_del > 0.0:
-                    _transfer(fa, prev.wins, lay.wins, lay.shape, out=nxt)
-                wsub = (prev.w_sub > 0).astype(float).reshape(
-                    (prev.n_combo,) + tuple(prev.shape[1 + j] if j == k else 1
-                                            for j in range(self.K)))
-                _transfer(fa * wsub, prev.wins, lay.wins, lay.shape, axis=k, shift=1, out=nxt)
-            m = nxt > 0
-            if lay.kind == IDS and p.p_ins > 0.0:
-                m = np.logical_or.accumulate(m, axis=1 + lay.trace)
-            masks.append(m)
+            masks.append(self._pull_forward(t, masks[-1], _support) > 0)
         return masks
 
     def _reach_backward(self):
-        p = self.params
-        fin = self.layers[-1]
-        arr = np.zeros(fin.shape, dtype=bool)
-        idx = tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
-        arr[(slice(None),) + idx] = True
         masks = [None] * len(self.layers)
-        masks[-1] = arr
+        masks[-1] = self.initial_backward_block() > 0
         for t in range(len(self.layers) - 2, -1, -1):
-            lay, nxt = self.layers[t], self.layers[t + 1]
-            fb = masks[t + 1].astype(float)
-            if lay.kind == BOUNDARY:
-                cur = np.zeros(lay.shape)
-                pr = (self.prior[nxt.cycle][nxt.cm] > 0).astype(float)
-                aligned = _transfer(fb, nxt.wins, lay.wins,
-                                    (nxt.n_combo,) + lay.shape[1:])
-                np.add.at(cur, nxt.src_state, aligned * self._expand(pr, self.K))
-            elif lay.kind in (INPUT, POST):
-                if lay.dst_state is not None:
-                    cur = _transfer(fb[lay.dst_state], nxt.wins, lay.wins, lay.shape)
-                else:
-                    cur = _transfer(fb, nxt.wins, lay.wins, lay.shape)
-            else:
-                k = lay.trace
-                cur = np.zeros(lay.shape)
-                if p.p_del > 0.0:
-                    _transfer(fb, nxt.wins, lay.wins, lay.shape, out=cur)
-                shifted = _transfer(fb, nxt.wins, lay.wins, lay.shape, axis=k, shift=-1)
-                cur += shifted * (lay.w_sub > 0).reshape(
-                    (lay.n_combo,) + tuple(lay.shape[1 + j] if j == k else 1
-                                           for j in range(self.K)))
-            m = cur > 0
-            if lay.kind == IDS and p.p_ins > 0.0:
-                m = np.flip(np.logical_or.accumulate(
-                    np.flip(m, axis=1 + lay.trace), axis=1 + lay.trace), axis=1 + lay.trace)
-            masks[t] = m
+            masks[t] = self._pull_backward(t, masks[t + 1], _support) > 0
         return masks
 
     def reach_masks(self):
@@ -495,9 +448,7 @@ class Trellis:
 
     def is_feasible(self):
         fwd = self._reach_forward()
-        fin = self.layers[-1]
-        idx = tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
-        return bool(fwd[-1][(slice(None),) + idx].any())
+        return bool(fwd[-1][(slice(None),) + self._absorbing_index()].any())
 
     # ------------------------------------------------------------------
     # explicit vertex/edge view
@@ -680,11 +631,8 @@ class Trellis:
         return 0
 
     def absorbing_vertices(self, include_dead=False):
-        fin = self.layers[-1]
-        t = len(self.layers) - 1
-        ids_fin = self._cell_ids(t)
-        idx = tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
-        vids = ids_fin[(slice(None),) + idx].ravel()
+        ids_fin = self._cell_ids(len(self.layers) - 1)
+        vids = ids_fin[(slice(None),) + self._absorbing_index()].ravel()
         if include_dead:
             return vids
         alive = self.vertex_table()["alive"]
@@ -818,10 +766,6 @@ class Trellis:
         return sums, mask
 
 
-def _uniform_prior(L, mz):
-    return np.full((L, mz), 1.0 / mz)
-
-
 def build_trellis(encoder, traces, params, prior=None, delta=None, offset=None,
                   check_feasible=True):
     """Construct the trellis for `traces` (a list of K observed sequences).
@@ -840,7 +784,7 @@ def build_trellis(encoder, traces, params, prior=None, delta=None, offset=None,
         raise ConfigError("delta must be nonnegative")
     mz = encoder.msg_size
     if prior is None:
-        prior = _uniform_prior(encoder.L, mz)
+        prior = np.full((encoder.L, mz), 1.0 / mz)
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (encoder.L, mz):
         raise ConfigError(f"prior must have shape ({encoder.L}, {mz})")

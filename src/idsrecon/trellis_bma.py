@@ -92,7 +92,7 @@ def combine_beliefs(fronts, stale, cms, mz, beta_b):
 
     For trace k the belief is sum_v front_k(v) * stale_k(v)**beta_b over
     the layer's vertices grouped by their message symbol. Rows are
-    normalised (the engines rescale layers freely, so only ratios carry
+    normalised (the sweeps rescale layers freely, so only ratios carry
     information). Returns (per-trace rows, entrywise product row).
     """
     rows = []
@@ -141,45 +141,19 @@ def _posterior_row(combined, beta_o):
     return row / tot
 
 
-ENGINES = ("auto", "fast", "reference")
-
-
 def run_trellis_bma(encoder, traces, params, prior=None, delta=None,
-                    betas=MULTIPLY_POSTERIORS, offset=None, engine="auto"):
+                    betas=MULTIPLY_POSTERIORS, offset=None):
     """Approximate message posteriors from K traces at per-trace trellis cost.
 
-    Returns a PosteriorTable; hard estimates are its row argmaxes. `engine`
-    picks the implementation; results agree to rounding:
-
-    * "reference" runs the layer-array engine of `trellis`;
-    * "fast" runs the packed kernels of `fastpath` for a single-state
-      encoder (identity, marker-repeat), compiled by numba where it is
-      installed and as plain Python, slower than the reference, where it is
-      not; a multi-state encoder is a ConfigError;
-    * "auto" runs the packed kernels only when the encoder is single-state
-      and numba compiled them, and the reference engine otherwise.
-
-    Infeasible traces are dropped with a warning naming each one; an empty
-    trace list is a ConfigError.
+    Returns a PosteriorTable; hard estimates are its row argmaxes. Each
+    trace gets its own `trellis.Trellis`, swept by the same layer-array
+    engine that exact inference uses. Infeasible traces are dropped with a
+    warning naming each one; an empty trace list is a ConfigError.
     """
-    if engine not in ENGINES:
-        raise ConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if len(traces) == 0:
         raise ConfigError("Trellis BMA needs at least one trace")
-    if engine == "fast" and encoder.n_states != 1:
-        raise ConfigError(
-            f"engine='fast' handles single-state encoders only; this encoder "
-            f"has {encoder.n_states} states (use 'auto' or 'reference')")
     if not isinstance(betas, BetaParams):
         betas = BetaParams(*betas)
-    from . import fastpath
-    if fastpath.supports(encoder, engine):
-        from .trellis import _uniform_prior
-        pr = _uniform_prior(encoder.L, encoder.msg_size) if prior is None \
-            else np.asarray(prior, dtype=float)
-        rows, _ = fastpath.tbma_rows(encoder, traces, params, pr, delta,
-                                     betas, offset)
-        return PosteriorTable.from_rows(rows)
     trellises, fwds, bwds, _ = init_single_trace_trellises(
         encoder, traces, params, prior=prior, delta=delta, offset=offset)
     L = encoder.L

@@ -38,7 +38,7 @@ def test_output_length_always_n():
 def test_deterministic():
     rng = np.random.default_rng(2)
     x = rng.integers(4, size=30).astype(np.int8)
-    traces = [np.asarray(transmit(x, PAPER, (2, i))) for i in range(5)]
+    traces = [np.asarray(transmit(x, PAPER, (2, i), DNA)) for i in range(5)]
     a = bmala_reconstruct(traces, 30)
     b = bmala_reconstruct(traces, 30)
     assert np.array_equal(a, b)
@@ -54,7 +54,7 @@ def test_pointers_never_decrease():
     for trial in range(20):
         x = rng.integers(4, size=60).astype(np.int8)
         k = int(rng.integers(1, 7))
-        traces = [np.asarray(transmit(x, PAPER, (3, trial, i))) for i in range(k)]
+        traces = [np.asarray(transmit(x, PAPER, (3, trial, i), DNA)) for i in range(k)]
         log = []
         bmala_reconstruct(traces, 60, pointer_log=log)
         arr = np.asarray(log)
@@ -67,7 +67,7 @@ def test_pure_substitution_noise_reduces_to_voting():
     rng = np.random.default_rng(3)
     params = IDSParams(0, 0, 0.05, 0.95)
     x = rng.integers(4, size=60).astype(np.int8)
-    traces = [np.asarray(transmit(x, params, (3, i))) for i in range(5)]
+    traces = [np.asarray(transmit(x, params, (3, i), DNA)) for i in range(5)]
     out = bmala_reconstruct(traces, 60)
     votes = np.zeros((60, 4), dtype=int)
     for y in traces:
@@ -83,7 +83,7 @@ def test_error_rate_improves_with_more_traces():
         errs = []
         for i in range(60):
             x = rng.integers(4, size=110).astype(np.int8)
-            traces = [np.asarray(transmit(x, PAPER, (4, i, j))) for j in range(k)]
+            traces = [np.asarray(transmit(x, PAPER, (4, i, j), DNA)) for j in range(k)]
             errs.append(hamming_rate(bmala_reconstruct(traces, 110), x))
         means[k] = np.mean(errs)
     assert means[6] < means[2]
@@ -101,7 +101,7 @@ def test_bmala_map_noiseless_and_coded():
     assert post.probs.max(axis=1).min() > 0.999
 
     # decodes through the trellis even with noisy traces
-    traces = [np.asarray(transmit(x, PAPER, (5, j))) for j in range(4)]
+    traces = [np.asarray(transmit(x, PAPER, (5, j), DNA)) for j in range(4)]
     post = bmala_map(traces, enc, PAPER, delta=10)
     assert post.probs.shape == (enc.L, 4)
     assert hamming_rate(post.hard, msg) < 0.5

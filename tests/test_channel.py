@@ -27,16 +27,29 @@ def test_pure_deletion_gives_empty_trace():
 
 def test_empty_input_rejected():
     with pytest.raises(ConfigError):
-        transmit(np.empty(0, dtype=np.int8), IDSParams(0, 0, 0, 1), 0)
+        transmit(np.empty(0, dtype=np.int8), IDSParams(0, 0, 0, 1), 0, DNA)
+
+
+def test_alphabet_is_explicit():
+    # a strand that lacks a symbol still receives it from insertions and
+    # substitutions; the alphabet is never inferred from the data
+    p = IDSParams(0.2, 0.1, 0.3, 0.4)
+    x = np.tile(np.array([0, 1, 2], dtype=np.int8), 100)
+    with pytest.raises(ConfigError, match="`alphabet`"):
+        transmit(x, p, 0)
+    with pytest.raises(ConfigError, match="`alphabet_size`"):
+        transmit_batch(x, p, 1, 0)
+    assert (transmit(x, p, 0, DNA) == 3).sum() > 0
+    assert (transmit_batch(x, p, 1, 0, alphabet_size=4)[0] == 3).sum() > 0
 
 
 def test_transmit_deterministic_under_seed():
     p = IDSParams(0.1, 0.1, 0.1, 0.7)
     x = DNA.encode("ACGTACGTACGTACGT")
-    a = transmit(x, p, 1234)
-    b = transmit(x, p, 1234)
+    a = transmit(x, p, 1234, DNA)
+    b = transmit(x, p, 1234, DNA)
     assert np.array_equal(a, b)
-    c = transmit(x, p, 1235)
+    c = transmit(x, p, 1235, DNA)
     assert not np.array_equal(a, c) or len(a) != len(c)
 
 
@@ -63,8 +76,8 @@ def test_mean_trace_length_matches_closed_form():
 def test_loop_and_batch_sampler_agree_statistically():
     p = IDSParams(0.08, 0.05, 0.07, 0.8)
     x = DNA.encode("ACGTTGCAACGT")
-    loop_lengths = np.array([len(transmit(x, p, (9, i))) for i in range(4000)])
-    batch_lengths = np.array([len(t) for t in transmit_batch(x, p, 4000, 9)])
+    loop_lengths = np.array([len(transmit(x, p, (9, i), DNA)) for i in range(4000)])
+    batch_lengths = np.array([len(t) for t in transmit_batch(x, p, 4000, 9, alphabet_size=4)])
     mu = expected_trace_length(len(x), p)
     for lengths in (loop_lengths, batch_lengths):
         se = lengths.std(ddof=1) / np.sqrt(len(lengths))
@@ -77,7 +90,7 @@ def test_no_indels_means_equal_length_and_sub_rate():
     mism = 0
     total = 0
     for i in range(600):
-        y = transmit(x, p, (11, i))
+        y = transmit(x, p, (11, i), DNA)
         assert len(y) == len(x)
         mism += int((y != x).sum())
         total += len(x)
@@ -90,7 +103,7 @@ def test_no_insertions_never_lengthens():
     p = IDSParams(0.0, 0.1, 0.1, 0.8)
     x = np.zeros(50, dtype=np.int8)
     for i in range(200):
-        assert len(transmit(x, p, (13, i))) <= 50
+        assert len(transmit(x, p, (13, i), DNA)) <= 50
 
 
 def test_estimate_params_trivial_pairs():
@@ -146,7 +159,7 @@ def test_estimate_params_recovers_generating_channel():
     pairs = []
     for i in range(2000):
         x = rng.integers(4, size=110).astype(np.int8)
-        y = transmit_batch(x, p, 1, (23, i))[0]
+        y = transmit_batch(x, p, 1, (23, i), alphabet_size=4)[0]
         pairs.append((x, y))
     est = estimate_params(pairs)
     for got, want in zip(est.as_tuple(), p.as_tuple()):

@@ -120,7 +120,7 @@ def test_run_algorithm_dispatch():
     enc = identity_encoder(15, DNA)
     rng = np.random.default_rng(2)
     x = rng.integers(4, size=15).astype(np.int8)
-    traces = [np.asarray(transmit(x, PAPER, rng)) for _ in range(3)]
+    traces = [np.asarray(transmit(x, PAPER, rng, DNA)) for _ in range(3)]
     for algo in ("bcjr-multitrace", "trellis-bma", "multiply-posteriors", "bmala"):
         post, hard = run_algorithm(algo, enc, traces, PAPER, delta=8,
                                    betas=BetaParams(1, 0.5, 0, 1))

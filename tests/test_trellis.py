@@ -4,23 +4,26 @@ import numpy as np
 import pytest
 
 from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
-                      build_trellis, identity_encoder, mr_encoder, transmit)
+                      build_trellis, cc_encoder, identity_encoder, mr_encoder,
+                      transmit)
 from idsrecon.trellis import EVENT_INS, EVENT_NAMES, EVENT_SUBCOR
 from oracle import enumerate_trellis_states, random_params, random_prior, trace_likelihood
 
 
-def _tiny(seed=0, n=None, k=1, alphabet=BINARY, params=None, delta=None):
+def _tiny(seed=0, n=None, k=1, alphabet=BINARY, params=None, delta=None,
+          encoder=None, prior=None):
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(1, 5))
     params = params or random_params(rng)
-    enc = identity_encoder(n, alphabet)
-    x = rng.integers(alphabet.size, size=n).astype(np.int8)
+    enc = encoder or identity_encoder(n, alphabet)
+    x = enc.encode(rng.integers(alphabet.size, size=enc.L).astype(np.int8))
     traces = []
     while len(traces) < k:
         y = np.asarray(transmit(x, params, rng, alphabet=alphabet))
         if len(y) <= 7:
             traces.append(y)
-    prior = random_prior(rng, n, alphabet.size)
+    if prior is None:
+        prior = random_prior(rng, enc.L, alphabet.size)
     tr = build_trellis(enc, traces, params, prior=prior, delta=delta)
     return tr, enc, traces, params, prior
 
@@ -37,6 +40,17 @@ def test_structure_matches_independent_constructor():
         nv, ne = enumerate_trellis_states(enc, traces, params, prior)
         assert tr.num_vertices() == nv, seed
         assert tr.num_edges() == ne, seed
+    # multi-state encoders gather and scatter boundary rows by encoder state;
+    # zero prior entries take input edges out of the support
+    zero_prior = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0],
+                           [0.2, 0.3, 0.5, 0.0]])
+    for case in (_tiny(0, alphabet=DNA, encoder=cc_encoder(2, 2, DNA)),
+                 _tiny(0, alphabet=DNA, encoder=cc_encoder(2, 3, DNA)),
+                 _tiny(1, n=3, alphabet=DNA, prior=zero_prior)):
+        tr, enc, traces, params, prior = case
+        nv, ne = enumerate_trellis_states(enc, traces, params, prior)
+        assert tr.num_vertices() == nv, enc
+        assert tr.num_edges() == ne, enc
 
 
 def test_structure_constructor_with_mr_encoder():
@@ -149,7 +163,7 @@ def test_outgoing_marginal_sums_pruned_never_exceed_one():
     params = IDSParams(0.1, 0.1, 0.1, 0.7)
     enc = identity_encoder(8, DNA)
     x = rng.integers(4, size=8).astype(np.int8)
-    y = np.asarray(transmit(x, params, rng))
+    y = np.asarray(transmit(x, params, rng, DNA))
     tr = build_trellis(enc, [y], params, delta=2)
     sums, mask = tr.outgoing_marginal_sums()
     assert sums[mask].max() < 1.0 + 1e-12
@@ -178,7 +192,7 @@ def test_pruning_monotone_and_exact_at_max_drift():
     params = IDSParams(0.08, 0.06, 0.05, 0.81)
     enc = identity_encoder(14, DNA)
     x = rng.integers(4, size=14).astype(np.int8)
-    y = np.asarray(transmit(x, params, rng))
+    y = np.asarray(transmit(x, params, rng, DNA))
     logliks = []
     for delta in (1, 2, 4, 8, max(len(y), 14)):
         tr = build_trellis(enc, [y], params, delta=delta)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, build_trellis,
-                      cc_encoder, compute_posteriors, default_betas, fastpath,
-                      identity_encoder, mr_encoder, multiply_posteriors,
-                      run_trellis_bma, scramble, transmit, update_forward)
+                      compute_posteriors, default_betas, identity_encoder,
+                      mr_encoder, multiply_posteriors, run_trellis_bma, scramble,
+                      transmit, update_forward)
 from idsrecon.trellis_bma import TUNED_BETAS, code_tag
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -20,7 +20,7 @@ def _cluster(seed, n=20, k=3, encoder=None, offset=False):
     x = enc.encode(msg)
     if z is not None:
         x = scramble(x, z, 4)
-    traces = [np.asarray(transmit(x, PAPER, rng)) for _ in range(k)]
+    traces = [np.asarray(transmit(x, PAPER, rng, alphabet=DNA)) for _ in range(k)]
     return enc, msg, z, traces
 
 
@@ -35,44 +35,37 @@ def test_beta_validation():
 def test_reduction_identity_multiply_posteriors():
     # (beta_b=1, beta_e=0, beta_i=0, beta_o=1) is exactly the product of
     # per-trace posteriors, and multiply_posteriors is that call bit-for-bit
+    cases = []
     for seed in range(8):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 31))
         k = int(rng.integers(1, 5))
-        enc, msg, _, traces = _cluster(seed, n=n, k=k)
-        got = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0, 0, 1))
-        prod = np.ones((n, 4))
+        cases.append(_cluster(seed, n=n, k=k))
+    cases.append(_cluster(8, k=3, encoder=mr_encoder(16, 3, DNA), offset=True))
+    for enc, msg, z, traces in cases:
+        got = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0, 0, 1),
+                              offset=z)
+        prod = np.ones((enc.L, 4))
         for y in traces:
-            prod *= compute_posteriors(build_trellis(enc, [y], PAPER)).probs
+            prod *= compute_posteriors(build_trellis(enc, [y], PAPER, offset=z)).probs
         prod /= prod.sum(axis=1, keepdims=True)
         assert np.max(np.abs(got.probs - prod) / np.maximum(prod, 1e-12)) < 1e-9
-        mp = multiply_posteriors(enc, traces, PAPER)
+        mp = multiply_posteriors(enc, traces, PAPER, offset=z)
         assert np.array_equal(mp.probs, got.probs)
 
 
 def test_k1_reduces_to_exact_posterior():
-    for seed in (0, 1):
-        enc, msg, _, traces = _cluster(seed + 40, n=17, k=1)
-        got = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0, 0, 1))
-        exact = compute_posteriors(build_trellis(enc, traces, PAPER))
+    cases = [_cluster(40, n=17, k=1), _cluster(41, n=17, k=1),
+             _cluster(42, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)]
+    for enc, msg, z, traces in cases:
+        got = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0, 0, 1),
+                              offset=z)
+        exact = compute_posteriors(build_trellis(enc, traces, PAPER, offset=z))
         assert np.max(np.abs(got.probs - exact.probs)) < 1e-9
         # beta_e is irrelevant with a single trace when beta_i = 0
-        other = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 3.0, 0, 1))
+        other = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 3.0, 0, 1),
+                                offset=z)
         assert np.max(np.abs(other.probs - exact.probs)) < 1e-9
-
-
-def test_engines_agree():
-    for seed in range(6):
-        enc, msg, z, traces = _cluster(seed + 60, n=16, k=3,
-                                       encoder=mr_encoder(16, 3, DNA) if seed % 2 else None,
-                                       offset=bool(seed % 3))
-        betas = (BetaParams(1, 0.5, 0.1, 0.5), BetaParams(0, 1.0, 0.5, 0.5),
-                 BetaParams(0, 0.1, 0, 0.1))[seed % 3]
-        fast = run_trellis_bma(enc, traces, PAPER, betas=betas, offset=z,
-                               delta=9, engine="fast")
-        ref = run_trellis_bma(enc, traces, PAPER, betas=betas, offset=z,
-                              delta=9, engine="reference")
-        assert np.max(np.abs(fast.probs - ref.probs)) < 1e-9
 
 
 def test_gamma_scale_invariance():
@@ -122,49 +115,22 @@ def test_infeasible_traces_dropped_with_warning(caplog):
     rng = np.random.default_rng(92)
     enc = identity_encoder(12, DNA)
     x = rng.integers(4, size=12).astype(np.int8)
-    traces = [np.asarray(transmit(x, params, rng)) for _ in range(2)]
+    traces = [np.asarray(transmit(x, params, rng, alphabet=DNA)) for _ in range(2)]
     bogus = np.zeros(17, dtype=np.int8)
-    for engine in ("fast", "reference"):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING):
-            got = run_trellis_bma(enc, traces + [bogus], params,
-                                  betas=BetaParams(1, 0, 0, 1), engine=engine)
-        dropped = [r.getMessage() for r in caplog.records
-                   if r.getMessage().startswith("dropping trace")]
-        assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), \
-            (engine, dropped)
-        ref = run_trellis_bma(enc, traces, params,
-                              betas=BetaParams(1, 0, 0, 1), engine=engine)
-        assert np.max(np.abs(got.probs - ref.probs)) < 1e-9
+    with caplog.at_level(logging.WARNING):
+        got = run_trellis_bma(enc, traces + [bogus], params,
+                              betas=BetaParams(1, 0, 0, 1))
+    dropped = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("dropping trace")]
+    assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), dropped
+    ref = run_trellis_bma(enc, traces, params, betas=BetaParams(1, 0, 0, 1))
+    assert np.max(np.abs(got.probs - ref.probs)) < 1e-9
 
 
-def test_engine_selection(monkeypatch):
-    enc, msg, _, traces = _cluster(93, n=10, k=2)
-    with pytest.raises(ConfigError, match="single-state"):
-        run_trellis_bma(cc_encoder(2, 10, DNA), traces, PAPER,
-                        engine="fast")
-    with pytest.raises(ConfigError, match="unknown engine 'fsat'"):
-        run_trellis_bma(enc, traces, PAPER, engine="fsat")
-    for engine in ("auto", "fast", "reference"):
-        with pytest.raises(ConfigError, match="at least one trace"):
-            run_trellis_bma(enc, [], PAPER, engine=engine)
-
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return packed(*args, **kwargs)
-
-    packed = fastpath.tbma_rows
-    monkeypatch.setattr(fastpath, "tbma_rows", spy)
-    monkeypatch.setattr(fastpath, "HAVE_NUMBA", False)
-    run_trellis_bma(enc, traces, PAPER, engine="auto")
-    assert calls == []
-    run_trellis_bma(enc, traces, PAPER, engine="fast")
-    assert calls == [1]
-    monkeypatch.setattr(fastpath, "HAVE_NUMBA", True)
-    run_trellis_bma(enc, traces, PAPER, engine="auto")
-    assert calls == [1, 1]
+def test_empty_trace_set_rejected():
+    enc = identity_encoder(10, DNA)
+    with pytest.raises(ConfigError, match="at least one trace"):
+        run_trellis_bma(enc, [], PAPER)
 
 
 def test_tuned_default_tables():
@@ -193,7 +159,7 @@ def test_linear_cost_in_traces():
     enc = identity_encoder(110, DNA)
     rng = np.random.default_rng(10)
     x = rng.integers(4, size=110).astype(np.int8)
-    traces = [np.asarray(transmit(x, PAPER, rng)) for _ in range(8)]
+    traces = [np.asarray(transmit(x, PAPER, rng, alphabet=DNA)) for _ in range(8)]
     betas = BetaParams(0, 0.5, 0.1, 0.5)
     for k in (2, 4, 8):  # warm every size
         run_trellis_bma(enc, traces[:k], PAPER, delta=12, betas=betas)
