@@ -3,7 +3,7 @@
 from .alphabet import BINARY, DNA, Alphabet
 from .bcjr import (FBValues, PosteriorTable, backward_pass, backward_pass_edges,
                    compute_posteriors, forward_pass, forward_pass_edges,
-                   message_posteriors, sequence_log_likelihood, vertex_posterior)
+                   sequence_log_likelihood, vertex_posterior)
 from .bmala import BmalaConfig, bmala_map, bmala_reconstruct
 from .channel import (IDSParams, estimate_params, expected_trace_length,
                       transmit, transmit_batch)
@@ -31,7 +31,7 @@ __all__ = [
     "Trellis", "build_trellis",
     "FBValues", "PosteriorTable", "forward_pass", "backward_pass",
     "forward_pass_edges", "backward_pass_edges", "vertex_posterior",
-    "message_posteriors", "sequence_log_likelihood", "compute_posteriors",
+    "sequence_log_likelihood", "compute_posteriors",
     "BetaParams", "run_trellis_bma", "multiply_posteriors", "default_betas",
     "init_single_trace_trellises", "combine_beliefs", "update_forward",
     "BmalaConfig", "bmala_reconstruct", "bmala_map",

@@ -1,15 +1,17 @@
 """Forward-backward inference on the trellis DAG.
 
-Two interchangeable engines:
+`compute_posteriors` is the one reader of message posteriors: it runs the
+layered engine (`Trellis.forward`/`backward`), which sweeps the layer
+arrays in linear domain with per-layer rescaling, and reads each message
+symbol at its cycle's last post layer.
 
-* the layered engine (`forward_pass`/`backward_pass`) sweeps the trellis
-  layer arrays in linear domain with per-layer rescaling, which is both
-  fast and safe against underflow;
+Per-vertex log values come from two interchangeable sweeps:
+
+* `forward_pass`/`backward_pass` flatten the layered engine's sweeps;
 * a reference edge sweep (`forward_pass_edges`/`backward_pass_edges`) walks
   the materialised edge list once in log domain with log-sum-exp.
 
-Both yield per-vertex log values; the tests hold them to each other and to
-exhaustive enumeration.
+The tests hold them to each other and to exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleTrellisError
+from .errors import ConfigError, InfeasibleTrellisError
 
 NEG_INF = -np.inf
 
 ROW_TOL = 1e-9
+
+MIB = float(1 << 20)
+STORED_BUDGET_BYTES = 1 << 30  # forward + backward layers kept by compute_posteriors
 
 
 @dataclass
@@ -35,7 +40,6 @@ class FBValues:
     """
     log_value: np.ndarray
     loglik: float
-    direction: str
     n_edge_visits: int | None = None
 
 
@@ -78,13 +82,13 @@ def _flatten_sweep(trellis, sweep):
 def forward_pass(trellis):
     """F(s): summed weight of all origin-to-s paths, as per-vertex logs."""
     sweep = trellis.forward(store=True)
-    return FBValues(_flatten_sweep(trellis, sweep), sweep.loglik, "forward")
+    return FBValues(_flatten_sweep(trellis, sweep), sweep.loglik)
 
 
 def backward_pass(trellis):
     """B(s): summed weight of all s-to-absorbing paths, as per-vertex logs."""
     sweep = trellis.backward(store=True)
-    return FBValues(_flatten_sweep(trellis, sweep), sweep.loglik, "backward")
+    return FBValues(_flatten_sweep(trellis, sweep), sweep.loglik)
 
 
 def forward_pass_edges(trellis):
@@ -110,7 +114,7 @@ def forward_pass_edges(trellis):
     if vals.size == 0:
         raise InfeasibleTrellisError("no forward mass reaches an absorbing vertex")
     loglik = float(_logsumexp(vals))
-    return FBValues(logf, loglik, "forward", n_edge_visits=visits)
+    return FBValues(logf, loglik, n_edge_visits=visits)
 
 
 def backward_pass_edges(trellis):
@@ -128,7 +132,7 @@ def backward_pass_edges(trellis):
         visits += 1
     if logb[trellis.origin] == NEG_INF:
         raise InfeasibleTrellisError("no backward mass reaches the origin")
-    return FBValues(logb, float(logb[trellis.origin]), "backward", n_edge_visits=visits)
+    return FBValues(logb, float(logb[trellis.origin]), n_edge_visits=visits)
 
 
 def _logsumexp(v):
@@ -150,34 +154,23 @@ def sequence_log_likelihood(trellis, f):
     return float(_logsumexp(vals))
 
 
-def message_posteriors(trellis, f, b):
-    """Exact symbol posteriors read at each cycle's last post layer (the
-    final intra-edge-free stage carrying that message symbol)."""
-    off = trellis.vertex_table()["offsets"]
-    mz = trellis.encoder.msg_size
-    rows = np.empty((trellis.L, mz))
-    for l, t in enumerate(trellis.post_read_layer):
-        lay = trellis.layers[t]
-        seg = f.log_value[off[t]:off[t + 1]] + b.log_value[off[t]:off[t + 1]]
-        seg = seg.reshape(lay.shape)
-        joint = seg.reshape(lay.n_combo, -1)
-        row = np.full(mz, NEG_INF)
-        for m in range(mz):
-            vals = joint[lay.cm == m].ravel()
-            vals = vals[np.isfinite(vals)]
-            if vals.size:
-                row[m] = _logsumexp(vals)
-        if np.all(np.isinf(row)):
-            raise InfeasibleTrellisError(f"no posterior mass at message position {l}")
-        row -= row.max()
-        rows[l] = np.exp(row)
-    loglik = sequence_log_likelihood(trellis, f) if f.direction == "forward" else None
-    return PosteriorTable.from_rows(rows, loglik)
-
-
 def compute_posteriors(trellis):
-    """One-call exact inference with the layered engine: posteriors plus the
-    sequence log-likelihood, without materialising per-vertex values."""
+    """Exact message posteriors plus the sequence log-likelihood, read at
+    each cycle's last post layer (the final intra-edge-free stage carrying
+    that message symbol).
+
+    Both sweeps keep every layer, 2 * 8 bytes per trellis cell. A trellis
+    whose layers would exceed STORED_BUDGET_BYTES is refused with a
+    ConfigError before any sweep starts, since the joint trellis grows
+    exponentially in the number of traces.
+    """
+    stored = 2 * 8 * trellis.num_cells
+    if stored > STORED_BUDGET_BYTES:
+        raise ConfigError(
+            f"the joint trellis over {trellis.K} traces would store "
+            f"{stored / MIB:.0f} MiB of sweep layers (budget "
+            f"{STORED_BUDGET_BYTES / MIB:.0f} MiB); use fewer traces, a smaller "
+            f"--delta, or trellis-bma")
     fs = trellis.forward(store=True)
     bs = trellis.backward(store=True)
     mz = trellis.encoder.msg_size

@@ -9,7 +9,12 @@ whole input is consumed, one of four events is drawn per step:
   correct    (p_cor): emit x[i], i += 1, j += 1
 
 The walk stops once the input is consumed, so traces never carry
-trailing insertions past the last consumed input symbol.
+trailing insertions past the last consumed input symbol. Equivalently,
+each input symbol is preceded by a geometric run of insertions (success
+probability 1 - p_ins) and is then deleted, substituted or copied with
+the conditional probabilities p_del, p_sub, p_cor over 1 - p_ins. The
+sampler `transmit_batch` draws that form for many traces at once;
+`transmit` is its one-trace case.
 """
 
 from __future__ import annotations
@@ -62,60 +67,25 @@ def transmit(x, params, seed, alphabet=None):
     `x` is an index array or a symbol string (in which case a string is
     returned) over `alphabet`, which is required: inserted and substituted
     symbols are drawn from all of it. `seed` is an int, seed tuple, or
-    numpy Generator; equal (x, params, seed) give identical traces.
+    numpy Generator; equal (x, params, seed) give identical traces. This is
+    the one-trace case of `transmit_batch`.
     """
-    if not isinstance(params, IDSParams):
-        params = IDSParams(*params)
     if alphabet is None:
         raise ConfigError("transmit needs `alphabet`: inserted and substituted "
                           "symbols are drawn from the whole alphabet")
-    as_text = isinstance(x, str)
-    x = as_indices(x, alphabet)
-    if x.size == 0:
-        raise ConfigError("cannot transmit an empty sequence")
-    size = alphabet.size
-    rng = _as_rng(seed)
-
-    cuts = np.cumsum(params.as_tuple())
-    n = len(x)
-    out = []
-    i = 0
-    # Draw event codes in blocks; the loop consumes them one at a time,
-    # refilling as needed, so the event process is the literal walk.
-    block = rng.random(2 * n + 8)
-    pos = 0
-    while i < n:
-        if pos == len(block):
-            block = rng.random(2 * n + 8)
-            pos = 0
-        u = block[pos]
-        pos += 1
-        if u < cuts[0]:  # insertion
-            out.append(rng.integers(size))
-        elif u < cuts[1]:  # deletion
-            i += 1
-        elif u < cuts[2]:  # substitution
-            r = rng.integers(size - 1)
-            out.append(r + (r >= x[i]))
-            i += 1
-        else:  # correct
-            out.append(x[i])
-            i += 1
-    trace = np.asarray(out, dtype=np.int8)
-    if as_text:
-        return alphabet.decode(trace)
-    return trace
+    trace = transmit_batch(as_indices(x, alphabet), params, 1, seed,
+                           alphabet_size=alphabet.size)[0]
+    return alphabet.decode(trace) if isinstance(x, str) else trace
 
 
 def transmit_batch(x, params, count, seed, alphabet_size=None):
-    """Draw `count` independent traces of `x` at once.
+    """Draw `count` independent traces of the index array `x` at once.
 
-    Same event process as `transmit`, vectorised: the number of
-    insertions preceding each consume step is geometric with success
-    probability 1 - p_ins, and each consume is deletion / substitution /
-    correct with the conditional probabilities. `alphabet_size` is
-    required, as `alphabet` is for `transmit`. Returns a list of int8
-    arrays.
+    The number of insertions preceding each consume step is geometric
+    with success probability 1 - p_ins, and each consume is deletion /
+    substitution / correct with the conditional probabilities.
+    `alphabet_size` is required: inserted and substituted symbols are
+    drawn from the whole alphabet. Returns a list of int8 arrays.
     """
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)

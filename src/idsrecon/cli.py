@@ -98,8 +98,6 @@ def build_parser():
     p.add_argument("--delta", type=int, default=12)
     p.add_argument("--range", dest="cluster_range", type=str, default=None,
                    help="1-based inclusive cluster range, e.g. 1-100")
-    p.add_argument("--force-multitrace", action="store_true",
-                   help="allow the joint trellis beyond 3 traces")
     p.add_argument("--dump-posteriors", action="store_true")
     p.add_argument("--output", "-o", type=str, required=True)
     subparsers["reconstruct"] = p
@@ -260,11 +258,6 @@ def cmd_estimate_channel(args):
 
 def cmd_reconstruct(args):
     _resolve_seed(args)
-    if args.algo == "bcjr-multitrace" and args.k > 3 and not args.force_multitrace:
-        raise ConfigError(
-            f"the joint trellis over K={args.k} traces is computationally "
-            "unreasonable (cost grows exponentially in K); pass "
-            "--force-multitrace to insist")
     clusters = _load_clusters(args)
     if args.cluster_range:
         a, b = parse_range(args.cluster_range)

@@ -239,9 +239,7 @@ def _eval_one(args):
         return idx, None
     out = {"hamming": hamming_rate(hard, message)}
     if post is not None:
-        h = symbolwise_cross_entropy(post, message)
-        out["entropy"] = h
-        out["air"] = bcjr_once_rate(h, encoder.rate)
+        out["entropy"] = symbolwise_cross_entropy(post, message)
     return idx, out
 
 
@@ -306,14 +304,11 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
     for name, vals in per_metric.items():
         vals = np.asarray(vals)
         half = float(_Z * vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        if name == "air":
-            # derived from mean entropy so the report stays self-consistent
-            h = float(np.mean(per_metric["entropy"]))
-            hw = float(_Z * np.std(per_metric["entropy"], ddof=1)
-                       / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            report.metrics[name] = (bcjr_once_rate(h, encoder.rate), hw * encoder.rate)
-        else:
-            report.metrics[name] = (float(vals.mean()), half)
+        report.metrics[name] = (float(vals.mean()), half)
+    if "entropy" in report.metrics:
+        # derived from mean entropy so the report stays self-consistent
+        h, half = report.metrics["entropy"]
+        report.metrics["air"] = (bcjr_once_rate(h, encoder.rate), half * encoder.rate)
     return report
 
 

@@ -49,15 +49,11 @@ EVENT_NAMES = ("input", "load", "del", "subcor", "ins", "update", "clear")
 @dataclass
 class _Layer:
     kind: str
-    t: int                 # layer index
-    npos: int              # codeword symbols accounted for at this layer
     cycle: int = -1
-    sym: int = -1          # codeword symbol index within the cycle
     trace: int = -1        # trace whose events this ids layer models
     wins: tuple = ()       # per trace (lo, hi), 0-based inclusive
     shape: tuple = ()
     states: np.ndarray | None = None   # boundary: encoder states
-    cqprev: np.ndarray | None = None   # per-combo encoder state before the cycle
     cq: np.ndarray | None = None       # per-combo encoder state after accepting m
     cm: np.ndarray | None = None       # per-combo message symbol
     cx: np.ndarray | None = None       # per-combo on-deck codeword symbol (as transmitted)
@@ -85,23 +81,30 @@ def _axis_overlap(src_win, dst_win, shift):
             slice(t_lo - d_lo, t_hi - d_lo + 1))
 
 
-def _transfer(src, src_wins, dst_wins, dst_shape, axis=None, shift=0, out=None):
-    """Move mass from a source layer block into target-layer coordinates.
-
-    Pointer axes are aligned window-to-window; `axis` (a trace index) is
-    additionally shifted by `shift`. Adds into `out` when given.
-    """
+def _overlap_slices(src_wins, dst_wins, axis=None, shift=0):
+    """Index tuples (src, dst) that align a source block with a target
+    block, window to window on every pointer axis, with source pointer j
+    landing on target j+shift along `axis` (a trace index). The combo axis
+    is taken whole. None when the windows do not meet."""
     src_slices = [slice(None)]
     dst_slices = [slice(None)]
     for k in range(len(src_wins)):
         ov = _axis_overlap(src_wins[k], dst_wins[k], shift if k == axis else 0)
         if ov is None:
-            return out if out is not None else np.zeros(dst_shape)
+            return None
         src_slices.append(ov[0])
         dst_slices.append(ov[1])
+    return tuple(src_slices), tuple(dst_slices)
+
+
+def _transfer(src, src_wins, dst_wins, dst_shape, axis=None, shift=0, out=None):
+    """Move mass from a source layer block into target-layer coordinates
+    (see `_overlap_slices`). Adds into `out` when given."""
     if out is None:
         out = np.zeros(dst_shape)
-    out[tuple(dst_slices)] += src[tuple(src_slices)]
+    pair = _overlap_slices(src_wins, dst_wins, axis, shift)
+    if pair is not None:
+        out[pair[1]] += src[pair[0]]
     return out
 
 
@@ -183,34 +186,33 @@ class Trellis:
     def _build_layers(self):
         enc = self.encoder
         Mz = enc.msg_size
-        params = self.params
         layers = self.layers
 
         states = np.array([enc.q_init], dtype=np.int32)
         npos = 0
         wins = self._wins(0)
-        layers.append(_Layer(BOUNDARY, 0, 0, wins=wins, states=states,
+        layers.append(_Layer(BOUNDARY, wins=wins, states=states,
                              shape=self._shape(len(states), wins)))
 
         for l in range(self.L):
             u = enc.emission_counts[l]
             # enumerate this cycle's (state, message) transitions
-            cqprev = np.repeat(states, Mz).astype(np.int32)
+            qprev = np.repeat(states, Mz).astype(np.int32)
             cm = np.tile(np.arange(Mz, dtype=np.int32), len(states))
-            cq = np.empty(len(cqprev), dtype=np.int32)
-            emit = np.empty((len(cqprev), u), dtype=np.int32)
-            for i, (q, m) in enumerate(zip(cqprev, cm)):
+            cq = np.empty(len(qprev), dtype=np.int32)
+            emit = np.empty((len(qprev), u), dtype=np.int32)
+            for i, (q, m) in enumerate(zip(qprev, cm)):
                 q2, em = enc.transition(int(q), int(m), l)
                 cq[i] = q2
                 emit[i] = em
             if self.offset is not None:
                 base = npos
                 emit = (emit + self.offset[base:base + u][None, :]) % self.A
-            src_state = np.searchsorted(states, cqprev).astype(np.int32)
+            src_state = np.searchsorted(states, qprev).astype(np.int32)
 
             wins = self._wins(npos)
-            lay = _Layer(INPUT, len(layers), npos, cycle=l, wins=wins,
-                         cqprev=cqprev, cq=cq, cm=cm, cx=emit[:, 0],
+            lay = _Layer(INPUT, cycle=l, wins=wins,
+                         cq=cq, cm=cm, cx=emit[:, 0],
                          src_state=src_state,
                          shape=self._shape(len(cm), wins))
             self.input_read_layer[l] = len(layers)
@@ -220,15 +222,13 @@ class Trellis:
             for c in range(u):
                 wins = self._wins(npos + c + 1)
                 for k in range(self.K):
-                    lay = _Layer(IDS, len(layers), npos + c + 1, cycle=l, sym=c,
-                                 trace=k, wins=wins,
-                                 cqprev=cqprev, cq=cq, cm=cm, cx=emit[:, c],
+                    lay = _Layer(IDS, cycle=l, trace=k, wins=wins,
+                                 cq=cq, cm=cm, cx=emit[:, c],
                                  shape=self._shape(len(cm), wins))
                     lay.w_sub = self._subcor_weights(lay, k)
                     layers.append(lay)
-                lay = _Layer(POST, len(layers), npos + c + 1, cycle=l, sym=c,
-                             wins=wins, cqprev=cqprev, cq=cq, cm=cm,
-                             cx=emit[:, c],
+                lay = _Layer(POST, cycle=l, wins=wins,
+                             cq=cq, cm=cm, cx=emit[:, c],
                              shape=self._shape(len(cm), wins))
                 if c == u - 1:
                     lay.dst_state = np.searchsorted(next_states, cq).astype(np.int32)
@@ -237,7 +237,7 @@ class Trellis:
             npos += u
             states = next_states
             wins = self._wins(npos)
-            layers.append(_Layer(BOUNDARY, len(layers), npos, wins=wins,
+            layers.append(_Layer(BOUNDARY, wins=wins,
                                  states=states, shape=self._shape(len(states), wins)))
 
         for k in range(self.K):
@@ -454,7 +454,7 @@ class Trellis:
     # explicit vertex/edge view
 
     def _offsets(self):
-        sizes = [int(np.prod(l.shape)) for l in self.layers]
+        sizes = [math.prod(l.shape) for l in self.layers]
         off = np.zeros(len(sizes) + 1, dtype=np.int64)
         off[1:] = np.cumsum(sizes)
         return off
@@ -533,17 +533,6 @@ class Trellis:
         else:
             acc[5].append(np.broadcast_to(lj, hids.shape).ravel()[pos].astype(np.int32))
 
-    def _pair_slices(self, src, dst, axis=None, shift=0):
-        src_slices = [slice(None)]
-        dst_slices = [slice(None)]
-        for k in range(self.K):
-            ov = _axis_overlap(src.wins[k], dst.wins[k], shift if k == axis else 0)
-            if ov is None:
-                return None
-            src_slices.append(ov[0])
-            dst_slices.append(ov[1])
-        return tuple(src_slices), tuple(dst_slices)
-
     def _build_edges(self):
         p = self.params
         c_ins = p.p_ins / self.A
@@ -571,7 +560,7 @@ class Trellis:
             nxt = self.layers[t + 1]
             ids_next = self._cell_ids(t + 1)
             if lay.kind == BOUNDARY:
-                pair = self._pair_slices(lay, nxt)
+                pair = _overlap_slices(lay.wins, nxt.wins)
                 if pair is None:
                     continue
                 ssl, dsl = pair
@@ -580,7 +569,7 @@ class Trellis:
                 pr = self.prior[nxt.cycle][nxt.cm]
                 self._emit(acc, h, tl, self._expand(pr, self.K), EVENT_INPUT)
             elif lay.kind in (INPUT, POST):
-                pair = self._pair_slices(lay, nxt)
+                pair = _overlap_slices(lay.wins, nxt.wins)
                 if pair is None:
                     continue
                 ssl, dsl = pair
@@ -594,11 +583,11 @@ class Trellis:
             else:
                 k = lay.trace
                 if p.p_del > 0.0:
-                    pair = self._pair_slices(lay, nxt)
+                    pair = _overlap_slices(lay.wins, nxt.wins)
                     if pair is not None:
                         ssl, dsl = pair
                         self._emit(acc, ids_here[ssl], ids_next[dsl], p.p_del, EVENT_DEL)
-                pair = self._pair_slices(lay, nxt, axis=k, shift=1)
+                pair = _overlap_slices(lay.wins, nxt.wins, axis=k, shift=1)
                 if pair is not None:
                     ssl, dsl = pair
                     h = ids_here[ssl]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bcjr import PosteriorTable
 from .errors import ConfigError, InfeasibleTrellisError
-from .trellis import build_trellis
+from .trellis import Trellis, build_trellis
 
 logger = logging.getLogger(__name__)
 
@@ -141,6 +141,28 @@ def _posterior_row(combined, beta_o):
     return row / tot
 
 
+def _exchange_sweep(step, trellises, fronts, layers, reads, stale, betas, rows_out):
+    """Step every trellis front through `layers` in lockstep with `step`
+    (`Trellis.step_forward` or `step_backward`). At each layer of `reads`
+    ({layer: message position}) the fronts are combined with the stale
+    opposite sweeps into that position's posterior row, and each front
+    receives its prior update."""
+    mz = rows_out.shape[1]
+    for t in layers:
+        for i, tr in enumerate(trellises):
+            fronts[i], _ = step(tr, t, fronts[i])
+        l = reads.get(t)
+        if l is None:
+            continue
+        cms = [tr.layers[t].cm for tr in trellises]
+        rows, combined = combine_beliefs(fronts, [sw.layers[t] for sw in stale],
+                                         cms, mz, betas.beta_b)
+        rows_out[l] = _posterior_row(combined, betas.beta_o)
+        if betas.beta_e != 0.0 or betas.beta_i != 0.0:
+            for i, g in enumerate(gamma_updates(rows, betas.beta_e, betas.beta_i)):
+                fronts[i] = update_forward(fronts[i], g, cms[i])
+
+
 def run_trellis_bma(encoder, traces, params, prior=None, delta=None,
                     betas=MULTIPLY_POSTERIORS, offset=None):
     """Approximate message posteriors from K traces at per-trace trellis cost.
@@ -157,48 +179,22 @@ def run_trellis_bma(encoder, traces, params, prior=None, delta=None,
     trellises, fwds, bwds, _ = init_single_trace_trellises(
         encoder, traces, params, prior=prior, delta=delta, offset=offset)
     L = encoder.L
-    mz = encoder.msg_size
     half = L // 2
-    rows_out = np.empty((L, mz))
-
-    layer_count = len(trellises[0].layers)
+    rows_out = np.empty((L, encoder.msg_size))
     post_read = trellises[0].post_read_layer
     input_read = trellises[0].input_read_layer
 
-    # forward-updating sweep estimates the first half
-    fronts = [tr.initial_forward_block() for tr in trellises]
-    by_layer = {t: l for l, t in enumerate(post_read)}
-    stop_at = post_read[half - 1] if half > 0 else -1
-    for t in range(1, stop_at + 1):
-        for i, tr in enumerate(trellises):
-            fronts[i], _ = tr.step_forward(t, fronts[i])
-        l = by_layer.get(t)
-        if l is not None and l < half:
-            cms = [tr.layers[t].cm for tr in trellises]
-            stale = [bwds[i].layers[t] for i in range(len(trellises))]
-            rows, combined = combine_beliefs(fronts, stale, cms, mz, betas.beta_b)
-            rows_out[l] = _posterior_row(combined, betas.beta_o)
-            if betas.beta_e != 0.0 or betas.beta_i != 0.0:
-                for i, g in enumerate(gamma_updates(rows, betas.beta_e, betas.beta_i)):
-                    fronts[i] = update_forward(fronts[i], g, cms[i])
-
-    # backward-updating sweep estimates the second half from the other end
-    fronts = [tr.initial_backward_block() for tr in trellises]
-    by_layer = {t: l for l, t in enumerate(input_read)}
-    stop_at = input_read[half] if half < L else layer_count
-    for t in range(layer_count - 2, stop_at - 1, -1):
-        for i, tr in enumerate(trellises):
-            fronts[i], _ = tr.step_backward(t, fronts[i])
-        l = by_layer.get(t)
-        if l is not None and l >= half:
-            cms = [tr.layers[t].cm for tr in trellises]
-            stale = [fwds[i].layers[t] for i in range(len(trellises))]
-            rows, combined = combine_beliefs(fronts, stale, cms, mz, betas.beta_b)
-            rows_out[l] = _posterior_row(combined, betas.beta_o)
-            if betas.beta_e != 0.0 or betas.beta_i != 0.0:
-                for i, g in enumerate(gamma_updates(rows, betas.beta_e, betas.beta_i)):
-                    fronts[i] = update_forward(fronts[i], g, cms[i])
-
+    # a forward-updating sweep estimates the first half at its post layers
+    first = {post_read[l]: l for l in range(half)}
+    _exchange_sweep(Trellis.step_forward, trellises,
+                    [tr.initial_forward_block() for tr in trellises],
+                    range(1, max(first, default=0) + 1), first, bwds, betas, rows_out)
+    # a backward-updating sweep estimates the second half from the other end
+    second = {input_read[l]: l for l in range(half, L)}
+    _exchange_sweep(Trellis.step_backward, trellises,
+                    [tr.initial_backward_block() for tr in trellises],
+                    range(len(trellises[0].layers) - 2, min(second) - 1, -1),
+                    second, fwds, betas, rows_out)
     return PosteriorTable.from_rows(rows_out)
 
 

@@ -4,7 +4,7 @@ import pytest
 from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
                       backward_pass, backward_pass_edges, build_trellis,
                       compute_posteriors, forward_pass, forward_pass_edges,
-                      identity_encoder, message_posteriors, mr_encoder,
+                      identity_encoder, mr_encoder,
                       sequence_log_likelihood, transmit, vertex_posterior)
 from idsrecon.bcjr import cut_totals
 from oracle import joint_posteriors, random_params, random_prior
@@ -62,9 +62,6 @@ def test_posteriors_match_enumeration_oracle():
         post = compute_posteriors(tr)
         assert np.max(np.abs(post.probs - rows)) < 1e-9
         assert post.log_likelihood == pytest.approx(ll, abs=1e-9 * max(1, abs(ll)))
-        f, b = forward_pass(tr), backward_pass(tr)
-        mp = message_posteriors(tr, f, b)
-        assert np.max(np.abs(mp.probs - rows)) < 1e-9
         checked += 1
     assert checked >= 25
 

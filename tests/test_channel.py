@@ -1,8 +1,13 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from idsrecon import (BINARY, DNA, ConfigError, IDSParams, estimate_params,
                       expected_trace_length, transmit, transmit_batch)
+from oracle import trace_likelihood
 
 
 def test_params_validation():
@@ -73,15 +78,26 @@ def test_mean_trace_length_matches_closed_form():
     assert abs(np.mean(lengths) - expect) < 0.1
 
 
-def test_loop_and_batch_sampler_agree_statistically():
-    p = IDSParams(0.08, 0.05, 0.07, 0.8)
-    x = DNA.encode("ACGTTGCAACGT")
-    loop_lengths = np.array([len(transmit(x, p, (9, i), DNA)) for i in range(4000)])
-    batch_lengths = np.array([len(t) for t in transmit_batch(x, p, 4000, 9, alphabet_size=4)])
-    mu = expected_trace_length(len(x), p)
-    for lengths in (loop_lengths, batch_lengths):
-        se = lengths.std(ddof=1) / np.sqrt(len(lengths))
-        assert abs(lengths.mean() - mu) < 3.5 * se + 1e-9
+def test_sampler_matches_exact_channel_law():
+    # chi-squared fit of sampled traces to Pr(y | x) from the oracle's
+    # enumeration of event walks, over every trace of length <= 7: cells
+    # expected below 5 are pooled, and longer traces form one more cell
+    p = IDSParams(0.15, 0.1, 0.1, 0.65)
+    draws = 40_000
+    for x, size, seed in (([0, 1, 0], 2, 31), ([0, 2], 4, 32)):
+        x = np.array(x, dtype=np.int8)
+        counts = Counter(y.tobytes() if len(y) <= 7 else None
+                         for y in transmit_batch(x, p, draws, seed, alphabet_size=size))
+        listed = [np.array(y, dtype=np.int8)
+                  for r in range(8) for y in itertools.product(range(size), repeat=r)]
+        law = np.array([trace_likelihood(x, y, *p.as_tuple(), size) for y in listed])
+        obs = np.array([counts[y.tobytes()] for y in listed])
+        big = draws * law >= 5
+        expected = draws * np.append(law[big], [law[~big].sum(), 1.0 - law.sum()])
+        observed = np.append(obs[big], [obs[~big].sum(), counts[None]])
+        assert observed.sum() == draws
+        stat = ((observed - expected) ** 2 / expected).sum()
+        assert chi2.sf(stat, len(expected) - 1) > 1e-3, (stat, len(expected) - 1)
 
 
 def test_no_indels_means_equal_length_and_sub_rate():

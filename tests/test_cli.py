@@ -74,13 +74,21 @@ def test_reconstruct_noiseless_recovers_centers(tmp_path):
 
 
 def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
+    # the joint trellis at identity:24, K=4, delta=12 would store about
+    # 1.4 GiB of sweep layers: refused before any sweep, from either command
     out = _simulate(tmp_path)
     rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
                "--algo", "bcjr-multitrace", "--k", "4", "--seed", "0",
                "-o", str(tmp_path / "r")])
     assert rc == 2
-    assert "force-multitrace" in capsys.readouterr().err
+    assert "fewer traces, a smaller --delta, or trellis-bma" in capsys.readouterr().err
+    rc = main(["evaluate", "--centers", str(out / "centers.txt"),
+               "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
+               "--algo", "bcjr-multitrace", "--k-list", "4", "--split", "all",
+               "--seed", "0", "-o", str(tmp_path / "e")])
+    assert rc == 2
+    assert "fewer traces, a smaller --delta, or trellis-bma" in capsys.readouterr().err
 
 
 def test_evaluate_writes_reports(tmp_path):

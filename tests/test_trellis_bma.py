@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, build_trellis,
-                      compute_posteriors, default_betas, identity_encoder,
+                      cc_encoder, compute_posteriors, default_betas, identity_encoder,
                       mr_encoder, multiply_posteriors, run_trellis_bma, scramble,
                       transmit, update_forward)
 from idsrecon.trellis_bma import TUNED_BETAS, code_tag
@@ -42,6 +42,9 @@ def test_reduction_identity_multiply_posteriors():
         k = int(rng.integers(1, 5))
         cases.append(_cluster(seed, n=n, k=k))
     cases.append(_cluster(8, k=3, encoder=mr_encoder(16, 3, DNA), offset=True))
+    # a multi-state encoder, and L=1, where the forward exchange sweep is empty
+    cases.append(_cluster(9, k=3, encoder=cc_encoder(2, 6, DNA), offset=True))
+    cases.append(_cluster(10, k=2, encoder=identity_encoder(1, DNA)))
     for enc, msg, z, traces in cases:
         got = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0, 0, 1),
                               offset=z)
