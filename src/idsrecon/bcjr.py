@@ -11,7 +11,11 @@ Per-vertex log values come from two interchangeable sweeps:
 * a reference edge sweep (`forward_pass_edges`/`backward_pass_edges`) walks
   the materialised edge list once in log domain with log-sum-exp.
 
-The tests hold them to each other and to exhaustive enumeration.
+The edge list is enumerated from the same per-layer edge families that the
+layered sweeps apply, so the two sweeps check each other's arithmetic
+(rescaling, the insertion recursion, the backward transpose), not the edge
+rules. The tests check the rules against an independent rule-by-rule
+constructor and the posteriors against exhaustive enumeration.
 """
 
 from __future__ import annotations

@@ -340,8 +340,9 @@ def cmd_evaluate(args):
         if shown:
             print(f"K={k}: {args.metric}={shown[0]:.6g} (+-{shown[1]:.2g}, "
                   f"n={rep.n_samples}, skipped={rep.skipped})")
-    write_report_csv(reports, outdir / "report.csv")
-    write_plot_csv(reports, args.metric, outdir / "plot.csv")
+        # rewritten after every K, so a later K that fails keeps the finished ones
+        write_report_csv(reports, outdir / "report.csv")
+        write_plot_csv(reports, args.metric, outdir / "plot.csv")
     _echo_config(args, outdir)
     print(f"wrote {outdir / 'report.csv'}")
     return 0

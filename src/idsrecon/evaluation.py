@@ -264,8 +264,7 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
     if isinstance(betas, str) and betas == "auto":
-        betas = default_betas(data_kind, "air" if metric in ("entropy", "air") else "hamming",
-                              encoder, k)
+        betas = default_betas(data_kind, metric, encoder, k)
 
     usable = []
     skipped = 0

@@ -23,7 +23,14 @@ minus one); the origin is all-zeros and absorbing vertices have every
 pointer at R_k. Under a drift bound `delta`, the pointer window for trace k
 after n codeword symbols is round(n*R_k/N) +- delta.
 
-Inference runs on the layer arrays directly (see bcjr); an explicit
+Each layer states its in-edges from the previous layer once, as a tuple of
+`_Edges` families. The forward sweep applies them, the backward sweep their
+transpose, reachability runs both with every weight mapped to its support,
+and the explicit edge view enumerates them. The insertion chain inside an
+ids layer is the one rule outside the families: the sweeps apply it as a
+first-order recursion along its trace's pointer axis.
+
+Inference runs on the layer arrays directly (see bcjr); the explicit
 vertex/edge view is materialised on demand for inspection, invariant checks,
 path sampling, and debug dumps.
 """
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -46,6 +54,21 @@ EVENT_INPUT, EVENT_LOAD, EVENT_DEL, EVENT_SUBCOR, EVENT_INS, EVENT_UPDATE, EVENT
 EVENT_NAMES = ("input", "load", "del", "subcor", "ins", "update", "clear")
 
 
+class _Edges(NamedTuple):
+    """One family of edges of a single event into a layer: source cells
+    `layer_src[src]` lead to target cells `layer_dst[dst]` (index tuples
+    from `_overlap_slices`, combo axis whole), one edge per aligned cell
+    pair. Families whose every weight is zero are not built; zero entries
+    of an array weight are edges the trellis does not have."""
+    event: int
+    src: tuple
+    dst: tuple
+    weight: object = None   # None (weight 1), a scalar, or an array broadcasting over the src block
+    gather: np.ndarray | None = None   # input edges: combo -> source boundary row
+    scatter: np.ndarray | None = None  # clear edges: combo -> target boundary row
+    axis: int = -1          # trace whose pointer the family advances (-1: none)
+
+
 @dataclass
 class _Layer:
     kind: str
@@ -57,9 +80,7 @@ class _Layer:
     cq: np.ndarray | None = None       # per-combo encoder state after accepting m
     cm: np.ndarray | None = None       # per-combo message symbol
     cx: np.ndarray | None = None       # per-combo on-deck codeword symbol (as transmitted)
-    src_state: np.ndarray | None = None  # input layer: combo -> prev boundary state index
-    dst_state: np.ndarray | None = None  # last post layer: combo -> next boundary state index
-    w_sub: np.ndarray | None = None      # ids layer: (C, w) substitute/correct weights by source pointer
+    edges: tuple = ()      # _Edges families from the previous layer; every edge rule but insertion
 
     @property
     def n_combo(self):
@@ -97,17 +118,6 @@ def _overlap_slices(src_wins, dst_wins, axis=None, shift=0):
     return tuple(src_slices), tuple(dst_slices)
 
 
-def _transfer(src, src_wins, dst_wins, dst_shape, axis=None, shift=0, out=None):
-    """Move mass from a source layer block into target-layer coordinates
-    (see `_overlap_slices`). Adds into `out` when given."""
-    if out is None:
-        out = np.zeros(dst_shape)
-    pair = _overlap_slices(src_wins, dst_wins, axis, shift)
-    if pair is not None:
-        out[pair[1]] += src[pair[0]]
-    return out
-
-
 def _iir_along(arr, coeff, axis, reverse=False):
     """First-order recursion y[j] = x[j] + coeff*y[j-1] along one axis
     (j+1 feeding j when reversed): the closed form of an insertion chain."""
@@ -121,7 +131,7 @@ def _iir_along(arr, coeff, axis, reverse=False):
     return res
 
 
-# edge-weight maps for the layer transfers: the weights themselves for
+# edge-weight maps for the edge families: the weights themselves for
 # sum-product inference, their support for reachability
 def _same(w):
     return w
@@ -187,12 +197,25 @@ class Trellis:
         enc = self.encoder
         Mz = enc.msg_size
         layers = self.layers
+        shared = {}
+
+        def overlap(src_wins, dst_wins, axis=None, shift=0):
+            # one object per distinct slice pair: most layers repeat a few of them
+            pair = _overlap_slices(src_wins, dst_wins, axis, shift)
+            if pair is None:
+                return None
+            return shared.setdefault(tuple((s.start, s.stop) for s in pair[0] + pair[1]), pair)
+
+        def add(lay, rows=None):
+            if layers:
+                lay.edges = self._in_edges(layers[-1], lay, overlap, rows)
+            layers.append(lay)
 
         states = np.array([enc.q_init], dtype=np.int32)
         npos = 0
         wins = self._wins(0)
-        layers.append(_Layer(BOUNDARY, wins=wins, states=states,
-                             shape=self._shape(len(states), wins)))
+        add(_Layer(BOUNDARY, wins=wins, states=states,
+                   shape=self._shape(len(states), wins)))
 
         for l in range(self.L):
             u = enc.emission_counts[l]
@@ -208,43 +231,67 @@ class Trellis:
             if self.offset is not None:
                 base = npos
                 emit = (emit + self.offset[base:base + u][None, :]) % self.A
-            src_state = np.searchsorted(states, qprev).astype(np.int32)
-
             wins = self._wins(npos)
-            lay = _Layer(INPUT, cycle=l, wins=wins,
-                         cq=cq, cm=cm, cx=emit[:, 0],
-                         src_state=src_state,
-                         shape=self._shape(len(cm), wins))
             self.input_read_layer[l] = len(layers)
-            layers.append(lay)
+            add(_Layer(INPUT, cycle=l, wins=wins,
+                       cq=cq, cm=cm, cx=emit[:, 0],
+                       shape=self._shape(len(cm), wins)),
+                rows=np.searchsorted(states, qprev).astype(np.int32))
 
-            next_states = np.unique(cq)
             for c in range(u):
                 wins = self._wins(npos + c + 1)
                 for k in range(self.K):
-                    lay = _Layer(IDS, cycle=l, trace=k, wins=wins,
-                                 cq=cq, cm=cm, cx=emit[:, c],
-                                 shape=self._shape(len(cm), wins))
-                    lay.w_sub = self._subcor_weights(lay, k)
-                    layers.append(lay)
-                lay = _Layer(POST, cycle=l, wins=wins,
-                             cq=cq, cm=cm, cx=emit[:, c],
-                             shape=self._shape(len(cm), wins))
+                    add(_Layer(IDS, cycle=l, trace=k, wins=wins,
+                               cq=cq, cm=cm, cx=emit[:, c],
+                               shape=self._shape(len(cm), wins)))
                 if c == u - 1:
-                    lay.dst_state = np.searchsorted(next_states, cq).astype(np.int32)
                     self.post_read_layer[l] = len(layers)
-                layers.append(lay)
+                add(_Layer(POST, cycle=l, wins=wins,
+                           cq=cq, cm=cm, cx=emit[:, c],
+                           shape=self._shape(len(cm), wins)))
             npos += u
-            states = next_states
+            states = np.unique(cq)
             wins = self._wins(npos)
-            layers.append(_Layer(BOUNDARY, wins=wins,
-                                 states=states, shape=self._shape(len(states), wins)))
+            add(_Layer(BOUNDARY, wins=wins,
+                       states=states, shape=self._shape(len(states), wins)),
+                rows=np.searchsorted(states, cq).astype(np.int32))
 
         for k in range(self.K):
             lo, hi = layers[-1].wins[k]
             if not lo <= self.R[k] <= hi:
                 raise InfeasibleTrellisError(
                     f"trace {k} of length {self.R[k]} cannot be completed under delta={self.delta}")
+
+    def _in_edges(self, prev, lay, overlap, rows=None):
+        """The edge families from layer `prev` into the next layer `lay`.
+        `overlap` returns what `_overlap_slices` does; `rows` maps each combo
+        to a boundary row, the source of its input edges or the target of
+        its clear edges."""
+        if prev.kind == IDS:
+            # deletion, and substitute/correct explaining one symbol of the trace
+            k = prev.trace
+            fams = []
+            ov = overlap(prev.wins, lay.wins)
+            if self.params.p_del > 0.0 and ov is not None:
+                fams.append(_Edges(EVENT_DEL, *ov, weight=self.params.p_del))
+            ov = overlap(prev.wins, lay.wins, k, 1)
+            if ov is not None:
+                w = self._subcor_weights(prev, k)[:, ov[0][1 + k]]
+                w = w.reshape((prev.n_combo,) + tuple(w.shape[1] if j == k else 1
+                                                      for j in range(self.K)))
+                fams.append(_Edges(EVENT_SUBCOR, *ov, weight=w, axis=k))
+            return tuple(fams)
+        ov = overlap(prev.wins, lay.wins)
+        if ov is None:
+            return ()
+        if prev.kind == BOUNDARY:
+            # input edges: gather state rows, weight by the message prior
+            w = self.prior[lay.cycle][(lay.cm,) + (None,) * self.K]
+            return (_Edges(EVENT_INPUT, *ov, weight=w, gather=rows),)
+        if lay.kind == BOUNDARY:
+            # clear edges: sum combos per next encoder state
+            return (_Edges(EVENT_CLEAR, *ov, scatter=rows),)
+        return (_Edges(EVENT_LOAD if prev.kind == INPUT else EVENT_UPDATE, *ov),)
 
     def _subcor_weights(self, lay, k):
         """Substitute/correct weights by (combo, source pointer). Zero in the
@@ -264,85 +311,45 @@ class Trellis:
     # ------------------------------------------------------------------
     # inference sweeps over the layer arrays
 
-    def _expand(self, vec, nptr):
-        return vec.reshape((-1,) + (1,) * nptr)
-
-    def _inter_forward(self, prev, arr_prev, lay, wmap=_same):
-        """Mass flowing from layer t-1 into layer t, before intra edges.
-        Every edge weight w passes through `wmap(w)` first."""
-        p = self.params
-        if prev.kind == BOUNDARY:
-            # input edges: gather state rows, weight by the message prior
-            picked = arr_prev[lay.src_state]
-            pr = wmap(self.prior[lay.cycle][lay.cm])
-            src = picked * self._expand(pr, self.K)
-            return _transfer(src, prev.wins, lay.wins, lay.shape)
-        if prev.kind in (INPUT, POST):
-            if prev.dst_state is not None:
-                # clear edges into a boundary layer: sum combos per next state
-                out = np.zeros(lay.shape)
-                aligned = _transfer(arr_prev, prev.wins, lay.wins,
-                                    (prev.n_combo,) + lay.shape[1:])
-                np.add.at(out, prev.dst_state, aligned)
-                return out
-            # load/update edges: weight-1 identity on combos
-            return _transfer(arr_prev, prev.wins, lay.wins, lay.shape)
-        # prev is an ids layer: deletion plus substitute/correct on its trace
-        k = prev.trace
-        out = np.zeros(lay.shape)
-        if p.p_del > 0.0:
-            _transfer(arr_prev * wmap(p.p_del), prev.wins, lay.wins, lay.shape, out=out)
-        wsub = wmap(prev.w_sub).reshape(
-            (prev.n_combo,) + tuple(prev.shape[1 + j] if j == k else 1 for j in range(self.K)))
-        _transfer(arr_prev * wsub, prev.wins, lay.wins, lay.shape,
-                  axis=k, shift=1, out=out)
-        return out
-
-    def _inter_backward(self, lay, arr_next, nxt, wmap=_same):
-        """Backward values induced on layer t by its own out-edges, each
-        edge weight w passed through `wmap(w)` first."""
-        p = self.params
-        if lay.kind == BOUNDARY:
-            out = np.zeros(lay.shape)
-            pr = wmap(self.prior[nxt.cycle][nxt.cm])
-            aligned = _transfer(arr_next, nxt.wins, lay.wins,
-                                (nxt.n_combo,) + lay.shape[1:])
-            np.add.at(out, nxt.src_state, aligned * self._expand(pr, self.K))
-            return out
-        if lay.kind in (INPUT, POST):
-            if lay.dst_state is not None:
-                picked = arr_next[lay.dst_state]
-                return _transfer(picked, nxt.wins, lay.wins, lay.shape)
-            return _transfer(arr_next, nxt.wins, lay.wins, lay.shape)
-        k = lay.trace
-        out = np.zeros(lay.shape)
-        if p.p_del > 0.0:
-            _transfer(arr_next, nxt.wins, lay.wins, lay.shape, out=out)
-            out *= wmap(p.p_del)
-        shifted = _transfer(arr_next, nxt.wins, lay.wins, lay.shape, axis=k, shift=-1)
-        wsub = wmap(lay.w_sub).reshape(
-            (lay.n_combo,) + tuple(lay.shape[1 + j] if j == k else 1 for j in range(self.K)))
-        out += shifted * wsub
-        return out
-
     def _pull_forward(self, t, arr, wmap=_same):
-        """Layer t's forward values from layer t-1's: inter-layer edges,
-        then the insertion chains inside an ids layer."""
+        """Layer t's forward values from layer t-1's: its in-edge families,
+        then the insertion chains inside an ids layer. Every edge weight w
+        passes through `wmap(w)` first."""
         lay = self.layers[t]
-        arr = self._inter_forward(self.layers[t - 1], arr, lay, wmap)
+        out = np.zeros(lay.shape)
+        for e in lay.edges:
+            val = arr[e.src]
+            if e.gather is not None:
+                val = val[e.gather]
+            if e.weight is not None:
+                val = val * wmap(e.weight)
+            if e.scatter is not None:
+                np.add.at(out[e.dst], e.scatter, val)
+            else:
+                out[e.dst] += val
         if lay.kind == IDS:
-            arr = _iir_along(arr, wmap(self.params.p_ins / self.A), 1 + lay.trace)
-        return arr
+            out = _iir_along(out, wmap(self.params.p_ins / self.A), 1 + lay.trace)
+        return out
 
     def _pull_backward(self, t, arr, wmap=_same):
-        """Layer t's backward values from layer t+1's: mirror of
-        `_pull_forward`."""
+        """Layer t's backward values from layer t+1's: the transpose of
+        `_pull_forward` over layer t+1's in-edge families."""
         lay = self.layers[t]
-        arr = self._inter_backward(lay, arr, self.layers[t + 1], wmap)
+        out = np.zeros(lay.shape)
+        for e in self.layers[t + 1].edges:
+            val = arr[e.dst]
+            if e.scatter is not None:
+                val = val[e.scatter]
+            if e.weight is not None:
+                val = val * wmap(e.weight)
+            if e.gather is not None:
+                np.add.at(out[e.src], e.gather, val)
+            else:
+                out[e.src] += val
         if lay.kind == IDS:
-            arr = _iir_along(arr, wmap(self.params.p_ins / self.A), 1 + lay.trace,
+            out = _iir_along(out, wmap(self.params.p_ins / self.A), 1 + lay.trace,
                              reverse=True)
-        return arr
+        return out
 
     def initial_forward_block(self):
         arr = np.zeros(self.layers[0].shape)
@@ -421,7 +428,7 @@ class Trellis:
 
     # ------------------------------------------------------------------
     # structural reachability (used for feasibility and the explicit view):
-    # the transfer code of the sweeps above, run in the boolean semiring:
+    # the edge families of the sweeps above, run in the boolean semiring:
     # every edge weight is replaced by its support (1 where w > 0) and each
     # layer is binarised, so a cell is True iff some path from the origin
     # (forward) or to an absorbing vertex (backward) passes through it
@@ -429,7 +436,8 @@ class Trellis:
     def _reach_forward(self):
         masks = [self.initial_forward_block() > 0]
         for t in range(1, len(self.layers)):
-            masks.append(self._pull_forward(t, masks[-1], _support) > 0)
+            # a float front: np.add.at on bool values (clear edges) is several times slower
+            masks.append(self._pull_forward(t, masks[-1].astype(float), _support) > 0)
         return masks
 
     def _reach_backward(self):
@@ -518,95 +526,34 @@ class Trellis:
         keep = alive[heads] & alive[tails]
         return (heads[keep], tails[keep], ws[keep], evs[keep], lks[keep], ljs[keep])
 
-    def _emit(self, acc, hids, tids, w, event, lk=-1, lj=None):
-        h = hids.ravel()
-        t = tids.ravel()
-        wv = np.broadcast_to(w, hids.shape).ravel().astype(float)
-        pos = wv > 0
-        acc[0].append(h[pos])
-        acc[1].append(t[pos])
-        acc[2].append(wv[pos])
-        acc[3].append(np.full(pos.sum(), event, dtype=np.int8))
-        acc[4].append(np.full(pos.sum(), lk, dtype=np.int16))
-        if lj is None:
-            acc[5].append(np.full(pos.sum(), -1, dtype=np.int32))
-        else:
-            acc[5].append(np.broadcast_to(lj, hids.shape).ravel()[pos].astype(np.int32))
-
     def _build_edges(self):
-        p = self.params
-        c_ins = p.p_ins / self.A
-        acc = ([], [], [], [], [], [])
-        for t in range(len(self.layers)):
-            lay = self.layers[t]
-            ids_here = self._cell_ids(t)
-            # intra-layer insertion edges
+        """Enumerate every layer's edge families (plus each ids layer's
+        insertion edges), keeping the edges of nonzero weight. An edge's
+        label is its head's pointer on the family's trace axis."""
+        ptr = self.vertex_table()["ptr"]
+        c_ins = self.params.p_ins / self.A
+        cols = []
+        for t, lay in enumerate(self.layers):
+            fams = [(t - 1, e) for e in lay.edges]
             if lay.kind == IDS and c_ins > 0.0:
-                k = lay.trace
-                lo, hi = lay.wins[k]
-                if hi > lo:
-                    sl_src = [slice(None)] * (1 + self.K)
-                    sl_dst = [slice(None)] * (1 + self.K)
-                    sl_src[1 + k] = slice(0, hi - lo)
-                    sl_dst[1 + k] = slice(1, hi - lo + 1)
-                    h = ids_here[tuple(sl_src)]
-                    jvals = np.arange(lo, hi)
-                    shape_j = tuple(h.shape[1 + j] if j == k else 1 for j in range(self.K))
-                    lj = np.broadcast_to(jvals.reshape(shape_j), h.shape[1:])[None]
-                    self._emit(acc, h, ids_here[tuple(sl_dst)], c_ins, EVENT_INS,
-                               lk=k, lj=np.broadcast_to(lj, h.shape))
-            if t + 1 == len(self.layers):
-                continue
-            nxt = self.layers[t + 1]
-            ids_next = self._cell_ids(t + 1)
-            if lay.kind == BOUNDARY:
-                pair = _overlap_slices(lay.wins, nxt.wins)
-                if pair is None:
-                    continue
-                ssl, dsl = pair
-                h = ids_here[ssl][nxt.src_state]
-                tl = ids_next[dsl]
-                pr = self.prior[nxt.cycle][nxt.cm]
-                self._emit(acc, h, tl, self._expand(pr, self.K), EVENT_INPUT)
-            elif lay.kind in (INPUT, POST):
-                pair = _overlap_slices(lay.wins, nxt.wins)
-                if pair is None:
-                    continue
-                ssl, dsl = pair
-                if lay.dst_state is not None:
-                    h = ids_here[ssl]
-                    tl = ids_next[dsl][lay.dst_state]
-                    self._emit(acc, h, tl, 1.0, EVENT_CLEAR)
-                else:
-                    ev = EVENT_LOAD if lay.kind == INPUT else EVENT_UPDATE
-                    self._emit(acc, ids_here[ssl], ids_next[dsl], 1.0, ev)
-            else:
-                k = lay.trace
-                if p.p_del > 0.0:
-                    pair = _overlap_slices(lay.wins, nxt.wins)
-                    if pair is not None:
-                        ssl, dsl = pair
-                        self._emit(acc, ids_here[ssl], ids_next[dsl], p.p_del, EVENT_DEL)
-                pair = _overlap_slices(lay.wins, nxt.wins, axis=k, shift=1)
-                if pair is not None:
-                    ssl, dsl = pair
-                    h = ids_here[ssl]
-                    wfull = lay.w_sub.reshape(
-                        (lay.n_combo,) + tuple(lay.shape[1 + j] if j == k else 1
-                                               for j in range(self.K)))
-                    w = np.broadcast_to(wfull, lay.shape)[ssl]
-                    lo = lay.wins[k][0]
-                    jvals = lo + np.arange(lay.shape[1 + k])[ssl[1 + k]]
-                    shape_j = tuple(h.shape[1 + j] if j == k else 1 for j in range(self.K))
-                    lj = np.broadcast_to(jvals.reshape(shape_j), h.shape[1:])[None]
-                    self._emit(acc, h, ids_next[dsl], w, EVENT_SUBCOR,
-                               lk=k, lj=np.broadcast_to(lj, h.shape))
-        heads = np.concatenate(acc[0]) if acc[0] else np.empty(0, dtype=np.int64)
-        tails = np.concatenate(acc[1]) if acc[1] else np.empty(0, dtype=np.int64)
-        ws = np.concatenate(acc[2]) if acc[2] else np.empty(0)
-        evs = np.concatenate(acc[3]) if acc[3] else np.empty(0, dtype=np.int8)
-        lks = np.concatenate(acc[4]) if acc[4] else np.empty(0, dtype=np.int16)
-        ljs = np.concatenate(acc[5]) if acc[5] else np.empty(0, dtype=np.int32)
+                ov = _overlap_slices(lay.wins, lay.wins, lay.trace, 1)
+                if ov is not None:
+                    fams.append((t, _Edges(EVENT_INS, *ov, weight=c_ins, axis=lay.trace)))
+            for s, e in fams:
+                heads = self._cell_ids(s)[e.src]
+                tails = self._cell_ids(t)[e.dst]
+                if e.gather is not None:
+                    heads = heads[e.gather]
+                if e.scatter is not None:
+                    tails = tails[e.scatter]
+                w = np.broadcast_to(1.0 if e.weight is None else e.weight, heads.shape).ravel()
+                pos = w > 0
+                h = heads.ravel()[pos]
+                lj = ptr[h, e.axis] if e.axis >= 0 else np.full(len(h), -1, dtype=np.int32)
+                cols.append((h, tails.ravel()[pos], w[pos].astype(float),
+                             np.full(len(h), e.event, dtype=np.int8),
+                             np.full(len(h), e.axis, dtype=np.int16), lj))
+        heads, tails, ws, evs, lks, ljs = (np.concatenate(c) for c in zip(*cols))
         if heads.size and not (tails > heads).all():
             raise ConfigError("trellis construction produced a non-topological edge")
         order = np.argsort(heads, kind="stable")

@@ -258,11 +258,12 @@ def code_tag(encoder):
 
 def default_betas(kind, metric, encoder, k):
     """Tuned BetaParams for (real|sim data, hamming|air metric, code, K).
-    Falls back to the nearest tabulated trace count."""
+    The entropy metric uses the AIR tables: AIR = (2 - H) * rate moves with
+    the entropy H. Falls back to the nearest tabulated trace count."""
     if kind not in ("real", "sim"):
         raise ConfigError(f"unknown data kind {kind!r}")
-    if metric not in ("hamming", "air"):
-        metric = "hamming" if metric == "entropy" else metric
+    if metric == "entropy":
+        metric = "air"
     table = TUNED_BETAS.get((kind, metric, code_tag(encoder)))
     if table is None:
         raise ConfigError(f"no tuned betas for metric {metric!r}")

@@ -74,7 +74,7 @@ def enumerate_trellis_states(encoder, traces, params, prior):
 
     Walks the stage rules over explicit state tuples with plain dict/set
     bookkeeping, then prunes states that no origin-to-absorbing path uses.
-    Returns (number of vertices, number of edges).
+    Returns (number of vertices, number of edges, sorted edge weights).
     """
     K = len(traces)
     R = [len(y) for y in traces]
@@ -188,8 +188,8 @@ def enumerate_trellis_states(encoder, traces, params, prior):
             if b not in reach:
                 reach.add(b)
                 stack.append(b)
-    n_edges = sum(1 for (a, b) in edges if a in reach and b in reach)
-    return len(reach), n_edges
+    weights = [w for (a, b), w in edges.items() if a in reach and b in reach]
+    return len(reach), len(weights), np.sort(weights)
 
 
 def random_params(rng, max_ins=0.4):

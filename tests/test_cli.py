@@ -85,10 +85,13 @@ def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
     assert "fewer traces, a smaller --delta, or trellis-bma" in capsys.readouterr().err
     rc = main(["evaluate", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
-               "--algo", "bcjr-multitrace", "--k-list", "4", "--split", "all",
+               "--algo", "bcjr-multitrace", "--k-list", "1,4", "--split", "all",
                "--seed", "0", "-o", str(tmp_path / "e")])
     assert rc == 2
     assert "fewer traces, a smaller --delta, or trellis-bma" in capsys.readouterr().err
+    # the K=1 results that finished before the refusal are kept
+    rows = (tmp_path / "e" / "report.csv").read_text().strip().splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "1" for row in rows)
 
 
 def test_evaluate_writes_reports(tmp_path):

@@ -28,18 +28,20 @@ def _tiny(seed=0, n=None, k=1, alphabet=BINARY, params=None, delta=None,
     return tr, enc, traces, params, prior
 
 
+def _assert_matches_oracle(case, label):
+    tr, enc, traces, params, prior = case
+    nv, ne, weights = enumerate_trellis_states(enc, traces, params, prior)
+    assert tr.num_vertices() == nv, label
+    assert tr.num_edges() == ne, label
+    assert np.abs(np.sort(tr.edge_table()[2]) - weights).max() < 1e-12, label
+
+
 def test_structure_matches_independent_constructor():
-    # vertex/edge counts against a naive rule-by-rule enumerator
+    # vertex/edge counts and edge weights against a naive rule-by-rule enumerator
     for seed in range(12):
-        tr, enc, traces, params, prior = _tiny(seed)
-        nv, ne = enumerate_trellis_states(enc, traces, params, prior)
-        assert tr.num_vertices() == nv, seed
-        assert tr.num_edges() == ne, seed
+        _assert_matches_oracle(_tiny(seed), seed)
     for seed in range(6):
-        tr, enc, traces, params, prior = _tiny(100 + seed, k=2)
-        nv, ne = enumerate_trellis_states(enc, traces, params, prior)
-        assert tr.num_vertices() == nv, seed
-        assert tr.num_edges() == ne, seed
+        _assert_matches_oracle(_tiny(100 + seed, k=2), seed)
     # multi-state encoders gather and scatter boundary rows by encoder state;
     # zero prior entries take input edges out of the support
     zero_prior = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0],
@@ -47,10 +49,7 @@ def test_structure_matches_independent_constructor():
     for case in (_tiny(0, alphabet=DNA, encoder=cc_encoder(2, 2, DNA)),
                  _tiny(0, alphabet=DNA, encoder=cc_encoder(2, 3, DNA)),
                  _tiny(1, n=3, alphabet=DNA, prior=zero_prior)):
-        tr, enc, traces, params, prior = case
-        nv, ne = enumerate_trellis_states(enc, traces, params, prior)
-        assert tr.num_vertices() == nv, enc
-        assert tr.num_edges() == ne, enc
+        _assert_matches_oracle(case, case[1])
 
 
 def test_structure_constructor_with_mr_encoder():
@@ -62,9 +61,7 @@ def test_structure_constructor_with_mr_encoder():
     y = np.asarray(transmit(x, params, rng, alphabet=BINARY))
     prior = random_prior(rng, enc.L, 2)
     tr = build_trellis(enc, [y], params, prior=prior)
-    nv, ne = enumerate_trellis_states(enc, [y], params, prior)
-    assert tr.num_vertices() == nv
-    assert tr.num_edges() == ne
+    _assert_matches_oracle((tr, enc, [y], params, prior), enc)
 
 
 def test_topological_order_basics():

@@ -147,6 +147,8 @@ def test_tuned_default_tables():
     assert code_tag(mr_encoder(110, 6, DNA)) == "mr104"
     bp = default_betas("sim", "hamming", mr, 10)
     assert bp.as_tuple() == (1, 5.0, 0, 0.5)
+    # the entropy metric tunes like AIR = (2 - H) * rate
+    assert default_betas("sim", "entropy", enc, 1) == default_betas("sim", "air", enc, 1)
     # nearest-K fallback
     assert default_betas("real", "hamming", enc, 3).as_tuple() in (
         default_betas("real", "hamming", enc, 2).as_tuple(),
