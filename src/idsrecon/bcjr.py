@@ -7,7 +7,8 @@ symbol at its cycle's last post layer.
 
 Per-vertex log values come from two interchangeable sweeps:
 
-* `forward_pass`/`backward_pass` flatten the layered engine's sweeps;
+* `forward_pass`/`backward_pass` read the layered engine's stored sweeps
+  per cell with `Trellis.log_values`, as `Trellis.sample_path` does;
 * a reference edge sweep (`forward_pass_edges`/`backward_pass_edges`) walks
   the materialised edge list once in log domain with log-sum-exp.
 
@@ -72,27 +73,16 @@ class PosteriorTable:
         return cls(probs, np.argmax(probs, axis=1), log_likelihood)
 
 
-def _flatten_sweep(trellis, sweep):
-    off = trellis.vertex_table()["offsets"]
-    out = np.full(int(off[-1]), NEG_INF)
-    for t, arr in enumerate(sweep.layers):
-        flat = arr.ravel()
-        seg = out[off[t]:off[t + 1]]
-        pos = flat > 0
-        seg[pos] = np.log(flat[pos]) + sweep.scales[t]
-    return out
-
-
 def forward_pass(trellis):
     """F(s): summed weight of all origin-to-s paths, as per-vertex logs."""
     sweep = trellis.forward(store=True)
-    return FBValues(_flatten_sweep(trellis, sweep), sweep.loglik)
+    return FBValues(trellis.log_values(sweep), sweep.loglik)
 
 
 def backward_pass(trellis):
     """B(s): summed weight of all s-to-absorbing paths, as per-vertex logs."""
     sweep = trellis.backward(store=True)
-    return FBValues(_flatten_sweep(trellis, sweep), sweep.loglik)
+    return FBValues(trellis.log_values(sweep), sweep.loglik)
 
 
 def forward_pass_edges(trellis):

@@ -29,7 +29,7 @@ from .evaluation import (load_dataset, parse_range, run_algorithm,
                          scrambled_eval, simulate_clusters, split_dataset,
                          sweep_betas, write_dataset, write_plot_csv,
                          write_report_csv)
-from .trellis_bma import BetaParams
+from .trellis_bma import BetaParams, default_betas
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +62,8 @@ def _beta_args(p):
     p.add_argument("--beta-i", type=float, default=None)
     p.add_argument("--beta-o", type=float, default=None)
     p.add_argument("--betas-preset", choices=("real", "sim"), default=None,
-                   help="use the tuned sweep defaults for this data kind")
+                   help="data kind whose tuned betas are used when --beta-b/e/i/o "
+                        "are not given (default: real)")
 
 
 def build_parser():
@@ -195,15 +196,21 @@ def _params(args):
     return IDSParams.from_error_rates(args.p_ins, args.p_del, args.p_sub)
 
 
-def _betas(args):
+def _betas(args, metric, encoder, k):
+    """The four --beta-b/e/i/o flags if given, else the tuned defaults for
+    --betas-preset (real data when it is not given)."""
     given = [args.beta_b, args.beta_e, args.beta_i, args.beta_o]
     if any(v is not None for v in given):
         if any(v is None for v in given):
             raise ConfigError("give all four of --beta-b/e/i/o or none")
         return BetaParams(*given)
-    if args.betas_preset is not None:
-        return "auto"
-    return None
+    return default_betas(args.betas_preset or "real", metric, encoder, k)
+
+
+def _at_least_one(value, flag):
+    if value is not None and value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def _load_clusters(args):
@@ -257,6 +264,7 @@ def cmd_estimate_channel(args):
 
 
 def cmd_reconstruct(args):
+    _at_least_one(args.k, "--k")
     _resolve_seed(args)
     clusters = _load_clusters(args)
     if args.cluster_range:
@@ -267,10 +275,7 @@ def cmd_reconstruct(args):
     encoder = parse_encoder_spec(args.code, default_n=len(clusters[0].center)
                                  if clusters else 110)
     params = _params(args)
-    betas = _betas(args)
-    if betas == "auto":
-        from .trellis_bma import default_betas
-        betas = default_betas(args.betas_preset, "hamming", encoder, args.k)
+    betas = _betas(args, "hamming", encoder, args.k)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     est_path = outdir / "estimates.txt"
@@ -317,23 +322,23 @@ def _pick_split(args, clusters):
 
 
 def cmd_evaluate(args):
+    ks = [_at_least_one(int(v), "--k-list") for v in args.k_list.split(",") if v.strip()]
+    if not ks:
+        raise ConfigError("--k-list names no trace count")
+    _at_least_one(args.max_clusters, "--max-clusters")
     _resolve_seed(args)
     clusters = _load_clusters(args)
     part = _pick_split(args, clusters)
     encoder = parse_encoder_spec(args.code, default_n=len(clusters[0].center)
                                  if clusters else 110)
     params = _params(args)
-    betas = _betas(args)
-    kind = args.betas_preset or "real"
-    ks = [int(v) for v in args.k_list.split(",") if v.strip()]
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     reports = []
     for k in ks:
         rep = scrambled_eval(part, encoder, args.algo, k, args.metric,
                              args.seed, params, delta=args.delta,
-                             betas=betas if betas is not None else "auto",
-                             data_kind=kind, jobs=args.jobs,
+                             betas=_betas(args, args.metric, encoder, k), jobs=args.jobs,
                              max_clusters=args.max_clusters)
         reports.append(rep)
         shown = rep.metrics.get(args.metric)
@@ -349,6 +354,8 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep(args):
+    _at_least_one(args.k, "--k")
+    _at_least_one(args.max_clusters, "--max-clusters")
     _resolve_seed(args)
     clusters = _load_clusters(args)
     _, validation, _ = split_dataset(clusters, parse_range(args.train_range),

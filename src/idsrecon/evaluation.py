@@ -261,6 +261,8 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
         raise ConfigError(f"unknown metric {metric!r}")
     if metric in ("entropy", "air") and algorithm == "bmala":
         raise ConfigError("bmala gives hard output only; no soft metric")
+    if max_clusters is not None and max_clusters < 1:
+        raise ConfigError(f"max_clusters must be at least 1, got {max_clusters}")
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
     if isinstance(betas, str) and betas == "auto":

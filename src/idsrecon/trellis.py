@@ -24,11 +24,13 @@ pointer at R_k. Under a drift bound `delta`, the pointer window for trace k
 after n codeword symbols is round(n*R_k/N) +- delta.
 
 Each layer states its in-edges from the previous layer once, as a tuple of
-`_Edges` families. The forward sweep applies them, the backward sweep their
-transpose, reachability runs both with every weight mapped to its support,
-and the explicit edge view enumerates them. The insertion chain inside an
-ids layer is the one rule outside the families: the sweeps apply it as a
-first-order recursion along its trace's pointer axis.
+`_Edges` families, and one pull applies them in either direction. The
+backward sweep is the transpose by construction: the same pull reads the
+next layer's families with source and target, gather and scatter swapped.
+Reachability is that pull with every weight mapped to its support, and the
+explicit edge view enumerates the families. The insertion chain inside an
+ids layer is the one rule outside the families: the pull applies it as a
+first-order recursion along its trace's pointer axis, reversed backward.
 
 Inference runs on the layer arrays directly (see bcjr); the explicit
 vertex/edge view is materialised on demand for inspection, invariant checks,
@@ -59,7 +61,10 @@ class _Edges(NamedTuple):
     `layer_src[src]` lead to target cells `layer_dst[dst]` (index tuples
     from `_overlap_slices`, combo axis whole), one edge per aligned cell
     pair. Families whose every weight is zero are not built; zero entries
-    of an array weight are edges the trellis does not have."""
+    of an array weight are edges the trellis does not have. The backward
+    pull reads a family transposed with the same weight, which is exact:
+    the weight broadcasts over the source block after gather, and that
+    block has the shape of the target block before scatter."""
     event: int
     src: tuple
     dst: tuple
@@ -311,44 +316,29 @@ class Trellis:
     # ------------------------------------------------------------------
     # inference sweeps over the layer arrays
 
-    def _pull_forward(self, t, arr, wmap=_same):
-        """Layer t's forward values from layer t-1's: its in-edge families,
-        then the insertion chains inside an ids layer. Every edge weight w
-        passes through `wmap(w)` first."""
+    def _pull(self, t, arr, back=False, wmap=_same):
+        """Layer t's values from layer t-1's over layer t's in-edge families,
+        or with `back` from layer t+1's over layer t+1's families transposed;
+        then an ids layer's insertion chains. Every edge weight w passes
+        through `wmap(w)` first."""
         lay = self.layers[t]
         out = np.zeros(lay.shape)
-        for e in lay.edges:
-            val = arr[e.src]
-            if e.gather is not None:
-                val = val[e.gather]
+        for e in self.layers[t + 1 if back else t].edges:
+            src, dst, gather, scatter = e.src, e.dst, e.gather, e.scatter
+            if back:
+                src, dst, gather, scatter = dst, src, scatter, gather
+            val = arr[src]
+            if gather is not None:
+                val = val[gather]
             if e.weight is not None:
                 val = val * wmap(e.weight)
-            if e.scatter is not None:
-                np.add.at(out[e.dst], e.scatter, val)
+            if scatter is not None:
+                np.add.at(out[dst], scatter, val)
             else:
-                out[e.dst] += val
-        if lay.kind == IDS:
-            out = _iir_along(out, wmap(self.params.p_ins / self.A), 1 + lay.trace)
-        return out
-
-    def _pull_backward(self, t, arr, wmap=_same):
-        """Layer t's backward values from layer t+1's: the transpose of
-        `_pull_forward` over layer t+1's in-edge families."""
-        lay = self.layers[t]
-        out = np.zeros(lay.shape)
-        for e in self.layers[t + 1].edges:
-            val = arr[e.dst]
-            if e.scatter is not None:
-                val = val[e.scatter]
-            if e.weight is not None:
-                val = val * wmap(e.weight)
-            if e.gather is not None:
-                np.add.at(out[e.src], e.gather, val)
-            else:
-                out[e.src] += val
+                out[dst] += val
         if lay.kind == IDS:
             out = _iir_along(out, wmap(self.params.p_ins / self.A), 1 + lay.trace,
-                             reverse=True)
+                             reverse=back)
         return out
 
     def initial_forward_block(self):
@@ -366,96 +356,93 @@ class Trellis:
         fin = self.layers[-1]
         return tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
 
+    def _rescale(self, t, arr, direction):
+        """(arr / its max, log of the max); raises unless the max is positive and finite."""
+        s = arr.max()
+        if s <= 0.0 or not np.isfinite(s):
+            raise InfeasibleTrellisError(
+                f"{direction} mass vanished at layer {t} ({self.layers[t].kind}); "
+                f"no path explains the traces (delta={self.delta})")
+        return arr / s, math.log(s)
+
     def step_forward(self, t, arr):
         """Advance a forward front from layer t-1 into layer t.
         Returns (rescaled block, log of the scale divided out)."""
-        arr = self._pull_forward(t, arr)
-        s = arr.max()
-        if s <= 0.0 or not np.isfinite(s):
-            raise InfeasibleTrellisError(
-                f"forward mass vanished at layer {t} ({self.layers[t].kind}); "
-                f"no path explains the traces (delta={self.delta})")
-        return arr / s, math.log(s)
+        return self._rescale(t, self._pull(t, arr), "forward")
 
     def step_backward(self, t, arr):
         """Pull a backward front from layer t+1 into layer t."""
-        arr = self._pull_backward(t, arr)
-        s = arr.max()
-        if s <= 0.0 or not np.isfinite(s):
-            raise InfeasibleTrellisError(
-                f"backward mass vanished at layer {t} ({self.layers[t].kind}); "
-                f"no path explains the traces (delta={self.delta})")
-        return arr / s, math.log(s)
+        return self._rescale(t, self._pull(t, arr, back=True), "backward")
 
-    def forward(self, store=True):
-        """Forward sweep from the origin; `store` keeps every layer."""
-        layers = self.layers
-        scales = np.zeros(len(layers))
-        kept = [None] * len(layers) if store else None
-        arr = self.initial_forward_block()
+    def _sweep(self, back, store, end, vanished):
+        """Step one direction's front from its initial block; `store` keeps
+        every layer. The last block's cells `end` hold the total mass."""
+        n = len(self.layers)
+        order = range(n - 1, -1, -1) if back else range(n)
+        step = self.step_backward if back else self.step_forward
+        arr = self.initial_backward_block() if back else self.initial_forward_block()
+        scales = np.zeros(n)
+        kept = [None] * n if store else None
         logtot = 0.0
-        for t in range(len(layers)):
-            if t > 0:
-                arr, ls = self.step_forward(t, arr)
+        for i, t in enumerate(order):
+            if i > 0:
+                arr, ls = step(t, arr)
                 logtot += ls
             scales[t] = logtot
             if store:
                 kept[t] = arr
-        tot = arr[(slice(None),) + self._absorbing_index()].sum()
+        tot = arr[end].sum()
         if tot <= 0.0:
-            raise InfeasibleTrellisError("no forward mass reaches an absorbing vertex")
+            raise InfeasibleTrellisError(vanished)
         return SweepResult(kept, scales, math.log(tot) + logtot)
 
+    def forward(self, store=True):
+        """Forward sweep from the origin; `store` keeps every layer."""
+        return self._sweep(False, store, (slice(None),) + self._absorbing_index(),
+                           "no forward mass reaches an absorbing vertex")
+
     def backward(self, store=True):
-        """Backward sweep from the absorbing vertices, mirror of `forward`."""
-        layers = self.layers
-        scales = np.zeros(len(layers))
-        kept = [None] * len(layers) if store else None
-        arr = self.initial_backward_block()
-        logtot = 0.0
-        if store:
-            kept[-1] = arr
-        for t in range(len(layers) - 2, -1, -1):
-            arr, ls = self.step_backward(t, arr)
-            logtot += ls
-            scales[t] = logtot
-            if store:
-                kept[t] = arr
-        tot = arr[(0,) + (0,) * self.K]
-        if tot <= 0.0:
-            raise InfeasibleTrellisError("no backward mass reaches the origin")
-        return SweepResult(kept, scales, math.log(tot) + logtot)
+        """Backward sweep from the absorbing vertices to the origin."""
+        return self._sweep(True, store, (0,) * (1 + self.K), "no backward mass reaches the origin")
+
+    def log_values(self, sweep):
+        """Per-cell log values of a stored sweep, indexed by vertex id over
+        the full cell grid; cells of value zero carry -inf."""
+        off = self._offsets()
+        out = np.full(int(off[-1]), -np.inf)
+        for t, arr in enumerate(sweep.layers):
+            flat = arr.ravel()
+            seg = out[off[t]:off[t + 1]]
+            pos = flat > 0
+            seg[pos] = np.log(flat[pos]) + sweep.scales[t]
+        return out
 
     # ------------------------------------------------------------------
     # structural reachability (used for feasibility and the explicit view):
-    # the edge families of the sweeps above, run in the boolean semiring:
-    # every edge weight is replaced by its support (1 where w > 0) and each
-    # layer is binarised, so a cell is True iff some path from the origin
-    # (forward) or to an absorbing vertex (backward) passes through it
+    # the sweeps' pull run in the boolean semiring: every edge weight is
+    # replaced by its support (1 where w > 0) and each layer is binarised,
+    # so a cell is True iff some path from the origin (forward) or to an
+    # absorbing vertex (backward) passes through it
 
-    def _reach_forward(self):
-        masks = [self.initial_forward_block() > 0]
-        for t in range(1, len(self.layers)):
-            # a float front: np.add.at on bool values (clear edges) is several times slower
-            masks.append(self._pull_forward(t, masks[-1].astype(float), _support) > 0)
-        return masks
-
-    def _reach_backward(self):
-        masks = [None] * len(self.layers)
-        masks[-1] = self.initial_backward_block() > 0
-        for t in range(len(self.layers) - 2, -1, -1):
-            masks[t] = self._pull_backward(t, masks[t + 1], _support) > 0
+    def _reach(self, back=False):
+        n = len(self.layers)
+        order = range(n - 1, -1, -1) if back else range(n)
+        arr = self.initial_backward_block() if back else self.initial_forward_block()
+        masks = [None] * n
+        for i, t in enumerate(order):
+            if i > 0:
+                # a float front: np.add.at on bool values (clear edges) is several times slower
+                arr = self._pull(t, arr.astype(float), back, _support)
+            masks[t] = arr = arr > 0
         return masks
 
     def reach_masks(self):
         if self._masks is None:
-            fwd = self._reach_forward()
-            bwd = self._reach_backward()
-            self._masks = (fwd, bwd)
+            self._masks = (self._reach(), self._reach(back=True))
         return self._masks
 
     def is_feasible(self):
-        fwd = self._reach_forward()
+        fwd = self._reach()
         return bool(fwd[-1][(slice(None),) + self._absorbing_index()].any())
 
     # ------------------------------------------------------------------
@@ -627,24 +614,10 @@ class Trellis:
         to its weight. Returns a list of edge indices."""
         if fb is None:
             fb = (self.forward(), self.backward())
-        _, bwd = fb
-        vt = self.vertex_table()
-        off = vt["offsets"]
-        layer_of = vt["layer"]
-        heads, tails, ws, _, _, _ = self.edge_table()
-        order = np.argsort(heads, kind="stable")
-        heads_s, tails_s, ws_s = heads[order], tails[order], ws[order]
-        starts = np.searchsorted(heads_s, np.arange(self.num_cells))
-        ends = np.searchsorted(heads_s, np.arange(self.num_cells) + 1)
-
-        def logb(vid):
-            t = layer_of[vid]
-            flat = vid - off[t]
-            val = bwd.layers[t].ravel()[flat]
-            if val <= 0:
-                return -np.inf
-            return math.log(val) + bwd.scales[t]
-
+        logb = self.log_values(fb[1])
+        heads, tails, ws, _, _, _ = self.edge_table()  # sorted by head
+        starts = np.searchsorted(heads, np.arange(self.num_cells))
+        ends = np.searchsorted(heads, np.arange(self.num_cells) + 1)
         path = []
         v = self.origin
         absorbing = set(int(a) for a in self.absorbing_vertices())
@@ -652,15 +625,14 @@ class Trellis:
             lo, hi = starts[v], ends[v]
             if lo == hi:
                 raise InfeasibleTrellisError("sample_path reached a dead end")
-            cand = np.arange(lo, hi)
-            logits = np.array([math.log(ws_s[i]) + logb(tails_s[i]) for i in cand])
+            logits = np.log(ws[lo:hi]) + logb[tails[lo:hi]]
             if np.all(np.isinf(logits)):
                 raise InfeasibleTrellisError("sample_path reached a dead end")
             prob = np.exp(logits - logits.max())
             prob /= prob.sum()
-            pick = rng.choice(len(cand), p=prob)
-            path.append(int(order[cand[pick]]))
-            v = tails_s[cand[pick]]
+            e = lo + rng.choice(hi - lo, p=prob)
+            path.append(int(e))
+            v = tails[e]
         return path
 
     def outgoing_marginal_sums(self):

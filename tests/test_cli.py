@@ -94,6 +94,42 @@ def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
     assert rows and all(row.split(",")[2] == "1" for row in rows)
 
 
+def test_reconstruct_default_betas_are_the_tuned_ones(tmp_path):
+    # without beta flags, reconstruct decodes with the tuned real-data betas,
+    # as evaluate does, not with the multiply-posteriors baseline
+    out = _simulate(tmp_path, n=6, traces=4, length=30)
+    posteriors = {}
+    for name, extra in (("default", []), ("real", ["--betas-preset", "real"]),
+                        ("multiply", ["--algo", "multiply-posteriors"])):
+        rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
+                   "--clusters", str(out / "clusters.txt"), "--code", "identity:30",
+                   "--k", "2", "--seed", "0", "--dump-posteriors",
+                   "-o", str(tmp_path / name)] + extra)
+        assert rc == 0
+        posteriors[name] = (tmp_path / name / "posteriors.csv").read_bytes()
+    assert posteriors["default"] == posteriors["real"]
+    assert posteriors["default"] != posteriors["multiply"]
+
+
+@pytest.mark.parametrize("command,flag,argv", [
+    ("reconstruct", "--k", ["--k", "0"]),
+    ("evaluate", "--k-list", ["--k-list", "0"]),
+    ("evaluate", "--k-list", ["--k-list", "2,-1"]),
+    ("evaluate", "--k-list", ["--k-list", ","]),
+    ("evaluate", "--max-clusters", ["--max-clusters", "0"]),
+    ("sweep", "--k", ["--k", "0"]),
+    ("sweep", "--max-clusters", ["--max-clusters", "0"]),
+])
+def test_counts_below_one_rejected(tmp_path, capsys, command, flag, argv):
+    out = _simulate(tmp_path, n=6, traces=4, length=24)
+    rc = main([command, "--centers", str(out / "centers.txt"),
+               "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
+               "--seed", "0", "-o", str(tmp_path / "r")] + argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_writes_reports(tmp_path):
     out = _simulate(tmp_path, n=30, traces=5, length=24)
     res = tmp_path / "eval"

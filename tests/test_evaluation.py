@@ -179,6 +179,9 @@ def test_scrambled_eval_skips_small_clusters():
     with pytest.raises(ConfigError):
         scrambled_eval(clusters, enc, "multiply-posteriors", 7, "hamming", 1,
                        PAPER, delta=8)
+    with pytest.raises(ConfigError, match="max_clusters"):
+        scrambled_eval(clusters, enc, "multiply-posteriors", 2, "hamming", 1,
+                       PAPER, delta=8, max_clusters=0)
 
 
 def test_scrambled_eval_jobs_equivalence():
@@ -187,6 +190,17 @@ def test_scrambled_eval_jobs_equivalence():
     a = scrambled_eval(clusters, enc, "bmala", 3, "hamming", 2, PAPER)
     b = scrambled_eval(clusters, enc, "bmala", 3, "hamming", 2, PAPER, jobs=2)
     assert a.metrics == b.metrics
+    # the posterior decoders, scored on entropy
+    mr_clusters = simulate_clusters(12, 4, 24, PAPER, seed=6)
+    for algorithm, cls, code, k, kind in (
+            ("trellis-bma", mr_clusters, mr_encoder(24, 3, DNA), 3, "sim"),
+            ("bcjr-multitrace", clusters, enc, 2, "real"),
+            ("bmala-map", clusters, enc, 3, "real")):
+        a = scrambled_eval(cls, code, algorithm, k, "entropy", 2, PAPER, delta=8,
+                           data_kind=kind)
+        b = scrambled_eval(cls, code, algorithm, k, "entropy", 2, PAPER, delta=8,
+                           data_kind=kind, jobs=2)
+        assert a.n_samples == 12 and a.metrics == b.metrics, algorithm
 
 
 def test_sweep_single_point_and_best():

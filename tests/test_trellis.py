@@ -1,7 +1,9 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, identity_encoder, mr_encoder,
@@ -98,12 +100,12 @@ def test_path_weight_and_total_probability():
 
     total = 0.0
     stack = [(tr.origin, [])]
-    n_paths = 0
+    weights = {}
     while stack:
         v, path = stack.pop()
         if v in absorbing:
-            total += float(np.exp(tr.path_log_weight(path)))
-            n_paths += 1
+            weights[tuple(path)] = float(np.exp(tr.path_log_weight(path)))
+            total += weights[tuple(path)]
             continue
         for e in out_edges.get(int(v), []):
             stack.append((int(tails[e]), path + [e]))
@@ -115,8 +117,22 @@ def test_path_weight_and_total_probability():
             w = prior[0, m0] * prior[1, m1]
             truth += w * trace_likelihood(xx, y, params.p_ins, params.p_del,
                                           params.p_sub, params.p_cor, 2)
-    assert n_paths > 0
+    assert len(weights) == 64
     assert total == pytest.approx(truth, rel=1e-9)
+
+    # sample_path draws each path with probability weight / total: a chi-square
+    # test of 4 000 draws, cells expecting fewer than 5 draws pooled into one
+    n = 4000
+    sample_rng = np.random.default_rng(0)
+    fb = (tr.forward(), tr.backward())
+    drawn = Counter(tuple(tr.sample_path(sample_rng, fb)) for _ in range(n))
+    assert set(drawn) <= set(weights)
+    expected = np.array([n * w / total for w in weights.values()])
+    observed = np.array([drawn[p] for p in weights])
+    small = expected < 5
+    expected = np.append(expected[~small], expected[small].sum())
+    observed = np.append(observed[~small], observed[small].sum())
+    assert chisquare(observed, expected * n / expected.sum()).pvalue > 0.01
 
 
 def test_path_weight_trivials():
