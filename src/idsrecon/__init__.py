@@ -4,7 +4,7 @@ from .alphabet import BINARY, DNA, Alphabet
 from .bcjr import (FBValues, PosteriorTable, backward_pass, backward_pass_edges,
                    compute_posteriors, forward_pass, forward_pass_edges,
                    sequence_log_likelihood, vertex_posterior)
-from .bmala import BmalaConfig, bmala_map, bmala_reconstruct
+from .bmala import bmala_map, bmala_reconstruct
 from .channel import (IDSParams, estimate_params, expected_trace_length,
                       transmit, transmit_batch)
 from .codes import (FSMEncoder, cc_encoder, identity_encoder, mr_encoder,
@@ -34,7 +34,7 @@ __all__ = [
     "sequence_log_likelihood", "compute_posteriors",
     "BetaParams", "run_trellis_bma", "multiply_posteriors", "default_betas",
     "init_single_trace_trellises", "combine_beliefs", "update_forward",
-    "BmalaConfig", "bmala_reconstruct", "bmala_map",
+    "bmala_reconstruct", "bmala_map",
     "ALGORITHMS", "Cluster", "EvalReport", "hamming_rate",
     "symbolwise_cross_entropy", "bcjr_once_rate", "air_random_k",
     "load_dataset", "split_dataset", "scrambled_eval", "sweep_betas",

@@ -16,8 +16,6 @@ A trace whose windows match nothing well is benched for a few positions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .alphabet import as_indices
@@ -26,22 +24,12 @@ from .errors import ConfigError
 from .trellis import build_trellis
 
 
-@dataclass(frozen=True)
-class BmalaConfig:
-    """Knobs calibrated on simulated clusters at the measured channel rates."""
-
-    lookahead: int = 5          # window length for disagreement classification
-    bench_steps: int = 6        # positions a confused trace sits out
-    min_agree: float = 0.7      # window match fraction below which we bench
-    resync_window: int = 6      # consensus history matched when rejoining
-    resync_span: int = 5        # pointer offsets tried on rejoin
-    bidirectional: bool = True  # estimate each half from its own end
-
-    def __post_init__(self):
-        if self.lookahead < 1 or self.bench_steps < 1 or not 0 <= self.min_agree <= 1:
-            raise ConfigError("invalid BMALA configuration")
-        if self.resync_window < 1 or self.resync_span < 0:
-            raise ConfigError("invalid BMALA configuration")
+# calibrated on simulated clusters at the measured channel rates
+LOOKAHEAD = 5       # window length for disagreement classification
+BENCH_STEPS = 6     # positions a confused trace sits out
+MIN_AGREE = 0.7     # window match fraction below which we bench
+RESYNC_WINDOW = 6   # consensus history matched when rejoining
+RESYNC_SPAN = 5     # pointer offsets tried on rejoin
 
 
 def _window_score(trace, start, ref):
@@ -56,7 +44,7 @@ def _window_score(trace, start, ref):
     return hits / len(ref)
 
 
-def _resync(trace, base, expected, out, pos, config):
+def _resync(trace, base, expected, out, pos):
     """Re-derive a pointer for a rejoining trace by matching its recent
     symbols against the consensus emitted while it sat out.
 
@@ -65,12 +53,12 @@ def _resync(trace, base, expected, out, pos, config):
     trace already consumed before benching) are never considered, so
     pointers stay monotone. Returns (new pointer, matched fraction).
     """
-    w = min(config.resync_window, pos)
+    w = min(RESYNC_WINDOW, pos)
     if w == 0:
         return max(base, expected), 1.0
     ref = out[pos - w:pos]
     best = (-1.0, 0)
-    for d in range(-config.resync_span, config.resync_span + 1):
+    for d in range(-RESYNC_SPAN, RESYNC_SPAN + 1):
         p = expected + d
         if p < base or p > len(trace):
             continue
@@ -87,17 +75,16 @@ def _resync(trace, base, expected, out, pos, config):
     return expected + best[1], best[0]
 
 
-def bmala_reconstruct(traces, n, config=BmalaConfig(), alphabet=None,
-                      alphabet_size=4, pointer_log=None):
+def bmala_reconstruct(traces, n, alphabet=None, alphabet_size=4, pointer_log=None):
     """Consensus estimate of the length-n channel input from hard votes.
 
     Accepts index arrays (or symbol strings together with `alphabet`).
     Output has exactly length n: short inputs are padded with symbol 0.
     `pointer_log`, when a list, receives the pointer vector after every
-    emitted position (diagnostics; forward half only when bidirectional).
+    emitted position (diagnostics; forward half only).
 
-    A mis-resolved vote desynchronises everything downstream, so by default
-    the back half is estimated by the same sweep over the reversed traces.
+    A mis-resolved vote desynchronises everything downstream, so the back
+    half is estimated by the same sweep over the reversed traces.
     """
     as_text = alphabet is not None and traces and isinstance(traces[0], str)
     if alphabet is not None:
@@ -108,9 +95,9 @@ def bmala_reconstruct(traces, n, config=BmalaConfig(), alphabet=None,
         raise ConfigError("bmala needs at least one trace")
     if n < 1:
         raise ConfigError("target length must be positive")
-    fwd = _sweep(traces, n, config, alphabet_size, pointer_log)
-    if config.bidirectional and n > 1 and len(traces) > 1:
-        rev = _sweep([y[::-1] for y in traces], n, config, alphabet_size, None)[::-1]
+    fwd = _sweep(traces, n, alphabet_size, pointer_log)
+    if n > 1 and len(traces) > 1:
+        rev = _sweep([y[::-1] for y in traces], n, alphabet_size, None)[::-1]
         out = np.concatenate([fwd[:n // 2], rev[n // 2:]])
     else:
         out = fwd
@@ -119,9 +106,8 @@ def bmala_reconstruct(traces, n, config=BmalaConfig(), alphabet=None,
     return out
 
 
-def _sweep(traces, n, config, alphabet_size, pointer_log):
+def _sweep(traces, n, alphabet_size, pointer_log):
     K = len(traces)
-    w = config.lookahead
     ptr = [0] * K
     benched_until = [0] * K
     bench_pos = [0] * K  # consensus position at bench time, for rejoin pacing
@@ -133,11 +119,11 @@ def _sweep(traces, n, config, alphabet_size, pointer_log):
         for k in range(K):
             if benched_until[k] == pos and pos > 0 and ptr[k] < len(traces[k]):
                 expected = ptr[k] + (pos - bench_pos[k])
-                new_ptr, score = _resync(traces[k], ptr[k], expected, out, pos, config)
-                if score >= config.min_agree:
+                new_ptr, score = _resync(traces[k], ptr[k], expected, out, pos)
+                if score >= MIN_AGREE:
                     ptr[k] = min(new_ptr, len(traces[k]))
                 else:
-                    benched_until[k] = pos + config.bench_steps
+                    benched_until[k] = pos + BENCH_STEPS
         active = [k for k in range(K)
                   if benched_until[k] <= pos and ptr[k] < len(traces[k])]
         if not active:
@@ -145,7 +131,7 @@ def _sweep(traces, n, config, alphabet_size, pointer_log):
             for k in range(K):
                 if benched_until[k] > pos and ptr[k] < len(traces[k]):
                     expected = ptr[k] + (pos - bench_pos[k])
-                    new_ptr, _ = _resync(traces[k], ptr[k], expected, out, pos, config)
+                    new_ptr, _ = _resync(traces[k], ptr[k], expected, out, pos)
                     ptr[k] = min(new_ptr, len(traces[k]))
                     benched_until[k] = pos
             active = [k for k in range(K) if ptr[k] < len(traces[k])]
@@ -161,7 +147,7 @@ def _sweep(traces, n, config, alphabet_size, pointer_log):
         # consensus lookahead: per offset, plurality of the agreeing traces'
         # post-advance symbols
         ref = []
-        for d in range(w):
+        for d in range(LOOKAHEAD):
             v = np.zeros(alphabet_size, dtype=np.int32)
             any_vote = False
             for k in agree:
@@ -185,10 +171,10 @@ def _sweep(traces, n, config, alphabet_size, pointer_log):
             else:
                 s_ins = -1.0
             best = max(s_sub, s_del, s_ins)
-            if best < config.min_agree:
+            if best < MIN_AGREE:
                 # cannot explain the disagreement: bench the trace; its
                 # pointer freezes until it resyncs on rejoin
-                benched_until[k] = pos + config.bench_steps
+                benched_until[k] = pos + BENCH_STEPS
                 bench_pos[k] = pos
             elif s_sub >= s_del and s_sub >= s_ins:
                 ptr[k] += 1
@@ -202,16 +188,10 @@ def _sweep(traces, n, config, alphabet_size, pointer_log):
     return out
 
 
-def bmala_map(traces, encoder, params, prior=None, delta=None, offset=None,
-              config=BmalaConfig(), map_params=None):
+def bmala_map(traces, encoder, params, delta=None, offset=None):
     """Coded variant: the consensus estimate is treated as a single observed
-    trace and decoded exactly on a one-trace trellis.
-
-    `map_params` overrides the channel model applied to the consensus
-    pseudo-trace (default: the raw channel estimates).
-    """
-    x_hat = bmala_reconstruct(traces, encoder.N,
-                              config=config, alphabet_size=encoder.alphabet.size)
-    tr = build_trellis(encoder, [x_hat], map_params or params, prior=prior,
-                       delta=delta, offset=offset, check_feasible=False)
+    trace and decoded exactly on a one-trace trellis under the channel
+    estimate `params`, every message equally likely."""
+    x_hat = bmala_reconstruct(traces, encoder.N, alphabet_size=encoder.alphabet.size)
+    tr = build_trellis(encoder, [x_hat], params, delta=delta, offset=offset)
     return compute_posteriors(tr)

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import evaluation
 from .alphabet import DNA
-from .bmala import BmalaConfig
 from .channel import IDSParams, estimate_params
 from .codes import parse_encoder_spec
 from .errors import ConfigError, DatasetError, InfeasibleTrellisError
@@ -207,6 +206,14 @@ def _betas(args, metric, encoder, k):
     return default_betas(args.betas_preset or "real", metric, encoder, k)
 
 
+def _numbers(text, flag, kind):
+    """The comma list `text` as `kind` numbers; a bad entry is a ConfigError naming `flag`."""
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} expects a comma list of numbers, got {text!r}") from None
+
+
 def _at_least_one(value, flag):
     if value is not None and value < 1:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
@@ -240,7 +247,7 @@ def cmd_simulate(args):
 
 def cmd_estimate_channel(args):
     clusters = _load_clusters(args)
-    a, b = parse_range(args.train_range)
+    a, b = parse_range(args.train_range, "--train-range")
     if not 1 <= a <= b <= len(clusters):
         raise ConfigError(f"train range {args.train_range} invalid "
                           f"for {len(clusters)} clusters")
@@ -268,7 +275,7 @@ def cmd_reconstruct(args):
     _resolve_seed(args)
     clusters = _load_clusters(args)
     if args.cluster_range:
-        a, b = parse_range(args.cluster_range)
+        a, b = parse_range(args.cluster_range, "--range")
         if not 1 <= a <= b <= len(clusters):
             raise ConfigError(f"cluster range {args.cluster_range} out of bounds")
         clusters = clusters[a - 1:b]
@@ -312,23 +319,23 @@ def cmd_reconstruct(args):
     return 0
 
 
-def _pick_split(args, clusters):
-    if args.split == "all":
+def _pick_split(args, clusters, split):
+    if split == "all":
         return clusters
-    tr, va, te = split_dataset(clusters, parse_range(args.train_range),
-                               parse_range(args.validation_range),
-                               parse_range(args.test_range))
-    return {"train": tr, "validation": va, "test": te}[args.split]
+    tr, va, te = split_dataset(clusters, *[
+        parse_range(getattr(args, f"{name}_range"), f"--{name}-range")
+        for name in ("train", "validation", "test")])
+    return {"train": tr, "validation": va, "test": te}[split]
 
 
 def cmd_evaluate(args):
-    ks = [_at_least_one(int(v), "--k-list") for v in args.k_list.split(",") if v.strip()]
+    ks = [_at_least_one(k, "--k-list") for k in _numbers(args.k_list, "--k-list", int)]
     if not ks:
         raise ConfigError("--k-list names no trace count")
     _at_least_one(args.max_clusters, "--max-clusters")
     _resolve_seed(args)
     clusters = _load_clusters(args)
-    part = _pick_split(args, clusters)
+    part = _pick_split(args, clusters, args.split)
     encoder = parse_encoder_spec(args.code, default_n=len(clusters[0].center)
                                  if clusters else 110)
     params = _params(args)
@@ -358,9 +365,7 @@ def cmd_sweep(args):
     _at_least_one(args.max_clusters, "--max-clusters")
     _resolve_seed(args)
     clusters = _load_clusters(args)
-    _, validation, _ = split_dataset(clusters, parse_range(args.train_range),
-                                     parse_range(args.validation_range),
-                                     parse_range(args.test_range))
+    validation = _pick_split(args, clusters, "validation")
     encoder = parse_encoder_spec(args.code, default_n=len(clusters[0].center)
                                  if clusters else 110)
     params = _params(args)
@@ -368,7 +373,7 @@ def cmd_sweep(args):
     for name in ("beta_b", "beta_e", "beta_i", "beta_o"):
         arg = getattr(args, f"grid_{name}")
         if arg:
-            grid[name] = tuple(float(v) for v in arg.split(","))
+            grid[name] = tuple(_numbers(arg, f"--grid-{name.replace('_', '-')}", float))
     best, table = sweep_betas(validation, encoder, args.k, args.metric,
                               args.seed, params, delta=args.delta, grid=grid,
                               jobs=args.jobs, max_clusters=args.max_clusters)

@@ -19,19 +19,6 @@ _GF4_MUL = np.array(
      [0, 2, 3, 1],
      [0, 3, 1, 2]], dtype=np.int8)
 
-# Arbitrary but fixed default generator pair for memory-3 rate-1/2 encoding;
-# both taps include the current input so the codeword determines the message.
-DEFAULT_GF4_GENERATORS = ((1, 2, 3, 1), (1, 1, 2, 3))
-
-
-def default_generators(memory):
-    """Fixed full-length generator pair for any memory: the memory-3 pair,
-    extended by cycling the nonzero field elements."""
-    cyc = (1, 2, 3)
-    g1 = tuple(cyc[i % 3] for i in range(memory + 1))
-    g2 = (1,) + tuple(cyc[i % 3] for i in range(memory))
-    return g1, g2
-
 
 class FSMEncoder:
     """Base class: deterministic (state, message symbol, step) -> (state, emissions).
@@ -159,61 +146,44 @@ class MarkerRepeatEncoder(FSMEncoder):
 
 
 class ConvolutionalEncoderGF4(FSMEncoder):
-    """Rate-1/2 quaternary convolutional encoder with optional puncturing.
+    """Rate-1/2 quaternary convolutional encoder, or a higher rate when a
+    codeword length is given.
 
     The state is the last `memory` inputs (4^memory states). Each step
     produces two base outputs o_j = g_j[0]*m + sum_i g_j[i]*state_i over
-    GF(4); a periodic puncture mask then drops base outputs to raise the
-    rate. Every step must keep at least one output.
+    GF(4) with a fixed generator pair. With `codeword_len`, the second
+    output of evenly spread steps is dropped to raise the rate; the first
+    output of every step is kept.
     """
 
-    def __init__(self, memory, msg_len, alphabet=DNA, generators=None,
-                 puncture=None, codeword_len=None):
+    def __init__(self, memory, msg_len, alphabet=DNA, codeword_len=None):
         if alphabet.size != 4:
             raise ConfigError("convolutional encoder is defined over a quaternary alphabet")
         if not 1 <= memory <= 8:
             raise ConfigError(f"unsupported memory {memory}")
         if msg_len < 1:
             raise ConfigError("msg_len must be >= 1")
-        gens = generators if generators is not None else default_generators(memory)
-        gens = tuple(tuple(int(c) for c in g) for g in gens)
-        if len(gens) != 2 or any(len(g) != memory + 1 for g in gens):
-            raise ConfigError("need two generators of length memory+1")
-        if any(c < 0 or c > 3 for g in gens for c in g):
-            raise ConfigError("generator coefficients must be GF(4) elements")
-        if gens[0][0] == 0 and gens[1][0] == 0:
-            raise ConfigError("at least one generator must tap the current input")
         self.alphabet = alphabet
         self.memory = memory
-        self.generators = gens
+        # cycle the nonzero field elements: ((1, 2, 3, 1), (1, 1, 2, 3)) at memory 3;
+        # both tap the current input, so the codeword determines the message
+        cyc = (1, 2, 3)
+        self.generators = (tuple(cyc[i % 3] for i in range(memory + 1)),
+                           (1,) + tuple(cyc[i % 3] for i in range(memory)))
         self.n_states = 4 ** memory
         self.L = msg_len
 
-        base = 2 * msg_len
-        if puncture is not None and codeword_len is not None:
-            raise ConfigError("give either a puncture pattern or a codeword length, not both")
-        if puncture is not None:
-            pattern = tuple(bool(b) for b in puncture)
-            if not pattern:
-                raise ConfigError("puncture pattern must be nonempty")
-            keep = np.array([pattern[i % len(pattern)] for i in range(base)], dtype=bool)
-        elif codeword_len is not None:
-            if not msg_len <= codeword_len <= base:
-                raise ConfigError(f"codeword length {codeword_len} must lie in [{msg_len}, {base}]")
+        keep = np.ones((msg_len, 2), dtype=bool)
+        if codeword_len is not None:
+            if not msg_len <= codeword_len <= 2 * msg_len:
+                raise ConfigError(
+                    f"codeword length {codeword_len} must lie in [{msg_len}, {2 * msg_len}]")
             extra = codeword_len - msg_len
-            keep = np.zeros(base, dtype=bool)
-            keep[0::2] = True  # first output of each step always kept
-            second = np.array([(i + 1) * extra // msg_len > i * extra // msg_len
-                               for i in range(msg_len)])
-            keep[1::2] = second
-        else:
-            keep = np.ones(base, dtype=bool)
-        counts = keep.reshape(msg_len, 2).sum(axis=1)
-        if (counts == 0).any():
-            raise ConfigError("puncturing removed every output of some step")
-        self._keep = keep.reshape(msg_len, 2)
-        self.emission_counts = tuple(int(c) for c in counts)
-        self.N = int(counts.sum())
+            keep[:, 1] = [(i + 1) * extra // msg_len > i * extra // msg_len
+                          for i in range(msg_len)]
+        self._keep = keep
+        self.emission_counts = tuple(int(c) for c in keep.sum(axis=1))
+        self.N = int(keep.sum())
         self.spec = f"cc:{memory}:{self.L}/{self.N}"
 
     def _state_regs(self, q):
@@ -245,10 +215,8 @@ def mr_encoder(n, r, alphabet=DNA):
     return MarkerRepeatEncoder(n, r, alphabet)
 
 
-def cc_encoder(memory, msg_len, alphabet=DNA, generators=None, puncture=None,
-               codeword_len=None):
-    return ConvolutionalEncoderGF4(memory, msg_len, alphabet, generators,
-                                   puncture, codeword_len)
+def cc_encoder(memory, msg_len, alphabet=DNA, codeword_len=None):
+    return ConvolutionalEncoderGF4(memory, msg_len, alphabet, codeword_len)
 
 
 def scramble(x, z, size):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .alphabet import DNA
 from .bcjr import compute_posteriors
-from .bmala import BmalaConfig, bmala_map, bmala_reconstruct
+from .bmala import bmala_map, bmala_reconstruct
 from .channel import IDSParams
 from .codes import scramble, unscramble
 from .errors import ConfigError, DatasetError, InfeasibleTrellisError
@@ -73,16 +73,16 @@ def hamming_rate(estimate, truth):
     return float(np.mean(estimate != truth))
 
 
-def symbolwise_cross_entropy(posteriors, truth, floor=POSTERIOR_FLOOR):
+def symbolwise_cross_entropy(posteriors, truth):
     """Mean over positions of -log2 of the probability the reported
-    posterior gives the true symbol, clipped at `floor`."""
+    posterior gives the true symbol, clipped below at POSTERIOR_FLOOR."""
     probs = getattr(posteriors, "probs", posteriors)
     probs = np.asarray(probs, dtype=float)
     truth = np.asarray(truth)
     if len(truth) != probs.shape[0]:
         raise ConfigError("truth length does not match the posterior table")
     p = probs[np.arange(len(truth)), truth]
-    return float(np.mean(-np.log2(np.maximum(p, floor))))
+    return float(np.mean(-np.log2(np.maximum(p, POSTERIOR_FLOOR))))
 
 
 def bcjr_once_rate(h, rate):
@@ -174,43 +174,45 @@ def split_dataset(clusters, train=(1, 2000), validation=(2001, 2500),
     return tuple(clusters[a - 1:b] for a, b in capped)
 
 
-def parse_range(text):
-    a, b = str(text).split("-")
-    return int(a), int(b)
+def parse_range(text, flag):
+    """'A-B' as the pair (A, B); a malformed range is a ConfigError naming `flag`."""
+    try:
+        a, b = str(text).split("-")
+        return int(a), int(b)
+    except ValueError:
+        raise ConfigError(f"{flag} expects a range A-B of cluster numbers, "
+                          f"got {text!r}") from None
 
 
 # ----------------------------------------------------------------------
 # algorithm dispatch
 
-def run_algorithm(algorithm, encoder, traces, params, prior=None, delta=None,
-                  offset=None, betas=None, bmala_config=None, map_params=None):
-    """Decode one cluster. Returns (PosteriorTable or None, hard message)."""
+def run_algorithm(algorithm, encoder, traces, params, delta=None, offset=None,
+                  betas=None):
+    """Decode one cluster, every message equally likely; trellis-bma needs
+    `betas` (see `default_betas`). Returns (PosteriorTable or None, hard)."""
     if algorithm == "bcjr-multitrace":
-        tr = build_trellis(encoder, traces, params, prior=prior, delta=delta,
-                           offset=offset, check_feasible=False)
+        tr = build_trellis(encoder, traces, params, delta=delta, offset=offset)
         post = compute_posteriors(tr)
         return post, post.hard
     if algorithm == "trellis-bma":
-        post = run_trellis_bma(encoder, traces, params, prior=prior, delta=delta,
-                               betas=betas if betas is not None else BetaParams(),
+        if betas is None:
+            raise ConfigError("trellis-bma needs betas; take the tuned ones from "
+                              "default_betas(kind, metric, encoder, k)")
+        post = run_trellis_bma(encoder, traces, params, delta=delta, betas=betas,
                                offset=offset)
         return post, post.hard
     if algorithm == "multiply-posteriors":
-        post = multiply_posteriors(encoder, traces, params, prior=prior,
-                                   delta=delta, offset=offset)
+        post = multiply_posteriors(encoder, traces, params, delta=delta, offset=offset)
         return post, post.hard
     if algorithm == "bmala":
         if encoder.L != encoder.N or encoder.n_states != 1:
             raise ConfigError("plain bmala handles uncoded strands only; use bmala-map")
-        x_hat = bmala_reconstruct(traces, encoder.N,
-                                  config=bmala_config or BmalaConfig(),
-                                  alphabet_size=encoder.alphabet.size)
+        x_hat = bmala_reconstruct(traces, encoder.N, alphabet_size=encoder.alphabet.size)
         hard = x_hat if offset is None else unscramble(x_hat, offset, encoder.alphabet.size)
         return None, hard
     if algorithm == "bmala-map":
-        post = bmala_map(traces, encoder, params, prior=prior, delta=delta,
-                         offset=offset, config=bmala_config or BmalaConfig(),
-                         map_params=map_params)
+        post = bmala_map(traces, encoder, params, delta=delta, offset=offset)
         return post, post.hard
     raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
 
@@ -219,8 +221,7 @@ def run_algorithm(algorithm, encoder, traces, params, prior=None, delta=None,
 # the scrambled sampling protocol
 
 def _eval_one(args):
-    (idx, cluster, encoder, algorithm, k, params, delta, betas,
-     bmala_config, seed) = args
+    idx, cluster, encoder, algorithm, k, params, delta, betas, seed = args
     rng = np.random.default_rng((seed, idx))
     size = encoder.alphabet.size
     message = rng.integers(size, size=encoder.L).astype(np.int8)
@@ -232,8 +233,7 @@ def _eval_one(args):
     traces = [cluster.traces[i] for i in pick]
     try:
         post, hard = run_algorithm(algorithm, encoder, traces, params,
-                                   delta=delta, offset=z, betas=betas,
-                                   bmala_config=bmala_config)
+                                   delta=delta, offset=z, betas=betas)
     except InfeasibleTrellisError as e:
         logger.warning("cluster %d infeasible: %s", idx, e)
         return idx, None
@@ -244,8 +244,8 @@ def _eval_one(args):
 
 
 def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
-                   delta=None, betas="auto", data_kind="real",
-                   bmala_config=None, jobs=1, max_clusters=None):
+                   delta=None, betas="auto", data_kind="real", jobs=1,
+                   max_clusters=None):
     """Estimate a performance metric over clusters with the scrambled
     encoder: per cluster, draw a uniform message, set z = center - E(m),
     decode K sampled traces with the scramble offset in the channel model,
@@ -283,8 +283,8 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
     if not usable:
         raise ConfigError(f"no cluster has {k} traces")
 
-    tasks = [(idx, cl, encoder, algorithm, k, params, delta, betas,
-              bmala_config, seed) for idx, cl in usable]
+    tasks = [(idx, cl, encoder, algorithm, k, params, delta, betas, seed)
+             for idx, cl in usable]
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
             results = dict(pool.imap_unordered(_eval_one, tasks, chunksize=8))

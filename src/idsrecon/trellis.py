@@ -674,14 +674,16 @@ class Trellis:
         return sums, mask
 
 
-def build_trellis(encoder, traces, params, prior=None, delta=None, offset=None,
-                  check_feasible=True):
+def build_trellis(encoder, traces, params, prior=None, delta=None, offset=None):
     """Construct the trellis for `traces` (a list of K observed sequences).
 
     `prior` is an (L, |M|) per-symbol message distribution (uniform when
     omitted); `delta` bounds pointer drift (None = exact); `offset` is an
     optional length-N scrambling vector added to the encoder output before
     transmission.
+
+    No reachability sweep runs here: an infeasible trellis raises from its
+    first sweep, at the layer where the mass vanishes (`is_feasible` asks).
     """
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
@@ -704,8 +706,4 @@ def build_trellis(encoder, traces, params, prior=None, delta=None, offset=None,
             raise ConfigError("offset length must equal the codeword length")
     if sum(encoder.emission_counts) != encoder.N:
         raise ConfigError("encoder emission counts do not sum to N")
-    tr = Trellis(encoder, traces, params, prior, delta, offset)
-    if check_feasible and not tr.is_feasible():
-        raise InfeasibleTrellisError(
-            f"no origin-to-absorbing path under delta={delta}; try a larger bound")
-    return tr
+    return Trellis(encoder, traces, params, prior, delta, offset)

@@ -3,11 +3,11 @@
 One exact trellis per trace is built and solved once. A forward sweep then
 re-runs all K forward recursions in lockstep: at each message cycle the
 per-trace beliefs are combined, an estimate is emitted, and every trellis's
-forward values are rescaled by a "new prior" derived from the other
-trellises, steering each decoder's synchronisation with the consensus. The
-first half of the message is estimated this way; a mirrored sweep updating
-the backward values estimates the second half from the other end. Total
-cost is linear in the number of traces.
+forward values are reweighted per message symbol by a factor gamma derived
+from the other trellises, steering each decoder's synchronisation with the
+consensus. The first half of the message is estimated this way; a mirrored
+sweep updating the backward values estimates the second half from the other
+end. Total cost is linear in the number of traces.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class BetaParams:
     """Sweep hyperparameters.
 
     beta_b reweights the stale sweep direction when beliefs are read;
-    beta_e weights the other traces' beliefs inside the prior update;
+    beta_e weights the other traces' beliefs inside the gamma update;
     beta_i weights a trellis's own belief there; beta_o re-exponentiates
     the combined belief before normalising the reported posterior.
     """
@@ -59,8 +59,7 @@ def _pow(arr, b):
     return np.power(arr, b)
 
 
-def init_single_trace_trellises(encoder, traces, params, prior=None, delta=None,
-                                offset=None):
+def init_single_trace_trellises(encoder, traces, params, delta=None, offset=None):
     """Build one trellis per trace and run both exact sweeps on each.
 
     Traces whose trellis has no surviving path under `delta` are dropped
@@ -71,8 +70,7 @@ def init_single_trace_trellises(encoder, traces, params, prior=None, delta=None,
     trellises, fwds, bwds, kept = [], [], [], []
     for k, y in enumerate(traces):
         try:
-            tr = build_trellis(encoder, [y], params, prior=prior, delta=delta,
-                               offset=offset, check_feasible=False)
+            tr = build_trellis(encoder, [y], params, delta=delta, offset=offset)
             fs = tr.forward(store=True)
             bs = tr.backward(store=True)
         except InfeasibleTrellisError as e:
@@ -110,7 +108,7 @@ def combine_beliefs(fronts, stale, cms, mz, beta_b):
 
 
 def gamma_updates(rows, beta_e, beta_i):
-    """The unnormalised "new prior" for each trellis: its own belief to the
+    """The unnormalised update gamma for each trellis: its own belief to the
     beta_i power times every other trace's belief to the beta_e power."""
     gammas = []
     for k in range(len(rows)):
@@ -120,13 +118,13 @@ def gamma_updates(rows, beta_e, beta_i):
                 g = g * _pow(rows[j], beta_e)
         m = g.max()
         if m <= 0.0:
-            raise InfeasibleTrellisError("prior update vanished for one trellis")
+            raise InfeasibleTrellisError("gamma update vanished for one trellis")
         gammas.append(g / m)
     return gammas
 
 
 def update_forward(front, gamma, cm):
-    """Rescale a trellis front by gamma(m(v)): the prior update applied to
+    """Rescale a trellis front by gamma(m(v)): the update applied to
     every vertex of the read layer, grouped by its message symbol. Scaling
     gamma by any positive constant leaves later estimates unchanged."""
     g = np.asarray(gamma, dtype=float)
@@ -146,7 +144,7 @@ def _exchange_sweep(step, trellises, fronts, layers, reads, stale, betas, rows_o
     (`Trellis.step_forward` or `step_backward`). At each layer of `reads`
     ({layer: message position}) the fronts are combined with the stale
     opposite sweeps into that position's posterior row, and each front
-    receives its prior update."""
+    receives its gamma update."""
     mz = rows_out.shape[1]
     for t in layers:
         for i, tr in enumerate(trellises):
@@ -163,8 +161,8 @@ def _exchange_sweep(step, trellises, fronts, layers, reads, stale, betas, rows_o
                 fronts[i] = update_forward(fronts[i], g, cms[i])
 
 
-def run_trellis_bma(encoder, traces, params, prior=None, delta=None,
-                    betas=MULTIPLY_POSTERIORS, offset=None):
+def run_trellis_bma(encoder, traces, params, delta=None, betas=MULTIPLY_POSTERIORS,
+                    offset=None):
     """Approximate message posteriors from K traces at per-trace trellis cost.
 
     Returns a PosteriorTable; hard estimates are its row argmaxes. Each
@@ -177,7 +175,7 @@ def run_trellis_bma(encoder, traces, params, prior=None, delta=None,
     if not isinstance(betas, BetaParams):
         betas = BetaParams(*betas)
     trellises, fwds, bwds, _ = init_single_trace_trellises(
-        encoder, traces, params, prior=prior, delta=delta, offset=offset)
+        encoder, traces, params, delta=delta, offset=offset)
     L = encoder.L
     half = L // 2
     rows_out = np.empty((L, encoder.msg_size))
@@ -198,11 +196,10 @@ def run_trellis_bma(encoder, traces, params, prior=None, delta=None,
     return PosteriorTable.from_rows(rows_out)
 
 
-def multiply_posteriors(encoder, traces, params, prior=None, delta=None,
-                        offset=None):
+def multiply_posteriors(encoder, traces, params, delta=None, offset=None):
     """Baseline that multiplies independently computed per-trace posteriors:
     the sweep with beta_b = beta_o = 1 and beta_e = beta_i = 0."""
-    return run_trellis_bma(encoder, traces, params, prior=prior, delta=delta,
+    return run_trellis_bma(encoder, traces, params, delta=delta,
                            betas=MULTIPLY_POSTERIORS, offset=offset)
 
 

@@ -136,8 +136,7 @@ def test_zero_likelihood_reports_infeasible():
     enc = identity_encoder(3, BINARY)
     params = IDSParams(0.0, 0.2, 0.2, 0.6)
     y = np.zeros(5, dtype=np.int8)
-    with pytest.raises(InfeasibleTrellisError):
-        build_trellis(enc, [y], params)
-    tr = build_trellis(enc, [y], params, check_feasible=False)
+    tr = build_trellis(enc, [y], params)
+    assert not tr.is_feasible()
     with pytest.raises(InfeasibleTrellisError):
         tr.forward(store=False)

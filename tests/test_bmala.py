@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idsrecon import (DNA, BmalaConfig, ConfigError, IDSParams,
+from idsrecon import (DNA, ConfigError, IDSParams,
                       bmala_map, bmala_reconstruct, hamming_rate,
                       identity_encoder, mr_encoder, transmit)
 
@@ -42,6 +42,19 @@ def test_deterministic():
     a = bmala_reconstruct(traces, 30)
     b = bmala_reconstruct(traces, 30)
     assert np.array_equal(a, b)
+
+
+def test_trace_order_does_not_matter():
+    rng = np.random.default_rng(6)
+    enc = mr_encoder(40, 3, DNA)
+    for trial in range(10):
+        x = enc.encode(rng.integers(4, size=enc.L).astype(np.int8))
+        traces = [np.asarray(transmit(x, PAPER, (6, trial, i), DNA)) for i in range(5)]
+        perm = [traces[i] for i in rng.permutation(5)]
+        assert np.array_equal(bmala_reconstruct(traces, 40), bmala_reconstruct(perm, 40))
+        a = bmala_map(traces, enc, PAPER, delta=10)
+        b = bmala_map(perm, enc, PAPER, delta=10)
+        assert np.array_equal(a.probs, b.probs)
 
 
 def test_empty_trace_set_rejected():

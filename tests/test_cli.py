@@ -130,6 +130,28 @@ def test_counts_below_one_rejected(tmp_path, capsys, command, flag, argv):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command,flag,argv", [
+    ("evaluate", "--k-list", ["--k-list", "1,x"]),
+    ("evaluate", "--k-list", ["--k-list", "2.5"]),
+    ("reconstruct", "--range", ["--range", "3"]),
+    ("estimate-channel", "--train-range", ["--train-range", "x"]),
+    ("evaluate", "--validation-range", ["--validation-range", "2-"]),
+    ("sweep", "--test-range", ["--test-range", "1-2-3"]),
+    ("sweep", "--grid-beta-e", ["--train-range", "1-2", "--validation-range", "3-4",
+                                "--test-range", "5-6", "--grid-beta-e", "0.1,y"]),
+])
+def test_malformed_numbers_rejected(tmp_path, capsys, command, flag, argv):
+    out = _simulate(tmp_path, n=6, traces=4, length=24)
+    base = [command, "--centers", str(out / "centers.txt"),
+            "--clusters", str(out / "clusters.txt")]
+    if command != "estimate-channel":
+        base += ["--code", "identity:24", "--seed", "0", "-o", str(tmp_path / "r")]
+    rc = main(base + argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_writes_reports(tmp_path):
     out = _simulate(tmp_path, n=30, traces=5, length=24)
     res = tmp_path / "eval"

@@ -129,6 +129,8 @@ def test_run_algorithm_dispatch():
             assert post.probs.shape == (15, 4)
     post, hard = run_algorithm("bmala-map", enc, traces, PAPER, delta=8)
     assert post.probs.shape == (15, 4)
+    with pytest.raises(ConfigError, match="default_betas"):
+        run_algorithm("trellis-bma", enc, traces, PAPER, delta=8)
     with pytest.raises(ConfigError):
         run_algorithm("nope", enc, traces, PAPER)
     with pytest.raises(ConfigError):

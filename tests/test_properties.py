@@ -60,7 +60,7 @@ def test_trellis_readers_agree_with_references(case):
     enc, traces, params, prior, offset, delta = case
     try:
         tr = build_trellis(enc, traces, params, prior=prior, delta=delta,
-                           offset=offset, check_feasible=False)
+                           offset=offset)
     except InfeasibleTrellisError:
         # only a drift bound can shut the absorbing pointers out of the last layer
         assert delta is not None

@@ -220,8 +220,10 @@ def test_infeasible_under_tight_delta():
     enc = identity_encoder(4, BINARY)
     # a trace far longer than the drift bound allows
     y = np.zeros(12, dtype=np.int8)
+    tr = build_trellis(enc, [y], params, delta=1)
+    assert not tr.is_feasible()
     with pytest.raises(InfeasibleTrellisError):
-        build_trellis(enc, [y], params, delta=1)
+        tr.forward(store=False)
 
 
 def test_dump_lists_vertices_and_edges():
