@@ -1,9 +1,12 @@
 """Forward-backward inference on the trellis DAG.
 
 `compute_posteriors` is the one reader of message posteriors: it runs the
-layered engine (`Trellis.forward`/`backward`), which sweeps the layer
-arrays in linear domain with per-layer rescaling, and reads each message
-symbol at its cycle's last post layer.
+layered engine (`Trellis.forward`/`fronts`), which sweeps the layer arrays
+in linear domain with per-layer rescaling, and reads each message symbol
+at its cycle's last post layer. It keeps only those read layers of the
+forward sweep and streams the backward sweep past them, so its memory is
+a fraction of the trellis; `forward_pass`, `backward_pass`, `cut_totals`
+and `Trellis.sample_path` keep every layer.
 
 Per-vertex log values come from two interchangeable sweeps:
 
@@ -33,7 +36,7 @@ NEG_INF = -np.inf
 ROW_TOL = 1e-9
 
 MIB = float(1 << 20)
-STORED_BUDGET_BYTES = 1 << 30  # forward + backward layers kept by compute_posteriors
+STORED_BUDGET_BYTES = 1 << 30  # read layers plus two sweep fronts held by compute_posteriors
 
 
 @dataclass
@@ -75,13 +78,13 @@ class PosteriorTable:
 
 def forward_pass(trellis):
     """F(s): summed weight of all origin-to-s paths, as per-vertex logs."""
-    sweep = trellis.forward(store=True)
+    sweep = trellis.forward()
     return FBValues(trellis.log_values(sweep), sweep.loglik)
 
 
 def backward_pass(trellis):
     """B(s): summed weight of all s-to-absorbing paths, as per-vertex logs."""
-    sweep = trellis.backward(store=True)
+    sweep = trellis.backward()
     return FBValues(trellis.log_values(sweep), sweep.loglik)
 
 
@@ -153,27 +156,35 @@ def compute_posteriors(trellis):
     each cycle's last post layer (the final intra-edge-free stage carrying
     that message symbol).
 
-    Both sweeps keep every layer, 2 * 8 bytes per trellis cell. A trellis
-    whose layers would exceed STORED_BUDGET_BYTES is refused with a
-    ConfigError before any sweep starts, since the joint trellis grows
-    exponentially in the number of traces.
+    The forward sweep keeps only those L read layers. The backward front
+    is not kept: each posterior row is formed as it passes its read layer,
+    and that forward block is freed right after. What is stored at once is
+    at most 8 bytes per read-layer cell plus two of the largest layer (the
+    front and the block stepped into). A trellis where that would exceed
+    STORED_BUDGET_BYTES is refused with a ConfigError before any sweep
+    starts, since the joint trellis grows exponentially in the number of
+    traces.
     """
-    stored = 2 * 8 * trellis.num_cells
+    sizes = [math.prod(lay.shape) for lay in trellis.layers]
+    stored = 8 * (sum(sizes[t] for t in trellis.post_read_layer) + 2 * max(sizes))
     if stored > STORED_BUDGET_BYTES:
         raise ConfigError(
             f"the joint trellis over {trellis.K} traces would store "
             f"{stored / MIB:.0f} MiB of sweep layers (budget "
             f"{STORED_BUDGET_BYTES / MIB:.0f} MiB); use fewer traces, a smaller "
             f"--delta, or trellis-bma")
-    fs = trellis.forward(store=True)
-    bs = trellis.backward(store=True)
+    reads = {t: l for l, t in enumerate(trellis.post_read_layer)}
+    fs = trellis.forward(keep=reads)
     mz = trellis.encoder.msg_size
     rows = np.empty((trellis.L, mz))
-    for l, t in enumerate(trellis.post_read_layer):
+    for t, bwd, _ in trellis.fronts(back=True):
+        l = reads.get(t)
+        if l is None:
+            continue
         lay = trellis.layers[t]
-        joint = (fs.layers[t] * bs.layers[t]).reshape(lay.n_combo, -1).sum(axis=1)
-        row = np.bincount(lay.cm, weights=joint, minlength=mz)
-        rows[l] = row
+        joint = (fs.layers[t] * bwd).reshape(lay.n_combo, -1).sum(axis=1)
+        rows[l] = np.bincount(lay.cm, weights=joint, minlength=mz)
+        fs.layers[t] = None
     return PosteriorTable.from_rows(rows, fs.loglik)
 
 
@@ -181,9 +192,9 @@ def cut_totals(trellis, fs=None, bs=None):
     """log sum of F(s)B(s) over each intra-edge-free layer; conservation of
     path mass makes these equal across layers."""
     if fs is None:
-        fs = trellis.forward(store=True)
+        fs = trellis.forward()
     if bs is None:
-        bs = trellis.backward(store=True)
+        bs = trellis.backward()
     totals = []
     for t, lay in enumerate(trellis.layers):
         if lay.kind == "ids":

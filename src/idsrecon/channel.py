@@ -40,7 +40,7 @@ class IDSParams:
 
     def __post_init__(self):
         probs = (self.p_ins, self.p_del, self.p_sub, self.p_cor)
-        if any(p < 0.0 or p > 1.0 for p in probs):
+        if not all(0.0 <= p <= 1.0 for p in probs):  # also refuses NaN
             raise ConfigError(f"channel probabilities must lie in [0,1]: {probs}")
         if abs(sum(probs) - 1.0) > _SUM_TOL:
             raise ConfigError(f"channel probabilities must sum to 1, got {sum(probs)!r}")

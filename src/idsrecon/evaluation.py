@@ -326,7 +326,8 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
     """Grid-search sweep hyperparameters on validation clusters.
 
     Returns (best BetaParams, table of (BetaParams, score)); Hamming and
-    entropy are minimised, the rate is maximised.
+    entropy are minimised, the rate is maximised. A grid point at which no
+    cluster decoded is a ConfigError naming that point.
     """
     grid = dict(DEFAULT_SWEEP_GRID if grid is None else grid)
     points = [BetaParams(b, e, i, o)
@@ -339,6 +340,11 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
         rep = scrambled_eval(clusters, encoder, "trellis-bma", k, metric, seed,
                              params, delta=delta, betas=bp, jobs=jobs,
                              max_clusters=max_clusters)
+        if rep.n_samples == 0:
+            raise ConfigError(
+                f"no cluster decoded at grid point (beta_b, beta_e, beta_i, beta_o) = "
+                f"{bp.as_tuple()}: all {rep.skipped} clusters were skipped, as "
+                f"infeasible or with fewer than {k} traces")
         table.append((bp, rep.value(metric)))
     best = (max if metric == "air" else min)(table, key=lambda t: t[1])
     return best[0], table

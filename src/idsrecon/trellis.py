@@ -150,10 +150,12 @@ def _support(w):
 class SweepResult:
     """One direction of inference over the layer arrays.
 
-    `layers[t]` holds that layer's values rescaled by exp(scales[t]);
-    true value = layers[t] * exp(scales[t]).
+    `layers[t]` holds that layer's values rescaled by exp(scales[t]),
+    true value = layers[t] * exp(scales[t]), for each layer t the sweep was
+    asked to keep, and None for every other layer. `scales` covers every
+    layer.
     """
-    layers: list | None
+    layers: list
     scales: np.ndarray
     loglik: float
 
@@ -374,40 +376,53 @@ class Trellis:
         """Pull a backward front from layer t+1 into layer t."""
         return self._rescale(t, self._pull(t, arr, back=True), "backward")
 
-    def _sweep(self, back, store, end, vanished):
-        """Step one direction's front from its initial block; `store` keeps
-        every layer. The last block's cells `end` hold the total mass."""
+    def fronts(self, back=False):
+        """The one sweep loop: step one direction's front from its initial
+        block through every layer, yielding (t, block, log scale) as it
+        reaches layer t; the block's true values are block * exp(log scale).
+        A block is not written to after it is yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
         arr = self.initial_backward_block() if back else self.initial_forward_block()
-        scales = np.zeros(n)
-        kept = [None] * n if store else None
         logtot = 0.0
         for i, t in enumerate(order):
             if i > 0:
                 arr, ls = step(t, arr)
                 logtot += ls
+            yield t, arr, logtot
+
+    def _sweep(self, back, keep, end, vanished):
+        """Run `fronts` to the end, keeping the blocks of the layers in
+        `keep` (every layer when None). The last block's cells `end` hold
+        the total mass."""
+        n = len(self.layers)
+        keep = range(n) if keep is None else frozenset(keep)
+        kept = [None] * n
+        scales = np.zeros(n)
+        for t, arr, logtot in self.fronts(back):
             scales[t] = logtot
-            if store:
+            if t in keep:
                 kept[t] = arr
         tot = arr[end].sum()
         if tot <= 0.0:
             raise InfeasibleTrellisError(vanished)
         return SweepResult(kept, scales, math.log(tot) + logtot)
 
-    def forward(self, store=True):
-        """Forward sweep from the origin; `store` keeps every layer."""
-        return self._sweep(False, store, (slice(None),) + self._absorbing_index(),
+    def forward(self, keep=None):
+        """Forward sweep from the origin, keeping the layers whose indices
+        are in `keep` (every layer when None, none when empty)."""
+        return self._sweep(False, keep, (slice(None),) + self._absorbing_index(),
                            "no forward mass reaches an absorbing vertex")
 
-    def backward(self, store=True):
-        """Backward sweep from the absorbing vertices to the origin."""
-        return self._sweep(True, store, (0,) * (1 + self.K), "no backward mass reaches the origin")
+    def backward(self, keep=None):
+        """Backward sweep from the absorbing vertices to the origin; `keep`
+        as for `forward`."""
+        return self._sweep(True, keep, (0,) * (1 + self.K), "no backward mass reaches the origin")
 
     def log_values(self, sweep):
-        """Per-cell log values of a stored sweep, indexed by vertex id over
-        the full cell grid; cells of value zero carry -inf."""
+        """Per-cell log values of a sweep that kept every layer, indexed by
+        vertex id over the full cell grid; cells of value zero carry -inf."""
         off = self._offsets()
         out = np.full(int(off[-1]), -np.inf)
         for t, arr in enumerate(sweep.layers):

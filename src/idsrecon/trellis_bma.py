@@ -13,6 +13,7 @@ end. Total cost is linear in the number of traces.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,12 @@ class BetaParams:
     beta_o: float = 1.0
 
     def __post_init__(self):
-        if min(self.beta_b, self.beta_e, self.beta_i) < 0:
-            raise ConfigError("beta_b, beta_e, beta_i must be nonnegative")
-        if self.beta_o <= 0:
-            raise ConfigError("beta_o must be positive")
+        # comparisons written so that NaN fails them
+        if not all(0.0 <= b < math.inf for b in (self.beta_b, self.beta_e, self.beta_i)):
+            raise ConfigError(f"beta_b, beta_e, beta_i must be finite and nonnegative, "
+                              f"got {self.as_tuple()}")
+        if not 0.0 < self.beta_o < math.inf:
+            raise ConfigError(f"beta_o must be finite and positive, got {self.beta_o}")
 
     def as_tuple(self):
         return (self.beta_b, self.beta_e, self.beta_i, self.beta_o)
@@ -62,17 +65,22 @@ def _pow(arr, b):
 def init_single_trace_trellises(encoder, traces, params, delta=None, offset=None):
     """Build one trellis per trace and run both exact sweeps on each.
 
+    Each sweep keeps only the layers the exchange reads as its stale side:
+    the forward sweep the input layers of the second half of the message,
+    the backward sweep the post read layers of the first half.
+
     Traces whose trellis has no surviving path under `delta` are dropped
     with a warning (real clusters contain outlier reads); all traces being
     infeasible is an error. Returns (trellises, forward sweeps, backward
     sweeps, indices of the kept traces).
     """
+    half = encoder.L // 2
     trellises, fwds, bwds, kept = [], [], [], []
     for k, y in enumerate(traces):
         try:
             tr = build_trellis(encoder, [y], params, delta=delta, offset=offset)
-            fs = tr.forward(store=True)
-            bs = tr.backward(store=True)
+            fs = tr.forward(keep=tr.input_read_layer[half:])
+            bs = tr.backward(keep=tr.post_read_layer[:half])
         except InfeasibleTrellisError as e:
             logger.warning("dropping trace %d: %s", k, e)
             continue

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
+from idsrecon import (BINARY, DNA, ConfigError, IDSParams, InfeasibleTrellisError,
                       backward_pass, backward_pass_edges, build_trellis,
                       compute_posteriors, forward_pass, forward_pass_edges,
                       identity_encoder, mr_encoder,
                       sequence_log_likelihood, transmit, vertex_posterior)
+from idsrecon import bcjr
 from idsrecon.bcjr import cut_totals
 from oracle import joint_posteriors, random_params, random_prior
 
@@ -131,6 +134,25 @@ def test_mr_coded_posteriors_match_oracle():
         assert np.max(np.abs(post.probs - rows)) < 1e-9
 
 
+def test_budget_counts_read_layers_and_two_fronts(monkeypatch):
+    # a budget between what is stored (read layers plus two of the largest
+    # layer) and both whole sweeps lets the posteriors run, unchanged
+    enc, traces, params, prior = _instance(9, k=2, n=4, alphabet=DNA)
+    tr = build_trellis(enc, traces, params, prior=prior)
+    sizes = [math.prod(lay.shape) for lay in tr.layers]
+    stored = 8 * (sum(sizes[t] for t in tr.post_read_layer) + 2 * max(sizes))
+    whole = 2 * 8 * tr.num_cells
+    assert stored < whole
+    ref = compute_posteriors(tr)
+    monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", (stored + whole) // 2)
+    got = compute_posteriors(tr)
+    assert np.array_equal(got.probs, ref.probs)
+    assert got.log_likelihood == ref.log_likelihood
+    monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", stored - 1)
+    with pytest.raises(ConfigError, match="fewer traces, a smaller --delta"):
+        compute_posteriors(tr)
+
+
 def test_zero_likelihood_reports_infeasible():
     # with no insertions a trace longer than the input is impossible
     enc = identity_encoder(3, BINARY)
@@ -139,4 +161,4 @@ def test_zero_likelihood_reports_infeasible():
     tr = build_trellis(enc, [y], params)
     assert not tr.is_feasible()
     with pytest.raises(InfeasibleTrellisError):
-        tr.forward(store=False)
+        tr.forward(keep=())

@@ -18,6 +18,11 @@ def test_params_validation():
         IDSParams(-0.1, 0.5, 0.3, 0.3)
     with pytest.raises(ConfigError):
         IDSParams(1.0, 0.0, 0.0, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            IDSParams.from_error_rates(bad, 0.02, 0.02)
+        with pytest.raises(ConfigError):
+            IDSParams(0.1, 0.1, 0.1, bad)
     p = IDSParams.from_error_rates(0.017, 0.02, 0.022)
     assert abs(sum(p.as_tuple()) - 1.0) < 1e-15
 

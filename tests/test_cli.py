@@ -74,18 +74,19 @@ def test_reconstruct_noiseless_recovers_centers(tmp_path):
 
 
 def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
-    # the joint trellis at identity:24, K=4, delta=12 would store about
-    # 1.4 GiB of sweep layers: refused before any sweep, from either command
+    # the joint trellis at identity:24, K=5, delta=12 would hold about
+    # 3 GiB of read layers and sweep fronts: refused before any sweep, from
+    # either command
     out = _simulate(tmp_path)
     rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
-               "--algo", "bcjr-multitrace", "--k", "4", "--seed", "0",
+               "--algo", "bcjr-multitrace", "--k", "5", "--seed", "0",
                "-o", str(tmp_path / "r")])
     assert rc == 2
     assert "fewer traces, a smaller --delta, or trellis-bma" in capsys.readouterr().err
     rc = main(["evaluate", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
-               "--algo", "bcjr-multitrace", "--k-list", "1,4", "--split", "all",
+               "--algo", "bcjr-multitrace", "--k-list", "1,5", "--split", "all",
                "--seed", "0", "-o", str(tmp_path / "e")])
     assert rc == 2
     assert "fewer traces, a smaller --delta, or trellis-bma" in capsys.readouterr().err
@@ -226,6 +227,31 @@ def test_evaluate_jobs_identical(tmp_path):
         assert rc == 0
         reports.append((res / "report.csv").read_text())
     assert reports[0] == reports[1]
+
+
+def test_nan_channel_rate_rejected(tmp_path, capsys):
+    out = _simulate(tmp_path, n=6, traces=3, length=20)
+    rc = main(["evaluate", "--centers", str(out / "centers.txt"),
+               "--clusters", str(out / "clusters.txt"), "--code", "identity:20",
+               "--algo", "multiply-posteriors", "--k-list", "2", "--split", "all",
+               "--p-ins", "nan", "--seed", "0", "-o", str(tmp_path / "e")])
+    assert rc == 2
+    assert "channel probabilities" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "report.csv").exists()
+
+
+def test_sweep_nan_beta_rejected(tmp_path, capsys):
+    out = _simulate(tmp_path, n=12, traces=4, length=20)
+    rc = main(["sweep", "--centers", str(out / "centers.txt"),
+               "--clusters", str(out / "clusters.txt"), "--code", "identity:20",
+               "--k", "2", "--metric", "hamming", "--delta", "8",
+               "--train-range", "1-4", "--validation-range", "5-8",
+               "--test-range", "9-12", "--seed", "2", "--grid-beta-e", "nan",
+               "-o", str(tmp_path / "sw")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
 def test_sweep_writes_table(tmp_path):

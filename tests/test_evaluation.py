@@ -222,6 +222,22 @@ def test_sweep_single_point_and_best():
     assert scores[best] == min(scores.values())
 
 
+def test_sweep_refuses_grid_point_where_no_cluster_decoded():
+    enc = identity_encoder(20, DNA)
+    grid = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5,)}
+    clusters = simulate_clusters(4, 3, 20, PAPER, seed=8)
+    with pytest.raises(ConfigError, match="4 traces"):
+        sweep_betas(clusters, enc, 4, "hamming", 5, PAPER, delta=8, grid=grid)
+    # without insertions no trace longer than its strand can be explained
+    rng = np.random.default_rng(3)
+    clusters = [Cluster(rng.integers(4, size=20).astype(np.int8),
+                        [rng.integers(4, size=23).astype(np.int8) for _ in range(3)])
+                for _ in range(4)]
+    with pytest.raises(ConfigError, match=r"grid point .*\(1\.0, 0\.1, 0\.0, 0\.5\)"):
+        sweep_betas(clusters, enc, 2, "hamming", 5, IDSParams(0.0, 0.05, 0.05, 0.9),
+                    delta=8, grid=grid)
+
+
 def test_csv_output(tmp_path):
     clusters = simulate_clusters(8, 4, 20, PAPER, seed=2)
     enc = identity_encoder(20, DNA)

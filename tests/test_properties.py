@@ -15,6 +15,7 @@ from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
                       cc_encoder, compute_posteriors, forward_pass,
                       forward_pass_edges, identity_encoder, mr_encoder,
                       transmit_batch)
+from idsrecon.bcjr import PosteriorTable
 from oracle import joint_posteriors
 
 
@@ -83,7 +84,15 @@ def test_trellis_readers_agree_with_references(case):
     assert np.array_equal(alive, np.isfinite(f.log_value) & np.isfinite(b.log_value))
     for eng, ref in ((f, forward_pass_edges(tr)), (b, backward_pass_edges(tr))):
         assert np.allclose(eng.log_value[alive], ref.log_value[alive], rtol=0, atol=1e-9)
+    # the streamed posteriors are the whole sweeps' product at the read layers
+    post = compute_posteriors(tr)
+    full_f, full_b = tr.forward(), tr.backward()
+    prod = [np.bincount(tr.layers[t].cm, minlength=enc.msg_size,
+                        weights=(full_f.layers[t] * full_b.layers[t])
+                        .reshape(tr.layers[t].n_combo, -1).sum(axis=1))
+            for t in tr.post_read_layer]
+    assert np.array_equal(post.probs, PosteriorTable.from_rows(prod).probs)
+    assert post.log_likelihood == full_f.loglik
     if delta is None:
-        post = compute_posteriors(tr)
         assert np.abs(post.probs - rows).max() < 1e-9
         assert abs(post.log_likelihood - loglik) < 1e-9 * max(1.0, abs(loglik))

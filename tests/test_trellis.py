@@ -209,8 +209,8 @@ def test_pruning_monotone_and_exact_at_max_drift():
     logliks = []
     for delta in (1, 2, 4, 8, max(len(y), 14)):
         tr = build_trellis(enc, [y], params, delta=delta)
-        logliks.append(tr.forward(store=False).loglik)
-    exact = build_trellis(enc, [y], params, delta=None).forward(store=False).loglik
+        logliks.append(tr.forward(keep=()).loglik)
+    exact = build_trellis(enc, [y], params, delta=None).forward(keep=()).loglik
     assert all(a <= b + 1e-12 for a, b in zip(logliks, logliks[1:]))
     assert logliks[-1] == pytest.approx(exact, abs=1e-9)
 
@@ -223,7 +223,24 @@ def test_infeasible_under_tight_delta():
     tr = build_trellis(enc, [y], params, delta=1)
     assert not tr.is_feasible()
     with pytest.raises(InfeasibleTrellisError):
-        tr.forward(store=False)
+        tr.forward(keep=())
+
+
+def test_keep_set_stores_only_its_layers():
+    tr, *_ = _tiny(4, n=3, k=2)
+    n = len(tr.layers)
+    keep = {0, tr.post_read_layer[1], n - 1}
+    for sweep in (tr.forward, tr.backward):
+        full = sweep()
+        for ks in (keep, ()):
+            part = sweep(keep=ks)
+            assert np.array_equal(part.scales, full.scales)
+            assert part.loglik == full.loglik
+            for t in range(n):
+                if t in ks:
+                    assert np.array_equal(part.layers[t], full.layers[t])
+                else:
+                    assert part.layers[t] is None
 
 
 def test_dump_lists_vertices_and_edges():

@@ -5,8 +5,8 @@ import pytest
 
 from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, build_trellis,
                       cc_encoder, compute_posteriors, default_betas, identity_encoder,
-                      mr_encoder, multiply_posteriors, run_trellis_bma, scramble,
-                      transmit, update_forward)
+                      init_single_trace_trellises, mr_encoder, multiply_posteriors,
+                      run_trellis_bma, scramble, transmit, update_forward)
 from idsrecon.trellis_bma import TUNED_BETAS, code_tag
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -30,6 +30,26 @@ def test_beta_validation():
         BetaParams(-1, 0, 0, 1)
     with pytest.raises(ConfigError):
         BetaParams(1, 0, 0, 0)
+    for bad in (float("nan"), float("inf")):
+        for i in range(4):
+            betas = [1.0, 0.1, 0.0, 0.5]
+            betas[i] = bad
+            with pytest.raises(ConfigError, match="finite"):
+                BetaParams(*betas)
+
+
+def test_init_keeps_only_the_exchange_read_layers():
+    enc, _, z, traces = _cluster(3, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
+    half = enc.L // 2
+    trellises, fwds, bwds, kept = init_single_trace_trellises(
+        enc, traces, PAPER, delta=8, offset=z)
+    assert kept == [0, 1, 2]
+    for tr, fs, bs in zip(trellises, fwds, bwds):
+        for part, full, want in ((fs, tr.forward(), tr.input_read_layer[half:]),
+                                 (bs, tr.backward(), tr.post_read_layer[:half])):
+            assert [t for t, a in enumerate(part.layers) if a is not None] == sorted(want)
+            assert all(np.array_equal(part.layers[t], full.layers[t]) for t in want)
+            assert np.array_equal(part.scales, full.scales)
 
 
 def test_reduction_identity_multiply_posteriors():
