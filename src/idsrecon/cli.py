@@ -110,7 +110,7 @@ def build_parser():
     p.add_argument("--algo", choices=evaluation.ALGORITHMS, default="trellis-bma")
     p.add_argument("--code", type=str, default="identity:110")
     p.add_argument("--k-list", type=str, default="1,2,4,6,8,10")
-    p.add_argument("--metric", choices=("hamming", "entropy", "air"), default="hamming")
+    p.add_argument("--metric", choices=evaluation.METRICS, default="hamming")
     p.add_argument("--delta", type=int, default=12)
     p.add_argument("--split", choices=("train", "validation", "test", "all"),
                    default="test")
@@ -127,7 +127,7 @@ def build_parser():
     _channel_args(p)
     p.add_argument("--code", type=str, default="identity:110")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--metric", choices=("hamming", "entropy", "air"), default="hamming")
+    p.add_argument("--metric", choices=evaluation.METRICS, default="hamming")
     p.add_argument("--delta", type=int, default=12)
     p.add_argument("--train-range", type=str, default="1-2000")
     p.add_argument("--validation-range", type=str, default="2001-2500")
@@ -333,6 +333,7 @@ def cmd_evaluate(args):
     if not ks:
         raise ConfigError("--k-list names no trace count")
     _at_least_one(args.max_clusters, "--max-clusters")
+    _at_least_one(args.jobs, "--jobs")
     _resolve_seed(args)
     clusters = _load_clusters(args)
     part = _pick_split(args, clusters, args.split)
@@ -363,6 +364,7 @@ def cmd_evaluate(args):
 def cmd_sweep(args):
     _at_least_one(args.k, "--k")
     _at_least_one(args.max_clusters, "--max-clusters")
+    _at_least_one(args.jobs, "--jobs")
     _resolve_seed(args)
     clusters = _load_clusters(args)
     validation = _pick_split(args, clusters, "validation")

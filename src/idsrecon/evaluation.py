@@ -14,7 +14,8 @@ import csv
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import product
 from multiprocessing import get_context
 
 import numpy as np
@@ -32,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("bcjr-multitrace", "trellis-bma", "multiply-posteriors",
               "bmala", "bmala-map")
+METRICS = ("hamming", "entropy", "air")
 
 POSTERIOR_FLOOR = 1e-12  # clip before logs so one confident miss cannot sink a rate
 CONFIDENCE = 0.95
@@ -220,8 +222,9 @@ def run_algorithm(algorithm, encoder, traces, params, delta=None, offset=None,
 # ----------------------------------------------------------------------
 # the scrambled sampling protocol
 
-def _eval_one(args):
-    idx, cluster, encoder, algorithm, k, params, delta, betas, seed = args
+def _draw(idx, cluster, encoder, k, seed):
+    """The uniform message, scramble offset z = center - E(message) and K
+    picked traces cluster `idx` is scored on, drawn from (seed, idx)."""
     rng = np.random.default_rng((seed, idx))
     size = encoder.alphabet.size
     message = rng.integers(size, size=encoder.L).astype(np.int8)
@@ -230,44 +233,55 @@ def _eval_one(args):
     if not np.array_equal(scramble(codeword, z, size), cluster.center):
         raise AssertionError("scrambling bookkeeping broke: E(m) + z != center")
     pick = rng.choice(len(cluster.traces), size=k, replace=False)
-    traces = [cluster.traces[i] for i in pick]
+    return message, z, [cluster.traces[i] for i in pick]
+
+
+def _score(post, hard, message):
+    out = {"hamming": hamming_rate(hard, message)}
+    if post is not None:
+        out["entropy"] = symbolwise_cross_entropy(post, message)
+    return out
+
+
+def _eval_one(args):
+    idx, cluster, encoder, algorithm, k, params, delta, betas, seed = args
+    message, z, traces = _draw(idx, cluster, encoder, k, seed)
     try:
         post, hard = run_algorithm(algorithm, encoder, traces, params,
                                    delta=delta, offset=z, betas=betas)
     except InfeasibleTrellisError as e:
         logger.warning("cluster %d infeasible: %s", idx, e)
         return idx, None
-    out = {"hamming": hamming_rate(hard, message)}
-    if post is not None:
-        out["entropy"] = symbolwise_cross_entropy(post, message)
-    return idx, out
+    return idx, _score(post, hard, message)
 
 
-def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
-                   delta=None, betas="auto", data_kind="real", jobs=1,
-                   max_clusters=None):
-    """Estimate a performance metric over clusters with the scrambled
-    encoder: per cluster, draw a uniform message, set z = center - E(m),
-    decode K sampled traces with the scramble offset in the channel model,
-    and score against the drawn message.
+def _sweep_one(args):
+    """One cluster scored at every grid point, sharing the exact per-trace
+    sweeps: (idx, per point a metric dict, or None where it was infeasible)."""
+    idx, cluster, encoder, k, params, delta, points, seed = args
+    message, z, traces = _draw(idx, cluster, encoder, k, seed)
+    try:
+        posts = run_trellis_bma(encoder, traces, params, delta=delta, betas=points,
+                                offset=z)
+    except InfeasibleTrellisError as e:
+        logger.warning("cluster %d infeasible: %s", idx, e)
+        return idx, [None] * len(points)
+    outs = []
+    for bp, post in zip(points, posts):
+        if isinstance(post, InfeasibleTrellisError):
+            logger.warning("cluster %d infeasible at betas %s: %s", idx, bp.as_tuple(),
+                           post)
+            outs.append(None)
+        else:
+            outs.append(_score(post, post.hard, message))
+    return idx, outs
 
-    Clusters with fewer than K traces are skipped (and counted). Returns an
-    EvalReport holding every metric the algorithm supports; `metric` picks
-    the tuned sweep defaults when `betas` is "auto".
-    """
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    if metric not in ("hamming", "entropy", "air"):
-        raise ConfigError(f"unknown metric {metric!r}")
-    if metric in ("entropy", "air") and algorithm == "bmala":
-        raise ConfigError("bmala gives hard output only; no soft metric")
+
+def _usable(clusters, encoder, k, max_clusters):
+    """The (idx, cluster) pairs with at least K traces, at most `max_clusters`
+    of them, and the count of clusters skipped for too few traces."""
     if max_clusters is not None and max_clusters < 1:
         raise ConfigError(f"max_clusters must be at least 1, got {max_clusters}")
-    if not isinstance(params, IDSParams):
-        params = IDSParams(*params)
-    if isinstance(betas, str) and betas == "auto":
-        betas = default_betas(data_kind, metric, encoder, k)
-
     usable = []
     skipped = 0
     for idx, cl in enumerate(clusters):
@@ -282,18 +296,27 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
             break
     if not usable:
         raise ConfigError(f"no cluster has {k} traces")
+    return usable, skipped
 
-    tasks = [(idx, cl, encoder, algorithm, k, params, delta, betas, seed)
-             for idx, cl in usable]
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            results = dict(pool.imap_unordered(_eval_one, tasks, chunksize=8))
-    else:
-        results = dict(map(_eval_one, tasks))
 
+def _run_tasks(fn, tasks, jobs, chunksize):
+    """{idx: result} of `fn` over `tasks`, forked over at most `jobs`
+    workers; results are keyed by cluster, so the order they finish in
+    cannot change a report."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
+            return dict(pool.imap_unordered(fn, tasks, chunksize=chunksize))
+    return dict(map(fn, tasks))
+
+
+def _report(algorithm, encoder, k, outs, skipped):
+    """The EvalReport of per-cluster metric dicts `outs` (None for an
+    infeasible cluster, counted as skipped), in cluster order."""
     per_metric = {}
-    for idx, _ in usable:
-        out = results[idx]
+    for out in outs:
         if out is None:
             skipped += 1
             continue
@@ -313,6 +336,36 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
     return report
 
 
+def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
+                   delta=None, betas="auto", data_kind="real", jobs=1,
+                   max_clusters=None):
+    """Estimate a performance metric over clusters with the scrambled
+    encoder: per cluster, draw a uniform message, set z = center - E(m),
+    decode K sampled traces with the scramble offset in the channel model,
+    and score against the drawn message.
+
+    Clusters with fewer than K traces are skipped (and counted). Returns an
+    EvalReport holding every metric the algorithm supports; `metric` picks
+    the tuned sweep defaults when `betas` is "auto".
+    """
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}")
+    if metric in ("entropy", "air") and algorithm == "bmala":
+        raise ConfigError("bmala gives hard output only; no soft metric")
+    if not isinstance(params, IDSParams):
+        params = IDSParams(*params)
+    if isinstance(betas, str) and betas == "auto":
+        betas = default_betas(data_kind, metric, encoder, k)
+    usable, skipped = _usable(clusters, encoder, k, max_clusters)
+
+    tasks = [(idx, cl, encoder, algorithm, k, params, delta, betas, seed)
+             for idx, cl in usable]
+    results = _run_tasks(_eval_one, tasks, jobs, chunksize=8)
+    return _report(algorithm, encoder, k, [results[idx] for idx, _ in usable], skipped)
+
+
 DEFAULT_SWEEP_GRID = {
     "beta_b": (0.0, 1.0),
     "beta_e": (0.02, 0.05, 0.1, 0.5, 1.0, 5.0),
@@ -325,21 +378,41 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
                 grid=None, jobs=1, max_clusters=None):
     """Grid-search sweep hyperparameters on validation clusters.
 
+    Each grid point is scored as `scrambled_eval` with trellis-bma at that
+    point would score it, but each cluster is decoded once for the whole
+    grid: its exact per-trace sweeps run once and only the exchange runs per
+    point (see `run_trellis_bma`), and `jobs` workers share the clusters. A
+    cluster whose shared sweeps are infeasible is skipped at every point, one
+    whose exchange fails at a point only there.
+
+    `grid` maps each of beta_b, beta_e, beta_i, beta_o to its values.
     Returns (best BetaParams, table of (BetaParams, score)); Hamming and
     entropy are minimised, the rate is maximised. A grid point at which no
     cluster decoded is a ConfigError naming that point.
     """
-    grid = dict(DEFAULT_SWEEP_GRID if grid is None else grid)
-    points = [BetaParams(b, e, i, o)
-              for b in grid["beta_b"] for e in grid["beta_e"]
-              for i in grid["beta_i"] for o in grid["beta_o"]]
+    grid = DEFAULT_SWEEP_GRID if grid is None else grid
+    names = tuple(f.name for f in fields(BetaParams))
+    missing = [n for n in names if n not in grid]
+    unknown = sorted(set(grid) - set(names))
+    if missing or unknown:
+        raise ConfigError(f"sweep grid needs exactly the keys {names}; "
+                          f"missing {missing}, unknown {unknown}")
+    points = [BetaParams(*p) for p in product(*(grid[n] for n in names))]
     if not points:
         raise ConfigError("empty sweep grid")
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}")
+    if not isinstance(params, IDSParams):
+        params = IDSParams(*params)
+    usable, skipped = _usable(clusters, encoder, k, max_clusters)
+
+    tasks = [(idx, cl, encoder, k, params, delta, points, seed) for idx, cl in usable]
+    # a task is one cluster's whole grid, so workers take them one at a time
+    results = _run_tasks(_sweep_one, tasks, jobs, chunksize=1)
     table = []
-    for bp in points:
-        rep = scrambled_eval(clusters, encoder, "trellis-bma", k, metric, seed,
-                             params, delta=delta, betas=bp, jobs=jobs,
-                             max_clusters=max_clusters)
+    for i, bp in enumerate(points):
+        rep = _report("trellis-bma", encoder, k, [results[idx][i] for idx, _ in usable],
+                      skipped)
         if rep.n_samples == 0:
             raise ConfigError(
                 f"no cluster decoded at grid point (beta_b, beta_e, beta_i, beta_o) = "

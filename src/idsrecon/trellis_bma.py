@@ -8,6 +8,10 @@ from the other trellises, steering each decoder's synchronisation with the
 consensus. The first half of the message is estimated this way; a mirrored
 sweep updating the backward values estimates the second half from the other
 end. Total cost is linear in the number of traces.
+
+The exact per-trace sweeps do not depend on the hyperparameters beta, so a
+decode at several betas (a grid search) builds and sweeps the trellises once
+and repeats only the exchange sweeps per beta.
 """
 
 from __future__ import annotations
@@ -169,21 +173,9 @@ def _exchange_sweep(step, trellises, fronts, layers, reads, stale, betas, rows_o
                 fronts[i] = update_forward(fronts[i], g, cms[i])
 
 
-def run_trellis_bma(encoder, traces, params, delta=None, betas=MULTIPLY_POSTERIORS,
-                    offset=None):
-    """Approximate message posteriors from K traces at per-trace trellis cost.
-
-    Returns a PosteriorTable; hard estimates are its row argmaxes. Each
-    trace gets its own `trellis.Trellis`, swept by the same layer-array
-    engine that exact inference uses. Infeasible traces are dropped with a
-    warning naming each one; an empty trace list is a ConfigError.
-    """
-    if len(traces) == 0:
-        raise ConfigError("Trellis BMA needs at least one trace")
-    if not isinstance(betas, BetaParams):
-        betas = BetaParams(*betas)
-    trellises, fwds, bwds, _ = init_single_trace_trellises(
-        encoder, traces, params, delta=delta, offset=offset)
+def _exchange(encoder, trellises, fwds, bwds, betas):
+    """Both exchange sweeps at `betas` over the stored read layers of the
+    exact per-trace sweeps, which they only read. Returns the posterior."""
     L = encoder.L
     half = L // 2
     rows_out = np.empty((L, encoder.msg_size))
@@ -202,6 +194,41 @@ def run_trellis_bma(encoder, traces, params, delta=None, betas=MULTIPLY_POSTERIO
                     range(len(trellises[0].layers) - 2, min(second) - 1, -1),
                     second, fwds, betas, rows_out)
     return PosteriorTable.from_rows(rows_out)
+
+
+def run_trellis_bma(encoder, traces, params, delta=None, betas=MULTIPLY_POSTERIORS,
+                    offset=None):
+    """Approximate message posteriors from K traces at per-trace trellis cost.
+
+    Returns a PosteriorTable; hard estimates are its row argmaxes. Each
+    trace gets its own `trellis.Trellis`, swept by the same layer-array
+    engine that exact inference uses. Infeasible traces are dropped with a
+    warning naming each one; an empty trace list is a ConfigError.
+
+    `betas` is one BetaParams, or a list or tuple of them. A list shares
+    the exact per-trace sweeps, which do not depend on beta: they run once,
+    the exchange runs once per entry, and the result is a list holding, per
+    entry, its PosteriorTable or the InfeasibleTrellisError its exchange
+    raised. An error in the shared sweeps (every trace infeasible) is raised.
+    """
+    if len(traces) == 0:
+        raise ConfigError("Trellis BMA needs at least one trace")
+    many = isinstance(betas, (list, tuple))
+    points = list(betas) if many else [betas]
+    if not points or not all(isinstance(b, BetaParams) for b in points):
+        raise ConfigError(f"betas must be a BetaParams or a nonempty sequence of them, "
+                          f"got {betas!r}")
+    trellises, fwds, bwds, _ = init_single_trace_trellises(
+        encoder, traces, params, delta=delta, offset=offset)
+    if not many:
+        return _exchange(encoder, trellises, fwds, bwds, betas)
+    out = []
+    for bp in points:
+        try:
+            out.append(_exchange(encoder, trellises, fwds, bwds, bp))
+        except InfeasibleTrellisError as e:
+            out.append(e)
+    return out
 
 
 def multiply_posteriors(encoder, traces, params, delta=None, offset=None):

@@ -120,6 +120,10 @@ def test_reconstruct_default_betas_are_the_tuned_ones(tmp_path):
     ("evaluate", "--max-clusters", ["--max-clusters", "0"]),
     ("sweep", "--k", ["--k", "0"]),
     ("sweep", "--max-clusters", ["--max-clusters", "0"]),
+    ("evaluate", "--jobs", ["--jobs", "0"]),
+    ("evaluate", "--jobs", ["--jobs", "-1"]),
+    ("sweep", "--jobs", ["--jobs", "0"]),
+    ("sweep", "--jobs", ["--jobs", "-1"]),
 ])
 def test_counts_below_one_rejected(tmp_path, capsys, command, flag, argv):
     out = _simulate(tmp_path, n=6, traces=4, length=24)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,63 @@ def test_sweep_refuses_grid_point_where_no_cluster_decoded():
     with pytest.raises(ConfigError, match=r"grid point .*\(1\.0, 0\.1, 0\.0, 0\.5\)"):
         sweep_betas(clusters, enc, 2, "hamming", 5, IDSParams(0.0, 0.05, 0.05, 0.9),
                     delta=8, grid=grid)
+
+
+def test_sweep_matches_scoring_each_point_alone():
+    # without insertions a trace longer than its strand is unexplainable
+    params = IDSParams(0.0, 0.05, 0.05, 0.9)
+    enc = mr_encoder(24, 3, DNA)
+    rng = np.random.default_rng(0)
+    clusters = simulate_clusters(6, 4, 24, params, seed=1)
+    # a cluster infeasible at init, one with too few traces, and two
+    # noiseless ones: beta_o = 300 underflows every posterior but theirs,
+    # so there the exchange fails on the other clusters only
+    clusters.insert(2, Cluster(rng.integers(4, size=24),
+                               [rng.integers(4, size=27) for _ in range(4)]))
+    clusters.insert(4, Cluster(rng.integers(4, size=24),
+                               [rng.integers(4, size=24) for _ in range(2)]))
+    for _ in range(2):
+        center = rng.integers(4, size=24)
+        clusters.append(Cluster(center, [center] * 4))
+    grid = {"beta_b": (0.0, 1.0), "beta_e": (0.1,), "beta_i": (0.0, 0.5),
+            "beta_o": (0.5, 300.0)}
+    kw = dict(delta=8, grid=grid, max_clusters=8)
+    alone = {}
+    for bp in (BetaParams(*p) for p in itertools.product(*grid.values())):
+        alone[bp] = scrambled_eval(clusters, enc, "trellis-bma", 3, "hamming", 5, params,
+                                   delta=8, betas=bp, max_clusters=8)
+    # 8 clusters scored, 9 read: too few traces and infeasible at init skip
+    # 2 everywhere; at beta_o = 300 only the one noiseless cluster read decodes
+    assert {rep.skipped for rep in alone.values()} == {2, 8}
+    for metric in ("hamming", "entropy", "air"):
+        _, table = sweep_betas(clusters, enc, 3, metric, 5, params, **kw)
+        assert [bp for bp, _ in table] == list(alone)
+        assert all(score == alone[bp].value(metric) for bp, score in table), metric
+    _, table2 = sweep_betas(clusters, enc, 3, "air", 5, params, jobs=2, **kw)
+    assert table2 == table
+
+
+def test_sweep_grid_keys_checked():
+    clusters = simulate_clusters(2, 3, 20, PAPER, seed=8)
+    enc = identity_encoder(20, DNA)
+    full = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5,)}
+    for grid, message in (({"beta_b": (1.0,)}, r"missing \['beta_e', 'beta_i', 'beta_o'\]"),
+                          ({**full, "beta_x": (1.0,)}, r"unknown \['beta_x'\]"),
+                          ({**full, "beta_i": ()}, "empty sweep grid")):
+        with pytest.raises(ConfigError, match=message):
+            sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8, grid=grid)
+
+
+def test_jobs_below_one_rejected():
+    clusters = simulate_clusters(2, 3, 20, PAPER, seed=8)
+    enc = identity_encoder(20, DNA)
+    grid = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5,)}
+    for jobs in (0, -1):
+        with pytest.raises(ConfigError, match=f"jobs must be at least 1, got {jobs}"):
+            scrambled_eval(clusters, enc, "bmala", 2, "hamming", 1, PAPER, jobs=jobs)
+        with pytest.raises(ConfigError, match=f"jobs must be at least 1, got {jobs}"):
+            sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8, grid=grid,
+                        jobs=jobs)
 
 
 def test_csv_output(tmp_path):

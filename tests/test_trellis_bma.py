@@ -1,12 +1,13 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, build_trellis,
-                      cc_encoder, compute_posteriors, default_betas, identity_encoder,
-                      init_single_trace_trellises, mr_encoder, multiply_posteriors,
-                      run_trellis_bma, scramble, transmit, update_forward)
+from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellisError,
+                      build_trellis, cc_encoder, compute_posteriors, default_betas,
+                      identity_encoder, init_single_trace_trellises, mr_encoder,
+                      multiply_posteriors, run_trellis_bma, scramble, transmit, update_forward)
 from idsrecon.trellis_bma import TUNED_BETAS, code_tag
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -148,6 +149,43 @@ def test_infeasible_traces_dropped_with_warning(caplog):
     assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), dropped
     ref = run_trellis_bma(enc, traces, params, betas=BetaParams(1, 0, 0, 1))
     assert np.max(np.abs(got.probs - ref.probs)) < 1e-9
+
+
+def test_sequence_of_betas_equals_single_calls(caplog):
+    enc, _, z, traces = _cluster(93, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
+    # the last point's beta_o underflows the combined belief of this cluster
+    points = [BetaParams(1, 0.5, 0.1, 0.5), BetaParams(0, 1.0, 0, 1.0),
+              BetaParams(1, 0, 0, 1), BetaParams(1, 0.1, 0, 1e4)]
+    got = run_trellis_bma(enc, traces, PAPER, delta=8, betas=points, offset=z)
+    assert len(got) == len(points)
+    for bp, post in zip(points[:3], got):
+        one = run_trellis_bma(enc, traces, PAPER, delta=8, betas=bp, offset=z)
+        assert np.array_equal(post.probs, one.probs)
+    # an exchange that loses its mass fails its own entry only
+    assert isinstance(got[3], InfeasibleTrellisError)
+    with pytest.raises(InfeasibleTrellisError, match=re.escape(str(got[3]))):
+        run_trellis_bma(enc, traces, PAPER, delta=8, betas=points[3], offset=z)
+
+    # the per-trace init runs once for the whole sequence, so an infeasible
+    # trace is warned about once, not once per entry
+    params = IDSParams(0.0, 0.02, 0.022, 0.958)
+    rng = np.random.default_rng(92)
+    enc = identity_encoder(12, DNA)
+    x = rng.integers(4, size=12).astype(np.int8)
+    traces = [np.asarray(transmit(x, params, rng, alphabet=DNA)) for _ in range(2)]
+    with caplog.at_level(logging.WARNING):
+        got = run_trellis_bma(enc, traces + [np.zeros(17, dtype=np.int8)], params,
+                              betas=points[:3])
+    dropped = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("dropping trace")]
+    assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), dropped
+    for bp, post in zip(points, got):
+        ref = run_trellis_bma(enc, traces, params, betas=bp)
+        assert np.array_equal(post.probs, ref.probs)
+
+    for bad in ([], [(1, 0, 0, 1)], (1, 0, 0, 1), None):
+        with pytest.raises(ConfigError, match="sequence of them"):
+            run_trellis_bma(enc, traces, params, betas=bad)
 
 
 def test_empty_trace_set_rejected():
