@@ -1,9 +1,7 @@
 """Coded trace reconstruction over insertion-deletion-substitution channels."""
 
 from .alphabet import BINARY, DNA, Alphabet
-from .bcjr import (FBValues, PosteriorTable, backward_pass, backward_pass_edges,
-                   compute_posteriors, forward_pass, forward_pass_edges,
-                   sequence_log_likelihood, vertex_posterior)
+from .bcjr import PosteriorTable, compute_posteriors
 from .bmala import bmala_map, bmala_reconstruct
 from .channel import (IDSParams, estimate_params, expected_trace_length,
                       transmit, transmit_batch)
@@ -29,9 +27,7 @@ __all__ = [
     "FSMEncoder", "identity_encoder", "mr_encoder", "cc_encoder",
     "parse_encoder_spec", "scramble", "unscramble",
     "Trellis", "build_trellis",
-    "FBValues", "PosteriorTable", "forward_pass", "backward_pass",
-    "forward_pass_edges", "backward_pass_edges", "vertex_posterior",
-    "sequence_log_likelihood", "compute_posteriors",
+    "PosteriorTable", "compute_posteriors",
     "BetaParams", "run_trellis_bma", "multiply_posteriors", "default_betas",
     "init_single_trace_trellises", "combine_beliefs", "update_forward",
     "bmala_reconstruct", "bmala_map",

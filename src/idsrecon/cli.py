@@ -230,6 +230,9 @@ def _load_clusters(args):
 
 
 def cmd_simulate(args):
+    _at_least_one(args.num_clusters, "--num-clusters")
+    _at_least_one(args.traces_per_cluster, "--traces-per-cluster")
+    _at_least_one(args.length, "--length")
     _resolve_seed(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,6 +249,7 @@ def cmd_simulate(args):
 
 
 def cmd_estimate_channel(args):
+    _at_least_one(args.max_pairs, "--max-pairs")
     clusters = _load_clusters(args)
     a, b = parse_range(args.train_range, "--train-range")
     if not 1 <= a <= b <= len(clusters):

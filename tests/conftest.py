@@ -1,46 +1,4 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-# acceptance tests report one line per criterion through this registry
-ACCEPTANCE_RESULTS = []
-
-
-def record_acceptance(criterion, passed, detail):
-    ACCEPTANCE_RESULTS.append((criterion, passed, detail))
-    line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})"
-    print(line)
-    return line
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not ACCEPTANCE_RESULTS:
-        return
-    terminalreporter.write_sep("-", "acceptance criteria")
-    for criterion, passed, detail in sorted(ACCEPTANCE_RESULTS):
-        terminalreporter.write_line(
-            f"{'PASS' if passed else 'FAIL'}  {criterion}  ({detail})")
-
-
-@pytest.fixture(scope="session")
-def paper_channel():
-    from idsrecon import IDSParams
-
-    return IDSParams.from_error_rates(0.017, 0.02, 0.022)
-
-
-@pytest.fixture(scope="session")
-def sim_dataset(paper_channel):
-    """Shared synthetic clusters at the measured channel rates: 2000 uniform
-    random length-110 strands with 10 traces each."""
-    from idsrecon import simulate_clusters
-
-    return simulate_clusters(2000, 10, 110, paper_channel, seed=20240811)
-
-
-def rng_for(test_name, case=0):
-    return np.random.default_rng(abs(hash((test_name, case))) % (2**63))

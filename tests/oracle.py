@@ -69,21 +69,44 @@ def joint_posteriors(encoder, traces, params, prior, offset=None):
     return rows / total, np.log(total)
 
 
-def enumerate_trellis_states(encoder, traces, params, prior):
-    """Independent exhaustive trellis constructor for structure comparisons.
+def layer_tags(encoder, K):
+    """The trellis layers in construction order, as the tags
+    `enumerate_trellis_states` gives its states: ("b", l) boundary before
+    cycle l, ("i", l) input, ("d", l, c, k) the ids layer of codeword symbol
+    c and trace k, ("p", l, c) post; ("b", L) is the last layer."""
+    tags = []
+    for l, u in enumerate(encoder.emission_counts):
+        tags += [("b", l), ("i", l)]
+        for c in range(u):
+            tags += [("d", l, c, k) for k in range(K)] + [("p", l, c)]
+    return tags + [("b", encoder.L)]
+
+
+def _tag(state):
+    return state[:{"b": 2, "i": 2, "d": 4, "p": 3}[state[0]]]
+
+
+def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
+    """Independent exhaustive trellis constructor for cell-by-cell checks.
 
     Walks the stage rules over explicit state tuples with plain dict/set
-    bookkeeping, then prunes states that no origin-to-absorbing path uses.
-    Returns (number of vertices, number of edges, sorted edge weights).
+    bookkeeping, then runs its own forward and backward passes over the
+    resulting edges. `offset` is added to the emitted codeword symbols, as
+    the scrambling does. Returns {layer tag: sorted forward x backward
+    values of the layer's live states}, live meaning on some
+    origin-to-absorbing path of positive weight; layers with no live state
+    are absent.
     """
     K = len(traces)
     R = [len(y) for y in traces]
     size = encoder.alphabet.size
     p = params
+    starts = np.concatenate([[0], np.cumsum(encoder.emission_counts)])
 
-    # state: (layer_tag, q_or_combo, pointers, m, x)
-    # layer_tag mirrors the construction: ("b", l) boundary, ("i", l) input,
-    # ("d", l, c, k) ids, ("p", l, c) post
+    def emitted(l, c, em):
+        return em[c] if offset is None else (em[c] + offset[starts[l] + c]) % size
+
+    # state: layer tag fields, then (q or combo, pointers, m, x)
     edges = {}  # (state, state) -> weight
 
     def add(a, b, w):
@@ -107,7 +130,7 @@ def enumerate_trellis_states(encoder, traces, params, prior):
                     if w <= 0:
                         continue
                     q2, em = encoder.transition(q, m, l)
-                    to = ("i", l, (q, m), ptr, m, em[0])
+                    to = ("i", l, (q, m), ptr, m, emitted(l, 0, em))
                     add(st, to, w)
                     nxt.add(to)
             elif tag == "i":
@@ -117,14 +140,12 @@ def enumerate_trellis_states(encoder, traces, params, prior):
                 nxt.add(to)
             elif tag == "d":
                 _, l, c, k, combo, ptr, m, x = st
-                u = encoder.emission_counts[l]
                 # intra-layer insertion
                 if ptr[k] < R[k] and p.p_ins > 0:
                     ptr2 = ptr[:k] + (ptr[k] + 1,) + ptr[k + 1:]
                     to = ("d", l, c, k, combo, ptr2, m, x)
                     add(st, to, p.p_ins / size)
                     nxt.add(to)
-                succ_tag = ("d", l, c, k + 1) if k + 1 < K else ("p", l, c)
 
                 def succ(ptr_new):
                     if k + 1 < K:
@@ -149,47 +170,60 @@ def enumerate_trellis_states(encoder, traces, params, prior):
                 _, l, c, combo, ptr, m, x = st
                 u = encoder.emission_counts[l]
                 q_prev, m_in = combo
+                q2, em = encoder.transition(q_prev, m_in, l)
                 if c + 1 < u:
-                    q2, em = encoder.transition(q_prev, m_in, l)
-                    to = ("d", l, c + 1, 0, combo, ptr, m, em[c + 1])
-                    add(st, to, 1.0)
-                    nxt.add(to)
+                    to = ("d", l, c + 1, 0, combo, ptr, m, emitted(l, c + 1, em))
                 else:
-                    q2, _ = encoder.transition(q_prev, m_in, l)
                     to = ("b", l + 1, q2, ptr, None, None)
-                    add(st, to, 1.0)
-                    nxt.add(to)
+                add(st, to, 1.0)
+                nxt.add(to)
         frontier = nxt - seen
         seen |= nxt
 
-    absorbing = {("b", L, q, tuple(R), None, None) for q in range(encoder.n_states)}
-    # backward closure: keep states from which an absorbing state is reachable
-    rev = {}
-    for (a, b), _ in edges.items():
-        rev.setdefault(b, []).append(a)
-    keep = set(s for s in absorbing if s in seen)
-    stack = list(keep)
-    while stack:
-        s = stack.pop()
-        for a in rev.get(s, []):
-            if a not in keep:
-                keep.add(a)
-                stack.append(a)
-    # forward closure from the origin within kept states
-    fwd = {}
-    for (a, b), _ in edges.items():
-        if a in keep and b in keep:
-            fwd.setdefault(a, []).append(b)
-    reach = {origin} if origin in keep else set()
-    stack = [origin] if reach else []
-    while stack:
-        s = stack.pop()
-        for b in fwd.get(s, []):
-            if b not in reach:
-                reach.add(b)
-                stack.append(b)
-    weights = [w for (a, b), w in edges.items() if a in reach and b in reach]
-    return len(reach), len(weights), np.sort(weights)
+    # every edge leads to a later layer, or within an ids layer to a larger pointer
+    pos = {tag: i for i, tag in enumerate(layer_tags(encoder, K))}
+    order = sorted(seen, key=lambda s: (pos[_tag(s)], sum(s[-3])))
+    out = {}
+    for (a, b), w in edges.items():
+        out.setdefault(a, []).append((b, w))
+    fwd = dict.fromkeys(seen, 0.0)
+    fwd[origin] = 1.0
+    for a in order:
+        for b, w in out.get(a, ()):
+            fwd[b] += fwd[a] * w
+    bwd = dict.fromkeys(seen, 0.0)
+    for a in reversed(order):
+        if a[0] == "b" and a[1] == L and a[3] == tuple(R):
+            bwd[a] = 1.0
+        for b, w in out.get(a, ()):
+            bwd[a] += w * bwd[b]
+    values = {}
+    for s in seen:
+        if fwd[s] * bwd[s] > 0.0:
+            values.setdefault(_tag(s), []).append(fwd[s] * bwd[s])
+    return {tag: np.sort(v) for tag, v in values.items()}
+
+
+def assert_cells_match(trellis, encoder, traces, params, offset=None, label=None):
+    """Every cell of the trellis's forward and backward sweeps against the
+    oracle: per layer, the cells where forward x backward is positive are
+    as many as the oracle's live states there, with the same sorted values
+    to 1e-9 relative."""
+    values = enumerate_trellis_states(encoder, traces, params,
+                                      uniform_prior(encoder), offset)
+    tags = layer_tags(encoder, len(traces))
+    assert len(tags) == len(trellis.layers), label
+    f, b = trellis.forward(), trellis.backward()
+    for t, tag in enumerate(tags):
+        fb = f.layers[t] * b.layers[t] * np.exp(f.scales[t] + b.scales[t])
+        got = np.sort(fb[fb > 0])
+        want = values.get(tag, np.empty(0))
+        assert len(got) == len(want), (label, t, tag, len(got), len(want))
+        assert np.allclose(got, want, rtol=1e-9, atol=0), (label, t, tag)
+
+
+def uniform_prior(encoder):
+    return np.full((encoder.L, encoder.msg_size), 1.0 / encoder.msg_size)
 
 
 def random_params(rng, max_ins=0.4):
@@ -203,11 +237,3 @@ def random_params(rng, max_ins=0.4):
             v = v / v.sum()
         if v[0] <= max_ins:
             return IDSParams(*[float(t) for t in v])
-
-
-def random_prior(rng, L, size):
-    if rng.random() < 0.5:
-        return np.full((L, size), 1.0 / size)
-    pr = rng.dirichlet(np.ones(size) * 2.0, size=L)
-    pr = np.maximum(pr, 1e-3)
-    return pr / pr.sum(axis=1, keepdims=True)

@@ -136,6 +136,29 @@ def test_counts_below_one_rejected(tmp_path, capsys, command, flag, argv):
 
 
 @pytest.mark.parametrize("command,flag,argv", [
+    ("simulate", "--num-clusters", ["--num-clusters", "0"]),
+    ("simulate", "--traces-per-cluster", ["--traces-per-cluster", "-2"]),
+    ("simulate", "--length", ["--length", "0"]),
+    ("estimate-channel", "--max-pairs", ["--max-pairs", "0"]),
+    ("estimate-channel", "--max-pairs", ["--max-pairs", "-5"]),
+])
+def test_dataset_counts_below_one_rejected(tmp_path, capsys, command, flag, argv):
+    if command == "simulate":
+        base = ["simulate", "--seed", "0", "-o", str(tmp_path / "r")]
+    else:
+        out = _simulate(tmp_path, n=6, traces=4, length=24)
+        capsys.readouterr()
+        base = ["estimate-channel", "--centers", str(out / "centers.txt"),
+                "--clusters", str(out / "clusters.txt"), "--train-range", "1-6"]
+    rc = main(base + argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be at least 1")
+    assert captured.out == ""
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command,flag,argv", [
     ("evaluate", "--k-list", ["--k-list", "1,x"]),
     ("evaluate", "--k-list", ["--k-list", "2.5"]),
     ("reconstruct", "--range", ["--range", "3"]),

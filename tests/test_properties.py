@@ -1,22 +1,18 @@
-"""Property tests: random tiny trellises against the brute-force oracle and
-against the independent per-edge reference sweeps.
+"""Property tests: random tiny trellises against the brute-force oracles.
 
-The sweeps, reachability and the edge table all read one per-layer edge
-description, so these properties tie each reader back to something that
-does not: exhaustive enumeration (posteriors), a log-domain walk over the
-edge list (forward/backward values), and the sum-product values themselves
-(reachability)."""
+The sweeps read one per-layer edge description, so these properties tie
+them back to what does not: exhaustive enumeration (posteriors) and a
+rule-by-rule constructor with its own forward-backward pass (every cell of
+both sweeps)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
-                      backward_pass, backward_pass_edges, build_trellis,
-                      cc_encoder, compute_posteriors, forward_pass,
-                      forward_pass_edges, identity_encoder, mr_encoder,
-                      transmit_batch)
+                      build_trellis, cc_encoder, compute_posteriors,
+                      identity_encoder, mr_encoder, transmit_batch)
 from idsrecon.bcjr import PosteriorTable
-from oracle import joint_posteriors
+from oracle import assert_cells_match, joint_posteriors, uniform_prior
 
 
 @st.composite
@@ -33,10 +29,6 @@ def instances(draw):
     w = [draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
          draw(st.integers(1, 6))]
     params = IDSParams(*[v / sum(w) for v in w])
-    pw = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=size, max_size=size),
-                                min_size=enc.L, max_size=enc.L)), dtype=float)
-    pw[pw.sum(axis=1) == 0, 0] = 1.0
-    prior = pw / pw.sum(axis=1, keepdims=True)
     offset = None
     if draw(st.booleans()):
         offset = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.N,
@@ -52,41 +44,36 @@ def instances(draw):
         np.asarray(x, dtype=np.int8), params, draw(st.integers(1, 2)),
         draw(st.integers(0, 2**31)), alphabet_size=size)]
     delta = draw(st.sampled_from([None, 1, 2, 3]))
-    return enc, traces, params, prior, offset, delta
+    return enc, traces, params, offset, delta
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(instances())
 def test_trellis_readers_agree_with_references(case):
-    enc, traces, params, prior, offset, delta = case
+    enc, traces, params, offset, delta = case
     try:
-        tr = build_trellis(enc, traces, params, prior=prior, delta=delta,
-                           offset=offset)
+        tr = build_trellis(enc, traces, params, delta=delta, offset=offset)
     except InfeasibleTrellisError:
         # only a drift bound can shut the absorbing pointers out of the last layer
         assert delta is not None
         return
-    fwd, bwd = tr.reach_masks()
-    origin = (0,) * (1 + tr.K)
-    alive = tr.vertex_table()["alive"]
-    assert tr.is_feasible() == bool(bwd[0][origin]) == bool(alive.any())
     try:
-        rows, loglik = joint_posteriors(enc, traces, params, prior, offset=offset)
+        rows, loglik = joint_posteriors(enc, traces, params, uniform_prior(enc), offset=offset)
     except ValueError:
         rows = None
+    try:
+        full_f = tr.forward()
+    except InfeasibleTrellisError:
+        full_f = None
     # a drift bound only removes paths: unexplainable traces stay infeasible
     if rows is None or delta is None:
-        assert tr.is_feasible() == (rows is not None)
-    if not tr.is_feasible():
+        assert (full_f is not None) == (rows is not None)
+    if full_f is None:
         return
-    f, b = forward_pass(tr), backward_pass(tr)
-    # a cell is reachable both ways exactly where both sum-product values are positive
-    assert np.array_equal(alive, np.isfinite(f.log_value) & np.isfinite(b.log_value))
-    for eng, ref in ((f, forward_pass_edges(tr)), (b, backward_pass_edges(tr))):
-        assert np.allclose(eng.log_value[alive], ref.log_value[alive], rtol=0, atol=1e-9)
+    full_b = tr.backward()
+    assert abs(full_b.loglik - full_f.loglik) < 1e-9 * max(1.0, abs(full_f.loglik))
     # the streamed posteriors are the whole sweeps' product at the read layers
     post = compute_posteriors(tr)
-    full_f, full_b = tr.forward(), tr.backward()
     prod = [np.bincount(tr.layers[t].cm, minlength=enc.msg_size,
                         weights=(full_f.layers[t] * full_b.layers[t])
                         .reshape(tr.layers[t].n_combo, -1).sum(axis=1))
@@ -94,5 +81,6 @@ def test_trellis_readers_agree_with_references(case):
     assert np.array_equal(post.probs, PosteriorTable.from_rows(prod).probs)
     assert post.log_likelihood == full_f.loglik
     if delta is None:
+        assert_cells_match(tr, enc, traces, params, offset)
         assert np.abs(post.probs - rows).max() < 1e-9
         assert abs(post.log_likelihood - loglik) < 1e-9 * max(1.0, abs(loglik))
