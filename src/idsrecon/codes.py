@@ -3,9 +3,19 @@
 Every encoder exposes its FSM explicitly (state count, per-step emission
 counts, and a transition map) because the trellis is built directly from
 that interface. Message and codeword symbols share the channel alphabet.
+
+The transition map is one broadcasting function, `transition(q, m, step)`:
+`q` and `m` are ints or integer arrays of one shape (a scalar `q` also
+broadcasts against an array `m`). It returns the next states, with that
+shape, and the emitted codeword symbols, with that shape plus a trailing
+axis of length `emission_counts[step]`. Scalar inputs give a scalar next
+state. The trellis takes a whole cycle's (state, message) pairs in one
+call; `decode` tries every message symbol of a step in one call.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -24,8 +34,11 @@ class FSMEncoder:
     """Base class: deterministic (state, message symbol, step) -> (state, emissions).
 
     Subclasses set `n_states`, `L`, `N`, `emission_counts` (one entry per
-    message step, summing to N) and implement `transition`. The initial
-    state is always 0.
+    message step, summing to N) and implement `transition`, which
+    broadcasts: states `q` and message symbols `m` of one shape (or a
+    scalar `q` with an array `m`) give next states of that shape and
+    emissions of that shape + (emission_counts[step],); a scalar pair
+    gives a scalar next state. The initial state is always 0.
     """
 
     alphabet: Alphabet
@@ -54,33 +67,26 @@ class FSMEncoder:
         out = np.empty(self.N, dtype=np.int8)
         q = self.q_init
         pos = 0
-        for step, m in enumerate(message):
-            q, emitted = self.transition(q, int(m), step)
-            for s in emitted:
-                out[pos] = s
-                pos += 1
+        for step, (m, u) in enumerate(zip(message, self.emission_counts)):
+            q, out[pos:pos + u] = self.transition(q, int(m), step)
+            pos += u
         return out
 
     def decode(self, codeword):
-        """Invert the deterministic FSM by trying each input symbol per step."""
+        """Invert the deterministic FSM by trying every input symbol of a step at once."""
         codeword = as_indices(codeword, self.alphabet)
         if len(codeword) != self.N:
             raise ConfigError(f"codeword length {len(codeword)} != N={self.N}")
         msg = np.empty(self.L, dtype=np.int8)
         q = self.q_init
         pos = 0
-        for step in range(self.L):
-            u = self.emission_counts[step]
-            segment = tuple(int(v) for v in codeword[pos:pos + u])
-            hits = []
-            for m in range(self.msg_size):
-                q2, emitted = self.transition(q, m, step)
-                if tuple(emitted) == segment:
-                    hits.append((m, q2))
+        for step, u in enumerate(self.emission_counts):
+            q_next, emitted = self.transition(q, np.arange(self.msg_size), step)
+            hits = np.flatnonzero((emitted == codeword[pos:pos + u]).all(axis=-1))
             if len(hits) != 1:
                 raise ConfigError(f"codeword segment at step {step} is not uniquely decodable")
-            m, q = hits[0]
-            msg[step] = m
+            msg[step] = hits[0]
+            q = int(q_next[hits[0]])
             pos += u
         return msg
 
@@ -105,7 +111,7 @@ class IdentityEncoder(FSMEncoder):
         self.spec = f"identity:{n}"
 
     def transition(self, q, m, step):
-        return 0, (m,)
+        return 0 * m, np.expand_dims(m, -1)
 
 
 class MarkerRepeatEncoder(FSMEncoder):
@@ -142,7 +148,7 @@ class MarkerRepeatEncoder(FSMEncoder):
         self.spec = f"mr:{n}:{r}"
 
     def transition(self, q, m, step):
-        return 0, (m,) * self.emission_counts[step]
+        return 0 * m, np.repeat(np.expand_dims(m, -1), self.emission_counts[step], axis=-1)
 
 
 class ConvolutionalEncoderGF4(FSMEncoder):
@@ -184,27 +190,17 @@ class ConvolutionalEncoderGF4(FSMEncoder):
         self._keep = keep
         self.emission_counts = tuple(int(c) for c in keep.sum(axis=1))
         self.N = int(keep.sum())
-        self.spec = f"cc:{memory}:{self.L}/{self.N}"
-
-    def _state_regs(self, q):
-        regs = []
-        for _ in range(self.memory):
-            regs.append(q & 3)
-            q >>= 2
-        return regs  # regs[0] is the most recent input
+        # the shortest rate that `parse_encoder_spec` reads back to this L and N
+        rates = (f"{self.L / self.N:.{d}g}" for d in range(1, 18))
+        rate = next(r for r in rates if round(self.N * float(r)) == self.L)
+        self.spec = f"cc:{memory}:{rate}:{self.N}"
 
     def transition(self, q, m, step):
-        regs = self._state_regs(q)
-        taps = [m] + regs
-        outs = []
-        for j, g in enumerate(self.generators):
-            acc = 0
-            for c, v in zip(g, taps):
-                acc ^= _GF4_MUL[c, v]
-            outs.append(int(acc))
-        q_next = (m + ((q % (4 ** (self.memory - 1))) << 2)) if self.memory > 1 else m
-        emitted = tuple(o for o, k in zip(outs, self._keep[step]) if k)
-        return q_next, emitted
+        # taps[i] for i >= 1 is the i-th most recent input, held in bits 2i-2, 2i-1 of q
+        taps = [m] + [(q >> 2 * i) & 3 for i in range(self.memory)]
+        emitted = [reduce(np.bitwise_xor, (_GF4_MUL[c, v] for c, v in zip(g, taps)))
+                   for g, k in zip(self.generators, self._keep[step]) if k]
+        return m + ((q % 4 ** (self.memory - 1)) << 2), np.stack(emitted, axis=-1)
 
 
 def identity_encoder(n, alphabet=DNA):

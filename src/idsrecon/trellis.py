@@ -198,18 +198,12 @@ class Trellis:
 
         for l in range(self.L):
             u = enc.emission_counts[l]
-            # enumerate this cycle's (state, message) transitions
-            qprev = np.repeat(states, Mz).astype(np.int32)
+            # this cycle's (state, message) transitions, one combo each
+            qprev = np.repeat(states, Mz)
             cm = np.tile(np.arange(Mz, dtype=np.int32), len(states))
-            cq = np.empty(len(qprev), dtype=np.int32)
-            emit = np.empty((len(qprev), u), dtype=np.int32)
-            for i, (q, m) in enumerate(zip(qprev, cm)):
-                q2, em = enc.transition(int(q), int(m), l)
-                cq[i] = q2
-                emit[i] = em
+            cq, emit = enc.transition(qprev, cm, l)
             if self.offset is not None:
-                base = npos
-                emit = (emit + self.offset[base:base + u][None, :]) % self.A
+                emit = (emit + self.offset[npos:npos + u]) % self.A
             wins = self._wins(npos)
             self.input_read_layer[l] = len(layers)
             add(_Layer(INPUT, wins=wins, cm=cm, cx=emit[:, 0],

@@ -78,6 +78,36 @@ def test_fsm_round_trip():
             assert np.array_equal(enc.decode(enc.encode(msg)), msg)
 
 
+def test_encoders_known_codewords():
+    # known answers: a change to a generator, the state update or the puncturing moves them
+    msg = "ACGTTGCACTAG"
+    assert cc_encoder(1, 12, DNA).encode_text(msg) == "AACCATACGATCGTGCCCCGCTGG"
+    assert cc_encoder(2, 12, DNA).encode_text(msg) == "AACCATTTTTCAAGTGGTCGGCAT"
+    assert cc_encoder(3, 12, DNA).encode_text(msg) == "AACCATTTGATCTAAAAGACGCCA"
+    assert cc_encoder(3, 8, DNA, codeword_len=12).encode_text(msg[:8]) == "ACCATTGTCTAA"
+    assert mr_encoder(12, 3, DNA).encode_text(msg[:9]) == "ACGGTTTGCCAC"
+
+
+def test_transition_on_arrays_equals_each_pair():
+    # memory 1 (next state is the input), and punctured steps emitting 1 and 2 symbols
+    for enc in (identity_encoder(4, DNA), mr_encoder(12, 3, DNA), cc_encoder(1, 4, DNA),
+                cc_encoder(2, 6, DNA, codeword_len=9), cc_encoder(3, 4, DNA, codeword_len=6)):
+        q, m = np.divmod(np.arange(enc.n_states * enc.msg_size), enc.msg_size)
+        for step, u in enumerate(enc.emission_counts):
+            q2, em = enc.transition(q, m, step)
+            assert q2.shape == q.shape and em.shape == q.shape + (u,)
+            for i in range(len(q)):
+                q2_i, em_i = enc.transition(int(q[i]), int(m[i]), step)
+                assert isinstance(q2_i, int) and q2_i == q2[i]
+                assert np.array_equal(em_i, em[i])
+            # a scalar state broadcasts against every message symbol, as `decode` calls it
+            q2_0, em_0 = enc.transition(0, np.arange(enc.msg_size), step)
+            assert np.array_equal(q2_0, q2[:enc.msg_size])
+            assert np.array_equal(em_0, em[:enc.msg_size])
+    q, m = np.divmod(np.arange(16), 4)
+    assert np.array_equal(cc_encoder(1, 4, DNA).transition(q, m, 0)[0], m)  # state = last input
+
+
 def test_cc_state_count_and_rates():
     assert cc_encoder(3, 10, DNA).n_states == 64
     assert cc_encoder(4, 10, DNA).n_states == 256
@@ -139,6 +169,12 @@ def test_parse_encoder_spec():
     assert enc.N == 110 and enc.L == 80
     enc = parse_encoder_spec("cc:3:0.5:20")
     assert enc.N == 20 and enc.L == 10
+    # every encoder's spec parses back to the same encoder
+    for enc in (identity_encoder(24, DNA), mr_encoder(110, 10, DNA), cc_encoder(2, 55, DNA),
+                cc_encoder(3, 80, DNA, codeword_len=110)):
+        back = parse_encoder_spec(enc.spec)
+        assert (back.spec, back.L, back.N) == (enc.spec, enc.L, enc.N)
+    assert cc_encoder(2, 55, DNA).spec == "cc:2:0.5:110"
     for bad in ("identity", "mr:110", "xx:1", "cc:3:0.3", "mr:110:200"):
         with pytest.raises(ConfigError):
             parse_encoder_spec(bad)
