@@ -46,12 +46,15 @@ def _dataset_args(p):
     p.add_argument("--clusters", type=str, default=None, help="clusters file path")
 
 
-def _common_args(p):
+def _common_args(p, seed=False, jobs=False):
+    """--config and --verbose; --seed and --ci, and --jobs, for the commands that read them."""
     p.add_argument("--config", type=str, default=None, help="key=value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ci", action="store_true",
-                   help="strict mode: a seed must be given explicitly")
-    p.add_argument("--jobs", type=int, default=1)
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--ci", action="store_true",
+                       help="strict mode: a seed must be given explicitly")
+    if jobs:
+        p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--verbose", action="store_true")
 
 
@@ -72,7 +75,7 @@ def build_parser():
     subparsers = {}
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    _common_args(p)
+    _common_args(p, seed=True)
     _channel_args(p)
     p.add_argument("--num-clusters", type=int, default=100)
     p.add_argument("--traces-per-cluster", type=int, default=10)
@@ -88,7 +91,7 @@ def build_parser():
     subparsers["estimate-channel"] = p
 
     p = sub.add_parser("reconstruct", help="decode each cluster and write estimates")
-    _common_args(p)
+    _common_args(p, seed=True)
     _dataset_args(p)
     _channel_args(p)
     _beta_args(p)
@@ -103,7 +106,7 @@ def build_parser():
     subparsers["reconstruct"] = p
 
     p = sub.add_parser("evaluate", help="scrambled-encoder evaluation over a split")
-    _common_args(p)
+    _common_args(p, seed=True, jobs=True)
     _dataset_args(p)
     _channel_args(p)
     _beta_args(p)
@@ -122,7 +125,7 @@ def build_parser():
     subparsers["evaluate"] = p
 
     p = sub.add_parser("sweep", help="grid-search sweep hyperparameters on validation")
-    _common_args(p)
+    _common_args(p, seed=True, jobs=True)
     _dataset_args(p)
     _channel_args(p)
     p.add_argument("--code", type=str, default="identity:110")
@@ -163,10 +166,11 @@ def _load_config(path, subparser):
                 values[key] = raw.lower() in ("1", "true", "yes", "on")
             elif raw.lower() == "none":
                 values[key] = None
-            elif act.type is not None:
-                values[key] = act.type(raw)
             else:
-                values[key] = raw
+                try:  # the flag's own conversion and choices check
+                    values[key] = subparser._get_values(act, [raw])
+                except argparse.ArgumentError as e:
+                    raise ConfigError(f"{path}:{ln}: {e}") from None
     return values
 
 
@@ -196,8 +200,11 @@ def _params(args):
 
 
 def _betas(args, metric, encoder, k):
-    """The four --beta-b/e/i/o flags if given, else the tuned defaults for
-    --betas-preset (real data when it is not given)."""
+    """For trellis-bma, the four --beta-b/e/i/o flags if given, else the
+    tuned defaults for --betas-preset (real data when it is not given);
+    None for the algorithms that read no betas."""
+    if args.algo != "trellis-bma":
+        return None
     given = [args.beta_b, args.beta_e, args.beta_i, args.beta_o]
     if any(v is not None for v in given):
         if any(v is None for v in given):

@@ -345,8 +345,9 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
     and score against the drawn message.
 
     Clusters with fewer than K traces are skipped (and counted). Returns an
-    EvalReport holding every metric the algorithm supports; `metric` picks
-    the tuned sweep defaults when `betas` is "auto".
+    EvalReport holding every metric the algorithm supports. With `betas`
+    "auto", trellis-bma decodes with the tuned defaults for `data_kind` and
+    `metric`; the other algorithms read no betas.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -357,7 +358,8 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
     if isinstance(betas, str) and betas == "auto":
-        betas = default_betas(data_kind, metric, encoder, k)
+        betas = (default_betas(data_kind, metric, encoder, k)
+                 if algorithm == "trellis-bma" else None)
     usable, skipped = _usable(clusters, encoder, k, max_clusters)
 
     tasks = [(idx, cl, encoder, algorithm, k, params, delta, betas, seed)

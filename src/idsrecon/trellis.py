@@ -28,19 +28,19 @@ The trellis exists only as these layer arrays. Each layer states its
 in-edges from the previous layer once, as a tuple of `_Edges` families, and
 one pull applies them in either direction: the backward sweep is the same
 pull reading the next layer's families with source and target, gather and
-scatter swapped. The insertion chain inside an ids layer is the one rule
-outside the families: the pull applies it as a first-order recursion along
-its trace's pointer axis, reversed backward.
+scatter swapped. The insertion runs inside an ids layer are a matrix on its
+trace's pointer axis, `_Layer.chain`, which the pull reads the same way:
+applied forward, transposed backward.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .alphabet import as_indices
 from .channel import IDSParams
@@ -73,7 +73,8 @@ class _Layer:
     shape: tuple = ()      # combos (boundary: encoder states), then a pointer axis per trace
     cm: np.ndarray | None = None       # per-combo message symbol
     cx: np.ndarray | None = None       # per-combo on-deck codeword symbol (as transmitted)
-    edges: tuple = ()      # _Edges families from the previous layer; every edge rule but insertion
+    edges: tuple = ()      # _Edges families from the previous layer
+    chain: np.ndarray | None = None    # ids layers: insertion runs on the trace axis (`_chain`)
 
     @property
     def n_combo(self):
@@ -111,17 +112,15 @@ def _overlap_slices(src_wins, dst_wins, axis=None, shift=0):
     return tuple(src_slices), tuple(dst_slices)
 
 
-def _iir_along(arr, coeff, axis, reverse=False):
-    """First-order recursion y[j] = x[j] + coeff*y[j-1] along one axis
-    (j+1 feeding j when reversed): the closed form of an insertion chain."""
-    if coeff == 0.0 or arr.shape[axis] == 1:
-        return arr
-    if reverse:
-        arr = np.flip(arr, axis=axis)
-    res = lfilter([1.0], [1.0, -coeff], arr, axis=axis)
-    if reverse:
-        res = np.flip(res, axis=axis)
-    return res
+@functools.lru_cache(maxsize=256)
+def _chain(width, coeff):
+    """An ids layer's insertion runs as a read-only (width, width) matrix,
+    shared by layers of one width: entry (j, i) is coeff**(j-i), the weight
+    of the insertions that move the pointer from i to j >= i."""
+    j = np.arange(width)
+    m = np.tril(coeff ** np.maximum(j[:, None] - j, 0))
+    m.setflags(write=False)
+    return m
 
 
 @dataclass
@@ -212,13 +211,13 @@ class Trellis:
 
             for c in range(u):
                 wins = self._wins(npos + c + 1)
+                shape = self._shape(len(cm), wins)
                 for k in range(self.K):
-                    add(_Layer(IDS, trace=k, wins=wins, cm=cm, cx=emit[:, c],
-                               shape=self._shape(len(cm), wins)))
+                    add(_Layer(IDS, trace=k, wins=wins, cm=cm, cx=emit[:, c], shape=shape,
+                               chain=_chain(shape[1 + k], self.params.p_ins / self.A)))
                 if c == u - 1:
                     self.post_read_layer[l] = len(layers)
-                add(_Layer(POST, wins=wins, cm=cm, cx=emit[:, c],
-                           shape=self._shape(len(cm), wins)))
+                add(_Layer(POST, wins=wins, cm=cm, cx=emit[:, c], shape=shape))
             npos += u
             states = np.unique(cq)
             wins = self._wins(npos)
@@ -282,7 +281,7 @@ class Trellis:
     def _pull(self, t, arr, back=False):
         """Layer t's values from layer t-1's over layer t's in-edge families,
         or with `back` from layer t+1's over layer t+1's families transposed;
-        then an ids layer's insertion chains."""
+        then an ids layer's insertion runs, transposed with `back`."""
         lay = self.layers[t]
         out = np.zeros(lay.shape)
         for e in self.layers[t + 1 if back else t].edges:
@@ -298,8 +297,9 @@ class Trellis:
                 np.add.at(out[dst], scatter, val)
             else:
                 out[dst] += val
-        if lay.kind == IDS:
-            out = _iir_along(out, self.params.p_ins / self.A, 1 + lay.trace, reverse=back)
+        if lay.chain is not None:
+            ax = 1 + lay.trace
+            out = (out.swapaxes(ax, -1) @ (lay.chain if back else lay.chain.T)).swapaxes(ax, -1)
         return out
 
     def initial_forward_block(self):

@@ -282,7 +282,11 @@ TUNED_BETAS = {
 
 
 def code_tag(encoder):
-    """Coarse code family used to key the tuned defaults."""
+    """Coarse code family used to key the tuned defaults: uncoded or
+    marker-repeat. No table was tuned for a multi-state (convolutional) code."""
+    if encoder.n_states > 1:
+        raise ConfigError(f"no tuned betas for the {encoder.n_states}-state code "
+                          f"{encoder.spec}; give --beta-b/e/i/o")
     if encoder.L == encoder.N:
         return "uncoded"
     return "mr104" if encoder.rate >= 0.93 else "mr100"

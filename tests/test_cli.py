@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -296,3 +302,77 @@ def test_sweep_writes_table(tmp_path):
     lines = (res / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "beta_b,beta_e,beta_i,beta_o,hamming"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("line,flag", [("p_ins = abc", "--p-ins"),
+                                       ("split = bogus", "--split")])
+def test_config_values_checked_like_flags(tmp_path, capsys, line, flag):
+    # a value the flag would refuse is refused from a config file too, naming
+    # the file's line and the flag, before anything is decoded or written
+    out = _simulate(tmp_path, n=6, traces=4, length=24)
+    base = ["evaluate", "--centers", str(out / "centers.txt"),
+            "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
+            "--k-list", "2", "--seed", "0", "-o", str(tmp_path / "e")]
+    key, _, raw = line.partition(" = ")
+    with pytest.raises(SystemExit) as exc:
+        main(base + [flag, raw])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"# evaluation settings\nmetric = hamming\n{line}\n")
+    capsys.readouterr()
+    rc = main(base + ["--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:3: argument {flag}: ") and repr(raw) in err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("simulate", ["--jobs", "2"]),
+    ("estimate-channel", ["--jobs", "2"]),
+    ("reconstruct", ["--jobs", "2"]),
+    ("estimate-channel", ["--seed", "1"]),
+    ("estimate-channel", ["--ci"]),
+])
+def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, command, flag):
+    data = ["--centers", str(tmp_path / "c.txt"), "--clusters", str(tmp_path / "t.txt")]
+    base = {"simulate": ["--num-clusters", "2", "--length", "8", "--seed", "0"],
+            "estimate-channel": data,
+            "reconstruct": data + ["--seed", "0"]}[command]
+    out = [] if command == "estimate-channel" else ["-o", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + base + out + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from idsrecon.cli import main
+root = sys.argv[1]
+data = ["--centers", root + "/data/centers.txt", "--clusters", root + "/data/clusters.txt",
+        "--code", "identity:24", "--seed", "1"]
+runs = [["simulate", "--num-clusters", "3", "--traces-per-cluster", "3", "--length", "24",
+         "--seed", "1", "-o", root + "/data"]]
+runs += [["evaluate"] + data + ["--split", "all", "--algo", algo, "--k-list", "2",
+                                "-o", root + "/" + algo]
+         for algo in ("trellis-bma", "bcjr-multitrace")]
+runs += [["reconstruct"] + data + ["--k", "2", "-o", root + "/rec"]]
+print(json.dumps([main(argv) for argv in runs]))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: the program imports and decodes without it
+    import idsrecon
+
+    src = str(Path(idsrecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
+    assert len((tmp_path / "rec" / "estimates.txt").read_text().splitlines()) == 3

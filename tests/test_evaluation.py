@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idsrecon import (DNA, BetaParams, Cluster, ConfigError, DatasetError,
-                      IDSParams, air_random_k, bcjr_once_rate, hamming_rate,
+                      IDSParams, air_random_k, bcjr_once_rate, cc_encoder, hamming_rate,
                       identity_encoder, load_dataset, mr_encoder,
                       run_algorithm, scramble, scrambled_eval,
                       simulate_clusters, split_dataset, sweep_betas,
@@ -170,6 +170,20 @@ def test_scrambled_eval_coded_descrambles_correctly():
                          noiseless, betas=BetaParams(1, 0, 0, 1))
     assert rep.metrics["hamming"][0] == 0.0
     assert rep.metrics["air"][0] == pytest.approx(2.0 * enc.rate)
+
+
+def test_scrambled_eval_looks_up_betas_for_trellis_bma_only():
+    # a multi-state code has no tuned betas: only the algorithm that reads
+    # them asks for them
+    enc = cc_encoder(1, 12, DNA)
+    clusters = simulate_clusters(3, 3, enc.N, PAPER, seed=4)
+    rep = scrambled_eval(clusters, enc, "bmala-map", 2, "hamming", 1, PAPER, delta=6)
+    assert rep.n_samples == 3
+    with pytest.raises(ConfigError, match="--beta-b/e/i/o"):
+        scrambled_eval(clusters, enc, "trellis-bma", 2, "hamming", 1, PAPER, delta=6)
+    rep = scrambled_eval(clusters, enc, "trellis-bma", 2, "hamming", 1, PAPER, delta=6,
+                         betas=BetaParams(1, 0.1, 0, 0.5))
+    assert rep.n_samples == 3
 
 
 def test_scrambled_eval_skips_small_clusters():

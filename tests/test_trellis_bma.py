@@ -216,6 +216,16 @@ def test_tuned_default_tables():
         assert set(table) == {1, 2, 4, 6, 8, 10}
 
 
+def test_no_tuned_betas_for_multi_state_codes():
+    # the tables were tuned on uncoded and marker-repeat strands only; a
+    # convolutional code, even at rate 1, is refused and not filed under them
+    for enc in (cc_encoder(2, 55, DNA), cc_encoder(1, 24, DNA)):
+        with pytest.raises(ConfigError, match="--beta-b/e/i/o"):
+            code_tag(enc)
+        with pytest.raises(ConfigError, match=enc.spec):
+            default_betas("real", "hamming", enc, 2)
+
+
 def test_linear_cost_in_traces():
     import time
 
