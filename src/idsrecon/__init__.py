@@ -15,8 +15,8 @@ from .evaluation import (ALGORITHMS, Cluster, EvalReport, air_random_k,
                          write_dataset)
 from .trellis import Trellis, build_trellis
 from .trellis_bma import (BetaParams, combine_beliefs, default_betas,
-                          init_single_trace_trellises, multiply_posteriors,
-                          run_trellis_bma, update_forward)
+                          init_single_trace_trellises, run_trellis_bma,
+                          update_forward)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "parse_encoder_spec", "scramble", "unscramble",
     "Trellis", "build_trellis",
     "PosteriorTable", "compute_posteriors",
-    "BetaParams", "run_trellis_bma", "multiply_posteriors", "default_betas",
+    "BetaParams", "run_trellis_bma", "default_betas",
     "init_single_trace_trellises", "combine_beliefs", "update_forward",
     "bmala_reconstruct", "bmala_map",
     "ALGORITHMS", "Cluster", "EvalReport", "hamming_rate",

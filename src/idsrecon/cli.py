@@ -2,8 +2,8 @@
 
 Subcommands: simulate, estimate-channel, reconstruct, evaluate, sweep.
 Options may come from a key=value config file (--config); explicit flags
-win. Every run that writes output echoes its effective configuration so it
-can be reproduced with --config alone.
+win. Every run that writes output echoes its effective configuration,
+--output included, so it can be reproduced with --config alone.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible trellis, 4 I/O
 or dataset failure.
@@ -80,7 +80,7 @@ def build_parser():
     p.add_argument("--num-clusters", type=int, default=100)
     p.add_argument("--traces-per-cluster", type=int, default=10)
     p.add_argument("--length", type=int, default=110)
-    p.add_argument("--output", "-o", type=str, required=True)
+    p.add_argument("--output", "-o", type=str, default=None)
     subparsers["simulate"] = p
 
     p = sub.add_parser("estimate-channel", help="fit IDS rates from a training split")
@@ -91,7 +91,7 @@ def build_parser():
     subparsers["estimate-channel"] = p
 
     p = sub.add_parser("reconstruct", help="decode each cluster and write estimates")
-    _common_args(p, seed=True)
+    _common_args(p)
     _dataset_args(p)
     _channel_args(p)
     _beta_args(p)
@@ -102,7 +102,7 @@ def build_parser():
     p.add_argument("--range", dest="cluster_range", type=str, default=None,
                    help="1-based inclusive cluster range, e.g. 1-100")
     p.add_argument("--dump-posteriors", action="store_true")
-    p.add_argument("--output", "-o", type=str, required=True)
+    p.add_argument("--output", "-o", type=str, default=None)
     subparsers["reconstruct"] = p
 
     p = sub.add_parser("evaluate", help="scrambled-encoder evaluation over a split")
@@ -121,7 +121,7 @@ def build_parser():
     p.add_argument("--validation-range", type=str, default="2001-2500")
     p.add_argument("--test-range", type=str, default="2501-10000")
     p.add_argument("--max-clusters", type=int, default=None)
-    p.add_argument("--output", "-o", type=str, required=True)
+    p.add_argument("--output", "-o", type=str, default=None)
     subparsers["evaluate"] = p
 
     p = sub.add_parser("sweep", help="grid-search sweep hyperparameters on validation")
@@ -140,7 +140,7 @@ def build_parser():
     p.add_argument("--grid-beta-e", type=str, default=None)
     p.add_argument("--grid-beta-i", type=str, default=None)
     p.add_argument("--grid-beta-o", type=str, default=None)
-    p.add_argument("--output", "-o", type=str, required=True)
+    p.add_argument("--output", "-o", type=str, default=None)
     subparsers["sweep"] = p
 
     return ap, subparsers
@@ -192,7 +192,6 @@ def _resolve_seed(args):
             raise ConfigError("--seed is mandatory in CI mode")
         args.seed = secrets.randbits(31)
         print(f"seed not given; using {args.seed}")
-    return args.seed
 
 
 def _params(args):
@@ -283,7 +282,6 @@ def cmd_estimate_channel(args):
 
 def cmd_reconstruct(args):
     _at_least_one(args.k, "--k")
-    _resolve_seed(args)
     clusters = _load_clusters(args)
     if args.cluster_range:
         a, b = parse_range(args.cluster_range, "--range")
@@ -294,6 +292,7 @@ def cmd_reconstruct(args):
                                  if clusters else 110)
     params = _params(args)
     betas = _betas(args, "hamming", encoder, args.k)
+    points = None if betas is None else [betas]
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     est_path = outdir / "estimates.txt"
@@ -305,18 +304,18 @@ def cmd_reconstruct(args):
     n_fail = 0
     with open(est_path, "w") as fh:
         for i, cl in enumerate(clusters):
-            traces = cl.traces[:args.k]
-            if not traces:
+            traces, outcome = cl.traces[:args.k], None
+            if traces:
+                try:
+                    [outcome] = run_algorithm(args.algo, encoder, traces, params,
+                                              delta=args.delta, betas=points)
+                except InfeasibleTrellisError:
+                    pass
+            if outcome is None or isinstance(outcome, InfeasibleTrellisError):
                 fh.write("\n")
                 n_fail += 1
                 continue
-            try:
-                post, hard = run_algorithm(args.algo, encoder, traces, params,
-                                           delta=args.delta, betas=betas)
-            except InfeasibleTrellisError:
-                fh.write("\n")
-                n_fail += 1
-                continue
+            post, hard = outcome
             fh.write(DNA.decode(hard) + "\n")
             if post_fh and post is not None:
                 for l in range(post.probs.shape[0]):
@@ -424,6 +423,9 @@ def main(argv=None):
             sp = subparsers[args.command]
             sp.set_defaults(**_load_config(args.config, sp))
             args = ap.parse_args(argv)
+        if "output" in vars(args) and args.output is None:
+            raise ConfigError("--output/-o is required, as a flag or as output = DIR "
+                              "in the --config file")
         np.seterr(over="raise")
         return COMMANDS[args.command](args)
     except ConfigError as e:

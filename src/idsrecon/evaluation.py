@@ -27,7 +27,7 @@ from .channel import IDSParams
 from .codes import scramble, unscramble
 from .errors import ConfigError, DatasetError, InfeasibleTrellisError
 from .trellis import build_trellis
-from .trellis_bma import BetaParams, default_betas, multiply_posteriors, run_trellis_bma
+from .trellis_bma import MULTIPLY_POSTERIORS, BetaParams, default_betas, run_trellis_bma
 
 logger = logging.getLogger(__name__)
 
@@ -191,32 +191,36 @@ def parse_range(text, flag):
 
 def run_algorithm(algorithm, encoder, traces, params, delta=None, offset=None,
                   betas=None):
-    """Decode one cluster, every message equally likely; trellis-bma needs
-    `betas` (see `default_betas`). Returns (PosteriorTable or None, hard)."""
-    if algorithm == "bcjr-multitrace":
-        tr = build_trellis(encoder, traces, params, delta=delta, offset=offset)
-        post = compute_posteriors(tr)
-        return post, post.hard
+    """Decode one cluster, every message equally likely.
+
+    Returns a list of outcomes: for trellis-bma one per entry of `betas`, the
+    nonempty sequence of BetaParams it needs (see `default_betas`), and one
+    for every other algorithm. An outcome is the pair (PosteriorTable or
+    None, hard estimate), or the InfeasibleTrellisError of that beta point's
+    exchange. A cluster infeasible for every point raises that error.
+    """
+    if algorithm == "multiply-posteriors":
+        algorithm, betas = "trellis-bma", [MULTIPLY_POSTERIORS]
     if algorithm == "trellis-bma":
         if betas is None:
             raise ConfigError("trellis-bma needs betas; take the tuned ones from "
                               "default_betas(kind, metric, encoder, k)")
-        post = run_trellis_bma(encoder, traces, params, delta=delta, betas=betas,
-                               offset=offset)
-        return post, post.hard
-    if algorithm == "multiply-posteriors":
-        post = multiply_posteriors(encoder, traces, params, delta=delta, offset=offset)
-        return post, post.hard
-    if algorithm == "bmala":
+        posts = run_trellis_bma(encoder, traces, params, betas, delta=delta, offset=offset)
+        return [p if isinstance(p, InfeasibleTrellisError) else (p, p.hard) for p in posts]
+    if algorithm == "bcjr-multitrace":
+        post = compute_posteriors(build_trellis(encoder, traces, params, delta=delta,
+                                                offset=offset))
+    elif algorithm == "bmala-map":
+        post = bmala_map(traces, encoder, params, delta=delta, offset=offset)
+    elif algorithm == "bmala":
         if encoder.L != encoder.N or encoder.n_states != 1:
             raise ConfigError("plain bmala handles uncoded strands only; use bmala-map")
         x_hat = bmala_reconstruct(traces, encoder.N, alphabet_size=encoder.alphabet.size)
         hard = x_hat if offset is None else unscramble(x_hat, offset, encoder.alphabet.size)
-        return None, hard
-    if algorithm == "bmala-map":
-        post = bmala_map(traces, encoder, params, delta=delta, offset=offset)
-        return post, post.hard
-    raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        return [(None, hard)]
+    else:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    return [(post, post.hard)]
 
 
 # ----------------------------------------------------------------------
@@ -244,37 +248,24 @@ def _score(post, hard, message):
 
 
 def _eval_one(args):
+    """One cluster drawn and decoded: (idx, per outcome of `run_algorithm` a
+    metric dict or None where it was infeasible; None if every one was)."""
     idx, cluster, encoder, algorithm, k, params, delta, betas, seed = args
     message, z, traces = _draw(idx, cluster, encoder, k, seed)
     try:
-        post, hard = run_algorithm(algorithm, encoder, traces, params,
-                                   delta=delta, offset=z, betas=betas)
+        outcomes = run_algorithm(algorithm, encoder, traces, params,
+                                 delta=delta, offset=z, betas=betas)
     except InfeasibleTrellisError as e:
         logger.warning("cluster %d infeasible: %s", idx, e)
         return idx, None
-    return idx, _score(post, hard, message)
-
-
-def _sweep_one(args):
-    """One cluster scored at every grid point, sharing the exact per-trace
-    sweeps: (idx, per point a metric dict, or None where it was infeasible)."""
-    idx, cluster, encoder, k, params, delta, points, seed = args
-    message, z, traces = _draw(idx, cluster, encoder, k, seed)
-    try:
-        posts = run_trellis_bma(encoder, traces, params, delta=delta, betas=points,
-                                offset=z)
-    except InfeasibleTrellisError as e:
-        logger.warning("cluster %d infeasible: %s", idx, e)
-        return idx, [None] * len(points)
-    outs = []
-    for bp, post in zip(points, posts):
-        if isinstance(post, InfeasibleTrellisError):
-            logger.warning("cluster %d infeasible at betas %s: %s", idx, bp.as_tuple(),
-                           post)
-            outs.append(None)
+    scores = []
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, InfeasibleTrellisError):
+            logger.warning("cluster %d infeasible at beta point %d: %s", idx, i, outcome)
+            scores.append(None)
         else:
-            outs.append(_score(post, post.hard, message))
-    return idx, outs
+            scores.append(_score(*outcome, message))
+    return idx, scores
 
 
 def _usable(clusters, encoder, k, max_clusters):
@@ -299,7 +290,7 @@ def _usable(clusters, encoder, k, max_clusters):
     return usable, skipped
 
 
-def _run_tasks(fn, tasks, jobs, chunksize):
+def _run_tasks(fn, tasks, jobs):
     """{idx: result} of `fn` over `tasks`, forked over at most `jobs`
     workers; results are keyed by cluster, so the order they finish in
     cannot change a report."""
@@ -308,7 +299,7 @@ def _run_tasks(fn, tasks, jobs, chunksize):
     workers = min(jobs, len(tasks))
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
-            return dict(pool.imap_unordered(fn, tasks, chunksize=chunksize))
+            return dict(pool.imap_unordered(fn, tasks))
     return dict(map(fn, tasks))
 
 
@@ -336,19 +327,11 @@ def _report(algorithm, encoder, k, outs, skipped):
     return report
 
 
-def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
-                   delta=None, betas="auto", data_kind="real", jobs=1,
-                   max_clusters=None):
-    """Estimate a performance metric over clusters with the scrambled
-    encoder: per cluster, draw a uniform message, set z = center - E(m),
-    decode K sampled traces with the scramble offset in the channel model,
-    and score against the drawn message.
-
-    Clusters with fewer than K traces are skipped (and counted). Returns an
-    EvalReport holding every metric the algorithm supports. With `betas`
-    "auto", trellis-bma decodes with the tuned defaults for `data_kind` and
-    `metric`; the other algorithms read no betas.
-    """
+def _evaluate(clusters, encoder, algorithm, k, metric, seed, params, delta, betas,
+              jobs, max_clusters):
+    """One EvalReport per decode of `run_algorithm` (per entry of `betas`,
+    or one if it is None) over the usable clusters, each cluster drawn,
+    decoded once and scored in one task."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     if metric not in METRICS:
@@ -357,15 +340,37 @@ def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
         raise ConfigError("bmala gives hard output only; no soft metric")
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
-    if isinstance(betas, str) and betas == "auto":
-        betas = (default_betas(data_kind, metric, encoder, k)
-                 if algorithm == "trellis-bma" else None)
     usable, skipped = _usable(clusters, encoder, k, max_clusters)
 
     tasks = [(idx, cl, encoder, algorithm, k, params, delta, betas, seed)
              for idx, cl in usable]
-    results = _run_tasks(_eval_one, tasks, jobs, chunksize=8)
-    return _report(algorithm, encoder, k, [results[idx] for idx, _ in usable], skipped)
+    results = _run_tasks(_eval_one, tasks, jobs)
+    return [_report(algorithm, encoder, k,
+                    [None if results[idx] is None else results[idx][i] for idx, _ in usable],
+                    skipped)
+            for i in range(1 if betas is None else len(betas))]
+
+
+def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,
+                   delta=None, betas="auto", data_kind="real", jobs=1,
+                   max_clusters=None):
+    """Estimate a performance metric over clusters with the scrambled
+    encoder: per cluster, draw a uniform message, set z = center - E(m),
+    decode K sampled traces with the scramble offset in the channel model,
+    and score against the drawn message.
+
+    Clusters with fewer than K traces are skipped (and counted), as are
+    infeasible ones. Returns an EvalReport holding every metric the
+    algorithm supports. `betas` is one BetaParams; with "auto", trellis-bma
+    decodes with the tuned defaults for `data_kind` and `metric`. The other
+    algorithms read no betas.
+    """
+    if isinstance(betas, str) and betas == "auto":
+        betas = (default_betas(data_kind, metric, encoder, k)
+                 if algorithm == "trellis-bma" else None)
+    [report] = _evaluate(clusters, encoder, algorithm, k, metric, seed, params, delta,
+                         None if betas is None else [betas], jobs, max_clusters)
+    return report
 
 
 DEFAULT_SWEEP_GRID = {
@@ -381,11 +386,11 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
     """Grid-search sweep hyperparameters on validation clusters.
 
     Each grid point is scored as `scrambled_eval` with trellis-bma at that
-    point would score it, but each cluster is decoded once for the whole
-    grid: its exact per-trace sweeps run once and only the exchange runs per
-    point (see `run_trellis_bma`), and `jobs` workers share the clusters. A
-    cluster whose shared sweeps are infeasible is skipped at every point, one
-    whose exchange fails at a point only there.
+    point would score it, through the same per-cluster task: a cluster is
+    drawn once and decoded at the whole grid as one beta stack, so its exact
+    per-trace sweeps run once and only the exchange runs per point (see
+    `run_trellis_bma`). A cluster infeasible for every point is skipped at
+    every point, one whose exchange fails at a point only there.
 
     `grid` maps each of beta_b, beta_e, beta_i, beta_o to its values.
     Returns (best BetaParams, table of (BetaParams, score)); Hamming and
@@ -402,19 +407,10 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
     points = [BetaParams(*p) for p in product(*(grid[n] for n in names))]
     if not points:
         raise ConfigError("empty sweep grid")
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    if not isinstance(params, IDSParams):
-        params = IDSParams(*params)
-    usable, skipped = _usable(clusters, encoder, k, max_clusters)
-
-    tasks = [(idx, cl, encoder, k, params, delta, points, seed) for idx, cl in usable]
-    # a task is one cluster's whole grid, so workers take them one at a time
-    results = _run_tasks(_sweep_one, tasks, jobs, chunksize=1)
+    reports = _evaluate(clusters, encoder, "trellis-bma", k, metric, seed, params, delta,
+                        points, jobs, max_clusters)
     table = []
-    for i, bp in enumerate(points):
-        rep = _report("trellis-bma", encoder, k, [results[idx][i] for idx, _ in usable],
-                      skipped)
+    for bp, rep in zip(points, reports):
         if rep.n_samples == 0:
             raise ConfigError(
                 f"no cluster decoded at grid point (beta_b, beta_e, beta_i, beta_o) = "

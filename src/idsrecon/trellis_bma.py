@@ -9,9 +9,9 @@ consensus. The first half of the message is estimated this way; a mirrored
 sweep updating the backward values estimates the second half from the other
 end. Total cost is linear in the number of traces.
 
-The exact per-trace sweeps do not depend on the hyperparameters beta, so a
-decode at several betas (a grid search) builds and sweeps the trellises once
-and repeats only the exchange sweeps per beta.
+A decode is always a stack of beta points, a single decode a stack of one.
+The exact per-trace sweeps do not depend on the hyperparameters beta, so
+they run once per stack and only the exchange sweeps repeat per point.
 """
 
 from __future__ import annotations
@@ -196,46 +196,33 @@ def _exchange(encoder, trellises, fwds, bwds, betas):
     return PosteriorTable.from_rows(rows_out)
 
 
-def run_trellis_bma(encoder, traces, params, delta=None, betas=MULTIPLY_POSTERIORS,
-                    offset=None):
-    """Approximate message posteriors from K traces at per-trace trellis cost.
+def run_trellis_bma(encoder, traces, params, betas, delta=None, offset=None):
+    """Approximate message posteriors from K traces at per-trace trellis
+    cost, one decode per entry of `betas`, a nonempty list or tuple of
+    BetaParams.
 
-    Returns a PosteriorTable; hard estimates are its row argmaxes. Each
-    trace gets its own `trellis.Trellis`, swept by the same layer-array
-    engine that exact inference uses. Infeasible traces are dropped with a
-    warning naming each one; an empty trace list is a ConfigError.
-
-    `betas` is one BetaParams, or a list or tuple of them. A list shares
-    the exact per-trace sweeps, which do not depend on beta: they run once,
-    the exchange runs once per entry, and the result is a list holding, per
-    entry, its PosteriorTable or the InfeasibleTrellisError its exchange
-    raised. An error in the shared sweeps (every trace infeasible) is raised.
+    Each trace gets its own `trellis.Trellis`, swept once by the exact
+    engine; only the exchange runs per entry. Returns, per entry, its
+    PosteriorTable (hard estimates are its row argmaxes) or the
+    InfeasibleTrellisError its exchange raised. Infeasible traces are
+    dropped with a warning naming each one; every trace being infeasible is
+    raised, and an empty trace list is a ConfigError.
     """
     if len(traces) == 0:
         raise ConfigError("Trellis BMA needs at least one trace")
-    many = isinstance(betas, (list, tuple))
-    points = list(betas) if many else [betas]
-    if not points or not all(isinstance(b, BetaParams) for b in points):
-        raise ConfigError(f"betas must be a BetaParams or a nonempty sequence of them, "
-                          f"got {betas!r}")
+    if (not isinstance(betas, (list, tuple)) or not betas
+            or not all(isinstance(b, BetaParams) for b in betas)):
+        raise ConfigError(f"betas must be a nonempty list or tuple of BetaParams, a single "
+                          f"point being a sequence of them of length 1; got {betas!r}")
     trellises, fwds, bwds, _ = init_single_trace_trellises(
         encoder, traces, params, delta=delta, offset=offset)
-    if not many:
-        return _exchange(encoder, trellises, fwds, bwds, betas)
     out = []
-    for bp in points:
+    for bp in betas:
         try:
             out.append(_exchange(encoder, trellises, fwds, bwds, bp))
         except InfeasibleTrellisError as e:
             out.append(e)
     return out
-
-
-def multiply_posteriors(encoder, traces, params, delta=None, offset=None):
-    """Baseline that multiplies independently computed per-trace posteriors:
-    the sweep with beta_b = beta_o = 1 and beta_e = beta_i = 0."""
-    return run_trellis_bma(encoder, traces, params, delta=delta,
-                           betas=MULTIPLY_POSTERIORS, offset=offset)
 
 
 # Tuned sweep defaults, keyed by (data kind, target metric, code tag, trace

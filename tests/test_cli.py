@@ -71,7 +71,7 @@ def test_reconstruct_noiseless_recovers_centers(tmp_path):
     rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:18",
                "--algo", "multiply-posteriors", "--k", "2", "--delta", "6",
-               "--seed", "0", "-o", str(res), "--dump-posteriors"])
+               "-o", str(res), "--dump-posteriors"])
     assert rc == 0
     ests = (res / "estimates.txt").read_text().strip().splitlines()
     centers = (out / "centers.txt").read_text().strip().splitlines()
@@ -86,7 +86,7 @@ def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
     out = _simulate(tmp_path)
     rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
-               "--algo", "bcjr-multitrace", "--k", "5", "--seed", "0",
+               "--algo", "bcjr-multitrace", "--k", "5",
                "-o", str(tmp_path / "r")])
     assert rc == 2
     assert "fewer traces, a smaller --delta, or trellis-bma" in capsys.readouterr().err
@@ -110,7 +110,7 @@ def test_reconstruct_default_betas_are_the_tuned_ones(tmp_path):
                         ("multiply", ["--algo", "multiply-posteriors"])):
         rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
                    "--clusters", str(out / "clusters.txt"), "--code", "identity:30",
-                   "--k", "2", "--seed", "0", "--dump-posteriors",
+                   "--k", "2", "--dump-posteriors",
                    "-o", str(tmp_path / name)] + extra)
         assert rc == 0
         posteriors[name] = (tmp_path / name / "posteriors.csv").read_bytes()
@@ -133,9 +133,10 @@ def test_reconstruct_default_betas_are_the_tuned_ones(tmp_path):
 ])
 def test_counts_below_one_rejected(tmp_path, capsys, command, flag, argv):
     out = _simulate(tmp_path, n=6, traces=4, length=24)
+    seed = [] if command == "reconstruct" else ["--seed", "0"]
     rc = main([command, "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:24",
-               "--seed", "0", "-o", str(tmp_path / "r")] + argv)
+               "-o", str(tmp_path / "r")] + seed + argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
     assert not (tmp_path / "r").exists()
@@ -179,7 +180,9 @@ def test_malformed_numbers_rejected(tmp_path, capsys, command, flag, argv):
     base = [command, "--centers", str(out / "centers.txt"),
             "--clusters", str(out / "clusters.txt")]
     if command != "estimate-channel":
-        base += ["--code", "identity:24", "--seed", "0", "-o", str(tmp_path / "r")]
+        base += ["--code", "identity:24", "-o", str(tmp_path / "r")]
+    if command in ("evaluate", "sweep"):
+        base += ["--seed", "0"]
     rc = main(base + argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} ")
@@ -227,6 +230,25 @@ def test_config_file_round_trip(tmp_path):
     assert rc == 0
     assert (out / "centers.txt").read_bytes() == \
         (tmp_path / "again" / "centers.txt").read_bytes()
+
+
+def test_rerun_from_echoed_config_alone(tmp_path, capsys):
+    # the echoed file names the output directory, so it needs no -o
+    out = _simulate(tmp_path)
+    before = {name: (out / name).read_bytes() for name in ("centers.txt", "clusters.txt")}
+    for name in before:
+        (out / name).unlink()
+    capsys.readouterr()
+    rc = main(["simulate", "--config", str(out / "effective_config.txt")])
+    assert rc == 0
+    assert f"to {out}" in capsys.readouterr().out
+    assert {name: (out / name).read_bytes() for name in before} == before
+    # without an output in the file or on the command line it is a ConfigError
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("num_clusters = 2\nseed = 5\n")
+    rc = main(["simulate", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --output/-o is required")
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -333,12 +355,14 @@ def test_config_values_checked_like_flags(tmp_path, capsys, line, flag):
     ("reconstruct", ["--jobs", "2"]),
     ("estimate-channel", ["--seed", "1"]),
     ("estimate-channel", ["--ci"]),
+    ("reconstruct", ["--seed", "1"]),
+    ("reconstruct", ["--ci"]),
 ])
 def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, command, flag):
     data = ["--centers", str(tmp_path / "c.txt"), "--clusters", str(tmp_path / "t.txt")]
     base = {"simulate": ["--num-clusters", "2", "--length", "8", "--seed", "0"],
             "estimate-channel": data,
-            "reconstruct": data + ["--seed", "0"]}[command]
+            "reconstruct": data}[command]
     out = [] if command == "estimate-channel" else ["-o", str(tmp_path / "x")]
     with pytest.raises(SystemExit) as exc:
         main([command] + base + out + flag)
@@ -353,11 +377,11 @@ sys.modules["scipy"] = None  # every scipy import now raises ImportError
 from idsrecon.cli import main
 root = sys.argv[1]
 data = ["--centers", root + "/data/centers.txt", "--clusters", root + "/data/clusters.txt",
-        "--code", "identity:24", "--seed", "1"]
+        "--code", "identity:24"]
 runs = [["simulate", "--num-clusters", "3", "--traces-per-cluster", "3", "--length", "24",
          "--seed", "1", "-o", root + "/data"]]
 runs += [["evaluate"] + data + ["--split", "all", "--algo", algo, "--k-list", "2",
-                                "-o", root + "/" + algo]
+                                "--seed", "1", "-o", root + "/" + algo]
          for algo in ("trellis-bma", "bcjr-multitrace")]
 runs += [["reconstruct"] + data + ["--k", "2", "-o", root + "/rec"]]
 print(json.dumps([main(argv) for argv in runs]))

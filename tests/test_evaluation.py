@@ -6,9 +6,10 @@ import pytest
 from idsrecon import (DNA, BetaParams, Cluster, ConfigError, DatasetError,
                       IDSParams, air_random_k, bcjr_once_rate, cc_encoder, hamming_rate,
                       identity_encoder, load_dataset, mr_encoder,
-                      run_algorithm, scramble, scrambled_eval,
+                      run_algorithm, run_trellis_bma, scramble, scrambled_eval,
                       simulate_clusters, split_dataset, sweep_betas,
                       symbolwise_cross_entropy, transmit, write_dataset)
+from idsrecon import evaluation, trellis_bma
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import write_plot_csv, write_report_csv
 
@@ -124,12 +125,12 @@ def test_run_algorithm_dispatch():
     x = rng.integers(4, size=15).astype(np.int8)
     traces = [np.asarray(transmit(x, PAPER, rng, DNA)) for _ in range(3)]
     for algo in ("bcjr-multitrace", "trellis-bma", "multiply-posteriors", "bmala"):
-        post, hard = run_algorithm(algo, enc, traces, PAPER, delta=8,
-                                   betas=BetaParams(1, 0.5, 0, 1))
+        [(post, hard)] = run_algorithm(algo, enc, traces, PAPER, delta=8,
+                                       betas=[BetaParams(1, 0.5, 0, 1)])
         assert len(hard) == 15
         if post is not None:
             assert post.probs.shape == (15, 4)
-    post, hard = run_algorithm("bmala-map", enc, traces, PAPER, delta=8)
+    [(post, hard)] = run_algorithm("bmala-map", enc, traces, PAPER, delta=8)
     assert post.probs.shape == (15, 4)
     with pytest.raises(ConfigError, match="default_betas"):
         run_algorithm("trellis-bma", enc, traces, PAPER, delta=8)
@@ -286,6 +287,37 @@ def test_sweep_matches_scoring_each_point_alone():
         assert all(score == alone[bp].value(metric) for bp, score in table), metric
     _, table2 = sweep_betas(clusters, enc, 3, "air", 5, params, jobs=2, **kw)
     assert table2 == table
+
+
+def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
+    # the sweep and the evaluation share one per-cluster task: each usable
+    # cluster is decoded by one run_algorithm call at the whole grid, whose
+    # per-trace trellises are built and swept once
+    calls = {"run_algorithm": 0, "init": 0}
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(evaluation, "run_algorithm", "run_algorithm")
+    counted(trellis_bma, "init_single_trace_trellises", "init")
+    clusters = simulate_clusters(5, 3, 20, PAPER, seed=8)
+    clusters.insert(1, Cluster(clusters[0].center, clusters[0].traces[:1]))
+    enc = identity_encoder(20, DNA)
+    grid = {"beta_b": (0.0, 1.0), "beta_e": (0.1, 0.5), "beta_i": (0.0,),
+            "beta_o": (0.5,)}
+    _, table = sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8, grid=grid)
+    assert len(table) == 4
+    assert calls == {"run_algorithm": 5, "init": 5}
+    # a decode is always a stack of betas: none, or a bare BetaParams, is refused
+    with pytest.raises(TypeError, match="betas"):
+        run_trellis_bma(enc, clusters[0].traces, PAPER, delta=8)
+    with pytest.raises(ConfigError, match="sequence of them"):
+        run_trellis_bma(enc, clusters[0].traces, PAPER, BetaParams(1, 0, 0, 1), delta=8)
 
 
 def test_sweep_grid_keys_checked():

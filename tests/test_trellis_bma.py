@@ -7,7 +7,7 @@ import pytest
 from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, compute_posteriors, default_betas,
                       identity_encoder, init_single_trace_trellises, mr_encoder,
-                      multiply_posteriors, run_trellis_bma, scramble, transmit, update_forward)
+                      run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
 from idsrecon.trellis_bma import TUNED_BETAS, code_tag
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -67,14 +67,14 @@ def test_reduction_identity_multiply_posteriors():
     cases.append(_cluster(9, k=3, encoder=cc_encoder(2, 6, DNA), offset=True))
     cases.append(_cluster(10, k=2, encoder=identity_encoder(1, DNA)))
     for enc, msg, z, traces in cases:
-        got = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0, 0, 1),
-                              offset=z)
+        [got] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0, 0, 1)],
+                                offset=z)
         prod = np.ones((enc.L, 4))
         for y in traces:
             prod *= compute_posteriors(build_trellis(enc, [y], PAPER, offset=z)).probs
         prod /= prod.sum(axis=1, keepdims=True)
         assert np.max(np.abs(got.probs - prod) / np.maximum(prod, 1e-12)) < 1e-9
-        mp = multiply_posteriors(enc, traces, PAPER, offset=z)
+        [(mp, _)] = run_algorithm("multiply-posteriors", enc, traces, PAPER, offset=z)
         assert np.array_equal(mp.probs, got.probs)
 
 
@@ -82,13 +82,13 @@ def test_k1_reduces_to_exact_posterior():
     cases = [_cluster(40, n=17, k=1), _cluster(41, n=17, k=1),
              _cluster(42, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)]
     for enc, msg, z, traces in cases:
-        got = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0, 0, 1),
-                              offset=z)
+        [got] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0, 0, 1)],
+                                offset=z)
         exact = compute_posteriors(build_trellis(enc, traces, PAPER, offset=z))
         assert np.max(np.abs(got.probs - exact.probs)) < 1e-9
         # beta_e is irrelevant with a single trace when beta_i = 0
-        other = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 3.0, 0, 1),
-                                offset=z)
+        [other] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 3.0, 0, 1)],
+                                  offset=z)
         assert np.max(np.abs(other.probs - exact.probs)) < 1e-9
 
 
@@ -110,15 +110,15 @@ def test_no_update_when_exchange_weights_zero():
     # beta_e = beta_i = 0 leaves the sweep equal to multiply-posteriors even
     # with beta_b and beta_o varied
     enc, msg, _, traces = _cluster(77, n=12, k=3)
-    a = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(0.5, 0, 0, 0.7))
-    b = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(0.5, 1e-12, 1e-12, 0.7))
+    [a] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(0.5, 0, 0, 0.7)])
+    [b] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(0.5, 1e-12, 1e-12, 0.7)])
     assert np.max(np.abs(a.probs - b.probs)) < 1e-6
 
 
 def test_rows_normalised_and_beta_o_preserves_argmax():
     enc, msg, _, traces = _cluster(90, n=25, k=4)
-    a = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0.5, 0.1, 1.0))
-    b = run_trellis_bma(enc, traces, PAPER, betas=BetaParams(1, 0.5, 0.1, 0.3))
+    [a] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0.5, 0.1, 1.0)])
+    [b] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0.5, 0.1, 0.3)])
     assert np.abs(a.probs.sum(axis=1) - 1).max() < 1e-9
     assert np.abs(b.probs.sum(axis=1) - 1).max() < 1e-9
     assert np.array_equal(a.hard, b.hard)
@@ -127,8 +127,8 @@ def test_rows_normalised_and_beta_o_preserves_argmax():
 def test_trace_permutation_invariance():
     enc, msg, _, traces = _cluster(91, n=18, k=4)
     betas = BetaParams(1, 0.5, 0.1, 0.5)
-    a = run_trellis_bma(enc, traces, PAPER, betas=betas)
-    b = run_trellis_bma(enc, traces[::-1], PAPER, betas=betas)
+    [a] = run_trellis_bma(enc, traces, PAPER, betas=[betas])
+    [b] = run_trellis_bma(enc, traces[::-1], PAPER, betas=[betas])
     assert np.max(np.abs(a.probs - b.probs)) < 1e-9
     assert np.array_equal(a.hard, b.hard)
 
@@ -142,12 +142,12 @@ def test_infeasible_traces_dropped_with_warning(caplog):
     traces = [np.asarray(transmit(x, params, rng, alphabet=DNA)) for _ in range(2)]
     bogus = np.zeros(17, dtype=np.int8)
     with caplog.at_level(logging.WARNING):
-        got = run_trellis_bma(enc, traces + [bogus], params,
-                              betas=BetaParams(1, 0, 0, 1))
+        [got] = run_trellis_bma(enc, traces + [bogus], params,
+                                betas=[BetaParams(1, 0, 0, 1)])
     dropped = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("dropping trace")]
     assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), dropped
-    ref = run_trellis_bma(enc, traces, params, betas=BetaParams(1, 0, 0, 1))
+    [ref] = run_trellis_bma(enc, traces, params, betas=[BetaParams(1, 0, 0, 1)])
     assert np.max(np.abs(got.probs - ref.probs)) < 1e-9
 
 
@@ -159,12 +159,12 @@ def test_sequence_of_betas_equals_single_calls(caplog):
     got = run_trellis_bma(enc, traces, PAPER, delta=8, betas=points, offset=z)
     assert len(got) == len(points)
     for bp, post in zip(points[:3], got):
-        one = run_trellis_bma(enc, traces, PAPER, delta=8, betas=bp, offset=z)
+        [one] = run_trellis_bma(enc, traces, PAPER, delta=8, betas=[bp], offset=z)
         assert np.array_equal(post.probs, one.probs)
     # an exchange that loses its mass fails its own entry only
     assert isinstance(got[3], InfeasibleTrellisError)
     with pytest.raises(InfeasibleTrellisError, match=re.escape(str(got[3]))):
-        run_trellis_bma(enc, traces, PAPER, delta=8, betas=points[3], offset=z)
+        raise run_trellis_bma(enc, traces, PAPER, delta=8, betas=points[3:4], offset=z)[0]
 
     # the per-trace init runs once for the whole sequence, so an infeasible
     # trace is warned about once, not once per entry
@@ -180,7 +180,7 @@ def test_sequence_of_betas_equals_single_calls(caplog):
                if r.getMessage().startswith("dropping trace")]
     assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), dropped
     for bp, post in zip(points, got):
-        ref = run_trellis_bma(enc, traces, params, betas=bp)
+        [ref] = run_trellis_bma(enc, traces, params, betas=[bp])
         assert np.array_equal(post.probs, ref.probs)
 
     for bad in ([], [(1, 0, 0, 1)], (1, 0, 0, 1), None):
@@ -191,7 +191,7 @@ def test_sequence_of_betas_equals_single_calls(caplog):
 def test_empty_trace_set_rejected():
     enc = identity_encoder(10, DNA)
     with pytest.raises(ConfigError, match="at least one trace"):
-        run_trellis_bma(enc, [], PAPER)
+        run_trellis_bma(enc, [], PAPER, [BetaParams(1, 0, 0, 1)])
 
 
 def test_tuned_default_tables():
@@ -235,7 +235,7 @@ def test_linear_cost_in_traces():
     traces = [np.asarray(transmit(x, PAPER, rng, alphabet=DNA)) for _ in range(8)]
     betas = BetaParams(0, 0.5, 0.1, 0.5)
     for k in (2, 4, 8):  # warm every size
-        run_trellis_bma(enc, traces[:k], PAPER, delta=12, betas=betas)
+        run_trellis_bma(enc, traces[:k], PAPER, delta=12, betas=[betas])
     best_r2 = -np.inf
     for _ in range(3):  # wall-clock noise only ever hurts linearity
         times = {}
@@ -243,7 +243,7 @@ def test_linear_cost_in_traces():
             best = np.inf
             for _ in range(7):
                 t0 = time.perf_counter()
-                run_trellis_bma(enc, traces[:k], PAPER, delta=12, betas=betas)
+                run_trellis_bma(enc, traces[:k], PAPER, delta=12, betas=[betas])
                 best = min(best, time.perf_counter() - t0)
             times[k] = best
         ks = np.array(sorted(times))
