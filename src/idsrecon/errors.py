@@ -14,6 +14,10 @@ class InfeasibleTrellisError(IdsReconError):
     explained by the current trellis (typically the drift bound is too
     tight, or the channel parameters forbid the observed lengths)."""
 
+    def __init__(self, *args, rows=None):
+        super().__init__(*args)
+        self.rows = rows  # when set, the rows of a stacked block whose mass vanished
+
 
 class DatasetError(IdsReconError):
     """Malformed or inconsistent dataset files."""

@@ -388,9 +388,9 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
     Each grid point is scored as `scrambled_eval` with trellis-bma at that
     point would score it, through the same per-cluster task: a cluster is
     drawn once and decoded at the whole grid as one beta stack, so its exact
-    per-trace sweeps run once and only the exchange runs per point (see
-    `run_trellis_bma`). A cluster infeasible for every point is skipped at
-    every point, one whose exchange fails at a point only there.
+    per-trace sweeps run once and one stacked exchange decodes every point
+    (see `run_trellis_bma`). A cluster infeasible for every point is skipped
+    at every point, one whose exchange fails at a point only there.
 
     `grid` maps each of beta_b, beta_e, beta_i, beta_o to its values.
     Returns (best BetaParams, table of (BetaParams, score)); Hamming and

@@ -31,6 +31,10 @@ pull reading the next layer's families with source and target, gather and
 scatter swapped. The insertion runs inside an ids layer are a matrix on its
 trace's pointer axis, `_Layer.chain`, which the pull reads the same way:
 applied forward, transposed backward.
+
+The pull steps a stack (P, C, W...) of P independent rows of one layer,
+each as it would be stepped alone: the exact sweeps step a stack of one,
+the Trellis BMA exchange one row per beta point.
 """
 
 from __future__ import annotations
@@ -52,17 +56,18 @@ BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
 class _Edges(NamedTuple):
     """One family of edges of a single event into a layer: source cells
     `layer_src[src]` lead to target cells `layer_dst[dst]` (index tuples
-    from `_overlap_slices`, combo axis whole), one edge per aligned cell
-    pair. Families whose every weight is zero are not built; zero entries
-    of an array weight are edges the trellis does not have. The backward
+    from `_overlap_slices`, stack and combo axes whole), one edge per
+    aligned cell pair. Families whose every weight is zero are not built;
+    zero entries of an array weight are edges the trellis does not have.
+    Gather and scatter index the combo axis, axis 1. The backward
     pull reads a family transposed with the same weight, which is exact:
     the weight broadcasts over the source block after gather, and that
     block has the shape of the target block before scatter."""
     src: tuple
     dst: tuple
     weight: object = None   # None (weight 1), a scalar, or an array broadcasting over the src block
-    gather: np.ndarray | None = None   # input edges: combo -> source boundary row
-    scatter: np.ndarray | None = None  # clear edges: combo -> target boundary row
+    gather: tuple | None = None   # input edges: (whole stack axis, combo -> source boundary row)
+    scatter: tuple | None = None  # clear edges: (whole stack axis, combo -> target boundary row)
 
 
 @dataclass
@@ -99,10 +104,10 @@ def _axis_overlap(src_win, dst_win, shift):
 def _overlap_slices(src_wins, dst_wins, axis=None, shift=0):
     """Index tuples (src, dst) that align a source block with a target
     block, window to window on every pointer axis, with source pointer j
-    landing on target j+shift along `axis` (a trace index). The combo axis
-    is taken whole. None when the windows do not meet."""
-    src_slices = [slice(None)]
-    dst_slices = [slice(None)]
+    landing on target j+shift along `axis` (a trace index). The stack and
+    combo axes are taken whole. None when the windows do not meet."""
+    src_slices = [slice(None), slice(None)]
+    dst_slices = [slice(None), slice(None)]
     for k in range(len(src_wins)):
         ov = _axis_overlap(src_wins[k], dst_wins[k], shift if k == axis else 0)
         if ov is None:
@@ -154,6 +159,7 @@ class Trellis:
         self.layers: list[_Layer] = []
         self.post_read_layer = [None] * self.L   # last post layer per cycle
         self.input_read_layer = [None] * self.L  # input layer per cycle
+        self._cell_axes = tuple(range(1, self.K + 2))  # every axis of a stack but the first
         self._build_layers()
 
     # ------------------------------------------------------------------
@@ -244,7 +250,7 @@ class Trellis:
                 fams.append(_Edges(*ov, weight=self.params.p_del))
             ov = overlap(prev.wins, lay.wins, k, 1)
             if ov is not None:
-                w = self._subcor_weights(prev, k)[:, ov[0][1 + k]]
+                w = self._subcor_weights(prev, k)[:, ov[0][2 + k]]
                 w = w.reshape((prev.n_combo,) + tuple(w.shape[1] if j == k else 1
                                                       for j in range(self.K)))
                 fams.append(_Edges(*ov, weight=w))
@@ -254,10 +260,10 @@ class Trellis:
             return ()
         if prev.kind == BOUNDARY:
             # input edges: gather state rows, weight by the uniform message prior
-            return (_Edges(*ov, weight=1.0 / self.encoder.msg_size, gather=rows),)
+            return (_Edges(*ov, weight=1.0 / self.encoder.msg_size, gather=(slice(None), rows)),)
         if lay.kind == BOUNDARY:
             # clear edges: sum combos per next encoder state
-            return (_Edges(*ov, scatter=rows),)
+            return (_Edges(*ov, scatter=(slice(None), rows)),)
         return (_Edges(*ov),)
 
     def _subcor_weights(self, lay, k):
@@ -281,9 +287,10 @@ class Trellis:
     def _pull(self, t, arr, back=False):
         """Layer t's values from layer t-1's over layer t's in-edge families,
         or with `back` from layer t+1's over layer t+1's families transposed;
-        then an ids layer's insertion runs, transposed with `back`."""
+        then an ids layer's insertion runs, transposed with `back`. `arr` and
+        the result are stacks (P, C, W...) of independent rows."""
         lay = self.layers[t]
-        out = np.zeros(lay.shape)
+        out = np.zeros((len(arr),) + lay.shape)
         for e in self.layers[t + 1 if back else t].edges:
             src, dst, gather, scatter = e.src, e.dst, e.gather, e.scatter
             if back:
@@ -298,8 +305,11 @@ class Trellis:
             else:
                 out[dst] += val
         if lay.chain is not None:
-            ax = 1 + lay.trace
-            out = (out.swapaxes(ax, -1) @ (lay.chain if back else lay.chain.T)).swapaxes(ax, -1)
+            ax = 2 + lay.trace
+            chain = lay.chain if back else lay.chain.T
+            if ax == out.ndim - 1:  # the swaps would be no-ops, at a cost per step
+                return out @ chain
+            out = (out.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
         return out
 
     def initial_forward_block(self):
@@ -318,38 +328,42 @@ class Trellis:
         return tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
 
     def _rescale(self, t, arr, direction):
-        """(arr / its max, log of the max); raises unless the max is positive and finite."""
-        s = arr.max()
-        if s <= 0.0 or not np.isfinite(s):
+        """(each row of the stack `arr` over its own max, the row maxima
+        shaped to broadcast over the stack). Raises unless every max is
+        positive and finite; the error's `rows` marks the rows that fail."""
+        s = np.maximum.reduce(arr, axis=self._cell_axes, keepdims=True)
+        m = s.ravel().tolist()
+        if not (min(m) > 0.0 and sum(m) < math.inf):  # the sum is NaN or inf if any one is
             raise InfeasibleTrellisError(
                 f"{direction} mass vanished at layer {t} ({self.layers[t].kind}); "
-                f"no path explains the traces (delta={self.delta})")
-        return arr / s, math.log(s)
+                f"no path explains the traces (delta={self.delta})",
+                rows=~((s > 0.0) & (s < math.inf)).ravel())
+        return arr / s, s
 
     def step_forward(self, t, arr):
-        """Advance a forward front from layer t-1 into layer t.
-        Returns (rescaled block, log of the scale divided out)."""
+        """Advance a stack of forward fronts from layer t-1 into layer t.
+        Returns (rescaled stack, the row maxima divided out)."""
         return self._rescale(t, self._pull(t, arr), "forward")
 
     def step_backward(self, t, arr):
-        """Pull a backward front from layer t+1 into layer t."""
+        """Pull a stack of backward fronts from layer t+1 into layer t."""
         return self._rescale(t, self._pull(t, arr, back=True), "backward")
 
     def fronts(self, back=False):
-        """The one sweep loop: step one direction's front from its initial
-        block through every layer, yielding (t, block, log scale) as it
-        reaches layer t; the block's true values are block * exp(log scale).
-        A block is not written to after it is yielded."""
+        """The one sweep loop: step one direction's front, a stack of one,
+        from its initial block through every layer, yielding (t, block, log
+        scale) as it reaches layer t; the block's true values are block *
+        exp(log scale). A block is not written to after it is yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
-        arr = self.initial_backward_block() if back else self.initial_forward_block()
+        arr = (self.initial_backward_block() if back else self.initial_forward_block())[None]
         logtot = 0.0
         for i, t in enumerate(order):
             if i > 0:
-                arr, ls = step(t, arr)
-                logtot += ls
-            yield t, arr, logtot
+                arr, s = step(t, arr)
+                logtot += math.log(s.item())
+            yield t, arr[0], logtot
 
     def _sweep(self, back, keep, end, vanished):
         """Run `fronts` to the end, keeping the blocks of the layers in

@@ -3,15 +3,19 @@
 The sweeps read one per-layer edge description, so these properties tie
 them back to what does not: exhaustive enumeration (posteriors) and a
 rule-by-rule constructor with its own forward-backward pass (every cell of
-both sweeps)."""
+both sweeps). A Trellis BMA decode of a beta stack is tied back to each
+point decoded alone."""
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
+from idsrecon import (BINARY, DNA, BetaParams, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, compute_posteriors,
-                      identity_encoder, mr_encoder, transmit_batch)
+                      identity_encoder, mr_encoder, run_trellis_bma, transmit_batch)
 from idsrecon.bcjr import PosteriorTable
+from idsrecon.evaluation import DEFAULT_SWEEP_GRID
 from oracle import assert_cells_match, joint_posteriors, uniform_prior
 
 
@@ -84,3 +88,60 @@ def test_trellis_readers_agree_with_references(case):
         assert_cells_match(tr, enc, traces, params, offset)
         assert np.abs(post.probs - rows).max() < 1e-9
         assert abs(post.log_likelihood - loglik) < 1e-9 * max(1.0, abs(loglik))
+
+
+BETA_VALUES = sorted({0.0}.union(*DEFAULT_SWEEP_GRID.values()))
+_STACK_PARAMS = IDSParams.from_error_rates(0.017, 0.02, 0.022)
+_STACK_ENC = mr_encoder(24, 4, DNA)
+_rng = np.random.default_rng(2024)
+_STACK_Z = _rng.integers(4, size=_STACK_ENC.N).astype(np.int8)
+_STACK_TRACES = transmit_batch(
+    (_STACK_ENC.encode(_rng.integers(4, size=_STACK_ENC.L).astype(np.int8)) + _STACK_Z) % 4,
+    _STACK_PARAMS, 3, 7, alphabet_size=4)
+
+
+def _decode(points):
+    return run_trellis_bma(_STACK_ENC, _STACK_TRACES, _STACK_PARAMS, points, delta=6,
+                           offset=_STACK_Z)
+
+
+@functools.lru_cache(maxsize=None)
+def _alone(bp):
+    return _decode([bp])[0]
+
+
+def _assert_same(a, b):
+    if isinstance(a, InfeasibleTrellisError) or isinstance(b, InfeasibleTrellisError):
+        assert type(a) is type(b) and str(a) == str(b)
+    else:
+        assert np.array_equal(a.probs, b.probs) and np.array_equal(a.hard, b.hard)
+
+
+@st.composite
+def beta_stacks(draw):
+    """1-6 points from the default grid's values and 0: some that do not
+    update (beta_e = beta_i = 0), some repeated; and a permutation."""
+    value = st.sampled_from(BETA_VALUES)
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        if points and draw(st.integers(0, 3)) == 0:
+            points.append(draw(st.sampled_from(points)))
+            continue
+        b, e, i = draw(value), draw(value), draw(value)
+        if draw(st.booleans()):
+            e = i = 0.0
+        points.append(BetaParams(b, e, i, draw(st.sampled_from(BETA_VALUES[1:]))))
+    return points, draw(st.permutations(range(len(points))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(beta_stacks())
+def test_beta_stack_rows_equal_single_decodes(case):
+    # results must not depend on the stack they are decoded in, nor its order
+    points, perm = case
+    got = _decode(points)
+    assert len(got) == len(points)
+    for bp, out in zip(points, got):
+        _assert_same(out, _alone(bp))
+    for i, out in zip(perm, _decode([points[i] for i in perm])):
+        _assert_same(out, got[i])

@@ -8,7 +8,7 @@ from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellis
                       build_trellis, cc_encoder, compute_posteriors, default_betas,
                       identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
-from idsrecon.trellis_bma import TUNED_BETAS, code_tag
+from idsrecon.trellis_bma import TUNED_BETAS, code_tag, gamma_updates
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
 
@@ -186,6 +186,58 @@ def test_sequence_of_betas_equals_single_calls(caplog):
     for bad in ([], [(1, 0, 0, 1)], (1, 0, 0, 1), None):
         with pytest.raises(ConfigError, match="sequence of them"):
             run_trellis_bma(enc, traces, params, betas=bad)
+
+
+def test_gamma_updates_equal_nested_powers():
+    # each belief raised once per exponent and multiplied in trace order is
+    # bit-identical to raising every other belief again for each trellis
+    def pow0(a, b):
+        return np.ones_like(a) if b == 0.0 else np.power(a, b)
+
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 6, 10):
+        rows = rng.random((7, k, 4))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[:, :, 2] += 0.1  # one symbol keeps mass in every belief
+        beta_e = rng.choice([0.0, 0.02, 0.5, 1.0, 5.0], size=7)
+        beta_i = rng.choice([0.0, 0.1, 0.5], size=7)
+        got = gamma_updates(rows, beta_e, beta_i)
+        for p in range(7):
+            for i in range(k):
+                g = pow0(rows[p, i], beta_i[p])
+                for j in range(k):
+                    if j != i:
+                        g = g * pow0(rows[p, j], beta_e[p])
+                assert np.array_equal(got[p, i], g / g.max())
+
+
+def test_stacked_step_marks_only_its_dead_rows():
+    enc, _, z, traces = _cluster(94, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)
+    tr = build_trellis(enc, traces, PAPER, delta=8, offset=z)
+    t = 6
+    good = tr.forward().layers[t - 1]
+    stack = np.stack([good, np.zeros_like(good), 3.0 * good])
+    with pytest.raises(InfeasibleTrellisError, match=f"forward mass vanished at layer {t} ") as e:
+        tr.step_forward(t, stack)
+    assert e.value.rows.tolist() == [False, True, False]
+    out, _ = tr.step_forward(t, stack[[0, 2]])
+    for row, alone in zip(out, (good, 3.0 * good)):
+        assert np.array_equal(row, tr.step_forward(t, alone[None])[0][0])
+
+
+def test_row_that_vanishes_leaves_the_stack_alone():
+    # beta_e = 300 underflows a gamma of this cluster at the 11th of its 13
+    # read layers; the rows around it decode on as if alone
+    enc, _, z, traces = _cluster(93, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
+    points = [BetaParams(1, 0.5, 0.1, 0.5), BetaParams(0, 300.0, 0, 1), BetaParams(1, 0, 0, 1)]
+    got = run_trellis_bma(enc, traces, PAPER, delta=8, betas=points, offset=z)
+    alone = [run_trellis_bma(enc, traces, PAPER, delta=8, betas=[bp], offset=z)[0]
+             for bp in points]
+    assert isinstance(got[1], InfeasibleTrellisError)
+    assert isinstance(alone[1], InfeasibleTrellisError)
+    assert str(got[1]) == str(alone[1]) == "gamma update vanished for one trellis"
+    for i in (0, 2):
+        assert np.array_equal(got[i].probs, alone[i].probs)
 
 
 def test_empty_trace_set_rejected():
