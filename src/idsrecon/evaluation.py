@@ -394,8 +394,10 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
 
     `grid` maps each of beta_b, beta_e, beta_i, beta_o to its values.
     Returns (best BetaParams, table of (BetaParams, score)); Hamming and
-    entropy are minimised, the rate is maximised. A grid point at which no
-    cluster decoded is a ConfigError naming that point.
+    entropy are minimised, the rate is maximised. Of points tied at the
+    best score, the one with the smallest (beta_b, beta_e, beta_i, beta_o)
+    wins, so the order of the grid's values does not matter. A grid point
+    at which no cluster decoded is a ConfigError naming that point.
     """
     grid = DEFAULT_SWEEP_GRID if grid is None else grid
     names = tuple(f.name for f in fields(BetaParams))
@@ -417,7 +419,8 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
                 f"{bp.as_tuple()}: all {rep.skipped} clusters were skipped, as "
                 f"infeasible or with fewer than {k} traces")
         table.append((bp, rep.value(metric)))
-    best = (max if metric == "air" else min)(table, key=lambda t: t[1])
+    sign = -1.0 if metric == "air" else 1.0
+    best = min(table, key=lambda t: (sign * t[1], t[0].as_tuple()))
     return best[0], table
 
 

@@ -3,36 +3,48 @@ paths enumerate joint (message, channel-event, trace) outcomes.
 
 Stage schedule for one message symbol l (an "input cycle"):
 
-    boundary -input-> input -load-> ids(sym 0, trc 0) .. ids(sym 0, trc K-1)
-        -> post(sym 0) -update-> ids(sym 1, trc 0) .. -> post(sym u-1)
-        -clear-> boundary
+    boundary -load-> input -advance-> ids(sym 0, trc 0) -consume-> ..
+        ids(sym 0, trc K-1) -consume-> post(sym 0) -advance->
+        ids(sym 1, trc 0) .. -> post(sym u-1) -clear-> boundary
 
 * boundary: message and codeword buffers cleared; cells are (q, pointers).
-* input: a message symbol m was accepted (edge weight 1/|M|, the uniform
-  prior), the encoder advanced, and the first codeword symbol of the cycle
-  is on deck.
-* ids: channel events of one (codeword symbol, trace) pair. An insertion is
-  an intra-layer edge advancing that trace's pointer and explaining one
-  trace symbol; deletion and substitute/correct edges lead to the next layer.
-* post: the codeword symbol has been explained in every trace; an update
-  edge loads the next symbol, or a clear edge empties the buffers into the
-  next boundary layer. These layers carry the cycle's message symbol and
-  have no intra-layer edges, so they are where posteriors are read.
+* input: a message symbol m was accepted (weight 1/|M|, the uniform prior),
+  the encoder advanced, and the first codeword symbol of the cycle is on
+  deck.
+* ids: channel events of one (codeword symbol, trace) pair. Insertions run
+  inside the layer, each advancing that trace's pointer and explaining one
+  trace symbol; deletion and substitute/correct lead to the next layer.
+* post: the codeword symbol has been explained in every trace; the next
+  symbol is loaded, or the buffers are cleared into the next boundary layer.
+  These layers carry the cycle's message symbol and have no insertions, so
+  they are where posteriors are read.
 
 Pointers count explained trace symbols (0..R_k, i.e. the paper-style pointer
 minus one); the origin is all-zeros and absorbing cells have every pointer
 at R_k. Under a drift bound `delta`, the pointer window for trace k after n
-codeword symbols is round(n*R_k/N) +- delta.
+codeword symbols is round(n*R_k/N) +- delta, clipped to [0, R_k].
 
-The trellis exists only as these layer arrays. Each layer states its
-in-edges from the previous layer once, as a tuple of `_Edges` families, and
-one pull applies them in either direction: the backward sweep is the same
-pull reading the next layer's families with source and target, gather and
-scatter swapped. The insertion runs inside an ids layer are a matrix on its
-trace's pointer axis, `_Layer.chain`, which the pull reads the same way:
-applied forward, transposed backward.
+The trellis exists only as these layer arrays. A layer's values come from
+its predecessor's by one of four transfers, then, in an ids layer, the
+insertion runs:
 
-The pull steps a stack (P, C, W...) of P independent rows of one layer,
+* load (boundary -> input): each combo gathers its encoder state's row,
+  times the uniform message prior;
+* advance (input or post -> the next symbol's first ids layer): window
+  n -> n+1, the only transfer across which windows change;
+* consume (ids layer of trace k -> the next layer): deletion, p_del times
+  the cell, plus substitute/correct, a shift by one along pointer axis k
+  times the weight of explaining that trace symbol;
+* clear (post -> boundary): each combo is added into its next encoder
+  state's row;
+* insertion runs: a (W, W) matrix on the ids layer's pointer axis
+  (`_chain`).
+
+Each is written once and read in both directions: the backward sweep applies
+it transposed, a gather becoming a scatter-add and back, the shift running
+the other way, the matrix transposed.
+
+The steps act on a stack (P, C, W...) of P independent rows of one layer,
 each as it would be stepped alone: the exact sweeps step a stack of one,
 the Trellis BMA exchange one row per beta point.
 """
@@ -42,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,23 +64,6 @@ from .errors import ConfigError, InfeasibleTrellisError
 BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
 
 
-class _Edges(NamedTuple):
-    """One family of edges of a single event into a layer: source cells
-    `layer_src[src]` lead to target cells `layer_dst[dst]` (index tuples
-    from `_overlap_slices`, stack and combo axes whole), one edge per
-    aligned cell pair. Families whose every weight is zero are not built;
-    zero entries of an array weight are edges the trellis does not have.
-    Gather and scatter index the combo axis, axis 1. The backward
-    pull reads a family transposed with the same weight, which is exact:
-    the weight broadcasts over the source block after gather, and that
-    block has the shape of the target block before scatter."""
-    src: tuple
-    dst: tuple
-    weight: object = None   # None (weight 1), a scalar, or an array broadcasting over the src block
-    gather: tuple | None = None   # input edges: (whole stack axis, combo -> source boundary row)
-    scatter: tuple | None = None  # clear edges: (whole stack axis, combo -> target boundary row)
-
-
 @dataclass
 class _Layer:
     kind: str
@@ -77,44 +71,13 @@ class _Layer:
     wins: tuple = ()       # per trace (lo, hi), 0-based inclusive
     shape: tuple = ()      # combos (boundary: encoder states), then a pointer axis per trace
     cm: np.ndarray | None = None       # per-combo message symbol
-    cx: np.ndarray | None = None       # per-combo on-deck codeword symbol (as transmitted)
-    edges: tuple = ()      # _Edges families from the previous layer
-    chain: np.ndarray | None = None    # ids layers: insertion runs on the trace axis (`_chain`)
+    rows: np.ndarray | None = None     # input: the boundary row each combo loads;
+                                       # boundary: the row each previous combo clears into
+    subcor: np.ndarray | None = None   # ids: substitute/correct weights (`_subcor`)
 
     @property
     def n_combo(self):
         return self.shape[0]
-
-
-def _axis_overlap(src_win, dst_win, shift):
-    """Slices mapping source pointer j to target j+shift on one axis.
-
-    Returns (src_slice, dst_slice) or None when the windows do not meet.
-    """
-    s_lo, s_hi = src_win
-    d_lo, d_hi = dst_win
-    t_lo = max(d_lo, s_lo + shift)
-    t_hi = min(d_hi, s_hi + shift)
-    if t_lo > t_hi:
-        return None
-    return (slice(t_lo - shift - s_lo, t_hi - shift - s_lo + 1),
-            slice(t_lo - d_lo, t_hi - d_lo + 1))
-
-
-def _overlap_slices(src_wins, dst_wins, axis=None, shift=0):
-    """Index tuples (src, dst) that align a source block with a target
-    block, window to window on every pointer axis, with source pointer j
-    landing on target j+shift along `axis` (a trace index). The stack and
-    combo axes are taken whole. None when the windows do not meet."""
-    src_slices = [slice(None), slice(None)]
-    dst_slices = [slice(None), slice(None)]
-    for k in range(len(src_wins)):
-        ov = _axis_overlap(src_wins[k], dst_wins[k], shift if k == axis else 0)
-        if ov is None:
-            return None
-        src_slices.append(ov[0])
-        dst_slices.append(ov[1])
-    return tuple(src_slices), tuple(dst_slices)
 
 
 @functools.lru_cache(maxsize=256)
@@ -126,6 +89,14 @@ def _chain(width, coeff):
     m = np.tril(coeff ** np.maximum(j[:, None] - j, 0))
     m.setflags(write=False)
     return m
+
+
+def _scatter(arr, rows, shape):
+    """The stack `arr` (P, C, W...) with combo c added into row rows[c] of
+    a zero stack of layer shape `shape`."""
+    out = np.zeros((len(arr),) + shape)
+    np.add.at(out, (slice(None), rows), arr)
+    return out
 
 
 @dataclass
@@ -143,7 +114,7 @@ class SweepResult:
 
 
 class Trellis:
-    """Built by `build_trellis`: the layer arrays and their in-edge families."""
+    """Built by `build_trellis`: the layer arrays and the transfers between them."""
 
     def __init__(self, encoder, traces, params, delta, offset):
         self.encoder = encoder
@@ -165,15 +136,13 @@ class Trellis:
     # ------------------------------------------------------------------
     # construction
 
-    def _window(self, npos, k):
-        r = self.R[k]
-        if self.delta is None:
-            return (0, r)
-        c = int(math.floor(npos * r / self.N + 0.5))
-        return (max(0, c - self.delta), min(r, c + self.delta))
-
     def _wins(self, npos):
-        return tuple(self._window(npos, k) for k in range(self.K))
+        """Per trace, its pointer window (lo, hi) after `npos` codeword symbols."""
+        if self.delta is None:
+            return tuple((0, r) for r in self.R)
+        centres = [int(math.floor(npos * r / self.N + 0.5)) for r in self.R]
+        return tuple((max(0, c - self.delta), min(r, c + self.delta))
+                     for c, r in zip(centres, self.R))
 
     def _shape(self, ncombo, wins):
         return (ncombo,) + tuple(hi - lo + 1 for lo, hi in wins)
@@ -182,24 +151,10 @@ class Trellis:
         enc = self.encoder
         Mz = enc.msg_size
         layers = self.layers
-        shared = {}
-
-        def overlap(src_wins, dst_wins, axis=None, shift=0):
-            # one object per distinct slice pair: most layers repeat a few of them
-            pair = _overlap_slices(src_wins, dst_wins, axis, shift)
-            if pair is None:
-                return None
-            return shared.setdefault(tuple((s.start, s.stop) for s in pair[0] + pair[1]), pair)
-
-        def add(lay, rows=None):
-            if layers:
-                lay.edges = self._in_edges(layers[-1], lay, overlap, rows)
-            layers.append(lay)
-
         states = np.array([enc.q_init], dtype=np.int32)
         npos = 0
         wins = self._wins(0)
-        add(_Layer(BOUNDARY, wins=wins, shape=self._shape(len(states), wins)))
+        layers.append(_Layer(BOUNDARY, wins=wins, shape=self._shape(len(states), wins)))
 
         for l in range(self.L):
             u = enc.emission_counts[l]
@@ -209,26 +164,24 @@ class Trellis:
             cq, emit = enc.transition(qprev, cm, l)
             if self.offset is not None:
                 emit = (emit + self.offset[npos:npos + u]) % self.A
-            wins = self._wins(npos)
             self.input_read_layer[l] = len(layers)
-            add(_Layer(INPUT, wins=wins, cm=cm, cx=emit[:, 0],
-                       shape=self._shape(len(cm), wins)),
-                rows=np.searchsorted(states, qprev).astype(np.int32))
+            # `wins` is still the boundary's: windows change only across an advance
+            layers.append(_Layer(INPUT, wins=wins, cm=cm, shape=self._shape(len(cm), wins),
+                                 rows=np.searchsorted(states, qprev).astype(np.int32)))
 
             for c in range(u):
                 wins = self._wins(npos + c + 1)
                 shape = self._shape(len(cm), wins)
-                for k in range(self.K):
-                    add(_Layer(IDS, trace=k, wins=wins, cm=cm, cx=emit[:, c], shape=shape,
-                               chain=_chain(shape[1 + k], self.params.p_ins / self.A)))
+                layers += [_Layer(IDS, trace=k, wins=wins, cm=cm, shape=shape,
+                                  subcor=self._subcor(k, wins, emit[:, c]))
+                           for k in range(self.K)]
                 if c == u - 1:
                     self.post_read_layer[l] = len(layers)
-                add(_Layer(POST, wins=wins, cm=cm, cx=emit[:, c], shape=shape))
+                layers.append(_Layer(POST, wins=wins, cm=cm, shape=shape))
             npos += u
             states = np.unique(cq)
-            wins = self._wins(npos)
-            add(_Layer(BOUNDARY, wins=wins, shape=self._shape(len(states), wins)),
-                rows=np.searchsorted(states, cq).astype(np.int32))
+            layers.append(_Layer(BOUNDARY, wins=wins, shape=self._shape(len(states), wins),
+                                 rows=np.searchsorted(states, cq).astype(np.int32)))
 
         for k in range(self.K):
             lo, hi = layers[-1].wins[k]
@@ -236,81 +189,95 @@ class Trellis:
                 raise InfeasibleTrellisError(
                     f"trace {k} of length {self.R[k]} cannot be completed under delta={self.delta}")
 
-    def _in_edges(self, prev, lay, overlap, rows=None):
-        """The edge families from layer `prev` into the next layer `lay`.
-        `overlap` returns what `_overlap_slices` does; `rows` maps each combo
-        to a boundary row, the source of its input edges or the target of
-        its clear edges."""
-        if prev.kind == IDS:
-            # deletion, and substitute/correct explaining one symbol of the trace
-            k = prev.trace
-            fams = []
-            ov = overlap(prev.wins, lay.wins)
-            if self.params.p_del > 0.0 and ov is not None:
-                fams.append(_Edges(*ov, weight=self.params.p_del))
-            ov = overlap(prev.wins, lay.wins, k, 1)
-            if ov is not None:
-                w = self._subcor_weights(prev, k)[:, ov[0][2 + k]]
-                w = w.reshape((prev.n_combo,) + tuple(w.shape[1] if j == k else 1
-                                                      for j in range(self.K)))
-                fams.append(_Edges(*ov, weight=w))
-            return tuple(fams)
-        ov = overlap(prev.wins, lay.wins)
-        if ov is None:
-            return ()
-        if prev.kind == BOUNDARY:
-            # input edges: gather state rows, weight by the uniform message prior
-            return (_Edges(*ov, weight=1.0 / self.encoder.msg_size, gather=(slice(None), rows)),)
-        if lay.kind == BOUNDARY:
-            # clear edges: sum combos per next encoder state
-            return (_Edges(*ov, scatter=(slice(None), rows)),)
-        return (_Edges(*ov),)
-
-    def _subcor_weights(self, lay, k):
-        """Substitute/correct weights by (combo, source pointer). Zero in the
-        pointer-exhausted column: no symbol left to explain."""
+    def _subcor(self, k, wins, cx):
+        """Substitute/correct weights of an ids layer of trace k whose combos
+        have the on-deck codeword symbols `cx` (as transmitted), by (combo,
+        source pointer), for each pointer of the window but the last (its
+        successor lies outside), shaped to broadcast along pointer axis k.
+        Zero at pointer R_k: no symbol left to explain."""
         p = self.params
-        lo, hi = lay.wins[k]
-        r = self.R[k]
-        w = np.zeros((lay.n_combo, hi - lo + 1))
-        top = min(hi, r - 1)
+        lo, hi = wins[k]
+        w = np.zeros((len(cx), hi - lo))
+        top = min(hi, self.R[k]) - 1
         if top >= lo:
-            ywin = self.traces[k][lo:top + 1]
-            match = ywin[None, :] == lay.cx[:, None]
+            match = self.traces[k][lo:top + 1][None, :] == cx[:, None]
             w[:, :top - lo + 1] = np.where(match, p.p_cor,
                                            p.p_sub / (self.A - 1) if self.A > 1 else 0.0)
-        return w
+        return w.reshape((len(cx),) + tuple(hi - lo if j == k else 1 for j in range(self.K)))
+
+    # ------------------------------------------------------------------
+    # the transfers: each moves a stack from layer a into the next layer b,
+    # or with `back` from b into a by its transpose
+
+    def _load(self, a, b, arr, back):
+        """Boundary a -> input b: each combo gathers its encoder state's row,
+        times the uniform message prior."""
+        w = 1.0 / self.encoder.msg_size
+        return _scatter(arr * w, b.rows, a.shape) if back else arr[:, b.rows] * w
+
+    def _advance(self, a, b, arr, back):
+        """Input or post a -> ids b of the next codeword symbol: window n ->
+        n+1 on every pointer axis, the only transfer that moves windows.
+        Cells the new window drops are lost; cells it adds start at zero."""
+        if back:
+            a, b = b, a
+        out = np.zeros((len(arr),) + b.shape)
+        src, dst = [slice(None)] * 2, [slice(None)] * 2  # stack and combo axes whole
+        for (a_lo, a_hi), (b_lo, b_hi) in zip(a.wins, b.wins):
+            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+            if lo > hi:  # the windows do not meet
+                return out
+            src.append(slice(lo - a_lo, hi - a_lo + 1))
+            dst.append(slice(lo - b_lo, hi - b_lo + 1))
+        out[tuple(dst)] = arr[tuple(src)]
+        return out
+
+    def _consume(self, a, arr, back):
+        """Ids a of trace k -> the next layer, in the same windows: deletion
+        keeps the pointer, substitute/correct moves it up by one."""
+        ax = (slice(None),) * (2 + a.trace)
+        src, dst = ax + (slice(None, -1),), ax + (slice(1, None),)
+        if back:
+            src, dst = dst, src
+        out = arr * self.params.p_del
+        out[dst] += arr[src] * a.subcor
+        return out
+
+    def _clear(self, a, b, arr, back):
+        """Post a -> boundary b: each combo is added into its next encoder
+        state's row."""
+        return arr[:, b.rows] if back else _scatter(arr, b.rows, b.shape)
+
+    def _insert(self, lay, arr, back):
+        """An ids layer's insertion runs along its trace's pointer axis."""
+        ax = 2 + lay.trace
+        chain = _chain(lay.shape[ax - 1], self.params.p_ins / self.A)
+        if not back:
+            chain = chain.T
+        if ax == arr.ndim - 1:  # the swaps would be no-ops, at a cost per step
+            return arr @ chain
+        return (arr.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
 
     # ------------------------------------------------------------------
     # inference sweeps over the layer arrays
 
     def _pull(self, t, arr, back=False):
-        """Layer t's values from layer t-1's over layer t's in-edge families,
-        or with `back` from layer t+1's over layer t+1's families transposed;
-        then an ids layer's insertion runs, transposed with `back`. `arr` and
-        the result are stacks (P, C, W...) of independent rows."""
+        """Layer t's values from layer t-1's by the transfer between them,
+        or with `back` from layer t+1's by that transfer transposed; then an
+        ids layer's insertion runs, transposed with `back`. `arr` and the
+        result are stacks (P, C, W...) of independent rows."""
+        s = t + 1 if back else t
+        a, b = self.layers[s - 1], self.layers[s]
+        if b.kind == INPUT:
+            out = self._load(a, b, arr, back)
+        elif b.kind == BOUNDARY:
+            out = self._clear(a, b, arr, back)
+        elif a.kind == IDS:
+            out = self._consume(a, arr, back)
+        else:
+            out = self._advance(a, b, arr, back)
         lay = self.layers[t]
-        out = np.zeros((len(arr),) + lay.shape)
-        for e in self.layers[t + 1 if back else t].edges:
-            src, dst, gather, scatter = e.src, e.dst, e.gather, e.scatter
-            if back:
-                src, dst, gather, scatter = dst, src, scatter, gather
-            val = arr[src]
-            if gather is not None:
-                val = val[gather]
-            if e.weight is not None:
-                val = val * e.weight
-            if scatter is not None:
-                np.add.at(out[dst], scatter, val)
-            else:
-                out[dst] += val
-        if lay.chain is not None:
-            ax = 2 + lay.trace
-            chain = lay.chain if back else lay.chain.T
-            if ax == out.ndim - 1:  # the swaps would be no-ops, at a cost per step
-                return out @ chain
-            out = (out.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
-        return out
+        return self._insert(lay, out, back) if lay.kind == IDS else out
 
     def initial_forward_block(self):
         arr = np.zeros(self.layers[0].shape)

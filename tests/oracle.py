@@ -7,6 +7,7 @@ instances, which is the point.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -86,32 +87,47 @@ def _tag(state):
     return state[:{"b": 2, "i": 2, "d": 4, "p": 3}[state[0]]]
 
 
-def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
+def enumerate_trellis_states(encoder, traces, params, prior, offset=None, delta=None):
     """Independent exhaustive trellis constructor for cell-by-cell checks.
 
     Walks the stage rules over explicit state tuples with plain dict/set
     bookkeeping, then runs its own forward and backward passes over the
     resulting edges. `offset` is added to the emitted codeword symbols, as
-    the scrambling does. Returns {layer tag: sorted forward x backward
-    values of the layer's live states}, live meaning on some
-    origin-to-absorbing path of positive weight; layers with no live state
-    are absent.
+    the scrambling does. A drift bound `delta` keeps only states whose
+    every trace pointer lies in its window: after n codeword symbols, trace
+    k's pointer is within floor(n*R_k/N + 0.5) +- delta, clipped to
+    [0, R_k]. A boundary or input layer of cycle l counts the symbols of
+    the cycles before it; the ids and post layers of the cycle's symbol c
+    count that symbol too, since it is explained in every trace at once.
+    Returns {layer tag: sorted forward x backward values of the layer's
+    live states}, live meaning on some origin-to-absorbing path of positive
+    weight; layers with no live state are absent.
     """
     K = len(traces)
     R = [len(y) for y in traces]
     size = encoder.alphabet.size
     p = params
     starts = np.concatenate([[0], np.cumsum(encoder.emission_counts)])
+    N = int(starts[-1])
 
     def emitted(l, c, em):
         return em[c] if offset is None else (em[c] + offset[starts[l] + c]) % size
+
+    def in_windows(st):
+        if delta is None:
+            return True
+        n = starts[st[1]] + (st[2] + 1 if st[0] in ("d", "p") else 0)
+        return all(abs(ptr - math.floor(n * r / N + 0.5)) <= delta
+                   for ptr, r in zip(st[-3], R))
 
     # state: layer tag fields, then (q or combo, pointers, m, x)
     edges = {}  # (state, state) -> weight
 
     def add(a, b, w):
-        if w > 0.0:
+        # an edge of positive weight into a state inside the windows
+        if w > 0.0 and in_windows(b):
             edges[(a, b)] = edges.get((a, b), 0.0) + w
+            nxt.add(b)
 
     origin = ("b", 0, encoder.q_init, (0,) * K, None, None)
     frontier = {origin}
@@ -132,12 +148,10 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
                     q2, em = encoder.transition(q, m, l)
                     to = ("i", l, (q, m), ptr, m, emitted(l, 0, em))
                     add(st, to, w)
-                    nxt.add(to)
             elif tag == "i":
                 _, l, combo, ptr, m, x = st
                 to = ("d", l, 0, 0, combo, ptr, m, x)
                 add(st, to, 1.0)
-                nxt.add(to)
             elif tag == "d":
                 _, l, c, k, combo, ptr, m, x = st
                 # intra-layer insertion
@@ -145,7 +159,6 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
                     ptr2 = ptr[:k] + (ptr[k] + 1,) + ptr[k + 1:]
                     to = ("d", l, c, k, combo, ptr2, m, x)
                     add(st, to, p.p_ins / size)
-                    nxt.add(to)
 
                 def succ(ptr_new):
                     if k + 1 < K:
@@ -155,7 +168,6 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
                 if p.p_del > 0:
                     to = succ(ptr)
                     add(st, to, p.p_del)
-                    nxt.add(to)
                 if ptr[k] < R[k]:
                     ptr2 = ptr[:k] + (ptr[k] + 1,) + ptr[k + 1:]
                     if traces[k][ptr[k]] == x:
@@ -165,7 +177,6 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
                     if w > 0:
                         to = succ(ptr2)
                         add(st, to, w)
-                        nxt.add(to)
             else:  # post
                 _, l, c, combo, ptr, m, x = st
                 u = encoder.emission_counts[l]
@@ -176,7 +187,6 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
                 else:
                     to = ("b", l + 1, q2, ptr, None, None)
                 add(st, to, 1.0)
-                nxt.add(to)
         frontier = nxt - seen
         seen |= nxt
 
@@ -206,11 +216,11 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None):
 
 def assert_cells_match(trellis, encoder, traces, params, offset=None, label=None):
     """Every cell of the trellis's forward and backward sweeps against the
-    oracle: per layer, the cells where forward x backward is positive are
-    as many as the oracle's live states there, with the same sorted values
-    to 1e-9 relative."""
-    values = enumerate_trellis_states(encoder, traces, params,
-                                      uniform_prior(encoder), offset)
+    oracle under the trellis's drift bound: per layer, the cells where
+    forward x backward is positive are as many as the oracle's live states
+    there, with the same sorted values to 1e-9 relative."""
+    values = enumerate_trellis_states(encoder, traces, params, uniform_prior(encoder),
+                                      offset, trellis.delta)
     tags = layer_tags(encoder, len(traces))
     assert len(tags) == len(trellis.layers), label
     f, b = trellis.forward(), trellis.backward()

@@ -239,6 +239,23 @@ def test_sweep_single_point_and_best():
     assert scores[best] == min(scores.values())
 
 
+def test_sweep_winner_does_not_depend_on_grid_order():
+    # beta_o reshapes posteriors but not their argmax, so every beta_o ties
+    # on Hamming; the tie goes to the smallest point in either grid order
+    clusters = simulate_clusters(6, 3, 20, PAPER, seed=8)
+    enc = identity_encoder(20, DNA)
+    grid = {"beta_b": (1.0, 0.0), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (1.0, 0.5)}
+    best, table = sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8, grid=grid)
+    scores = dict(table)
+    assert sum(s == scores[best] for s in scores.values()) >= 2
+    assert best == min((bp for bp in scores if scores[bp] == scores[best]),
+                       key=BetaParams.as_tuple)
+    for metric in ("hamming", "air"):
+        got = {sweep_betas(clusters, enc, 2, metric, 5, PAPER, delta=8,
+                           grid={n: v[::d] for n, v in grid.items()})[0] for d in (1, -1)}
+        assert len(got) == 1, (metric, got)
+
+
 def test_sweep_refuses_grid_point_where_no_cluster_decoded():
     enc = identity_encoder(20, DNA)
     grid = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5,)}

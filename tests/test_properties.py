@@ -1,10 +1,10 @@
 """Property tests: random tiny trellises against the brute-force oracles.
 
-The sweeps read one per-layer edge description, so these properties tie
-them back to what does not: exhaustive enumeration (posteriors) and a
+The sweeps step each layer by one of a few transfers, so these properties
+tie them back to what does not: exhaustive enumeration (posteriors) and a
 rule-by-rule constructor with its own forward-backward pass (every cell of
-both sweeps). A Trellis BMA decode of a beta stack is tied back to each
-point decoded alone."""
+both sweeps, under a drift bound too). A Trellis BMA decode of a beta stack
+is tied back to each point decoded alone."""
 
 import functools
 
@@ -84,8 +84,10 @@ def test_trellis_readers_agree_with_references(case):
             for t in tr.post_read_layer]
     assert np.array_equal(post.probs, PosteriorTable.from_rows(prod).probs)
     assert post.log_likelihood == full_f.loglik
+    # the oracle walks the same drift bound, so every cell is checked, the
+    # clipped windows and their advance included
+    assert_cells_match(tr, enc, traces, params, offset)
     if delta is None:
-        assert_cells_match(tr, enc, traces, params, offset)
         assert np.abs(post.probs - rows).max() < 1e-9
         assert abs(post.log_likelihood - loglik) < 1e-9 * max(1.0, abs(loglik))
 
