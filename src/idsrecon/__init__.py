@@ -3,8 +3,7 @@
 from .alphabet import BINARY, DNA, Alphabet
 from .bcjr import PosteriorTable, compute_posteriors
 from .bmala import bmala_map, bmala_reconstruct
-from .channel import (IDSParams, estimate_params, expected_trace_length,
-                      transmit, transmit_batch)
+from .channel import IDSParams, estimate_params, transmit, transmit_batch
 from .codes import (FSMEncoder, cc_encoder, identity_encoder, mr_encoder,
                     parse_encoder_spec, scramble, unscramble)
 from .errors import ConfigError, DatasetError, IdsReconError, InfeasibleTrellisError
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet", "BINARY", "DNA",
     "IDSParams", "transmit", "transmit_batch", "estimate_params",
-    "expected_trace_length",
     "FSMEncoder", "identity_encoder", "mr_encoder", "cc_encoder",
     "parse_encoder_spec", "scramble", "unscramble",
     "Trellis", "build_trellis",

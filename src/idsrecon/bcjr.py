@@ -54,8 +54,8 @@ class PosteriorTable:
 
 def compute_posteriors(trellis):
     """Exact message posteriors plus the sequence log-likelihood, read at
-    each cycle's last post layer (the final intra-edge-free stage carrying
-    that message symbol).
+    each cycle's last post layer (the cycle's last layer that carries its
+    message symbol and has no insertion runs).
 
     The forward sweep keeps only those L read layers. The backward front
     is not kept: each posterior row is formed as it passes its read layer,

@@ -214,8 +214,3 @@ def estimate_params(pairs, alphabet=None):
         tot += np.asarray(_count_events(x, y, d))
     cor, sub, dele, ins = tot / tot.sum()
     return IDSParams(p_ins=float(ins), p_del=float(dele), p_sub=float(sub), p_cor=float(cor))
-
-
-def expected_trace_length(n, params):
-    """Mean trace length for an input of length n."""
-    return n * (1.0 - params.p_del) / (1.0 - params.p_ins)

@@ -90,9 +90,6 @@ class FSMEncoder:
             pos += u
         return msg
 
-    def encode_text(self, message):
-        return self.alphabet.decode(self.encode(message))
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec}>"
 

@@ -16,7 +16,9 @@ class InfeasibleTrellisError(IdsReconError):
 
     def __init__(self, *args, rows=None):
         super().__init__(*args)
-        self.rows = rows  # when set, the rows of a stacked block whose mass vanished
+        # when set, a boolean mask of the rows of a stacked block whose mass
+        # vanished: (P,) for a trellis stack, (K, P) per trace for a lattice
+        self.rows = rows
 
 
 class DatasetError(IdsReconError):

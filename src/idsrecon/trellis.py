@@ -1,5 +1,5 @@
-"""Multi-trace IDS trellis: a layered weighted DAG whose origin-to-absorbing
-paths enumerate joint (message, channel-event, trace) outcomes.
+"""IDS trellises: the exact joint trellis over K traces (`Trellis`), and K
+one-trace trellises stepped as the rows of one stack (`Lattice`).
 
 Stage schedule for one message symbol l (an "input cycle"):
 
@@ -44,9 +44,20 @@ Each is written once and read in both directions: the backward sweep applies
 it transposed, a gather becoming a scatter-add and back, the shift running
 the other way, the matrix transposed.
 
-The steps act on a stack (P, C, W...) of P independent rows of one layer,
-each as it would be stepped alone: the exact sweeps step a stack of one,
-the Trellis BMA exchange one row per beta point.
+The steps act on a stack of P independent rows of one layer, each as it
+would be stepped alone: the exact sweeps step a stack of one, the Trellis
+BMA exchange one row per beta point. A `Trellis` stack is (P, C, W...),
+with one pointer axis per trace and windows clipped to [0, R_k].
+
+A `Lattice` holds K traces, each in its own one-trace trellis, and steps
+them together as a (K, P, C, W) stack. Every trace keeps one fixed-width
+window (Davey & MacKay's drift lattice): after n codeword symbols, cell v
+of trace k is pointer lo_k(n) + v, with lo_k(n) = round(n*R_k/N) - delta
+and W = 2*delta + 1 (no bound: lo = 0, W = max R_k + 1). Cells whose
+pointer lies outside [0, R_k] are held at zero, so the others are exactly
+the clipped windows of the trace's own trellis. The advance shifts each
+trace's row by lo_k(n+1) - lo_k(n); the insertion runs are one shared
+(W, W) matrix followed by the masking of those cells.
 """
 
 from __future__ import annotations
@@ -68,12 +79,16 @@ BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
 class _Layer:
     kind: str
     trace: int = -1        # trace whose events this ids layer models
-    wins: tuple = ()       # per trace (lo, hi), 0-based inclusive
+    wins: tuple = ()       # Trellis: per trace (lo, hi), 0-based inclusive
     shape: tuple = ()      # combos (boundary: encoder states), then a pointer axis per trace
     cm: np.ndarray | None = None       # per-combo message symbol
     rows: np.ndarray | None = None     # input: the boundary row each combo loads;
                                        # boundary: the row each previous combo clears into
-    subcor: np.ndarray | None = None   # ids: substitute/correct weights (`_subcor`)
+    subcor: np.ndarray | None = None   # ids: substitute/correct weights
+    mask: np.ndarray | None = None     # Lattice ids: 1 on pointers in [0, R_k], 0 elsewhere;
+                                       # None when every cell is inside
+    shift: list | None = None          # Lattice ids: (s, trace rows mask) whose windows move
+                                       # up by s from the layer before; None when none moves
 
     @property
     def n_combo(self):
@@ -92,11 +107,11 @@ def _chain(width, coeff):
 
 
 def _scatter(arr, rows, shape):
-    """The stack `arr` (P, C, W...) with combo c added into row rows[c] of
-    a zero stack of layer shape `shape`."""
-    out = np.zeros((len(arr),) + shape)
-    np.add.at(out, (slice(None), rows), arr)
-    return out
+    """The stack `arr` with combo c added into row rows[c] of a zero stack
+    of layer shape `shape`: a product with the (rows, combos) indicator."""
+    lead = arr.shape[:arr.ndim - len(shape)]
+    onehot = (rows == np.arange(shape[0])[:, None]).astype(float)
+    return (onehot @ arr.reshape(lead + (len(rows), -1))).reshape(lead + shape)
 
 
 @dataclass
@@ -106,15 +121,18 @@ class SweepResult:
     `layers[t]` holds that layer's values rescaled by exp(scales[t]),
     true value = layers[t] * exp(scales[t]), for each layer t the sweep was
     asked to keep, and None for every other layer. `scales` covers every
-    layer.
+    layer. In a Lattice every block, scale and log-likelihood carries a
+    leading trace axis.
     """
     layers: list
     scales: np.ndarray
-    loglik: float
+    loglik: float | np.ndarray
 
 
 class Trellis:
     """Built by `build_trellis`: the layer arrays and the transfers between them."""
+
+    _lead = ()  # a front block's axes before its combo axis
 
     def __init__(self, encoder, traces, params, delta, offset):
         self.encoder = encoder
@@ -130,32 +148,28 @@ class Trellis:
         self.layers: list[_Layer] = []
         self.post_read_layer = [None] * self.L   # last post layer per cycle
         self.input_read_layer = [None] * self.L  # input layer per cycle
-        self._cell_axes = tuple(range(1, self.K + 2))  # every axis of a stack but the first
         self._build_layers()
+
+    @property
+    def _n_axes(self):
+        """Pointer axes of a layer block: one per trace."""
+        return self.K
 
     # ------------------------------------------------------------------
     # construction
 
-    def _wins(self, npos):
-        """Per trace, its pointer window (lo, hi) after `npos` codeword symbols."""
-        if self.delta is None:
-            return tuple((0, r) for r in self.R)
-        centres = [int(math.floor(npos * r / self.N + 0.5)) for r in self.R]
-        return tuple((max(0, c - self.delta), min(r, c + self.delta))
-                     for c, r in zip(centres, self.R))
-
-    def _shape(self, ncombo, wins):
-        return (ncombo,) + tuple(hi - lo + 1 for lo, hi in wins)
-
     def _build_layers(self):
+        """Per position n = 0..N, the pointer windows; then the schedule."""
+        self._windows = [self._wins(n) for n in range(self.N + 1)]
+        self._schedule()
+
+    def _schedule(self):
+        """The cycle schedule; `_add` gives each layer its geometry."""
         enc = self.encoder
         Mz = enc.msg_size
-        layers = self.layers
         states = np.array([enc.q_init], dtype=np.int32)
         npos = 0
-        wins = self._wins(0)
-        layers.append(_Layer(BOUNDARY, wins=wins, shape=self._shape(len(states), wins)))
-
+        self._add(BOUNDARY, npos, len(states))
         for l in range(self.L):
             u = enc.emission_counts[l]
             # this cycle's (state, message) transitions, one combo each
@@ -164,30 +178,39 @@ class Trellis:
             cq, emit = enc.transition(qprev, cm, l)
             if self.offset is not None:
                 emit = (emit + self.offset[npos:npos + u]) % self.A
-            self.input_read_layer[l] = len(layers)
-            # `wins` is still the boundary's: windows change only across an advance
-            layers.append(_Layer(INPUT, wins=wins, cm=cm, shape=self._shape(len(cm), wins),
-                                 rows=np.searchsorted(states, qprev).astype(np.int32)))
-
+            self.input_read_layer[l] = len(self.layers)
+            # `npos` is still the boundary's: windows change only across an advance
+            self._add(INPUT, npos, len(cm), cm=cm,
+                      rows=np.searchsorted(states, qprev).astype(np.int32))
             for c in range(u):
-                wins = self._wins(npos + c + 1)
-                shape = self._shape(len(cm), wins)
-                layers += [_Layer(IDS, trace=k, wins=wins, cm=cm, shape=shape,
-                                  subcor=self._subcor(k, wins, emit[:, c]))
-                           for k in range(self.K)]
+                npos += 1
+                for k in range(self._n_axes):
+                    self._add(IDS, npos, len(cm), trace=k, cx=emit[:, c], cm=cm)
                 if c == u - 1:
-                    self.post_read_layer[l] = len(layers)
-                layers.append(_Layer(POST, wins=wins, cm=cm, shape=shape))
-            npos += u
+                    self.post_read_layer[l] = len(self.layers)
+                self._add(POST, npos, len(cm), cm=cm)
             states = np.unique(cq)
-            layers.append(_Layer(BOUNDARY, wins=wins, shape=self._shape(len(states), wins),
-                                 rows=np.searchsorted(states, cq).astype(np.int32)))
+            self._add(BOUNDARY, npos, len(states),
+                      rows=np.searchsorted(states, cq).astype(np.int32))
 
-        for k in range(self.K):
-            lo, hi = layers[-1].wins[k]
-            if not lo <= self.R[k] <= hi:
-                raise InfeasibleTrellisError(
-                    f"trace {k} of length {self.R[k]} cannot be completed under delta={self.delta}")
+    def _add(self, kind, npos, ncombo, trace=-1, cx=None, **fields):
+        """Append a layer of `ncombo` combos after `npos` codeword symbols;
+        an ids layer's combos have the on-deck codeword symbols `cx`."""
+        wins = self._windows[npos]
+        lay = _Layer(kind, trace=trace, wins=wins,
+                     shape=(ncombo,) + tuple(hi - lo + 1 for lo, hi in wins), **fields)
+        if kind == IDS:
+            lay.subcor = self._subcor(trace, wins, cx)
+        self.layers.append(lay)
+
+    def _wins(self, npos):
+        """Per trace, its pointer window (lo, hi) after `npos` codeword symbols.
+        The last window, npos = N, is centred on R_k and so always holds it."""
+        if self.delta is None:
+            return tuple((0, r) for r in self.R)
+        centres = [int(math.floor(npos * r / self.N + 0.5)) for r in self.R]
+        return tuple((max(0, c - self.delta), min(r, c + self.delta))
+                     for c, r in zip(centres, self.R))
 
     def _subcor(self, k, wins, cx):
         """Substitute/correct weights of an ids layer of trace k whose combos
@@ -205,15 +228,29 @@ class Trellis:
                                            p.p_sub / (self.A - 1) if self.A > 1 else 0.0)
         return w.reshape((len(cx),) + tuple(hi - lo if j == k else 1 for j in range(self.K)))
 
+    def _origin(self):
+        """Index of the origin cells in a first-layer block: q_init, nothing
+        explained. Indexing with it leaves a trailing axis to sum."""
+        return (slice(0, 1),) + (0,) * self.K
+
+    def _absorbing(self):
+        """Index of the absorbing cells in a last-layer block: every pointer
+        at R_k, any encoder state."""
+        return (slice(None),) + tuple(r - lo for r, (lo, _) in zip(self.R, self.layers[-1].wins))
+
     # ------------------------------------------------------------------
     # the transfers: each moves a stack from layer a into the next layer b,
     # or with `back` from b into a by its transpose
+
+    def _combos(self, rows):
+        """Index of the combo rows `rows` of a stack."""
+        return (Ellipsis, rows) + (slice(None),) * self._n_axes
 
     def _load(self, a, b, arr, back):
         """Boundary a -> input b: each combo gathers its encoder state's row,
         times the uniform message prior."""
         w = 1.0 / self.encoder.msg_size
-        return _scatter(arr * w, b.rows, a.shape) if back else arr[:, b.rows] * w
+        return _scatter(arr * w, b.rows, a.shape) if back else arr[self._combos(b.rows)] * w
 
     def _advance(self, a, b, arr, back):
         """Input or post a -> ids b of the next codeword symbol: window n ->
@@ -235,8 +272,8 @@ class Trellis:
     def _consume(self, a, arr, back):
         """Ids a of trace k -> the next layer, in the same windows: deletion
         keeps the pointer, substitute/correct moves it up by one."""
-        ax = (slice(None),) * (2 + a.trace)
-        src, dst = ax + (slice(None, -1),), ax + (slice(1, None),)
+        after = (slice(None),) * (self._n_axes - 1 - a.trace)  # the pointer axes after k
+        src, dst = (Ellipsis, slice(None, -1)) + after, (Ellipsis, slice(1, None)) + after
         if back:
             src, dst = dst, src
         out = arr * self.params.p_del
@@ -246,17 +283,20 @@ class Trellis:
     def _clear(self, a, b, arr, back):
         """Post a -> boundary b: each combo is added into its next encoder
         state's row."""
-        return arr[:, b.rows] if back else _scatter(arr, b.rows, b.shape)
+        return arr[self._combos(b.rows)] if back else _scatter(arr, b.rows, b.shape)
 
     def _insert(self, lay, arr, back):
-        """An ids layer's insertion runs along its trace's pointer axis."""
-        ax = 2 + lay.trace
-        chain = _chain(lay.shape[ax - 1], self.params.p_ins / self.A)
+        """An ids layer's insertion runs along its trace's pointer axis, then
+        the layer's mask."""
+        ax = lay.trace - self._n_axes
+        chain = _chain(lay.shape[ax], self.params.p_ins / self.A)
         if not back:
             chain = chain.T
-        if ax == arr.ndim - 1:  # the swaps would be no-ops, at a cost per step
-            return arr @ chain
-        return (arr.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
+        if ax == -1:  # the swaps would be no-ops, at a cost per step
+            out = arr @ chain
+        else:
+            out = (arr.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
+        return out if lay.mask is None else out * lay.mask
 
     # ------------------------------------------------------------------
     # inference sweeps over the layer arrays
@@ -265,7 +305,7 @@ class Trellis:
         """Layer t's values from layer t-1's by the transfer between them,
         or with `back` from layer t+1's by that transfer transposed; then an
         ids layer's insertion runs, transposed with `back`. `arr` and the
-        result are stacks (P, C, W...) of independent rows."""
+        result are stacks of independent rows."""
         s = t + 1 if back else t
         a, b = self.layers[s - 1], self.layers[s]
         if b.kind == INPUT:
@@ -280,31 +320,28 @@ class Trellis:
         return self._insert(lay, out, back) if lay.kind == IDS else out
 
     def initial_forward_block(self):
-        arr = np.zeros(self.layers[0].shape)
-        arr[(0,) + (0,) * self.K] = 1.0  # origin: q_init, nothing explained
+        arr = np.zeros(self._lead + self.layers[0].shape)
+        arr[self._origin()] = 1.0
         return arr
 
     def initial_backward_block(self):
-        fin = self.layers[-1]
-        arr = np.zeros(fin.shape)
-        arr[(slice(None),) + self._absorbing_index()] = 1.0  # every pointer done
+        arr = np.zeros(self._lead + self.layers[-1].shape)
+        arr[self._absorbing()] = 1.0
         return arr
-
-    def _absorbing_index(self):
-        fin = self.layers[-1]
-        return tuple(self.R[k] - fin.wins[k][0] for k in range(self.K))
 
     def _rescale(self, t, arr, direction):
         """(each row of the stack `arr` over its own max, the row maxima
         shaped to broadcast over the stack). Raises unless every max is
-        positive and finite; the error's `rows` marks the rows that fail."""
-        s = np.maximum.reduce(arr, axis=self._cell_axes, keepdims=True)
+        positive and finite; the error's `rows` marks the rows that fail,
+        shaped as the stack's axes before the cells."""
+        cells = len(self.layers[t].shape)
+        s = np.maximum.reduce(arr, axis=tuple(range(-cells, 0)), keepdims=True)
         m = s.ravel().tolist()
         if not (min(m) > 0.0 and sum(m) < math.inf):  # the sum is NaN or inf if any one is
             raise InfeasibleTrellisError(
                 f"{direction} mass vanished at layer {t} ({self.layers[t].kind}); "
                 f"no path explains the traces (delta={self.delta})",
-                rows=~((s > 0.0) & (s < math.inf)).ravel())
+                rows=~((s > 0.0) & (s < math.inf)).reshape(arr.shape[:-cells]))
         return arr / s, s
 
     def step_forward(self, t, arr):
@@ -318,19 +355,22 @@ class Trellis:
 
     def fronts(self, back=False):
         """The one sweep loop: step one direction's front, a stack of one,
-        from its initial block through every layer, yielding (t, block, log
-        scale) as it reaches layer t; the block's true values are block *
-        exp(log scale). A block is not written to after it is yielded."""
+        from its initial block through every layer, yielding (t, block,
+        maxima) as it reaches layer t, `maxima` being what the step into t
+        divided out of the block (shaped as a front's leading axes; None
+        for the initial block). A block is not written to after it is
+        yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
-        arr = (self.initial_backward_block() if back else self.initial_forward_block())[None]
-        logtot = 0.0
+        ax = len(self._lead)  # the stack's row axis
+        arr = np.expand_dims(
+            self.initial_backward_block() if back else self.initial_forward_block(), ax)
+        s = None
         for i, t in enumerate(order):
             if i > 0:
                 arr, s = step(t, arr)
-                logtot += math.log(s.item())
-            yield t, arr[0], logtot
+            yield t, arr.squeeze(ax), s
 
     def _sweep(self, back, keep, end, vanished):
         """Run `fronts` to the end, keeping the blocks of the layers in
@@ -339,39 +379,113 @@ class Trellis:
         n = len(self.layers)
         keep = range(n) if keep is None else frozenset(keep)
         kept = [None] * n
-        scales = np.zeros(n)
-        for t, arr, logtot in self.fronts(back):
-            scales[t] = logtot
+        maxima = np.ones((n,) + self._lead)  # in sweep order
+        for i, (t, arr, s) in enumerate(self.fronts(back)):
+            if s is not None:
+                maxima[i] = s.reshape(self._lead)
             if t in keep:
                 kept[t] = arr
-        tot = arr[end].sum()
-        if tot <= 0.0:
-            raise InfeasibleTrellisError(vanished)
-        return SweepResult(kept, scales, math.log(tot) + logtot)
+        scales = np.cumsum(np.log(maxima), axis=0)
+        tot = arr[end].sum(axis=-1)
+        if (tot <= 0.0).any():
+            raise InfeasibleTrellisError(vanished, rows=tot <= 0.0)
+        return SweepResult(kept, scales[::-1] if back else scales, np.log(tot) + scales[-1])
 
     def forward(self, keep=None):
         """Forward sweep from the origin, keeping the layers whose indices
         are in `keep` (every layer when None, none when empty)."""
-        return self._sweep(False, keep, (slice(None),) + self._absorbing_index(),
+        return self._sweep(False, keep, self._absorbing(),
                            "no forward mass reaches an absorbing vertex")
 
     def backward(self, keep=None):
         """Backward sweep from the absorbing vertices to the origin; `keep`
         as for `forward`."""
-        return self._sweep(True, keep, (0,) * (1 + self.K), "no backward mass reaches the origin")
+        return self._sweep(True, keep, self._origin(), "no backward mass reaches the origin")
 
 
-def build_trellis(encoder, traces, params, delta=None, offset=None):
-    """Construct the trellis for `traces` (a list of K observed sequences)
-    under a uniform message prior.
+class Lattice(Trellis):
+    """Built by `build_lattice`: K one-trace trellises on one cycle schedule,
+    each trace a row of every stack (K, P, C, W) and of every front block
+    (K, C, W), on fixed-width windows (see the module docstring). A row is
+    stepped exactly as the trace's own `Trellis` steps it; the error of a
+    step or sweep marks the (trace, row) pairs whose mass vanished."""
 
-    `delta` bounds pointer drift (None = exact); `offset` is an optional
-    length-N scrambling vector added to the encoder output before
-    transmission.
+    _n_axes = 1
 
-    No sweep runs here: an infeasible trellis raises from its first sweep,
-    at the layer where the mass vanishes.
-    """
+    @property
+    def _lead(self):
+        return (self.K,)
+
+    def _build_layers(self):
+        """Per position n = 0..N, the window offsets lo (N+1, K), then the
+        trace symbol at every source cell, the masks and the shift groups,
+        with array ops; then the schedule."""
+        R = np.array(self.R)
+        K, N, A, p = self.K, self.N, self.A, self.params
+        n = np.arange(N + 1)[:, None]
+        if self.delta is None:
+            self.W = int(R.max()) + 1
+            self.lo = np.zeros((N + 1, K), dtype=np.int64)
+        else:
+            self.W = 2 * self.delta + 1
+            self.lo = np.floor(n * R / N + 0.5).astype(np.int64) - self.delta
+        ptr = self.lo[:, :, None] + np.arange(self.W)  # (N+1, K, W)
+        # the trace symbol each source cell (all but the last) explains, A for none
+        src = ptr[:, :, :-1]
+        ypad = np.full((K, max(int(R.max()), 1)), A)
+        for k, y in enumerate(self.traces):
+            ypad[k, :len(y)] = y
+        self._sym = np.where((src >= 0) & (src < R[:, None]),
+                             ypad[np.arange(K)[:, None], src.clip(0, ypad.shape[1] - 1)], A)
+        # substitute/correct weight by (on-deck symbol, trace symbol or A)
+        w_sub = p.p_sub / (A - 1) if A > 1 else 0.0
+        self._weight = np.where(np.arange(A)[:, None] == np.arange(A + 1), p.p_cor, w_sub)
+        self._weight[:, A] = 0.0
+        inside = (ptr >= 0) & (ptr <= R[:, None])
+        masks = inside[:, :, None, None].astype(float)
+        self._masks = [None if ok else m for ok, m in zip(inside.all(axis=(1, 2)).tolist(), masks)]
+        # per position n >= 1, (s, the trace rows whose window offset grows by s)
+        self._shifts = [None] + [
+            [(s, (dn == s)[:, None, None, None]) for s in set(dn.tolist())] if dn.any() else None
+            for dn in np.diff(self.lo, axis=0)]
+        self._schedule()
+
+    def _add(self, kind, npos, ncombo, trace=-1, cx=None, **fields):
+        lay = _Layer(kind, trace=trace, shape=(ncombo, self.W), **fields)
+        if kind == IDS:
+            # (K, 1, C, W-1), to broadcast over the beta rows
+            lay.subcor = self._weight[cx[:, None], self._sym[npos][:, None, None]]
+            lay.mask, lay.shift = self._masks[npos], self._shifts[npos]
+        self.layers.append(lay)
+
+    def _origin(self):
+        return (np.arange(self.K), slice(0, 1), -self.lo[0])
+
+    def _absorbing(self):
+        return (np.arange(self.K), slice(None), np.array(self.R) - self.lo[-1])
+
+    def _advance(self, a, b, arr, back):
+        """Input or post a -> ids b of the next codeword symbol: each trace's
+        row moves down by the growth s of its window offset, so its cells
+        keep their pointers. Cells below the new window are lost; cells it
+        adds on top start at zero."""
+        if b.shift is None:
+            return arr
+        out = np.zeros_like(arr)
+        W = self.W
+        for s, rows in b.shift:
+            if s >= W:  # the windows do not meet
+                continue
+            if back:
+                np.copyto(out[..., s:], arr[..., :W - s], where=rows)
+            else:
+                np.copyto(out[..., :W - s], arr[..., s:], where=rows)
+        return out
+
+
+def _checked(encoder, traces, params, delta, offset):
+    """The arguments of `build_trellis` and `build_lattice`, checked and
+    converted to index arrays."""
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
     traces = [as_indices(y, encoder.alphabet) for y in traces]
@@ -385,4 +499,24 @@ def build_trellis(encoder, traces, params, delta=None, offset=None):
             raise ConfigError("offset length must equal the codeword length")
     if sum(encoder.emission_counts) != encoder.N:
         raise ConfigError("encoder emission counts do not sum to N")
-    return Trellis(encoder, traces, params, delta, offset)
+    return encoder, traces, params, delta, offset
+
+
+def build_trellis(encoder, traces, params, delta=None, offset=None):
+    """Construct the joint trellis for `traces` (a list of K observed
+    sequences) under a uniform message prior.
+
+    `delta` bounds pointer drift (None = exact); `offset` is an optional
+    length-N scrambling vector added to the encoder output before
+    transmission.
+
+    No sweep runs here: an infeasible trellis raises from its first sweep,
+    at the layer where the mass vanishes.
+    """
+    return Trellis(*_checked(encoder, traces, params, delta, offset))
+
+
+def build_lattice(encoder, traces, params, delta=None, offset=None):
+    """Construct the one-trace trellises of `traces` as one `Lattice`, with
+    the arguments of `build_trellis`."""
+    return Lattice(*_checked(encoder, traces, params, delta, offset))

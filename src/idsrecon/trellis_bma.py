@@ -1,18 +1,20 @@
 """Belief-exchanging reconstruction from per-trace trellises.
 
-One exact trellis per trace is built and solved once. A forward sweep then
-re-runs all K forward recursions in lockstep: at each message cycle the
-per-trace beliefs are combined, an estimate is emitted, and every trellis's
-forward values are reweighted per message symbol by a factor gamma derived
-from the other trellises, steering each decoder's synchronisation with the
-consensus. The first half of the message is estimated this way; a mirrored
-sweep updating the backward values estimates the second half from the other
-end. Total cost is linear in the number of traces.
+Each trace's exact one-trace trellis is swept once, forward and backward;
+the K trellises are the rows of one `trellis.Lattice`, stepped together
+layer by layer. A forward sweep then re-runs all K forward recursions in
+lockstep: at each message cycle the per-trace beliefs are combined, an
+estimate is emitted, and every trace's forward values are reweighted per
+message symbol by a factor gamma derived from the other traces, steering
+each decoder's synchronisation with the consensus. The first half of the
+message is estimated this way; a mirrored sweep updating the backward
+values estimates the second half from the other end. Total cost is linear
+in the number of traces.
 
 A decode is always a stack of beta points, a single decode a stack of one.
 The exact per-trace sweeps do not depend on the hyperparameters beta, so
 they run once per stack; the exchange then runs once for the whole stack,
-each trellis's front carrying one row per point (`Trellis._pull`).
+its front a (K, P, C, W) block: traces x beta points x combos x window.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import numpy as np
 
 from .bcjr import PosteriorTable
 from .errors import ConfigError, InfeasibleTrellisError
-from .trellis import Trellis, build_trellis
+from .trellis import Trellis, build_lattice
+# not called here: the name stays because perfbench/spans.py wraps it in this module
+from .trellis import build_trellis  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -87,52 +91,53 @@ def _vanished(tot, message):
 
 
 def init_single_trace_trellises(encoder, traces, params, delta=None, offset=None):
-    """Build one trellis per trace and run both exact sweeps on each.
+    """Run both exact sweeps of every trace's one-trace trellis, the traces
+    being the rows of one `Lattice`.
 
     Each sweep keeps only the layers the exchange reads as its stale side:
     the forward sweep the input layers of the second half of the message,
     the backward sweep the post read layers of the first half.
 
     Traces whose trellis has no surviving path under `delta` are dropped
-    with a warning (real clusters contain outlier reads); all traces being
-    infeasible is an error. Returns (trellises, forward sweeps, backward
-    sweeps, indices of the kept traces).
+    with a warning (real clusters contain outlier reads), and the sweeps
+    rerun on the rest; all traces being infeasible is an error. Returns
+    (lattice, forward sweep, backward sweep, indices of the kept traces),
+    the lattice's rows being the kept traces.
     """
     half = encoder.L // 2
-    trellises, fwds, bwds, kept = [], [], [], []
-    for k, y in enumerate(traces):
+    kept, dropped = list(range(len(traces))), {}
+    while kept:
+        lat = build_lattice(encoder, [traces[k] for k in kept], params, delta=delta,
+                            offset=offset)
         try:
-            tr = build_trellis(encoder, [y], params, delta=delta, offset=offset)
-            fs = tr.forward(keep=tr.input_read_layer[half:])
-            bs = tr.backward(keep=tr.post_read_layer[:half])
+            fs = lat.forward(keep=lat.input_read_layer[half:])
+            bs = lat.backward(keep=lat.post_read_layer[:half])
+            break
         except InfeasibleTrellisError as e:
-            logger.warning("dropping trace %d: %s", k, e)
-            continue
-        trellises.append(tr)
-        fwds.append(fs)
-        bwds.append(bs)
-        kept.append(k)
-    if not trellises:
+            gone = e.rows.reshape(len(kept), -1).any(axis=1)
+            dropped.update((k, e) for k, g in zip(kept, gone) if g)
+            kept = [k for k, g in zip(kept, gone) if not g]
+    for k in sorted(dropped):
+        logger.warning("dropping trace %d: %s", k, dropped[k])
+    if not kept:
         raise InfeasibleTrellisError("every trace was infeasible under the drift bound")
-    return trellises, fwds, bwds, kept
+    return lat, fs, bs, kept
 
 
-def combine_beliefs(fronts, stale, cm, mz, beta_b):
+def combine_beliefs(front, stale, cm, mz, beta_b):
     """Per-trace beliefs about the current message symbol at a read layer,
-    for each row of a stack of fronts (one (P, C, W) block per trace) and
-    its `beta_b`. `cm` is the layer's per-combo message symbol, the same in
-    every trellis of one encoder.
+    for each row of a stacked front (K, P, C, W) and its `beta_b`. `stale`
+    is the opposite sweep's (K, C, W) block of the layer, `cm` its
+    per-combo message symbol.
 
     For trace k the belief is sum_v front_k(v) * stale_k(v)**beta_b over
     the layer's vertices grouped by their message symbol. Rows are
     normalised (the sweeps rescale layers freely, so only ratios carry
     information). Returns ((P, K, mz) beliefs, their product over traces).
     """
-    p, n = len(fronts[0]), len(fronts)
-    joint = np.empty((p, n, len(cm)))
-    for k, (front, old) in enumerate(zip(fronts, stale)):
-        powed = _pow_rows(old, beta_b, shared=True)
-        joint[:, k] = (front * powed).reshape(p, len(cm), -1).sum(axis=2)
+    n, p = front.shape[:2]
+    powed = _pow_rows(stale, beta_b, shared=True)
+    joint = (front.swapaxes(0, 1) * powed).sum(axis=3)
     # one bincount of cm per (row, trace), each into its own mz bins
     bins = (cm + mz * np.arange(p * n)[:, None]).ravel()
     rows = np.bincount(bins, weights=joint.ravel(), minlength=p * n * mz).reshape(p, n, mz)
@@ -161,9 +166,10 @@ def gamma_updates(rows, beta_e, beta_i):
 
 def update_forward(front, gamma, cm):
     """Rescale a trellis front by gamma(m(v)): the update applied to
-    every vertex of the read layer, grouped by its message symbol. A stack
-    of fronts (P, C, W) takes one gamma row per front. Scaling gamma by any
-    positive constant leaves later estimates unchanged."""
+    every vertex of the read layer, grouped by its message symbol. A
+    stacked front (K, P, C, W) takes gammas (K, P, mz), one row per trace
+    and beta point. Scaling gamma by any positive constant leaves later
+    estimates unchanged."""
     g = np.asarray(gamma, dtype=float)[..., cm]
     return front * g.reshape(g.shape + (1,) * (front.ndim - g.ndim))
 
@@ -177,48 +183,48 @@ def _posterior_row(combined, beta_o):
 
 class _Stack:
     """The rows of a beta stack still in the exchange: their indices in the
-    stack as given, their betas (columns b, e, i, o), and one (P, C, W)
-    front per trellis; `failed` holds the error of each row that left."""
+    stack as given, their betas (columns b, e, i, o), and the stacked front
+    (K, P, C, W); `failed` holds the error of each row that left."""
 
     def __init__(self, betas):
         self.index = np.arange(len(betas))
         self.beta = np.array([bp.as_tuple() for bp in betas])
-        self.fronts, self.failed = [], {}
+        self.front, self.failed = None, {}
 
     def run(self, op):
         """op() on the rows left. The rows that an InfeasibleTrellisError of
-        op marks leave with it, and op runs again on the others; the error
-        is raised once no row is left."""
+        op marks, (P,) or per trace (K, P), leave with it, and op runs again
+        on the others; the error is raised once no row is left."""
         while True:
             try:
                 return op()
             except InfeasibleTrellisError as e:
-                gone = np.ones(len(self.index), bool) if e.rows is None else e.rows
+                gone = (np.ones(len(self.index), bool) if e.rows is None
+                        else e.rows.reshape(-1, len(self.index)).any(axis=0))
                 self.failed.update(dict.fromkeys(self.index[gone].tolist(), e))
                 self.index, self.beta = self.index[~gone], self.beta[~gone]
-                self.fronts = [f[~gone] for f in self.fronts]
+                self.front = self.front[:, ~gone]
                 if not len(self.index):
                     raise
 
 
-def _exchange_sweep(step, initial, trellises, stack, layers, reads, stale, rows_out):
-    """Step every trellis's stacked front, from its `initial` block, through
-    `layers` in lockstep with `step` (`Trellis.step_forward` or
-    `step_backward`). At each layer of `reads` ({layer: message position})
-    the fronts are combined with the stale opposite sweeps into that
-    position's posterior rows, and each front receives its gamma update."""
-    stack.fronts = [np.broadcast_to(b, (len(stack.index),) + b.shape)
-                    for b in map(initial, trellises)]
+def _exchange_sweep(step, initial, lat, stack, layers, reads, stale, rows_out):
+    """Step the lattice's stacked front, from its `initial` block, through
+    `layers` with `step` (`Trellis.step_forward` or `step_backward`). At
+    each layer of `reads` ({layer: message position}) the front is
+    combined with the stale opposite sweep into that position's posterior
+    rows, and each trace's row receives its gamma update."""
+    b = initial(lat)
+    stack.front = np.broadcast_to(b[:, None], (len(b), len(stack.index)) + b.shape[1:])
     for t in layers:
-        for i, tr in enumerate(trellises):
-            stack.fronts[i] = stack.run(lambda: step(tr, t, stack.fronts[i])[0])
+        stack.front = stack.run(lambda: step(lat, t, stack.front)[0])
         if t not in reads:
             continue
-        cm, old = trellises[0].layers[t].cm, [sw.layers[t] for sw in stale]
+        cm, old = lat.layers[t].cm, stale.layers[t]
 
         def read():
             beta_b, beta_e, beta_i, beta_o = stack.beta.T
-            rows, combined = combine_beliefs(stack.fronts, old, cm, rows_out.shape[2], beta_b)
+            rows, combined = combine_beliefs(stack.front, old, cm, rows_out.shape[2], beta_b)
             post = _posterior_row(combined, beta_o)
             if not (beta_e.any() or beta_i.any()):
                 return post, None
@@ -226,32 +232,30 @@ def _exchange_sweep(step, initial, trellises, stack, layers, reads, stale, rows_
 
         rows_out[stack.index, reads[t]], gammas = stack.run(read)
         if gammas is not None:
-            stack.fronts = [update_forward(f, gammas[:, k], cm)
-                            for k, f in enumerate(stack.fronts)]
+            stack.front = update_forward(stack.front, gammas.swapaxes(0, 1), cm)
 
 
-def _exchange(encoder, trellises, fwds, bwds, betas):
+def _exchange(encoder, lat, fwd, bwd, betas):
     """Both exchange sweeps over the stored read layers of the exact
     per-trace sweeps, which they only read, for every point of `betas` at
-    once: each trellis's front is a stack with one row per point. Returns
-    per point its PosteriorTable, or the InfeasibleTrellisError that ended
-    its row, as that point's exchange alone gives."""
+    once: the lattice's front has one row per (trace, point). Returns per
+    point its PosteriorTable, or the InfeasibleTrellisError that ended its
+    row, as that point's exchange alone gives; a point's row ends when any
+    of its traces' rows vanishes."""
     L = encoder.L
     half = L // 2
     stack = _Stack(betas)
     rows_out = np.empty((len(betas), L, encoder.msg_size))
-    post_read = trellises[0].post_read_layer
-    input_read = trellises[0].input_read_layer
     try:
         # a forward-updating sweep estimates the first half at its post layers
-        first = {post_read[l]: l for l in range(half)}
-        _exchange_sweep(Trellis.step_forward, Trellis.initial_forward_block, trellises, stack,
-                        range(1, max(first, default=0) + 1), first, bwds, rows_out)
+        first = {lat.post_read_layer[l]: l for l in range(half)}
+        _exchange_sweep(Trellis.step_forward, Trellis.initial_forward_block, lat, stack,
+                        range(1, max(first, default=0) + 1), first, bwd, rows_out)
         # a backward-updating sweep estimates the second half from the other end
-        second = {input_read[l]: l for l in range(half, L)}
-        _exchange_sweep(Trellis.step_backward, Trellis.initial_backward_block, trellises,
-                        stack, range(len(trellises[0].layers) - 2, min(second) - 1, -1),
-                        second, fwds, rows_out)
+        second = {lat.input_read_layer[l]: l for l in range(half, L)}
+        _exchange_sweep(Trellis.step_backward, Trellis.initial_backward_block, lat, stack,
+                        range(len(lat.layers) - 2, min(second) - 1, -1), second, fwd,
+                        rows_out)
     except InfeasibleTrellisError:
         if len(stack.index):
             raise
@@ -265,14 +269,14 @@ def run_trellis_bma(encoder, traces, params, betas, delta=None, offset=None):
     cost, one decode per entry of `betas`, a nonempty list or tuple of
     BetaParams.
 
-    Each trace gets its own `trellis.Trellis`, swept once by the exact
-    engine; one exchange then decodes every entry at once, as a stack of
-    fronts with one row per entry. Returns, per entry, its PosteriorTable
-    (hard estimates are its row argmaxes) or the InfeasibleTrellisError
-    its row of the exchange raised, equal to that entry decoded alone.
-    Infeasible traces are dropped with a warning naming each one; every
-    trace being infeasible is raised, and an empty trace list is a
-    ConfigError.
+    Each trace's one-trace trellis is swept once by the exact engine, all
+    traces as rows of one `trellis.Lattice`; one exchange then decodes
+    every entry at once, its front holding one row per (trace, entry).
+    Returns, per entry, its PosteriorTable (hard estimates are its row
+    argmaxes) or the InfeasibleTrellisError its row of the exchange
+    raised, equal to that entry decoded alone. Infeasible traces are
+    dropped with a warning naming each one; every trace being infeasible
+    is raised, and an empty trace list is a ConfigError.
     """
     if len(traces) == 0:
         raise ConfigError("Trellis BMA needs at least one trace")
@@ -280,9 +284,9 @@ def run_trellis_bma(encoder, traces, params, betas, delta=None, offset=None):
             or not all(isinstance(b, BetaParams) for b in betas)):
         raise ConfigError(f"betas must be a nonempty list or tuple of BetaParams, a single "
                           f"point being a sequence of them of length 1; got {betas!r}")
-    trellises, fwds, bwds, _ = init_single_trace_trellises(
+    lat, fwd, bwd, _ = init_single_trace_trellises(
         encoder, traces, params, delta=delta, offset=offset)
-    return _exchange(encoder, trellises, fwds, bwds, betas)
+    return _exchange(encoder, lat, fwd, bwd, betas)
 
 
 # Tuned sweep defaults, keyed by (data kind, target metric, code tag, trace

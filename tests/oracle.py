@@ -83,6 +83,37 @@ def layer_tags(encoder, K):
     return tags + [("b", encoder.L)]
 
 
+def lattice_offsets(encoder, r, delta):
+    """The map from (trace, position, pointer) to a Lattice's virtual cell,
+    for one trace of length r: per layer of its one-trace trellis, the
+    pointer lo(n) of cell 0, where n codeword symbols are explained at the
+    layer and lo(n) = floor(n*r/N + 0.5) - delta (0 without a bound).
+    Cell v then holds pointer lo(n) + v."""
+    starts = np.concatenate([[0], np.cumsum(encoder.emission_counts)])
+    out = []
+    for tag in layer_tags(encoder, 1):
+        n = starts[tag[1]] + (tag[2] + 1 if tag[0] in ("d", "p") else 0)
+        out.append(0 if delta is None else math.floor(n * r / encoder.N + 0.5) - delta)
+    return out
+
+
+def assert_lattice_row_matches(lat_sweep, i, trellis, ref_sweep, layers):
+    """Row i of a Lattice sweep against the sweep `ref_sweep` of that
+    trace's own one-trace `trellis`, at each layer of `layers`: cropped to
+    the trellis's clipped window the cells are equal to 1e-12 relative,
+    and every cell outside it (a pointer outside [0, R]) is exactly 0."""
+    lo = lattice_offsets(trellis.encoder, trellis.R[0], trellis.delta)
+    for t in layers:
+        block = lat_sweep.layers[t][i]
+        (a, b), = trellis.layers[t].wins
+        crop = slice(a - lo[t], b - lo[t] + 1)
+        outside = np.ones(block.shape[1], bool)
+        outside[crop] = False
+        assert not block[:, outside].any(), t
+        got = block[:, crop] * np.exp(lat_sweep.scales[t, i] - ref_sweep.scales[t])
+        assert np.allclose(got, ref_sweep.layers[t], rtol=1e-12, atol=0), t
+
+
 def _tag(state):
     return state[:{"b": 2, "i": 2, "d": 4, "p": 3}[state[0]]]
 

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from idsrecon import (BINARY, DNA, ConfigError, IDSParams, estimate_params,
-                      expected_trace_length, transmit, transmit_batch)
+from idsrecon import (BINARY, DNA, ConfigError, IDSParams, estimate_params, transmit,
+                      transmit_batch)
 from oracle import trace_likelihood
+
+
+def expected_trace_length(n, params):
+    """Mean trace length for an input of length n."""
+    return n * (1.0 - params.p_del) / (1.0 - params.p_ins)
 
 
 def test_params_validation():

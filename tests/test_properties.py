@@ -3,20 +3,24 @@
 The sweeps step each layer by one of a few transfers, so these properties
 tie them back to what does not: exhaustive enumeration (posteriors) and a
 rule-by-rule constructor with its own forward-backward pass (every cell of
-both sweeps, under a drift bound too). A Trellis BMA decode of a beta stack
-is tied back to each point decoded alone."""
+both sweeps, under a drift bound too). The lattice that steps Trellis BMA's
+per-trace trellises together is tied back to each trace's own trellis, and
+a Trellis BMA decode of a beta stack to each point decoded alone."""
 
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from idsrecon import (BINARY, DNA, BetaParams, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, compute_posteriors,
-                      identity_encoder, mr_encoder, run_trellis_bma, transmit_batch)
+                      identity_encoder, init_single_trace_trellises, mr_encoder,
+                      run_trellis_bma, transmit_batch)
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import DEFAULT_SWEEP_GRID
-from oracle import assert_cells_match, joint_posteriors, uniform_prior
+from oracle import (assert_cells_match, assert_lattice_row_matches, joint_posteriors,
+                    uniform_prior)
 
 
 @st.composite
@@ -90,6 +94,76 @@ def test_trellis_readers_agree_with_references(case):
     if delta is None:
         assert np.abs(post.probs - rows).max() < 1e-9
         assert abs(post.log_likelihood - loglik) < 1e-9 * max(1.0, abs(loglik))
+
+
+@st.composite
+def trace_sets(draw):
+    """A code, 1-4 traces of mixed lengths (some cut, some random and likely
+    unexplainable under a tight bound), rates, an optional offset and a
+    drift bound."""
+    kind = draw(st.sampled_from(["identity", "mr", "cc"]))
+    if kind == "identity":
+        enc = identity_encoder(draw(st.integers(1, 12)), draw(st.sampled_from([BINARY, DNA])))
+    elif kind == "mr":
+        n = draw(st.integers(2, 12))
+        enc = mr_encoder(n, draw(st.integers(1, min(3, n - 1))), DNA)
+    else:
+        enc = cc_encoder(draw(st.integers(1, 2)), draw(st.integers(1, 6)), DNA)
+    size = enc.alphabet.size
+    w = [draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+         draw(st.integers(1, 6))]
+    params = IDSParams(*[v / sum(w) for v in w])
+    offset = None
+    if draw(st.booleans()):
+        offset = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.N,
+                                        max_size=enc.N)), dtype=np.int8)
+    msg = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.L,
+                                 max_size=enc.L)), dtype=np.int8)
+    x = enc.encode(msg)
+    if offset is not None:
+        x = (x + offset) % size
+    traces = list(transmit_batch(np.asarray(x, dtype=np.int8), params,
+                                 draw(st.sampled_from([3, 2, 4, 1])),
+                                 draw(st.integers(0, 2**31)),
+                                 alphabet_size=size))
+    for i in range(len(traces)):
+        how = draw(st.sampled_from(["keep", "keep", "cut", "random"]))
+        if how == "cut":
+            traces[i] = traces[i][:draw(st.integers(0, len(traces[i])))]
+        elif how == "random":
+            traces[i] = np.array(draw(st.lists(st.integers(0, size - 1), max_size=enc.N + 6)),
+                                 dtype=np.int8)
+    delta = draw(st.sampled_from([3, 8, 2, 5, None, 1, 0]))
+    return enc, traces, params, offset, delta
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(trace_sets())
+def test_lattice_rows_equal_each_traces_own_trellis(case):
+    # the lattice keeps exactly the traces whose own trellis has a path, and
+    # each kept row's read layers are that trellis's cells in its window
+    enc, traces, params, offset, delta = case
+    own = {}
+    for k, y in enumerate(traces):
+        tr = build_trellis(enc, [y], params, delta=delta, offset=offset)
+        try:
+            own[k] = tr, tr.forward(), tr.backward()
+        except InfeasibleTrellisError:
+            pass
+    if not own:
+        with pytest.raises(InfeasibleTrellisError, match="every trace was infeasible"):
+            init_single_trace_trellises(enc, traces, params, delta=delta, offset=offset)
+        return
+    lat, fs, bs, kept = init_single_trace_trellises(enc, traces, params, delta=delta,
+                                                    offset=offset)
+    assert kept == sorted(own)
+    half = enc.L // 2
+    for i, k in enumerate(kept):
+        tr, f, b = own[k]
+        assert_lattice_row_matches(fs, i, tr, f, lat.input_read_layer[half:])
+        assert_lattice_row_matches(bs, i, tr, b, lat.post_read_layer[:half])
+        for mine, ref in ((fs, f), (bs, b)):
+            assert abs(mine.loglik[i] - ref.loglik) <= 1e-12 * max(1.0, abs(ref.loglik))
 
 
 BETA_VALUES = sorted({0.0}.union(*DEFAULT_SWEEP_GRID.values()))
