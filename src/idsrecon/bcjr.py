@@ -1,9 +1,11 @@
 """Message posteriors from the trellis sweeps.
 
-`compute_posteriors` is the one reader of message posteriors: it runs the
-layered engine (`Trellis.forward`/`fronts`), which sweeps the layer arrays
-in linear domain with per-layer rescaling, and reads each message symbol
-at its cycle's last post layer. It keeps only those read layers of the
+`compute_posteriors` is the one reader of message posteriors: it sweeps a
+trellis (`Trellis.forward`/`fronts`, in linear domain with per-layer
+rescaling) and reads each message symbol at its cycle's last post layer,
+in the trellis's row 0. The joint trellis of `build_trellis` is one row of
+K pointer axes, so a one-trace decode steps one row of one axis, as a row
+of Trellis BMA's lattice does. It keeps only those read layers of the
 forward sweep and streams the backward sweep past them, so its memory is
 a fraction of the trellis.
 
@@ -53,9 +55,10 @@ class PosteriorTable:
 
 
 def compute_posteriors(trellis):
-    """Exact message posteriors plus the sequence log-likelihood, read at
-    each cycle's last post layer (the cycle's last layer that carries its
-    message symbol and has no insertion runs).
+    """Exact message posteriors plus the sequence log-likelihood (a float),
+    read in row 0 at each cycle's last post layer (the cycle's last layer
+    that carries its message symbol and has no insertion runs); the joint
+    trellis has that one row.
 
     The forward sweep keeps only those L read layers. The backward front
     is not kept: each posterior row is formed as it passes its read layer,
@@ -66,7 +69,7 @@ def compute_posteriors(trellis):
     starts, since the joint trellis grows exponentially in the number of
     traces.
     """
-    sizes = [math.prod(lay.shape) for lay in trellis.layers]
+    sizes = [trellis.rows * math.prod(lay.shape) for lay in trellis.layers]
     stored = 8 * (sum(sizes[t] for t in trellis.post_read_layer) + 2 * max(sizes))
     if stored > STORED_BUDGET_BYTES:
         raise ConfigError(
@@ -83,8 +86,8 @@ def compute_posteriors(trellis):
         if l is None:
             continue
         lay = trellis.layers[t]
-        joint = (fs.layers[t] * bwd).reshape(lay.n_combo, -1).sum(axis=1)
+        joint = (fs.layers[t][0] * bwd[0]).reshape(lay.n_combo, -1).sum(axis=1)
         rows[l] = np.bincount(lay.cm, weights=joint, minlength=mz)
         fs.layers[t] = None
-    return PosteriorTable.from_rows(rows, fs.loglik)
+    return PosteriorTable.from_rows(rows, float(fs.loglik[0]))
 

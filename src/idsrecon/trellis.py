@@ -1,28 +1,46 @@
-"""IDS trellises: the exact joint trellis over K traces (`Trellis`), and K
-one-trace trellises stepped as the rows of one stack (`Lattice`).
+"""IDS trellises over K traces, laid out as rows or as pointer axes.
 
-Stage schedule for one message symbol l (an "input cycle"):
+Stage schedule for one message symbol l (an "input cycle"), for a trellis
+with `a` pointer axes:
 
-    boundary -load-> input -advance-> ids(sym 0, trc 0) -consume-> ..
-        ids(sym 0, trc K-1) -consume-> post(sym 0) -advance->
-        ids(sym 1, trc 0) .. -> post(sym u-1) -clear-> boundary
+    boundary -load-> input -advance-> ids(sym 0, axis 0) -consume-> ..
+        ids(sym 0, axis a-1) -consume-> post(sym 0) -advance->
+        ids(sym 1, axis 0) .. -> post(sym u-1) -clear-> boundary
 
 * boundary: message and codeword buffers cleared; cells are (q, pointers).
 * input: a message symbol m was accepted (weight 1/|M|, the uniform prior),
   the encoder advanced, and the first codeword symbol of the cycle is on
   deck.
-* ids: channel events of one (codeword symbol, trace) pair. Insertions run
-  inside the layer, each advancing that trace's pointer and explaining one
-  trace symbol; deletion and substitute/correct lead to the next layer.
-* post: the codeword symbol has been explained in every trace; the next
+* ids: channel events of one codeword symbol on one pointer axis.
+  Insertions run inside the layer, each advancing that axis's pointer and
+  explaining one trace symbol; deletion and substitute/correct lead to the
+  next layer.
+* post: the codeword symbol has been explained on every axis; the next
   symbol is loaded, or the buffers are cleared into the next boundary layer.
   These layers carry the cycle's message symbol and have no insertions, so
   they are where posteriors are read.
 
 Pointers count explained trace symbols (0..R_k, i.e. the paper-style pointer
 minus one); the origin is all-zeros and absorbing cells have every pointer
-at R_k. Under a drift bound `delta`, the pointer window for trace k after n
-codeword symbols is round(n*R_k/N) +- delta, clipped to [0, R_k].
+at R_k.
+
+Layout. The K traces sit on a grid of rows x axes, trace r*axes + j on row
+r and pointer axis j, and a layer's block is (rows, C, W_0 .. W_{a-1}): the
+rows, the combos, then a pointer axis each. Rows are independent. The exact
+joint trellis (`build_trellis`) is one row of K axes. Trellis BMA's
+per-trace trellises (`build_lattice`) are K rows of one axis, each row its
+trace's own one-trace trellis, stepped beside the others: Davey & MacKay's
+drift lattice ("Reliable communication over channels with insertions,
+deletions, and substitutions", IEEE Trans. IT 2001).
+
+One window rule. After n codeword symbols, the trace of length R on a
+(row, axis) has the pointer window [lo, hi] with c = floor(n*R/N + 0.5),
+lo = max(0, c - delta) and hi = min(R, c + delta) (no bound: lo = 0,
+hi = R); cell v of the row on that axis holds pointer lo + v. An axis is as
+wide as the widest window among its rows, and a per-position mask holds
+the cells past a narrower row's hi at zero after every transfer into the
+layer. With one row, every axis is exactly its window and nothing is
+masked.
 
 The trellis exists only as these layer arrays. A layer's values come from
 its predecessor's by one of four transfers, then, in an ids layer, the
@@ -32,7 +50,7 @@ insertion runs:
   times the uniform message prior;
 * advance (input or post -> the next symbol's first ids layer): window
   n -> n+1, the only transfer across which windows change;
-* consume (ids layer of trace k -> the next layer): deletion, p_del times
+* consume (ids layer of axis k -> the next layer): deletion, p_del times
   the cell, plus substitute/correct, a shift by one along pointer axis k
   times the weight of explaining that trace symbol;
 * clear (post -> boundary): each combo is added into its next encoder
@@ -44,20 +62,9 @@ Each is written once and read in both directions: the backward sweep applies
 it transposed, a gather becoming a scatter-add and back, the shift running
 the other way, the matrix transposed.
 
-The steps act on a stack of P independent rows of one layer, each as it
-would be stepped alone: the exact sweeps step a stack of one, the Trellis
-BMA exchange one row per beta point. A `Trellis` stack is (P, C, W...),
-with one pointer axis per trace and windows clipped to [0, R_k].
-
-A `Lattice` holds K traces, each in its own one-trace trellis, and steps
-them together as a (K, P, C, W) stack. Every trace keeps one fixed-width
-window (Davey & MacKay's drift lattice): after n codeword symbols, cell v
-of trace k is pointer lo_k(n) + v, with lo_k(n) = round(n*R_k/N) - delta
-and W = 2*delta + 1 (no bound: lo = 0, W = max R_k + 1). Cells whose
-pointer lies outside [0, R_k] are held at zero, so the others are exactly
-the clipped windows of the trace's own trellis. The advance shifts each
-trace's row by lo_k(n+1) - lo_k(n); the insertion runs are one shared
-(W, W) matrix followed by the masking of those cells.
+The steps act on a stack (rows, P, C, W...) of P independent fronts per
+row, each as it would be stepped alone: the exact sweeps step a stack of
+one, the Trellis BMA exchange one front per beta point.
 """
 
 from __future__ import annotations
@@ -78,17 +85,13 @@ BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
 @dataclass
 class _Layer:
     kind: str
-    trace: int = -1        # trace whose events this ids layer models
-    wins: tuple = ()       # Trellis: per trace (lo, hi), 0-based inclusive
-    shape: tuple = ()      # combos (boundary: encoder states), then a pointer axis per trace
+    npos: int              # codeword symbols explained: the layer has position npos's windows
+    axis: int = -1         # ids: the pointer axis whose channel events it models
+    shape: tuple = ()      # one row's block: combos (boundary: encoder states), then the pointer axes
     cm: np.ndarray | None = None       # per-combo message symbol
     rows: np.ndarray | None = None     # input: the boundary row each combo loads;
                                        # boundary: the row each previous combo clears into
     subcor: np.ndarray | None = None   # ids: substitute/correct weights
-    mask: np.ndarray | None = None     # Lattice ids: 1 on pointers in [0, R_k], 0 elsewhere;
-                                       # None when every cell is inside
-    shift: list | None = None          # Lattice ids: (s, trace rows mask) whose windows move
-                                       # up by s from the layer before; None when none moves
 
     @property
     def n_combo(self):
@@ -118,29 +121,31 @@ def _scatter(arr, rows, shape):
 class SweepResult:
     """One direction of inference over the layer arrays.
 
-    `layers[t]` holds that layer's values rescaled by exp(scales[t]),
-    true value = layers[t] * exp(scales[t]), for each layer t the sweep was
-    asked to keep, and None for every other layer. `scales` covers every
-    layer. In a Lattice every block, scale and log-likelihood carries a
-    leading trace axis.
+    `layers[t]` holds that layer's (rows, C, W...) block rescaled per row
+    by exp(scales[t]), true value = layers[t] * exp(scales[t]) row by row,
+    for each layer t the sweep was asked to keep, and None for every other
+    layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
     """
     layers: list
     scales: np.ndarray
-    loglik: float | np.ndarray
+    loglik: np.ndarray
 
 
 class Trellis:
-    """Built by `build_trellis`: the layer arrays and the transfers between them."""
+    """Built by `build_trellis` (one row of K pointer axes) or
+    `build_lattice` (K rows of one axis): the layer arrays and the
+    transfers between them. The error of a step or sweep marks the rows
+    whose mass vanished."""
 
-    _lead = ()  # a front block's axes before its combo axis
-
-    def __init__(self, encoder, traces, params, delta, offset):
+    def __init__(self, encoder, traces, params, delta, offset, rows):
         self.encoder = encoder
         self.params = params
         self.traces = traces
         self.delta = delta
         self.offset = offset
         self.K = len(traces)
+        self.rows = rows
+        self.axes = self.K // rows
         self.R = tuple(len(y) for y in traces)
         self.A = encoder.alphabet.size
         self.L = encoder.L
@@ -150,17 +155,64 @@ class Trellis:
         self.input_read_layer = [None] * self.L  # input layer per cycle
         self._build_layers()
 
-    @property
-    def _n_axes(self):
-        """Pointer axes of a layer block: one per trace."""
-        return self.K
-
     # ------------------------------------------------------------------
     # construction
 
     def _build_layers(self):
-        """Per position n = 0..N, the pointer windows; then the schedule."""
-        self._windows = [self._wins(n) for n in range(self.N + 1)]
+        """Per position n = 0..N and (row, axis), the window [lo, hi]; from
+        them, with array ops, the axis widths, the masks, the advance's
+        shift groups and the trace symbol at every source cell; then the
+        schedule."""
+        rows, axes, N, A, p = self.rows, self.axes, self.N, self.A, self.params
+        R = np.array(self.R).reshape(rows, axes)
+        # lo, hi: (N+1, rows, axes), each window's first and last pointer
+        if self.delta is None:
+            self.lo = np.zeros((N + 1, rows, axes), dtype=np.int64)
+            self.hi = self.lo + R
+        else:
+            c = np.floor(np.arange(N + 1)[:, None, None] * R / N + 0.5).astype(np.int64)
+            self.lo, self.hi = np.maximum(c - self.delta, 0), np.minimum(c + self.delta, R)
+        span = self.hi - self.lo + 1
+        width = span.max(axis=1)  # (N+1, axes)
+        self._widths = [tuple(w) for w in width.tolist()]
+        wmax = int(width.max())
+        # per position, (rows, 1, 1, W...) with 1 on each row's window; None if no row is narrower
+        inside = (np.arange(wmax) < span[..., None]).astype(float)  # (N+1, rows, axes, wmax)
+        narrow = (span < width[:, None]).any(axis=(1, 2)).tolist()
+        self._masks = [functools.reduce(np.multiply, (
+            inside[n, :, j, :w].reshape((rows, 1, 1) + tuple(w if i == j else 1 for i in range(axes)))
+            for j, w in enumerate(ws))) if nw else None
+            for n, (nw, ws) in enumerate(zip(narrow, self._widths))]
+        # per position n >= 1, the advance from n-1: (where, source, target) per group of
+        # rows whose windows move up alike, `where` a row mask or True for every row
+        self._moves = [None]
+        shifts = np.diff(self.lo, axis=0)
+        for n, (dn, keys) in enumerate(zip(shifts, shifts.tolist()), 1):
+            groups = set(map(tuple, keys))
+            wa, wb = self._widths[n - 1], self._widths[n]
+            moves = []
+            for s in groups:
+                if any(d >= w for d, w in zip(s, wa)):  # the windows do not meet
+                    continue
+                where = True if len(groups) == 1 else (
+                    (dn == s).all(axis=1).reshape((rows,) + (1,) * (axes + 2)))
+                moves.append((where,
+                              tuple(slice(d, min(a, b + d)) for d, a, b in zip(s, wa, wb)),
+                              tuple(slice(0, min(a - d, b)) for d, a, b in zip(s, wa, wb))))
+            self._moves.append(moves)
+        # the trace symbol each source cell (all but the last) explains, A for none
+        ptr = self.lo[..., None] + np.arange(wmax - 1)  # (N+1, rows, axes, wmax-1)
+        ypad = np.full((self.K, max(int(R.max()), 1)), A)
+        for k, y in enumerate(self.traces):
+            ypad[k, :len(y)] = y
+        ypad = ypad.reshape(rows, axes, -1)
+        self._sym = np.where(ptr < R[..., None],
+                             ypad[np.arange(rows)[:, None, None], np.arange(axes)[:, None],
+                                  ptr.clip(max=ypad.shape[-1] - 1)], A)
+        # substitute/correct weight by (on-deck symbol, trace symbol or A)
+        w_sub = p.p_sub / (A - 1) if A > 1 else 0.0
+        self._weight = np.where(np.arange(A)[:, None] == np.arange(A + 1), p.p_cor, w_sub)
+        self._weight[:, A] = 0.0
         self._schedule()
 
     def _schedule(self):
@@ -184,8 +236,8 @@ class Trellis:
                       rows=np.searchsorted(states, qprev).astype(np.int32))
             for c in range(u):
                 npos += 1
-                for k in range(self._n_axes):
-                    self._add(IDS, npos, len(cm), trace=k, cx=emit[:, c], cm=cm)
+                for k in range(self.axes):
+                    self._add(IDS, npos, len(cm), axis=k, cx=emit[:, c], cm=cm)
                 if c == u - 1:
                     self.post_read_layer[l] = len(self.layers)
                 self._add(POST, npos, len(cm), cm=cm)
@@ -193,50 +245,37 @@ class Trellis:
             self._add(BOUNDARY, npos, len(states),
                       rows=np.searchsorted(states, cq).astype(np.int32))
 
-    def _add(self, kind, npos, ncombo, trace=-1, cx=None, **fields):
+    def _add(self, kind, npos, ncombo, axis=-1, cx=None, **fields):
         """Append a layer of `ncombo` combos after `npos` codeword symbols;
         an ids layer's combos have the on-deck codeword symbols `cx`."""
-        wins = self._windows[npos]
-        lay = _Layer(kind, trace=trace, wins=wins,
-                     shape=(ncombo,) + tuple(hi - lo + 1 for lo, hi in wins), **fields)
+        lay = _Layer(kind, npos, axis=axis, shape=(ncombo,) + self._widths[npos], **fields)
         if kind == IDS:
-            lay.subcor = self._subcor(trace, wins, cx)
+            lay.subcor = self._subcor(npos, axis, cx)
         self.layers.append(lay)
 
-    def _wins(self, npos):
-        """Per trace, its pointer window (lo, hi) after `npos` codeword symbols.
-        The last window, npos = N, is centred on R_k and so always holds it."""
-        if self.delta is None:
-            return tuple((0, r) for r in self.R)
-        centres = [int(math.floor(npos * r / self.N + 0.5)) for r in self.R]
-        return tuple((max(0, c - self.delta), min(r, c + self.delta))
-                     for c, r in zip(centres, self.R))
-
-    def _subcor(self, k, wins, cx):
-        """Substitute/correct weights of an ids layer of trace k whose combos
-        have the on-deck codeword symbols `cx` (as transmitted), by (combo,
-        source pointer), for each pointer of the window but the last (its
-        successor lies outside), shaped to broadcast along pointer axis k.
-        Zero at pointer R_k: no symbol left to explain."""
-        p = self.params
-        lo, hi = wins[k]
-        w = np.zeros((len(cx), hi - lo))
-        top = min(hi, self.R[k]) - 1
-        if top >= lo:
-            match = self.traces[k][lo:top + 1][None, :] == cx[:, None]
-            w[:, :top - lo + 1] = np.where(match, p.p_cor,
-                                           p.p_sub / (self.A - 1) if self.A > 1 else 0.0)
-        return w.reshape((len(cx),) + tuple(hi - lo if j == k else 1 for j in range(self.K)))
+    def _subcor(self, npos, axis, cx):
+        """Substitute/correct weights of an ids layer on `axis` after `npos`
+        codeword symbols whose combos have the on-deck codeword symbols `cx`
+        (as transmitted), by (row, combo, source pointer), for each cell of
+        the axis but the last (its successor lies outside), shaped to
+        broadcast along the axis over a stack. Zero at pointer R: no symbol
+        left to explain."""
+        w = self._widths[npos][axis]
+        sub = self._weight[cx[:, None], self._sym[npos, :, axis, None, :w - 1]]
+        return sub.reshape((self.rows, 1, len(cx))
+                           + tuple(w - 1 if j == axis else 1 for j in range(self.axes)))
 
     def _origin(self):
         """Index of the origin cells in a first-layer block: q_init, nothing
-        explained. Indexing with it leaves a trailing axis to sum."""
-        return (slice(0, 1),) + (0,) * self.K
+        explained (every window starts at 0). Indexing with it leaves a
+        trailing axis to sum."""
+        return (slice(None), slice(0, 1)) + (0,) * self.axes
 
     def _absorbing(self):
         """Index of the absorbing cells in a last-layer block: every pointer
-        at R_k, any encoder state."""
-        return (slice(None),) + tuple(r - lo for r, (lo, _) in zip(self.R, self.layers[-1].wins))
+        at R, any encoder state."""
+        cell = np.array(self.R).reshape(self.rows, self.axes) - self.lo[-1]
+        return (np.arange(self.rows), slice(None)) + tuple(cell.T)
 
     # ------------------------------------------------------------------
     # the transfers: each moves a stack from layer a into the next layer b,
@@ -244,7 +283,7 @@ class Trellis:
 
     def _combos(self, rows):
         """Index of the combo rows `rows` of a stack."""
-        return (Ellipsis, rows) + (slice(None),) * self._n_axes
+        return (Ellipsis, rows) + (slice(None),) * self.axes
 
     def _load(self, a, b, arr, back):
         """Boundary a -> input b: each combo gathers its encoder state's row,
@@ -255,24 +294,19 @@ class Trellis:
     def _advance(self, a, b, arr, back):
         """Input or post a -> ids b of the next codeword symbol: window n ->
         n+1 on every pointer axis, the only transfer that moves windows.
-        Cells the new window drops are lost; cells it adds start at zero."""
-        if back:
-            a, b = b, a
-        out = np.zeros((len(arr),) + b.shape)
-        src, dst = [slice(None)] * 2, [slice(None)] * 2  # stack and combo axes whole
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(a.wins, b.wins):
-            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-            if lo > hi:  # the windows do not meet
-                return out
-            src.append(slice(lo - a_lo, hi - a_lo + 1))
-            dst.append(slice(lo - b_lo, hi - b_lo + 1))
-        out[tuple(dst)] = arr[tuple(src)]
+        Each group of rows whose windows move alike copies its overlap;
+        cells the new window drops are lost, cells it adds start at zero."""
+        out = np.zeros(arr.shape[:2] + (a if back else b).shape)
+        for where, src, dst in self._moves[b.npos]:
+            if back:
+                src, dst = dst, src
+            np.copyto(out[(Ellipsis,) + dst], arr[(Ellipsis,) + src], where=where)
         return out
 
     def _consume(self, a, arr, back):
-        """Ids a of trace k -> the next layer, in the same windows: deletion
+        """Ids a of axis k -> the next layer, in the same windows: deletion
         keeps the pointer, substitute/correct moves it up by one."""
-        after = (slice(None),) * (self._n_axes - 1 - a.trace)  # the pointer axes after k
+        after = (slice(None),) * (self.axes - 1 - a.axis)  # the pointer axes after k
         src, dst = (Ellipsis, slice(None, -1)) + after, (Ellipsis, slice(1, None)) + after
         if back:
             src, dst = dst, src
@@ -286,17 +320,14 @@ class Trellis:
         return arr[self._combos(b.rows)] if back else _scatter(arr, b.rows, b.shape)
 
     def _insert(self, lay, arr, back):
-        """An ids layer's insertion runs along its trace's pointer axis, then
-        the layer's mask."""
-        ax = lay.trace - self._n_axes
+        """An ids layer's insertion runs along its pointer axis."""
+        ax = lay.axis - self.axes
         chain = _chain(lay.shape[ax], self.params.p_ins / self.A)
         if not back:
             chain = chain.T
         if ax == -1:  # the swaps would be no-ops, at a cost per step
-            out = arr @ chain
-        else:
-            out = (arr.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
-        return out if lay.mask is None else out * lay.mask
+            return arr @ chain
+        return (arr.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
 
     # ------------------------------------------------------------------
     # inference sweeps over the layer arrays
@@ -304,8 +335,8 @@ class Trellis:
     def _pull(self, t, arr, back=False):
         """Layer t's values from layer t-1's by the transfer between them,
         or with `back` from layer t+1's by that transfer transposed; then an
-        ids layer's insertion runs, transposed with `back`. `arr` and the
-        result are stacks of independent rows."""
+        ids layer's insertion runs, transposed with `back`, and the mask of
+        layer t's position. `arr` and the result are stacks."""
         s = t + 1 if back else t
         a, b = self.layers[s - 1], self.layers[s]
         if b.kind == INPUT:
@@ -317,23 +348,26 @@ class Trellis:
         else:
             out = self._advance(a, b, arr, back)
         lay = self.layers[t]
-        return self._insert(lay, out, back) if lay.kind == IDS else out
+        if lay.kind == IDS:
+            out = self._insert(lay, out, back)
+        mask = self._masks[lay.npos]
+        return out if mask is None else out * mask
 
     def initial_forward_block(self):
-        arr = np.zeros(self._lead + self.layers[0].shape)
+        arr = np.zeros((self.rows,) + self.layers[0].shape)
         arr[self._origin()] = 1.0
         return arr
 
     def initial_backward_block(self):
-        arr = np.zeros(self._lead + self.layers[-1].shape)
+        arr = np.zeros((self.rows,) + self.layers[-1].shape)
         arr[self._absorbing()] = 1.0
         return arr
 
     def _rescale(self, t, arr, direction):
-        """(each row of the stack `arr` over its own max, the row maxima
+        """(each front of the stack `arr` over its own max, the maxima
         shaped to broadcast over the stack). Raises unless every max is
-        positive and finite; the error's `rows` marks the rows that fail,
-        shaped as the stack's axes before the cells."""
+        positive and finite; the error's `rows` marks the fronts that fail,
+        shaped as the stack's (rows, P) axes."""
         cells = len(self.layers[t].shape)
         s = np.maximum.reduce(arr, axis=tuple(range(-cells, 0)), keepdims=True)
         m = s.ravel().tolist()
@@ -346,7 +380,7 @@ class Trellis:
 
     def step_forward(self, t, arr):
         """Advance a stack of forward fronts from layer t-1 into layer t.
-        Returns (rescaled stack, the row maxima divided out)."""
+        Returns (rescaled stack, the front maxima divided out)."""
         return self._rescale(t, self._pull(t, arr), "forward")
 
     def step_backward(self, t, arr):
@@ -354,35 +388,33 @@ class Trellis:
         return self._rescale(t, self._pull(t, arr, back=True), "backward")
 
     def fronts(self, back=False):
-        """The one sweep loop: step one direction's front, a stack of one,
-        from its initial block through every layer, yielding (t, block,
-        maxima) as it reaches layer t, `maxima` being what the step into t
-        divided out of the block (shaped as a front's leading axes; None
-        for the initial block). A block is not written to after it is
-        yielded."""
+        """The one sweep loop: step one direction's front, a stack of one
+        per row, from its initial block through every layer, yielding
+        (t, block, maxima) as it reaches layer t, `maxima` being what the
+        step into t divided out of the block ((rows, 1, ...); None for the
+        initial block). A block is not written to after it is yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
-        ax = len(self._lead)  # the stack's row axis
         arr = np.expand_dims(
-            self.initial_backward_block() if back else self.initial_forward_block(), ax)
+            self.initial_backward_block() if back else self.initial_forward_block(), 1)
         s = None
         for i, t in enumerate(order):
             if i > 0:
                 arr, s = step(t, arr)
-            yield t, arr.squeeze(ax), s
+            yield t, arr.squeeze(1), s
 
     def _sweep(self, back, keep, end, vanished):
         """Run `fronts` to the end, keeping the blocks of the layers in
         `keep` (every layer when None). The last block's cells `end` hold
-        the total mass."""
+        each row's total mass."""
         n = len(self.layers)
         keep = range(n) if keep is None else frozenset(keep)
         kept = [None] * n
-        maxima = np.ones((n,) + self._lead)  # in sweep order
+        maxima = np.ones((n, self.rows))  # in sweep order
         for i, (t, arr, s) in enumerate(self.fronts(back)):
             if s is not None:
-                maxima[i] = s.reshape(self._lead)
+                maxima[i] = s.reshape(self.rows)
             if t in keep:
                 kept[t] = arr
         scales = np.cumsum(np.log(maxima), axis=0)
@@ -401,86 +433,6 @@ class Trellis:
         """Backward sweep from the absorbing vertices to the origin; `keep`
         as for `forward`."""
         return self._sweep(True, keep, self._origin(), "no backward mass reaches the origin")
-
-
-class Lattice(Trellis):
-    """Built by `build_lattice`: K one-trace trellises on one cycle schedule,
-    each trace a row of every stack (K, P, C, W) and of every front block
-    (K, C, W), on fixed-width windows (see the module docstring). A row is
-    stepped exactly as the trace's own `Trellis` steps it; the error of a
-    step or sweep marks the (trace, row) pairs whose mass vanished."""
-
-    _n_axes = 1
-
-    @property
-    def _lead(self):
-        return (self.K,)
-
-    def _build_layers(self):
-        """Per position n = 0..N, the window offsets lo (N+1, K), then the
-        trace symbol at every source cell, the masks and the shift groups,
-        with array ops; then the schedule."""
-        R = np.array(self.R)
-        K, N, A, p = self.K, self.N, self.A, self.params
-        n = np.arange(N + 1)[:, None]
-        if self.delta is None:
-            self.W = int(R.max()) + 1
-            self.lo = np.zeros((N + 1, K), dtype=np.int64)
-        else:
-            self.W = 2 * self.delta + 1
-            self.lo = np.floor(n * R / N + 0.5).astype(np.int64) - self.delta
-        ptr = self.lo[:, :, None] + np.arange(self.W)  # (N+1, K, W)
-        # the trace symbol each source cell (all but the last) explains, A for none
-        src = ptr[:, :, :-1]
-        ypad = np.full((K, max(int(R.max()), 1)), A)
-        for k, y in enumerate(self.traces):
-            ypad[k, :len(y)] = y
-        self._sym = np.where((src >= 0) & (src < R[:, None]),
-                             ypad[np.arange(K)[:, None], src.clip(0, ypad.shape[1] - 1)], A)
-        # substitute/correct weight by (on-deck symbol, trace symbol or A)
-        w_sub = p.p_sub / (A - 1) if A > 1 else 0.0
-        self._weight = np.where(np.arange(A)[:, None] == np.arange(A + 1), p.p_cor, w_sub)
-        self._weight[:, A] = 0.0
-        inside = (ptr >= 0) & (ptr <= R[:, None])
-        masks = inside[:, :, None, None].astype(float)
-        self._masks = [None if ok else m for ok, m in zip(inside.all(axis=(1, 2)).tolist(), masks)]
-        # per position n >= 1, (s, the trace rows whose window offset grows by s)
-        self._shifts = [None] + [
-            [(s, (dn == s)[:, None, None, None]) for s in set(dn.tolist())] if dn.any() else None
-            for dn in np.diff(self.lo, axis=0)]
-        self._schedule()
-
-    def _add(self, kind, npos, ncombo, trace=-1, cx=None, **fields):
-        lay = _Layer(kind, trace=trace, shape=(ncombo, self.W), **fields)
-        if kind == IDS:
-            # (K, 1, C, W-1), to broadcast over the beta rows
-            lay.subcor = self._weight[cx[:, None], self._sym[npos][:, None, None]]
-            lay.mask, lay.shift = self._masks[npos], self._shifts[npos]
-        self.layers.append(lay)
-
-    def _origin(self):
-        return (np.arange(self.K), slice(0, 1), -self.lo[0])
-
-    def _absorbing(self):
-        return (np.arange(self.K), slice(None), np.array(self.R) - self.lo[-1])
-
-    def _advance(self, a, b, arr, back):
-        """Input or post a -> ids b of the next codeword symbol: each trace's
-        row moves down by the growth s of its window offset, so its cells
-        keep their pointers. Cells below the new window are lost; cells it
-        adds on top start at zero."""
-        if b.shift is None:
-            return arr
-        out = np.zeros_like(arr)
-        W = self.W
-        for s, rows in b.shift:
-            if s >= W:  # the windows do not meet
-                continue
-            if back:
-                np.copyto(out[..., s:], arr[..., :W - s], where=rows)
-            else:
-                np.copyto(out[..., :W - s], arr[..., s:], where=rows)
-        return out
 
 
 def _checked(encoder, traces, params, delta, offset):
@@ -504,7 +456,7 @@ def _checked(encoder, traces, params, delta, offset):
 
 def build_trellis(encoder, traces, params, delta=None, offset=None):
     """Construct the joint trellis for `traces` (a list of K observed
-    sequences) under a uniform message prior.
+    sequences) under a uniform message prior: one row of K pointer axes.
 
     `delta` bounds pointer drift (None = exact); `offset` is an optional
     length-N scrambling vector added to the encoder output before
@@ -513,10 +465,12 @@ def build_trellis(encoder, traces, params, delta=None, offset=None):
     No sweep runs here: an infeasible trellis raises from its first sweep,
     at the layer where the mass vanishes.
     """
-    return Trellis(*_checked(encoder, traces, params, delta, offset))
+    return Trellis(*_checked(encoder, traces, params, delta, offset), rows=1)
 
 
 def build_lattice(encoder, traces, params, delta=None, offset=None):
-    """Construct the one-trace trellises of `traces` as one `Lattice`, with
-    the arguments of `build_trellis`."""
-    return Lattice(*_checked(encoder, traces, params, delta, offset))
+    """Construct the one-trace trellises of `traces` as K rows of one
+    pointer axis, with the arguments of `build_trellis`; row k is stepped
+    exactly as trace k's own trellis steps it."""
+    args = _checked(encoder, traces, params, delta, offset)
+    return Trellis(*args, rows=len(args[1]))

@@ -1,8 +1,9 @@
 """Belief-exchanging reconstruction from per-trace trellises.
 
 Each trace's exact one-trace trellis is swept once, forward and backward;
-the K trellises are the rows of one `trellis.Lattice`, stepped together
-layer by layer. A forward sweep then re-runs all K forward recursions in
+the K trellises are the K rows of one pointer axis of a single
+`trellis.Trellis` (`build_lattice`), stepped together layer by layer. A
+forward sweep then re-runs all K forward recursions in
 lockstep: at each message cycle the per-trace beliefs are combined, an
 estimate is emitted, and every trace's forward values are reweighted per
 message symbol by a factor gamma derived from the other traces, steering
@@ -92,7 +93,7 @@ def _vanished(tot, message):
 
 def init_single_trace_trellises(encoder, traces, params, delta=None, offset=None):
     """Run both exact sweeps of every trace's one-trace trellis, the traces
-    being the rows of one `Lattice`.
+    being the rows of one lattice (`build_lattice`).
 
     Each sweep keeps only the layers the exchange reads as its stale side:
     the forward sweep the input layers of the second half of the message,
@@ -270,7 +271,8 @@ def run_trellis_bma(encoder, traces, params, betas, delta=None, offset=None):
     BetaParams.
 
     Each trace's one-trace trellis is swept once by the exact engine, all
-    traces as rows of one `trellis.Lattice`; one exchange then decodes
+    traces as rows of one lattice (`trellis.build_lattice`); one exchange
+    then decodes
     every entry at once, its front holding one row per (trace, entry).
     Returns, per entry, its PosteriorTable (hard estimates are its row
     argmaxes) or the InfeasibleTrellisError its row of the exchange

@@ -84,34 +84,35 @@ def layer_tags(encoder, K):
 
 
 def lattice_offsets(encoder, r, delta):
-    """The map from (trace, position, pointer) to a Lattice's virtual cell,
-    for one trace of length r: per layer of its one-trace trellis, the
-    pointer lo(n) of cell 0, where n codeword symbols are explained at the
-    layer and lo(n) = floor(n*r/N + 0.5) - delta (0 without a bound).
-    Cell v then holds pointer lo(n) + v."""
+    """The map from (trace, position, pointer) to a lattice's cell, for one
+    trace of length r: per layer of its one-trace trellis, the pointer lo(n)
+    of cell 0, where n codeword symbols are explained at the layer and
+    lo(n) = max(0, floor(n*r/N + 0.5) - delta) (0 without a bound). Cell v
+    then holds pointer lo(n) + v."""
     starts = np.concatenate([[0], np.cumsum(encoder.emission_counts)])
     out = []
     for tag in layer_tags(encoder, 1):
         n = starts[tag[1]] + (tag[2] + 1 if tag[0] in ("d", "p") else 0)
-        out.append(0 if delta is None else math.floor(n * r / encoder.N + 0.5) - delta)
+        out.append(0 if delta is None else max(0, math.floor(n * r / encoder.N + 0.5) - delta))
     return out
 
 
 def assert_lattice_row_matches(lat_sweep, i, trellis, ref_sweep, layers):
-    """Row i of a Lattice sweep against the sweep `ref_sweep` of that
+    """Row i of a lattice sweep against the sweep `ref_sweep` of that
     trace's own one-trace `trellis`, at each layer of `layers`: cropped to
-    the trellis's clipped window the cells are equal to 1e-12 relative,
-    and every cell outside it (a pointer outside [0, R]) is exactly 0."""
+    the trellis's clipped window [lo, hi] of the layer's position the cells
+    are equal to 1e-12 relative, and every other cell is exactly 0."""
     lo = lattice_offsets(trellis.encoder, trellis.R[0], trellis.delta)
     for t in layers:
         block = lat_sweep.layers[t][i]
-        (a, b), = trellis.layers[t].wins
+        n = trellis.layers[t].npos
+        (a,), (b,) = trellis.lo[n, 0].tolist(), trellis.hi[n, 0].tolist()
         crop = slice(a - lo[t], b - lo[t] + 1)
         outside = np.ones(block.shape[1], bool)
         outside[crop] = False
         assert not block[:, outside].any(), t
-        got = block[:, crop] * np.exp(lat_sweep.scales[t, i] - ref_sweep.scales[t])
-        assert np.allclose(got, ref_sweep.layers[t], rtol=1e-12, atol=0), t
+        got = block[:, crop] * np.exp(lat_sweep.scales[t, i] - ref_sweep.scales[t, 0])
+        assert np.allclose(got, ref_sweep.layers[t][0], rtol=1e-12, atol=0), t
 
 
 def _tag(state):
@@ -246,17 +247,18 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None, delta=
 
 
 def assert_cells_match(trellis, encoder, traces, params, offset=None, label=None):
-    """Every cell of the trellis's forward and backward sweeps against the
-    oracle under the trellis's drift bound: per layer, the cells where
-    forward x backward is positive are as many as the oracle's live states
-    there, with the same sorted values to 1e-9 relative."""
+    """Every cell of the joint trellis's forward and backward sweeps (its
+    one row) against the oracle under the trellis's drift bound: per layer,
+    the cells where forward x backward is positive are as many as the
+    oracle's live states there, with the same sorted values to 1e-9
+    relative."""
     values = enumerate_trellis_states(encoder, traces, params, uniform_prior(encoder),
                                       offset, trellis.delta)
     tags = layer_tags(encoder, len(traces))
     assert len(tags) == len(trellis.layers), label
     f, b = trellis.forward(), trellis.backward()
     for t, tag in enumerate(tags):
-        fb = f.layers[t] * b.layers[t] * np.exp(f.scales[t] + b.scales[t])
+        fb = f.layers[t][0] * b.layers[t][0] * np.exp(f.scales[t, 0] + b.scales[t, 0])
         got = np.sort(fb[fb > 0])
         want = values.get(tag, np.empty(0))
         assert len(got) == len(want), (label, t, tag, len(got), len(want))

@@ -28,7 +28,8 @@ def _instance(seed, k=1, n=None, alphabet=BINARY, encoder=None, max_trace=7):
 
 
 def _true_values(sweep, t):
-    return sweep.layers[t] * math.exp(sweep.scales[t])
+    """Layer t's cells of a joint trellis's one row."""
+    return sweep.layers[t][0] * math.exp(sweep.scales[t, 0])
 
 
 def test_forward_backward_trivials():
@@ -36,14 +37,14 @@ def test_forward_backward_trivials():
     tr = build_trellis(enc, traces, params)
     f, b = tr.forward(), tr.backward()
     origin = (0,) * (1 + tr.K)
-    wins = tr.layers[-1].wins
-    absorbing = (slice(None),) + tuple(len(y) - lo for y, (lo, _) in zip(traces, wins))
+    lo = tr.lo[tr.layers[-1].npos, 0].tolist()
+    absorbing = (slice(None),) + tuple(len(y) - a for y, a in zip(traces, lo))
     assert _true_values(f, 0)[origin] == 1.0
     assert (_true_values(b, len(tr.layers) - 1)[absorbing] == 1.0).all()
     # B(origin) equals the summed absorbing forward mass
     fin = _true_values(f, len(tr.layers) - 1)[absorbing].sum()
     assert math.log(_true_values(b, 0)[origin]) == pytest.approx(math.log(fin), abs=1e-9)
-    assert f.loglik == pytest.approx(b.loglik, abs=1e-9)
+    assert f.loglik[0] == pytest.approx(b.loglik[0], abs=1e-9)
 
 
 def test_vertex_posterior_identities():
@@ -53,7 +54,7 @@ def test_vertex_posterior_identities():
     f, b = tr.forward(), tr.backward()
     origin = (0,) * (1 + tr.K)
     fb = _true_values(f, 0)[origin] * _true_values(b, 0)[origin]
-    assert math.log(fb) == pytest.approx(f.loglik, abs=1e-9)
+    assert math.log(fb) == pytest.approx(f.loglik[0], abs=1e-9)
 
 
 def test_posteriors_match_enumeration_oracle():
@@ -66,6 +67,7 @@ def test_posteriors_match_enumeration_oracle():
             continue
         tr = build_trellis(enc, traces, params)
         post = compute_posteriors(tr)
+        assert type(post.log_likelihood) is float
         assert np.max(np.abs(post.probs - rows)) < 1e-9
         assert post.log_likelihood == pytest.approx(ll, abs=1e-9 * max(1, abs(ll)))
         checked += 1
@@ -91,8 +93,9 @@ def test_cut_conservation_across_intra_free_layers():
         for t, lay in enumerate(tr.layers):
             if lay.kind == "ids":
                 continue
-            tot = (f.layers[t] * b.layers[t]).sum()
-            assert math.log(tot) + f.scales[t] + b.scales[t] == pytest.approx(f.loglik, abs=1e-9)
+            tot = (f.layers[t][0] * b.layers[t][0]).sum()
+            assert (math.log(tot) + f.scales[t, 0] + b.scales[t, 0]
+                    == pytest.approx(f.loglik[0], abs=1e-9))
 
 
 def test_trace_order_symmetry():
@@ -109,7 +112,7 @@ def test_noiseless_uniform_loglik():
     params = IDSParams(0, 0, 0, 1)
     x = DNA.encode("GATTA")
     tr = build_trellis(enc, [x], params)
-    assert tr.forward(keep=()).loglik == pytest.approx(5 * np.log(0.25), abs=1e-9)
+    assert tr.forward(keep=()).loglik[0] == pytest.approx(5 * np.log(0.25), abs=1e-9)
     post = compute_posteriors(tr)
     assert np.allclose(post.probs, np.eye(4)[x])
 

@@ -76,7 +76,7 @@ def test_path_weight_and_total_probability():
             truth += 0.25 * trace_likelihood(xx, y, params.p_ins, params.p_del,
                                              params.p_sub, params.p_cor, 2)
     for sweep in (tr.forward(), tr.backward()):
-        assert sweep.loglik == pytest.approx(math.log(truth), abs=1e-12)
+        assert sweep.loglik[0] == pytest.approx(math.log(truth), abs=1e-12)
 
 
 def test_pruning_monotone_and_exact_at_max_drift():
@@ -88,8 +88,8 @@ def test_pruning_monotone_and_exact_at_max_drift():
     logliks = []
     for delta in (1, 2, 4, 8, max(len(y), 14)):
         tr = build_trellis(enc, [y], params, delta=delta)
-        logliks.append(tr.forward(keep=()).loglik)
-    exact = build_trellis(enc, [y], params, delta=None).forward(keep=()).loglik
+        logliks.append(tr.forward(keep=()).loglik[0])
+    exact = build_trellis(enc, [y], params, delta=None).forward(keep=()).loglik[0]
     assert all(a <= b + 1e-12 for a, b in zip(logliks, logliks[1:]))
     assert logliks[-1] == pytest.approx(exact, abs=1e-9)
 
@@ -113,7 +113,7 @@ def test_keep_set_stores_only_its_layers():
         for ks in (keep, ()):
             part = sweep(keep=ks)
             assert np.array_equal(part.scales, full.scales)
-            assert part.loglik == full.loglik
+            assert np.array_equal(part.loglik, full.loglik)
             for t in range(n):
                 if t in ks:
                     assert np.array_equal(part.layers[t], full.layers[t])
@@ -128,14 +128,15 @@ def test_origin_and_absorbing_forms():
     tr, enc, traces, *_ = _tiny(33, k=2, encoder=cc_encoder(1, 2, DNA), alphabet=DNA)
     first, last = tr.layers[0], tr.layers[-1]
     assert first.kind == last.kind == "boundary"
-    assert first.n_combo == 1 and all(lo == 0 for lo, _ in first.wins)
+    assert first.n_combo == 1 and not tr.lo[first.npos].any()
+    # blocks are (rows, combos, pointers): the joint trellis is one row
     origin = tr.initial_forward_block()
-    assert origin.sum() == 1.0 and origin[(0,) * 3] == 1.0
+    assert origin.shape[0] == 1 and origin.sum() == 1.0 and origin[(0,) * 4] == 1.0
     absorbing = tr.initial_backward_block()
     idx = np.argwhere(absorbing)
     assert absorbing.sum() == len(idx) == last.n_combo > 1
     for row in idx:
-        ptr = [lo + j for (lo, _), j in zip(last.wins, row[1:])]
+        ptr = [lo + j for lo, j in zip(tr.lo[last.npos, 0].tolist(), row[2:])]
         assert ptr == [len(y) for y in traces]
 
 

@@ -55,7 +55,7 @@ def test_init_keeps_only_the_exchange_read_layers():
         tr = build_trellis(enc, [y], PAPER, delta=8, offset=z)
         for (part, want), full in zip(reads, (tr.forward(), tr.backward())):
             assert_lattice_row_matches(part, i, tr, full, want)
-            assert abs(part.loglik[i] - full.loglik) < 1e-12 * abs(full.loglik)
+            assert abs(part.loglik[i] - full.loglik[0]) < 1e-12 * abs(full.loglik[0])
 
 
 def test_reduction_identity_multiply_posteriors():
@@ -217,17 +217,18 @@ def test_gamma_updates_equal_nested_powers():
 
 
 def test_stacked_step_marks_only_its_dead_rows():
+    # a joint trellis stack is (1 row, P fronts, C, W...)
     enc, _, z, traces = _cluster(94, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)
     tr = build_trellis(enc, traces, PAPER, delta=8, offset=z)
     t = 6
     good = tr.forward().layers[t - 1]
-    stack = np.stack([good, np.zeros_like(good), 3.0 * good])
+    stack = np.stack([good, np.zeros_like(good), 3.0 * good], axis=1)
     with pytest.raises(InfeasibleTrellisError, match=f"forward mass vanished at layer {t} ") as e:
         tr.step_forward(t, stack)
-    assert e.value.rows.tolist() == [False, True, False]
-    out, _ = tr.step_forward(t, stack[[0, 2]])
-    for row, alone in zip(out, (good, 3.0 * good)):
-        assert np.array_equal(row, tr.step_forward(t, alone[None])[0][0])
+    assert e.value.rows.tolist() == [[False, True, False]]
+    out, _ = tr.step_forward(t, stack[:, [0, 2]])
+    for row, alone in zip(out[0], (good, 3.0 * good)):
+        assert np.array_equal(row, tr.step_forward(t, alone[:, None])[0][0, 0])
 
 
 def test_lattice_step_marks_only_its_dead_trace_rows():
