@@ -3,7 +3,9 @@
 `compute_posteriors` is the one reader of message posteriors: it sweeps a
 trellis (`Trellis.forward`/`fronts`, in linear domain with per-layer
 rescaling) and reads each message symbol at its cycle's last post layer,
-in the trellis's row 0. The joint trellis of `build_trellis` is one row of
+in the trellis's row 0, as the BCJR symbol marginal: forward x backward
+summed over the layer's encoder states and pointers, one sum per index of
+its message axis. The joint trellis of `build_trellis` is one row of
 K pointer axes, so a one-trace decode steps one row of one axis, as a row
 of Trellis BMA's lattice does. It keeps only those read layers of the
 forward sweep and streams the backward sweep past them, so its memory is
@@ -79,15 +81,14 @@ def compute_posteriors(trellis):
             f"--delta, or trellis-bma")
     reads = {t: l for l, t in enumerate(trellis.post_read_layer)}
     fs = trellis.forward(keep=reads)
-    mz = trellis.encoder.msg_size
-    rows = np.empty((trellis.L, mz))
+    rows = np.empty((trellis.L, trellis.encoder.msg_size))
     for t, bwd, _ in trellis.fronts(back=True):
         l = reads.get(t)
         if l is None:
             continue
-        lay = trellis.layers[t]
-        joint = (fs.layers[t][0] * bwd[0]).reshape(lay.n_combo, -1).sum(axis=1)
-        rows[l] = np.bincount(lay.cm, weights=joint, minlength=mz)
+        # the block is (S, M, W...): sum each message symbol's cells
+        joint = fs.layers[t][0] * bwd[0]
+        rows[l] = joint.reshape(joint.shape[:2] + (-1,)).sum(axis=2).sum(axis=0)
         fs.layers[t] = None
     return PosteriorTable.from_rows(rows, float(fs.loglik[0]))
 

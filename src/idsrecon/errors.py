@@ -16,8 +16,9 @@ class InfeasibleTrellisError(IdsReconError):
 
     def __init__(self, *args, rows=None):
         super().__init__(*args)
-        # when set, a boolean mask of the rows of a stacked block whose mass
-        # vanished: (P,) for a trellis stack, (K, P) per trace for a lattice
+        # when set, a boolean mask of the fronts whose mass vanished: (rows, P)
+        # for a step of a trellis stack, (rows,) for a sweep's end check, (P,)
+        # for the exchange's belief, posterior and gamma reads
         self.rows = rows
 
 

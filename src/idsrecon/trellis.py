@@ -8,9 +8,9 @@ with `a` pointer axes:
         ids(sym 1, axis 0) .. -> post(sym u-1) -clear-> boundary
 
 * boundary: message and codeword buffers cleared; cells are (q, pointers).
-* input: a message symbol m was accepted (weight 1/|M|, the uniform prior),
-  the encoder advanced, and the first codeword symbol of the cycle is on
-  deck.
+* input: a message symbol m was accepted in encoder state q (weight 1/|M|,
+  the uniform prior), and the first codeword symbol of the cycle is on
+  deck; cells are (q, m, pointers).
 * ids: channel events of one codeword symbol on one pointer axis.
   Insertions run inside the layer, each advancing that axis's pointer and
   explaining one trace symbol; deletion and substitute/correct lead to the
@@ -25,8 +25,11 @@ minus one); the origin is all-zeros and absorbing cells have every pointer
 at R_k.
 
 Layout. The K traces sit on a grid of rows x axes, trace r*axes + j on row
-r and pointer axis j, and a layer's block is (rows, C, W_0 .. W_{a-1}): the
-rows, the combos, then a pointer axis each. Rows are independent. The exact
+r and pointer axis j, and a layer's block is (rows, S, M, W_0 .. W_{a-1}):
+the rows, the cycle's encoder states, its message symbols, then a pointer
+axis each. An input, ids or post layer holds the cycle's full (state,
+message) grid, the states being those the previous boundary reaches; a
+boundary layer has a message axis of 1. Rows are independent. The exact
 joint trellis (`build_trellis`) is one row of K axes. Trellis BMA's
 per-trace trellises (`build_lattice`) are K rows of one axis, each row its
 trace's own one-trace trellis, stepped beside the others: Davey & MacKay's
@@ -46,23 +49,24 @@ The trellis exists only as these layer arrays. A layer's values come from
 its predecessor's by one of four transfers, then, in an ids layer, the
 insertion runs:
 
-* load (boundary -> input): each combo gathers its encoder state's row,
-  times the uniform message prior;
+* load (boundary -> input): each state's cells are repeated along the
+  message axis, times the uniform message prior;
 * advance (input or post -> the next symbol's first ids layer): window
   n -> n+1, the only transfer across which windows change;
 * consume (ids layer of axis k -> the next layer): deletion, p_del times
   the cell, plus substitute/correct, a shift by one along pointer axis k
   times the weight of explaining that trace symbol;
-* clear (post -> boundary): each combo is added into its next encoder
-  state's row;
+* clear (post -> boundary): each (state, message) cell is added into its
+  next encoder state's;
 * insertion runs: a (W, W) matrix on the ids layer's pointer axis
   (`_chain`).
 
 Each is written once and read in both directions: the backward sweep applies
-it transposed, a gather becoming a scatter-add and back, the shift running
-the other way, the matrix transposed.
+it transposed, the repeat becoming a sum over the message axis, the clear's
+scatter-add a gather, the shift running the other way, the matrix
+transposed.
 
-The steps act on a stack (rows, P, C, W...) of P independent fronts per
+The steps act on a stack (rows, P, S, M, W...) of P independent fronts per
 row, each as it would be stepped alone: the exact sweeps step a stack of
 one, the Trellis BMA exchange one front per beta point.
 """
@@ -87,15 +91,10 @@ class _Layer:
     kind: str
     npos: int              # codeword symbols explained: the layer has position npos's windows
     axis: int = -1         # ids: the pointer axis whose channel events it models
-    shape: tuple = ()      # one row's block: combos (boundary: encoder states), then the pointer axes
-    cm: np.ndarray | None = None       # per-combo message symbol
-    rows: np.ndarray | None = None     # input: the boundary row each combo loads;
-                                       # boundary: the row each previous combo clears into
+    shape: tuple = ()      # one row's block: (S, M, W_0 .. W_{a-1}), M = 1 at a boundary
+    rows: np.ndarray | None = None     # boundary: the (S, M) grid of the previous cycle,
+                                       # the state each of its cells clears into
     subcor: np.ndarray | None = None   # ids: substitute/correct weights
-
-    @property
-    def n_combo(self):
-        return self.shape[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -109,19 +108,11 @@ def _chain(width, coeff):
     return m
 
 
-def _scatter(arr, rows, shape):
-    """The stack `arr` with combo c added into row rows[c] of a zero stack
-    of layer shape `shape`: a product with the (rows, combos) indicator."""
-    lead = arr.shape[:arr.ndim - len(shape)]
-    onehot = (rows == np.arange(shape[0])[:, None]).astype(float)
-    return (onehot @ arr.reshape(lead + (len(rows), -1))).reshape(lead + shape)
-
-
 @dataclass
 class SweepResult:
     """One direction of inference over the layer arrays.
 
-    `layers[t]` holds that layer's (rows, C, W...) block rescaled per row
+    `layers[t]` holds that layer's (rows, S, M, W...) block rescaled per row
     by exp(scales[t]), true value = layers[t] * exp(scales[t]) row by row,
     for each layer t the sweep was asked to keep, and None for every other
     layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
@@ -176,11 +167,13 @@ class Trellis:
         width = span.max(axis=1)  # (N+1, axes)
         self._widths = [tuple(w) for w in width.tolist()]
         wmax = int(width.max())
-        # per position, (rows, 1, 1, W...) with 1 on each row's window; None if no row is narrower
+        # per position, (rows, 1, 1, 1, W...) with 1 on each row's window;
+        # None if no row is narrower
         inside = (np.arange(wmax) < span[..., None]).astype(float)  # (N+1, rows, axes, wmax)
         narrow = (span < width[:, None]).any(axis=(1, 2)).tolist()
         self._masks = [functools.reduce(np.multiply, (
-            inside[n, :, j, :w].reshape((rows, 1, 1) + tuple(w if i == j else 1 for i in range(axes)))
+            inside[n, :, j, :w].reshape((rows, 1, 1, 1)
+                                        + tuple(w if i == j else 1 for i in range(axes)))
             for j, w in enumerate(ws))) if nw else None
             for n, (nw, ws) in enumerate(zip(narrow, self._widths))]
         # per position n >= 1, the advance from n-1: (where, source, target) per group of
@@ -195,7 +188,7 @@ class Trellis:
                 if any(d >= w for d, w in zip(s, wa)):  # the windows do not meet
                     continue
                 where = True if len(groups) == 1 else (
-                    (dn == s).all(axis=1).reshape((rows,) + (1,) * (axes + 2)))
+                    (dn == s).all(axis=1).reshape((rows,) + (1,) * (axes + 3)))
                 moves.append((where,
                               tuple(slice(d, min(a, b + d)) for d, a, b in zip(s, wa, wb)),
                               tuple(slice(0, min(a - d, b)) for d, a, b in zip(s, wa, wb))))
@@ -221,75 +214,74 @@ class Trellis:
         Mz = enc.msg_size
         states = np.array([enc.q_init], dtype=np.int32)
         npos = 0
-        self._add(BOUNDARY, npos, len(states))
+        self._add(BOUNDARY, npos, (1, 1))
         for l in range(self.L):
             u = enc.emission_counts[l]
-            # this cycle's (state, message) transitions, one combo each
-            qprev = np.repeat(states, Mz)
-            cm = np.tile(np.arange(Mz, dtype=np.int32), len(states))
-            cq, emit = enc.transition(qprev, cm, l)
+            # this cycle's (state, message) transitions, state-major
+            grid = (len(states), Mz)
+            cq, emit = enc.transition(np.repeat(states, Mz),
+                                      np.tile(np.arange(Mz, dtype=np.int32), len(states)), l)
             if self.offset is not None:
                 emit = (emit + self.offset[npos:npos + u]) % self.A
             self.input_read_layer[l] = len(self.layers)
             # `npos` is still the boundary's: windows change only across an advance
-            self._add(INPUT, npos, len(cm), cm=cm,
-                      rows=np.searchsorted(states, qprev).astype(np.int32))
+            self._add(INPUT, npos, grid)
             for c in range(u):
                 npos += 1
                 for k in range(self.axes):
-                    self._add(IDS, npos, len(cm), axis=k, cx=emit[:, c], cm=cm)
+                    self._add(IDS, npos, grid, axis=k, cx=emit[:, c].reshape(grid))
                 if c == u - 1:
                     self.post_read_layer[l] = len(self.layers)
-                self._add(POST, npos, len(cm), cm=cm)
+                self._add(POST, npos, grid)
             states = np.unique(cq)
-            self._add(BOUNDARY, npos, len(states),
-                      rows=np.searchsorted(states, cq).astype(np.int32))
+            self._add(BOUNDARY, npos, (len(states), 1),
+                      rows=np.searchsorted(states, cq).reshape(grid).astype(np.int32))
 
-    def _add(self, kind, npos, ncombo, axis=-1, cx=None, **fields):
-        """Append a layer of `ncombo` combos after `npos` codeword symbols;
-        an ids layer's combos have the on-deck codeword symbols `cx`."""
-        lay = _Layer(kind, npos, axis=axis, shape=(ncombo,) + self._widths[npos], **fields)
+    def _add(self, kind, npos, grid, axis=-1, cx=None, rows=None):
+        """Append a layer with the (states, messages) `grid` after `npos`
+        codeword symbols; an ids layer's cells have the on-deck codeword
+        symbols `cx`, shaped as the grid."""
+        lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], rows=rows)
         if kind == IDS:
             lay.subcor = self._subcor(npos, axis, cx)
         self.layers.append(lay)
 
     def _subcor(self, npos, axis, cx):
         """Substitute/correct weights of an ids layer on `axis` after `npos`
-        codeword symbols whose combos have the on-deck codeword symbols `cx`
-        (as transmitted), by (row, combo, source pointer), for each cell of
-        the axis but the last (its successor lies outside), shaped to
-        broadcast along the axis over a stack. Zero at pointer R: no symbol
-        left to explain."""
+        codeword symbols whose (state, message) cells have the on-deck
+        codeword symbols `cx` (as transmitted), by (row, state, message,
+        source pointer), for each cell of the axis but the last (its
+        successor lies outside), shaped to broadcast along the axis over a
+        stack. Zero at pointer R: no symbol left to explain."""
         w = self._widths[npos][axis]
-        sub = self._weight[cx[:, None], self._sym[npos, :, axis, None, :w - 1]]
-        return sub.reshape((self.rows, 1, len(cx))
+        sub = self._weight[cx[..., None], self._sym[npos, :, axis, None, None, :w - 1]]
+        return sub.reshape((self.rows, 1) + cx.shape
                            + tuple(w - 1 if j == axis else 1 for j in range(self.axes)))
 
     def _origin(self):
         """Index of the origin cells in a first-layer block: q_init, nothing
         explained (every window starts at 0). Indexing with it leaves a
         trailing axis to sum."""
-        return (slice(None), slice(0, 1)) + (0,) * self.axes
+        return (slice(None), slice(0, 1), 0) + (0,) * self.axes
 
     def _absorbing(self):
         """Index of the absorbing cells in a last-layer block: every pointer
         at R, any encoder state."""
         cell = np.array(self.R).reshape(self.rows, self.axes) - self.lo[-1]
-        return (np.arange(self.rows), slice(None)) + tuple(cell.T)
+        return (np.arange(self.rows), slice(None), 0) + tuple(cell.T)
 
     # ------------------------------------------------------------------
     # the transfers: each moves a stack from layer a into the next layer b,
-    # or with `back` from b into a by its transpose
-
-    def _combos(self, rows):
-        """Index of the combo rows `rows` of a stack."""
-        return (Ellipsis, rows) + (slice(None),) * self.axes
+    # or with `back` from b into a by its transpose; a stack's message axis
+    # is axis 3
 
     def _load(self, a, b, arr, back):
-        """Boundary a -> input b: each combo gathers its encoder state's row,
-        times the uniform message prior."""
+        """Boundary a -> input b: each state's cells are repeated along the
+        message axis, times the uniform message prior."""
         w = 1.0 / self.encoder.msg_size
-        return _scatter(arr * w, b.rows, a.shape) if back else arr[self._combos(b.rows)] * w
+        if back:
+            return (arr * w).sum(axis=3, keepdims=True)
+        return np.repeat(arr * w, b.shape[1], axis=3)
 
     def _advance(self, a, b, arr, back):
         """Input or post a -> ids b of the next codeword symbol: window n ->
@@ -315,9 +307,14 @@ class Trellis:
         return out
 
     def _clear(self, a, b, arr, back):
-        """Post a -> boundary b: each combo is added into its next encoder
-        state's row."""
-        return arr[self._combos(b.rows)] if back else _scatter(arr, b.rows, b.shape)
+        """Post a -> boundary b: each (state, message) cell is added into its
+        next encoder state's, a product with the (next states, grid)
+        indicator; backward each gathers its next state's."""
+        if back:
+            return arr[:, :, b.rows, 0]
+        lead = arr.shape[:2]
+        onehot = (b.rows.ravel() == np.arange(b.shape[0])[:, None]).astype(float)
+        return (onehot @ arr.reshape(lead + (b.rows.size, -1))).reshape(lead + b.shape)
 
     def _insert(self, lay, arr, back):
         """An ids layer's insertion runs along its pointer axis."""

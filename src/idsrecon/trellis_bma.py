@@ -15,7 +15,8 @@ in the number of traces.
 A decode is always a stack of beta points, a single decode a stack of one.
 The exact per-trace sweeps do not depend on the hyperparameters beta, so
 they run once per stack; the exchange then runs once for the whole stack,
-its front a (K, P, C, W) block: traces x beta points x combos x window.
+its front a (K, P, S, M, W) block: traces x beta points x encoder states x
+message symbols x window.
 """
 
 from __future__ import annotations
@@ -125,23 +126,19 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offset=None
     return lat, fs, bs, kept
 
 
-def combine_beliefs(front, stale, cm, mz, beta_b):
+def combine_beliefs(front, stale, beta_b):
     """Per-trace beliefs about the current message symbol at a read layer,
-    for each row of a stacked front (K, P, C, W) and its `beta_b`. `stale`
-    is the opposite sweep's (K, C, W) block of the layer, `cm` its
-    per-combo message symbol.
+    for each row of a stacked front (K, P, S, M, W) and its `beta_b`.
+    `stale` is the opposite sweep's (K, S, M, W) block of the layer.
 
-    For trace k the belief is sum_v front_k(v) * stale_k(v)**beta_b over
-    the layer's vertices grouped by their message symbol. Rows are
-    normalised (the sweeps rescale layers freely, so only ratios carry
-    information). Returns ((P, K, mz) beliefs, their product over traces).
+    For trace k and message symbol m the belief is the sum of
+    front_k * stale_k**beta_b over the layer's encoder states and window,
+    at index m of its message axis. Rows are normalised (the sweeps rescale
+    layers freely, so only ratios carry information). Returns ((P, K, M)
+    beliefs, their product over traces).
     """
-    n, p = front.shape[:2]
     powed = _pow_rows(stale, beta_b, shared=True)
-    joint = (front.swapaxes(0, 1) * powed).sum(axis=3)
-    # one bincount of cm per (row, trace), each into its own mz bins
-    bins = (cm + mz * np.arange(p * n)[:, None]).ravel()
-    rows = np.bincount(bins, weights=joint.ravel(), minlength=p * n * mz).reshape(p, n, mz)
+    rows = (front.swapaxes(0, 1) * powed).sum(axis=4).sum(axis=2)
     tot = rows.sum(axis=2, keepdims=True)
     _vanished(tot.min(axis=1), "belief row lost all mass during the sweep")
     rows = rows / tot
@@ -150,7 +147,7 @@ def combine_beliefs(front, stale, cm, mz, beta_b):
 
 def gamma_updates(rows, beta_e, beta_i):
     """The unnormalised update gamma for each stack row and trellis, shaped
-    as the (P, K, mz) beliefs `rows`: a trellis's own belief to the beta_i
+    as the (P, K, M) beliefs `rows`: a trellis's own belief to the beta_i
     power times every other trace's belief to the beta_e power, multiplied
     in trace order. Each belief is raised to each power once."""
     n = rows.shape[1]
@@ -165,14 +162,14 @@ def gamma_updates(rows, beta_e, beta_i):
     return g / m
 
 
-def update_forward(front, gamma, cm):
-    """Rescale a trellis front by gamma(m(v)): the update applied to
-    every vertex of the read layer, grouped by its message symbol. A
-    stacked front (K, P, C, W) takes gammas (K, P, mz), one row per trace
-    and beta point. Scaling gamma by any positive constant leaves later
-    estimates unchanged."""
-    g = np.asarray(gamma, dtype=float)[..., cm]
-    return front * g.reshape(g.shape + (1,) * (front.ndim - g.ndim))
+def update_forward(front, gamma):
+    """Rescale a trellis front by gamma(m): the update applied to every
+    cell of the read layer at index m of its message axis. A front
+    (..., S, M, W) takes gammas (..., M): a stacked front (K, P, S, M, W)
+    one row per trace and beta point. Scaling gamma by any positive
+    constant leaves later estimates unchanged."""
+    g = np.asarray(gamma, dtype=float)
+    return front * g[..., None, :, None]
 
 
 def _posterior_row(combined, beta_o):
@@ -185,7 +182,7 @@ def _posterior_row(combined, beta_o):
 class _Stack:
     """The rows of a beta stack still in the exchange: their indices in the
     stack as given, their betas (columns b, e, i, o), and the stacked front
-    (K, P, C, W); `failed` holds the error of each row that left."""
+    (K, P, S, M, W); `failed` holds the error of each row that left."""
 
     def __init__(self, betas):
         self.index = np.arange(len(betas))
@@ -221,11 +218,10 @@ def _exchange_sweep(step, initial, lat, stack, layers, reads, stale, rows_out):
         stack.front = stack.run(lambda: step(lat, t, stack.front)[0])
         if t not in reads:
             continue
-        cm, old = lat.layers[t].cm, stale.layers[t]
 
         def read():
             beta_b, beta_e, beta_i, beta_o = stack.beta.T
-            rows, combined = combine_beliefs(stack.front, old, cm, rows_out.shape[2], beta_b)
+            rows, combined = combine_beliefs(stack.front, stale.layers[t], beta_b)
             post = _posterior_row(combined, beta_o)
             if not (beta_e.any() or beta_i.any()):
                 return post, None
@@ -233,7 +229,7 @@ def _exchange_sweep(step, initial, lat, stack, layers, reads, stale, rows_out):
 
         rows_out[stack.index, reads[t]], gammas = stack.run(read)
         if gammas is not None:
-            stack.front = update_forward(stack.front, gammas.swapaxes(0, 1), cm)
+            stack.front = update_forward(stack.front, gammas.swapaxes(0, 1))
 
 
 def _exchange(encoder, lat, fwd, bwd, betas):

@@ -108,10 +108,10 @@ def assert_lattice_row_matches(lat_sweep, i, trellis, ref_sweep, layers):
         n = trellis.layers[t].npos
         (a,), (b,) = trellis.lo[n, 0].tolist(), trellis.hi[n, 0].tolist()
         crop = slice(a - lo[t], b - lo[t] + 1)
-        outside = np.ones(block.shape[1], bool)
+        outside = np.ones(block.shape[-1], bool)
         outside[crop] = False
-        assert not block[:, outside].any(), t
-        got = block[:, crop] * np.exp(lat_sweep.scales[t, i] - ref_sweep.scales[t, 0])
+        assert not block[..., outside].any(), t
+        got = block[..., crop] * np.exp(lat_sweep.scales[t, i] - ref_sweep.scales[t, 0])
         assert np.allclose(got, ref_sweep.layers[t][0], rtol=1e-12, atol=0), t
 
 

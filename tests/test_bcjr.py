@@ -36,9 +36,10 @@ def test_forward_backward_trivials():
     enc, traces, params = _instance(1)
     tr = build_trellis(enc, traces, params)
     f, b = tr.forward(), tr.backward()
-    origin = (0,) * (1 + tr.K)
+    # a boundary block is (S, 1, W...): index its message axis with 0
+    origin = (0,) * (2 + tr.K)
     lo = tr.lo[tr.layers[-1].npos, 0].tolist()
-    absorbing = (slice(None),) + tuple(len(y) - a for y, a in zip(traces, lo))
+    absorbing = (slice(None), 0) + tuple(len(y) - a for y, a in zip(traces, lo))
     assert _true_values(f, 0)[origin] == 1.0
     assert (_true_values(b, len(tr.layers) - 1)[absorbing] == 1.0).all()
     # B(origin) equals the summed absorbing forward mass
@@ -52,7 +53,7 @@ def test_vertex_posterior_identities():
     enc, traces, params = _instance(2, k=2)
     tr = build_trellis(enc, traces, params)
     f, b = tr.forward(), tr.backward()
-    origin = (0,) * (1 + tr.K)
+    origin = (0,) * (2 + tr.K)
     fb = _true_values(f, 0)[origin] * _true_values(b, 0)[origin]
     assert math.log(fb) == pytest.approx(f.loglik[0], abs=1e-9)
 

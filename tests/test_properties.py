@@ -83,9 +83,9 @@ def test_trellis_readers_agree_with_references(case):
     assert abs(full_b.loglik[0] - loglik_f) < 1e-9 * max(1.0, abs(loglik_f))
     # the streamed posteriors are the whole sweeps' product at the read layers
     post = compute_posteriors(tr)
-    prod = [np.bincount(tr.layers[t].cm, minlength=enc.msg_size,
-                        weights=(full_f.layers[t][0] * full_b.layers[t][0])
-                        .reshape(tr.layers[t].n_combo, -1).sum(axis=1))
+    # a read block is (S, M, W...): a symbol's mass sums its states and pointers
+    prod = [(full_f.layers[t][0] * full_b.layers[t][0])
+            .reshape(tr.layers[t].shape[:2] + (-1,)).sum(axis=2).sum(axis=0)
             for t in tr.post_read_layer]
     assert np.array_equal(post.probs, PosteriorTable.from_rows(prod).probs)
     assert post.log_likelihood == loglik_f

@@ -128,15 +128,17 @@ def test_origin_and_absorbing_forms():
     tr, enc, traces, *_ = _tiny(33, k=2, encoder=cc_encoder(1, 2, DNA), alphabet=DNA)
     first, last = tr.layers[0], tr.layers[-1]
     assert first.kind == last.kind == "boundary"
-    assert first.n_combo == 1 and not tr.lo[first.npos].any()
-    # blocks are (rows, combos, pointers): the joint trellis is one row
+    assert first.shape[:2] == (1, 1) and not tr.lo[first.npos].any()
+    # blocks are (rows, states, messages, pointers): the joint trellis is one
+    # row, and a boundary's message axis has size 1
     origin = tr.initial_forward_block()
-    assert origin.shape[0] == 1 and origin.sum() == 1.0 and origin[(0,) * 4] == 1.0
+    assert origin.shape[0] == 1 and origin.sum() == 1.0 and origin[(0,) * 5] == 1.0
     absorbing = tr.initial_backward_block()
     idx = np.argwhere(absorbing)
-    assert absorbing.sum() == len(idx) == last.n_combo > 1
+    assert last.shape[1] == 1
+    assert absorbing.sum() == len(idx) == last.shape[0] > 1
     for row in idx:
-        ptr = [lo + j for lo, j in zip(tr.lo[last.npos, 0].tolist(), row[2:])]
+        ptr = [lo + j for lo, j in zip(tr.lo[last.npos, 0].tolist(), row[3:])]
         assert ptr == [len(y) for y in traces]
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellisError,
-                      build_trellis, cc_encoder, compute_posteriors, default_betas,
-                      identity_encoder, init_single_trace_trellises, mr_encoder,
+                      build_trellis, cc_encoder, combine_beliefs, compute_posteriors,
+                      default_betas, identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
 from idsrecon.trellis import build_lattice
 from idsrecon.trellis_bma import TUNED_BETAS, _Stack, code_tag, gamma_updates
@@ -84,8 +84,10 @@ def test_reduction_identity_multiply_posteriors():
 
 
 def test_k1_reduces_to_exact_posterior():
+    # the last case is a 16-state code, so the exchange reads a state axis
     cases = [_cluster(40, n=17, k=1), _cluster(41, n=17, k=1),
-             _cluster(42, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)]
+             _cluster(42, k=1, encoder=mr_encoder(16, 3, DNA), offset=True),
+             _cluster(44, k=1, encoder=cc_encoder(2, 10, DNA, codeword_len=14), offset=True)]
     for enc, msg, z, traces in cases:
         [got] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0, 0, 1)],
                                 offset=z)
@@ -97,15 +99,41 @@ def test_k1_reduces_to_exact_posterior():
         assert np.max(np.abs(other.probs - exact.probs)) < 1e-9
 
 
+def test_readers_sum_states_and_window_of_each_message():
+    # on a multi-state stack, against explicit per-cell loops: the belief in
+    # message m sums front * stale**beta_b over the states and the window at
+    # index m of the message axis, and the update scales those cells by gamma
+    rng = np.random.default_rng(11)
+    K, P, S, M, W = 3, 3, 4, 4, 5
+    front = rng.random((K, P, S, M, W))
+    stale = rng.random((K, S, M, W))
+    stale[1, 2, 0, 3] = 0.0  # 0**0 = 1 for the row with beta_b = 0
+    front[2, 1, :, 3] = 0.0  # one belief entry is zero
+    beta_b = np.array([0.0, 0.5, 1.0])
+    rows, combined = combine_beliefs(front, stale, beta_b)
+    want = np.zeros((P, K, M))
+    for k, p, s, m, w in np.ndindex(K, P, S, M, W):
+        weight = 1.0 if beta_b[p] == 0 else stale[k, s, m, w] ** beta_b[p]
+        want[p, k, m] += front[k, p, s, m, w] * weight
+    want /= want.sum(axis=2, keepdims=True)
+    assert rows[1, 2, 3] == 0.0
+    assert np.allclose(rows, want, rtol=1e-12, atol=0)
+    assert np.allclose(combined, want.prod(axis=1), rtol=1e-12, atol=0)
+    gamma = rng.random((K, P, M))
+    out = update_forward(front, gamma)
+    assert out.shape == front.shape
+    for k, p, s, m, w in np.ndindex(K, P, S, M, W):
+        assert out[k, p, s, m, w] == front[k, p, s, m, w] * gamma[k, p, m]
+
+
 def test_gamma_scale_invariance():
     # scaling the new prior by any positive constant changes nothing: feed a
     # manually scaled gamma through update_forward and compare
     rng = np.random.default_rng(5)
-    front = rng.random((4, 6))
-    cm = np.arange(4, dtype=np.int32)
+    front = rng.random((3, 4, 6))  # (S, M, W)
     gamma = rng.random(4)
-    a = update_forward(front, gamma, cm)
-    b = update_forward(front, gamma * 37.5, cm)
+    a = update_forward(front, gamma)
+    b = update_forward(front, gamma * 37.5)
     a_norm = a / a.sum()
     b_norm = b / b.sum()
     assert np.allclose(a_norm, b_norm, rtol=1e-12)
@@ -217,7 +245,7 @@ def test_gamma_updates_equal_nested_powers():
 
 
 def test_stacked_step_marks_only_its_dead_rows():
-    # a joint trellis stack is (1 row, P fronts, C, W...)
+    # a joint trellis stack is (1 row, P fronts, S, M, W...)
     enc, _, z, traces = _cluster(94, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)
     tr = build_trellis(enc, traces, PAPER, delta=8, offset=z)
     t = 6
