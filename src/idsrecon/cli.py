@@ -301,16 +301,18 @@ def cmd_reconstruct(args):
     if post_fh:
         post_fh.write("cluster,position," +
                       ",".join(f"p_{s}" for s in DNA.symbols) + "\n")
+    # clusters without a trace stay undecoded; the others decode in chunks
+    outcomes = {}
+    todo = [(i, cl.traces[:args.k]) for i, cl in enumerate(clusters) if cl.traces]
+    for chunk in evaluation.chunked(todo, args.algo, args.k, 1):
+        decoded = run_algorithm(args.algo, encoder, [traces for _, traces in chunk], params,
+                                delta=args.delta, betas=points)
+        for (i, _), outs in zip(chunk, decoded):
+            outcomes[i] = None if isinstance(outs, InfeasibleTrellisError) else outs[0]
     n_fail = 0
     with open(est_path, "w") as fh:
-        for i, cl in enumerate(clusters):
-            traces, outcome = cl.traces[:args.k], None
-            if traces:
-                try:
-                    [outcome] = run_algorithm(args.algo, encoder, traces, params,
-                                              delta=args.delta, betas=points)
-                except InfeasibleTrellisError:
-                    pass
+        for i in range(len(clusters)):
+            outcome = outcomes.get(i)
             if outcome is None or isinstance(outcome, InfeasibleTrellisError):
                 fh.write("\n")
                 n_fail += 1

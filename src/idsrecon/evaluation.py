@@ -6,6 +6,12 @@ drawing a uniform message per sample, solving for the scrambling vector that
 maps its codeword onto the cluster center, and decoding with the scramble
 offset inside the channel model. Per-cluster randomness is derived from
 (seed, cluster index), so parallel evaluation order cannot change results.
+
+The usable clusters are decoded in chunks (`chunked`), one task each: a
+Trellis BMA chunk is as many clusters as fit CHUNK_ROWS trace rows x beta
+points, every other algorithm's is one cluster. The chunk boundaries are
+fixed by cluster order, K and the number of beta points, never by `jobs`,
+and a cluster decodes in a chunk as it would alone.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from itertools import product
+from itertools import chain, product
 from multiprocessing import get_context
 
 import numpy as np
@@ -189,38 +195,73 @@ def parse_range(text, flag):
 # ----------------------------------------------------------------------
 # algorithm dispatch
 
-def run_algorithm(algorithm, encoder, traces, params, delta=None, offset=None,
+def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None,
                   betas=None):
-    """Decode one cluster, every message equally likely.
+    """Decode a chunk of clusters, every message equally likely. `clusters`
+    is a sequence of trace lists (a single cluster being a list of one),
+    `offsets` None or one scrambling vector (or None) per cluster.
 
-    Returns a list of outcomes: for trellis-bma one per entry of `betas`, the
-    nonempty sequence of BetaParams it needs (see `default_betas`), and one
-    for every other algorithm. An outcome is the pair (PosteriorTable or
-    None, hard estimate), or the InfeasibleTrellisError of that beta point's
-    exchange. A cluster infeasible for every point raises that error.
+    Returns per cluster a list of outcomes: for trellis-bma one per entry
+    of `betas`, the nonempty sequence of BetaParams it needs (see
+    `default_betas`), and one for every other algorithm. An outcome is the
+    pair (PosteriorTable or None, hard estimate), or the
+    InfeasibleTrellisError of that beta point's exchange. A cluster
+    infeasible for every point has that error in place of its list.
+    Trellis BMA decodes the chunk in one call (`run_trellis_bma`); the
+    other algorithms decode cluster by cluster.
     """
+    offsets = [None] * len(clusters) if offsets is None else offsets
     if algorithm == "multiply-posteriors":
         algorithm, betas = "trellis-bma", [MULTIPLY_POSTERIORS]
     if algorithm == "trellis-bma":
         if betas is None:
             raise ConfigError("trellis-bma needs betas; take the tuned ones from "
                               "default_betas(kind, metric, encoder, k)")
-        posts = run_trellis_bma(encoder, traces, params, betas, delta=delta, offset=offset)
-        return [p if isinstance(p, InfeasibleTrellisError) else (p, p.hard) for p in posts]
-    if algorithm == "bcjr-multitrace":
+        posts = run_trellis_bma(encoder, clusters, params, betas, delta=delta,
+                                offsets=offsets)
+        return [ps if isinstance(ps, InfeasibleTrellisError)
+                else [p if isinstance(p, InfeasibleTrellisError) else (p, p.hard) for p in ps]
+                for ps in posts]
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if algorithm == "bmala" and (encoder.L != encoder.N or encoder.n_states != 1):
+        raise ConfigError("plain bmala handles uncoded strands only; use bmala-map")
+    out = []
+    for traces, offset in zip(clusters, offsets):
+        try:
+            out.append([_decode_one(algorithm, encoder, traces, params, delta, offset)])
+        except InfeasibleTrellisError as e:
+            out.append(e)
+    return out
+
+
+def _decode_one(algorithm, encoder, traces, params, delta, offset):
+    """One cluster's (PosteriorTable or None, hard estimate) by the exact
+    joint trellis, BMALA-MAP or BMALA."""
+    if algorithm == "bmala":
+        x_hat = bmala_reconstruct(traces, encoder.N, alphabet_size=encoder.alphabet.size)
+        return None, x_hat if offset is None else unscramble(x_hat, offset,
+                                                             encoder.alphabet.size)
+    if algorithm == "bmala-map":
+        post = bmala_map(traces, encoder, params, delta=delta, offset=offset)
+    else:
         post = compute_posteriors(build_trellis(encoder, traces, params, delta=delta,
                                                 offset=offset))
-    elif algorithm == "bmala-map":
-        post = bmala_map(traces, encoder, params, delta=delta, offset=offset)
-    elif algorithm == "bmala":
-        if encoder.L != encoder.N or encoder.n_states != 1:
-            raise ConfigError("plain bmala handles uncoded strands only; use bmala-map")
-        x_hat = bmala_reconstruct(traces, encoder.N, alphabet_size=encoder.alphabet.size)
-        hard = x_hat if offset is None else unscramble(x_hat, offset, encoder.alphabet.size)
-        return [(None, hard)]
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    return [(post, post.hard)]
+    return post, post.hard
+
+
+CHUNK_ROWS = 24  # trace rows x beta points that one Trellis BMA chunk holds at most
+
+
+def chunked(items, algorithm, k, points):
+    """`items`, one per cluster, cut in order into the chunks that one
+    `run_algorithm` call decodes: for Trellis BMA as many clusters as fit
+    CHUNK_ROWS rows of K traces x `points` beta points, at least one; for
+    every other algorithm one cluster. The cut depends on nothing else."""
+    size = 1
+    if algorithm in ("trellis-bma", "multiply-posteriors"):
+        size = max(1, CHUNK_ROWS // (k * points))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 # ----------------------------------------------------------------------
@@ -247,25 +288,29 @@ def _score(post, hard, message):
     return out
 
 
-def _eval_one(args):
-    """One cluster drawn and decoded: (idx, per outcome of `run_algorithm` a
-    metric dict or None where it was infeasible; None if every one was)."""
-    idx, cluster, encoder, algorithm, k, params, delta, betas, seed = args
-    message, z, traces = _draw(idx, cluster, encoder, k, seed)
-    try:
-        outcomes = run_algorithm(algorithm, encoder, traces, params,
-                                 delta=delta, offset=z, betas=betas)
-    except InfeasibleTrellisError as e:
-        logger.warning("cluster %d infeasible: %s", idx, e)
-        return idx, None
-    scores = []
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, InfeasibleTrellisError):
-            logger.warning("cluster %d infeasible at beta point %d: %s", idx, i, outcome)
-            scores.append(None)
-        else:
-            scores.append(_score(*outcome, message))
-    return idx, scores
+def _eval_chunk(args):
+    """A chunk of clusters drawn and decoded in one `run_algorithm` call:
+    per cluster (idx, per outcome a metric dict or None where it was
+    infeasible; None if every one was)."""
+    chunk, encoder, algorithm, k, params, delta, betas, seed = args
+    draws = [_draw(idx, cluster, encoder, k, seed) for idx, cluster in chunk]
+    outcomes = run_algorithm(algorithm, encoder, [traces for _, _, traces in draws], params,
+                             delta=delta, offsets=[z for _, z, _ in draws], betas=betas)
+    results = []
+    for (idx, _), (message, _, _), outs in zip(chunk, draws, outcomes):
+        if isinstance(outs, InfeasibleTrellisError):
+            logger.warning("cluster %d infeasible: %s", idx, outs)
+            results.append((idx, None))
+            continue
+        scores = []
+        for i, outcome in enumerate(outs):
+            if isinstance(outcome, InfeasibleTrellisError):
+                logger.warning("cluster %d infeasible at beta point %d: %s", idx, i, outcome)
+                scores.append(None)
+            else:
+                scores.append(_score(*outcome, message))
+        results.append((idx, scores))
+    return results
 
 
 def _usable(clusters, encoder, k, max_clusters):
@@ -291,16 +336,16 @@ def _usable(clusters, encoder, k, max_clusters):
 
 
 def _run_tasks(fn, tasks, jobs):
-    """{idx: result} of `fn` over `tasks`, forked over at most `jobs`
-    workers; results are keyed by cluster, so the order they finish in
-    cannot change a report."""
+    """{idx: result} of `fn` over `tasks`, each giving (idx, result) pairs,
+    forked over at most `jobs` workers; results are keyed by cluster, so the
+    order they finish in cannot change a report."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(tasks))
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
-            return dict(pool.imap_unordered(fn, tasks))
-    return dict(map(fn, tasks))
+            return dict(chain.from_iterable(pool.imap_unordered(fn, tasks)))
+    return dict(chain.from_iterable(map(fn, tasks)))
 
 
 def _report(algorithm, encoder, k, outs, skipped):
@@ -331,7 +376,7 @@ def _evaluate(clusters, encoder, algorithm, k, metric, seed, params, delta, beta
               jobs, max_clusters):
     """One EvalReport per decode of `run_algorithm` (per entry of `betas`,
     or one if it is None) over the usable clusters, each cluster drawn,
-    decoded once and scored in one task."""
+    decoded once and scored; a task is one chunk of clusters (`chunked`)."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     if metric not in METRICS:
@@ -342,9 +387,9 @@ def _evaluate(clusters, encoder, algorithm, k, metric, seed, params, delta, beta
         params = IDSParams(*params)
     usable, skipped = _usable(clusters, encoder, k, max_clusters)
 
-    tasks = [(idx, cl, encoder, algorithm, k, params, delta, betas, seed)
-             for idx, cl in usable]
-    results = _run_tasks(_eval_one, tasks, jobs)
+    tasks = [(chunk, encoder, algorithm, k, params, delta, betas, seed)
+             for chunk in chunked(usable, algorithm, k, 1 if betas is None else len(betas))]
+    results = _run_tasks(_eval_chunk, tasks, jobs)
     return [_report(algorithm, encoder, k,
                     [None if results[idx] is None else results[idx][i] for idx, _ in usable],
                     skipped)
@@ -386,8 +431,8 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
     """Grid-search sweep hyperparameters on validation clusters.
 
     Each grid point is scored as `scrambled_eval` with trellis-bma at that
-    point would score it, through the same per-cluster task: a cluster is
-    drawn once and decoded at the whole grid as one beta stack, so its exact
+    point would score it, through the same chunk task: a cluster is drawn
+    once and decoded at the whole grid as one beta stack, so its exact
     per-trace sweeps run once and one stacked exchange decodes every point
     (see `run_trellis_bma`). A cluster infeasible for every point is skipped
     at every point, one whose exchange fails at a point only there.

@@ -34,7 +34,16 @@ joint trellis (`build_trellis`) is one row of K axes. Trellis BMA's
 per-trace trellises (`build_lattice`) are K rows of one axis, each row its
 trace's own one-trace trellis, stepped beside the others: Davey & MacKay's
 drift lattice ("Reliable communication over channels with insertions,
-deletions, and substitutions", IEEE Trans. IT 2001).
+deletions, and substitutions", IEEE Trans. IT 2001). Its rows may come from
+several clusters of one encoder: each row carries its own scramble offset,
+added to the encoder's output to give the symbol it transmitted (the joint
+trellis has one row and one offset).
+
+The encoder's cycle schedule, each cycle's (state, message) transitions
+and emissions, is computed once per encoder (`_cycles`); a build adds only
+each row's offset. An ids layer stores its substitute/correct weights as
+indices into the (|A|, |A|+1) table of weights by (transmitted symbol,
+trace symbol or none), gathered at each step.
 
 One window rule. After n codeword symbols, the trace of length R on a
 (row, axis) has the pointer window [lo, hi] with c = floor(n*R/N + 0.5),
@@ -94,7 +103,38 @@ class _Layer:
     shape: tuple = ()      # one row's block: (S, M, W_0 .. W_{a-1}), M = 1 at a boundary
     rows: np.ndarray | None = None     # boundary: the (S, M) grid of the previous cycle,
                                        # the state each of its cells clears into
-    subcor: np.ndarray | None = None   # ids: substitute/correct weights
+    subcor: np.ndarray | None = None   # ids: substitute/correct weights, as indices
+                                       # into the trellis's flat weight table
+
+
+def _index_type(size):
+    """The smallest integer type of a symbol index into an alphabet of
+    `size` and of an index into the flat (size, size + 1) weight table."""
+    return np.min_scalar_type(size * (size + 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _cycles(encoder):
+    """The encoder's cycle schedule, which no trace or offset changes: per
+    message cycle, the (S, M) grid of (state, message) transitions from the
+    states the previous cycles reach, the codeword symbols each emits
+    ((S*M, u), state-major, before scrambling), the index of each one's
+    next state among the states reached after the cycle ((S, M)), and the
+    number of those states."""
+    Mz, A = encoder.msg_size, encoder.alphabet.size
+    states = np.array([encoder.q_init], dtype=np.int32)
+    out = []
+    for l in range(encoder.L):
+        grid = (len(states), Mz)
+        cq, emit = encoder.transition(np.repeat(states, Mz),
+                                      np.tile(np.arange(Mz, dtype=np.int32), len(states)), l)
+        states = np.unique(cq)
+        emit, nxt = (emit.astype(_index_type(A)),
+                     np.searchsorted(states, cq).reshape(grid).astype(np.int32))
+        emit.setflags(write=False)
+        nxt.setflags(write=False)
+        out.append((grid, emit, nxt, len(states)))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,12 +168,12 @@ class Trellis:
     transfers between them. The error of a step or sweep marks the rows
     whose mass vanished."""
 
-    def __init__(self, encoder, traces, params, delta, offset, rows):
+    def __init__(self, encoder, traces, params, delta, offsets, rows):
         self.encoder = encoder
         self.params = params
         self.traces = traces
         self.delta = delta
-        self.offset = offset
+        self.offsets = offsets
         self.K = len(traces)
         self.rows = rows
         self.axes = self.K // rows
@@ -195,52 +235,45 @@ class Trellis:
             self._moves.append(moves)
         # the trace symbol each source cell (all but the last) explains, A for none
         ptr = self.lo[..., None] + np.arange(wmax - 1)  # (N+1, rows, axes, wmax-1)
-        ypad = np.full((self.K, max(int(R.max()), 1)), A)
+        ypad = np.full((self.K, max(int(R.max()), 1)), A, dtype=_index_type(A))
         for k, y in enumerate(self.traces):
             ypad[k, :len(y)] = y
         ypad = ypad.reshape(rows, axes, -1)
         self._sym = np.where(ptr < R[..., None],
                              ypad[np.arange(rows)[:, None, None], np.arange(axes)[:, None],
                                   ptr.clip(max=ypad.shape[-1] - 1)], A)
-        # substitute/correct weight by (on-deck symbol, trace symbol or A)
+        # substitute/correct weight by (on-deck symbol, trace symbol or A), flat
         w_sub = p.p_sub / (A - 1) if A > 1 else 0.0
-        self._weight = np.where(np.arange(A)[:, None] == np.arange(A + 1), p.p_cor, w_sub)
-        self._weight[:, A] = 0.0
+        weight = np.where(np.arange(A)[:, None] == np.arange(A + 1), p.p_cor, w_sub)
+        weight[:, A] = 0.0
+        self._weight = weight.ravel()
         self._schedule()
 
     def _schedule(self):
-        """The cycle schedule; `_add` gives each layer its geometry."""
-        enc = self.encoder
-        Mz = enc.msg_size
-        states = np.array([enc.q_init], dtype=np.int32)
+        """The encoder's cycle schedule (`_cycles`) with each row's
+        scramble offset; `_add` gives each layer its geometry."""
         npos = 0
         self._add(BOUNDARY, npos, (1, 1))
-        for l in range(self.L):
-            u = enc.emission_counts[l]
-            # this cycle's (state, message) transitions, state-major
-            grid = (len(states), Mz)
-            cq, emit = enc.transition(np.repeat(states, Mz),
-                                      np.tile(np.arange(Mz, dtype=np.int32), len(states)), l)
-            if self.offset is not None:
-                emit = (emit + self.offset[npos:npos + u]) % self.A
+        for l, (grid, emit, nxt, n_next) in enumerate(_cycles(self.encoder)):
             self.input_read_layer[l] = len(self.layers)
             # `npos` is still the boundary's: windows change only across an advance
             self._add(INPUT, npos, grid)
-            for c in range(u):
+            for c in range(emit.shape[1]):
                 npos += 1
+                # the on-deck codeword symbol, as transmitted, by (row, state, message)
+                cx = emit[:, c] if self.offsets is None else (
+                    (emit[:, c] + self.offsets[:, npos - 1, None]) % self.A)
                 for k in range(self.axes):
-                    self._add(IDS, npos, grid, axis=k, cx=emit[:, c].reshape(grid))
-                if c == u - 1:
+                    self._add(IDS, npos, grid, axis=k, cx=cx.reshape((-1,) + grid))
+                if c == emit.shape[1] - 1:
                     self.post_read_layer[l] = len(self.layers)
                 self._add(POST, npos, grid)
-            states = np.unique(cq)
-            self._add(BOUNDARY, npos, (len(states), 1),
-                      rows=np.searchsorted(states, cq).reshape(grid).astype(np.int32))
+            self._add(BOUNDARY, npos, (n_next, 1), rows=nxt)
 
     def _add(self, kind, npos, grid, axis=-1, cx=None, rows=None):
         """Append a layer with the (states, messages) `grid` after `npos`
         codeword symbols; an ids layer's cells have the on-deck codeword
-        symbols `cx`, shaped as the grid."""
+        symbols `cx`, shaped (rows or 1,) + grid."""
         lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], rows=rows)
         if kind == IDS:
             lay.subcor = self._subcor(npos, axis, cx)
@@ -248,14 +281,14 @@ class Trellis:
 
     def _subcor(self, npos, axis, cx):
         """Substitute/correct weights of an ids layer on `axis` after `npos`
-        codeword symbols whose (state, message) cells have the on-deck
-        codeword symbols `cx` (as transmitted), by (row, state, message,
+        codeword symbols whose cells have the on-deck codeword symbols `cx`,
+        as indices into the flat weight table, by (row, state, message,
         source pointer), for each cell of the axis but the last (its
         successor lies outside), shaped to broadcast along the axis over a
-        stack. Zero at pointer R: no symbol left to explain."""
+        stack. The weight is zero at pointer R: no symbol left to explain."""
         w = self._widths[npos][axis]
-        sub = self._weight[cx[..., None], self._sym[npos, :, axis, None, None, :w - 1]]
-        return sub.reshape((self.rows, 1) + cx.shape
+        idx = cx[..., None] * (self.A + 1) + self._sym[npos, :, axis, None, None, :w - 1]
+        return idx.reshape((self.rows, 1) + cx.shape[1:]
                            + tuple(w - 1 if j == axis else 1 for j in range(self.axes)))
 
     def _origin(self):
@@ -303,7 +336,7 @@ class Trellis:
         if back:
             src, dst = dst, src
         out = arr * self.params.p_del
-        out[dst] += arr[src] * a.subcor
+        out[dst] += arr[src] * self._weight.take(a.subcor)
         return out
 
     def _clear(self, a, b, arr, back):
@@ -432,9 +465,10 @@ class Trellis:
         return self._sweep(True, keep, self._origin(), "no backward mass reaches the origin")
 
 
-def _checked(encoder, traces, params, delta, offset):
-    """The arguments of `build_trellis` and `build_lattice`, checked and
-    converted to index arrays."""
+def _build(encoder, traces, params, delta, offsets, rows):
+    """The `Trellis` of `rows` rows, its arguments checked and converted to
+    index arrays; `offsets` (one per row, each None or length N) becomes a
+    (rows, N) array, zero for None, or None if every one is zero."""
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
     traces = [as_indices(y, encoder.alphabet) for y in traces]
@@ -442,13 +476,20 @@ def _checked(encoder, traces, params, delta, offset):
         raise ConfigError("need at least one trace")
     if delta is not None and delta < 0:
         raise ConfigError("delta must be nonnegative")
-    if offset is not None:
-        offset = as_indices(offset, encoder.alphabet).astype(np.int32)
-        if len(offset) != encoder.N:
+    if offsets is not None:
+        if len(offsets) != rows:
+            raise ConfigError(f"need one offset per trellis row: got {len(offsets)} "
+                              f"for {rows} rows")
+        offsets = [np.zeros(encoder.N, np.int8) if z is None
+                   else as_indices(z, encoder.alphabet) for z in offsets]
+        if any(len(z) != encoder.N for z in offsets):
             raise ConfigError("offset length must equal the codeword length")
+        offsets = np.array(offsets, dtype=_index_type(encoder.alphabet.size))
+        if not offsets.any():
+            offsets = None
     if sum(encoder.emission_counts) != encoder.N:
         raise ConfigError("encoder emission counts do not sum to N")
-    return encoder, traces, params, delta, offset
+    return Trellis(encoder, traces, params, delta, offsets, rows)
 
 
 def build_trellis(encoder, traces, params, delta=None, offset=None):
@@ -462,12 +503,14 @@ def build_trellis(encoder, traces, params, delta=None, offset=None):
     No sweep runs here: an infeasible trellis raises from its first sweep,
     at the layer where the mass vanishes.
     """
-    return Trellis(*_checked(encoder, traces, params, delta, offset), rows=1)
+    return _build(encoder, traces, params, delta, None if offset is None else [offset], 1)
 
 
-def build_lattice(encoder, traces, params, delta=None, offset=None):
+def build_lattice(encoder, traces, params, delta=None, offsets=None):
     """Construct the one-trace trellises of `traces` as K rows of one
-    pointer axis, with the arguments of `build_trellis`; row k is stepped
-    exactly as trace k's own trellis steps it."""
-    args = _checked(encoder, traces, params, delta, offset)
-    return Trellis(*args, rows=len(args[1]))
+    pointer axis, with the arguments of `build_trellis` but one scrambling
+    vector per trace in `offsets` (each None or length N; None for all):
+    row k is stepped exactly as trace k's own trellis steps it. The traces
+    may come from several clusters, each row carrying its cluster's
+    offset."""
+    return _build(encoder, traces, params, delta, offsets, len(traces))

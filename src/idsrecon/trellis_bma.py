@@ -12,11 +12,16 @@ message is estimated this way; a mirrored sweep updating the backward
 values estimates the second half from the other end. Total cost is linear
 in the number of traces.
 
-A decode is always a stack of beta points, a single decode a stack of one.
-The exact per-trace sweeps do not depend on the hyperparameters beta, so
-they run once per stack; the exchange then runs once for the whole stack,
-its front a (K, P, S, M, W) block: traces x beta points x encoder states x
-message symbols x window.
+A decode is a chunk of clusters x a stack of beta points; a single cluster
+is a chunk of one, a single decode a stack of one. The traces of every
+cluster of the chunk are the rows of one lattice, each row carrying its
+cluster's scramble offset. The exact per-trace sweeps do not depend on the
+hyperparameters beta, so they run once per chunk; the exchange then runs
+once for the whole chunk and stack, its front a (rows, P, S, M, W) block:
+the chunk's traces x beta points x encoder states x message symbols x
+window. Each cluster's beliefs are combined, and each trace's gamma taken,
+over that cluster's own rows only (`_Chunk`), so a cluster decodes as it
+would alone.
 """
 
 from __future__ import annotations
@@ -92,25 +97,36 @@ def _vanished(tot, message):
         raise InfeasibleTrellisError(message, rows=tot.ravel() <= 0.0)
 
 
-def init_single_trace_trellises(encoder, traces, params, delta=None, offset=None):
+def _no_trace_left():
+    return InfeasibleTrellisError("every trace was infeasible under the drift bound")
+
+
+def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=None,
+                                sizes=None):
     """Run both exact sweeps of every trace's one-trace trellis, the traces
-    being the rows of one lattice (`build_lattice`).
+    being the rows of one lattice (`build_lattice`). `traces` holds a chunk
+    of clusters' traces, cluster by cluster, `sizes` how many each cluster
+    has (None: one cluster), and `offsets` one scrambling vector per trace
+    (None: no scrambling).
 
     Each sweep keeps only the layers the exchange reads as its stale side:
     the forward sweep the input layers of the second half of the message,
     the backward sweep the post read layers of the first half.
 
     Traces whose trellis has no surviving path under `delta` are dropped
-    with a warning (real clusters contain outlier reads), and the sweeps
-    rerun on the rest; all traces being infeasible is an error. Returns
-    (lattice, forward sweep, backward sweep, indices of the kept traces),
-    the lattice's rows being the kept traces.
+    with a warning naming each one by its index in its cluster (real
+    clusters contain outlier reads), and the sweeps rerun on the rest; all
+    traces being infeasible is an error. Returns (lattice, forward sweep,
+    backward sweep, indices of the kept traces in `traces`), the lattice's
+    rows being the kept traces.
     """
     half = encoder.L // 2
+    sizes = [len(traces)] if sizes is None else sizes
+    in_cluster = [j for n in sizes for j in range(n)]
     kept, dropped = list(range(len(traces))), {}
     while kept:
         lat = build_lattice(encoder, [traces[k] for k in kept], params, delta=delta,
-                            offset=offset)
+                            offsets=None if offsets is None else [offsets[k] for k in kept])
         try:
             fs = lat.forward(keep=lat.input_read_layer[half:])
             bs = lat.backward(keep=lat.post_read_layer[:half])
@@ -120,52 +136,90 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offset=None
             dropped.update((k, e) for k, g in zip(kept, gone) if g)
             kept = [k for k, g in zip(kept, gone) if not g]
     for k in sorted(dropped):
-        logger.warning("dropping trace %d: %s", k, dropped[k])
+        logger.warning("dropping trace %d: %s", in_cluster[k], dropped[k])
     if not kept:
-        raise InfeasibleTrellisError("every trace was infeasible under the drift bound")
+        raise _no_trace_left()
     return lat, fs, bs, kept
 
 
-def combine_beliefs(front, stale, beta_b):
+class _Chunk:
+    """Where the lattice's rows sit among a chunk's clusters: row r is the
+    j-th kept trace of the c-th cluster that kept any, at slot (c, j) of a
+    (C, K) grid, K being the most traces any of them kept. `pad` lays a
+    (P, rows, ...) stack out on that grid, 1.0 in the empty slots, so a
+    product over a cluster's slots multiplies its own traces in order;
+    `unpad` reads the rows back. `real` marks the slots that hold a row,
+    None when all do (then both are reshapes)."""
+
+    def __init__(self, sizes):
+        self.C, self.K = len(sizes), max(sizes)
+        self.slot = self.real = None
+        if min(sizes) < self.K:
+            self.slot = np.concatenate([c * self.K + np.arange(n) for c, n in enumerate(sizes)])
+            self.real = np.zeros(self.C * self.K, bool)
+            self.real[self.slot] = True
+            self.real = self.real.reshape(self.C, self.K)
+
+    def pad(self, arr):
+        shape = (arr.shape[0], self.C, self.K) + arr.shape[2:]
+        if self.slot is None:
+            return arr.reshape(shape)
+        out = np.ones((arr.shape[0], self.C * self.K) + arr.shape[2:])
+        out[:, self.slot] = arr
+        return out.reshape(shape)
+
+    def unpad(self, arr):
+        flat = arr.reshape((arr.shape[0], self.C * self.K) + arr.shape[3:])
+        return flat if self.slot is None else flat[:, self.slot]
+
+
+def combine_beliefs(front, stale, beta_b, chunk):
     """Per-trace beliefs about the current message symbol at a read layer,
-    for each row of a stacked front (K, P, S, M, W) and its `beta_b`.
-    `stale` is the opposite sweep's (K, S, M, W) block of the layer.
+    for each row of a stacked front (rows, P, S, M, W) and its `beta_b`.
+    `stale` is the opposite sweep's (rows, S, M, W) block of the layer, and
+    `chunk` (a `_Chunk`) says which cluster each row belongs to.
 
     For trace k and message symbol m the belief is the sum of
     front_k * stale_k**beta_b over the layer's encoder states and window,
     at index m of its message axis. Rows are normalised (the sweeps rescale
-    layers freely, so only ratios carry information). Returns ((P, K, M)
-    beliefs, their product over traces).
+    layers freely, so only ratios carry information). Returns ((P, C, K, M)
+    beliefs laid out by `chunk.pad`, their product over each cluster's
+    traces, (P, C, M)).
     """
     powed = _pow_rows(stale, beta_b, shared=True)
     rows = (front.swapaxes(0, 1) * powed).sum(axis=4).sum(axis=2)
-    tot = rows.sum(axis=2, keepdims=True)
-    _vanished(tot.min(axis=1), "belief row lost all mass during the sweep")
-    rows = rows / tot
-    return rows, np.multiply.reduce(rows, axis=1)
+    tot = rows.sum(axis=2)
+    _vanished(chunk.pad(tot).min(axis=2), "belief row lost all mass during the sweep")
+    rows = chunk.pad(rows / tot[..., None])
+    return rows, np.multiply.reduce(rows, axis=2)
 
 
-def gamma_updates(rows, beta_e, beta_i):
+def gamma_updates(rows, beta_e, beta_i, real=None):
     """The unnormalised update gamma for each stack row and trellis, shaped
-    as the (P, K, M) beliefs `rows`: a trellis's own belief to the beta_i
-    power times every other trace's belief to the beta_e power, multiplied
-    in trace order. Each belief is raised to each power once."""
-    n = rows.shape[1]
+    as the (P, C, K, M) beliefs `rows` of C clusters of K slots: a
+    trellis's own belief to the beta_i power times the belief of every
+    other trace of its cluster to the beta_e power, multiplied in trace
+    order. Each belief is raised to each power once. `real` (C, K) marks
+    the slots that hold a trace (None: all); the others hold beliefs of
+    1.0, a factor of 1, and their gammas are not read."""
+    n = rows.shape[2]
     # factor j + 1 is trace j's belief to beta_e, and 1 for trellis j itself
     factors = np.empty((n + 1,) + rows.shape)
     factors[0] = _pow_rows(rows, beta_i)
-    factors[1:] = _pow_rows(rows, beta_e).transpose(1, 0, 2)[:, :, None]
-    factors[1 + np.arange(n), :, np.arange(n)] = 1.0
+    factors[1:] = _pow_rows(rows, beta_e).transpose(2, 0, 1, 3)[:, :, :, None]
+    factors[1 + np.arange(n), :, :, np.arange(n)] = 1.0
     g = np.multiply.reduce(factors, axis=0)
-    m = g.max(axis=2, keepdims=True)
-    _vanished(m.min(axis=1), "gamma update vanished for one trellis")
+    m = g.max(axis=3, keepdims=True)
+    if real is not None:
+        m[:, ~real] = 1.0
+    _vanished(m.min(axis=2), "gamma update vanished for one trellis")
     return g / m
 
 
 def update_forward(front, gamma):
     """Rescale a trellis front by gamma(m): the update applied to every
     cell of the read layer at index m of its message axis. A front
-    (..., S, M, W) takes gammas (..., M): a stacked front (K, P, S, M, W)
+    (..., S, M, W) takes gammas (..., M): a stacked front (rows, P, S, M, W)
     one row per trace and beta point. Scaling gamma by any positive
     constant leaves later estimates unchanged."""
     g = np.asarray(gamma, dtype=float)
@@ -174,29 +228,39 @@ def update_forward(front, gamma):
 
 def _posterior_row(combined, beta_o):
     row = _pow_rows(combined, beta_o)
-    tot = row.sum(axis=1, keepdims=True)
+    tot = row.sum(axis=-1, keepdims=True)
     _vanished(tot, "combined belief has no mass")
     return row / tot
+
+
+class _RowLost(Exception):
+    """A (cluster, beta) row of a stack of several clusters vanished. The
+    stack's beta rows are shared by its clusters, so it cannot leave alone."""
 
 
 class _Stack:
     """The rows of a beta stack still in the exchange: their indices in the
     stack as given, their betas (columns b, e, i, o), and the stacked front
-    (K, P, S, M, W); `failed` holds the error of each row that left."""
+    (rows, P, S, M, W); `failed` holds the error of each row that left. A
+    stack of one cluster's rows loses single beta rows; one of several
+    clusters raises `_RowLost` instead."""
 
-    def __init__(self, betas):
+    def __init__(self, betas, clusters):
         self.index = np.arange(len(betas))
         self.beta = np.array([bp.as_tuple() for bp in betas])
         self.front, self.failed = None, {}
+        self.clusters = clusters
 
     def run(self, op):
         """op() on the rows left. The rows that an InfeasibleTrellisError of
-        op marks, (P,) or per trace (K, P), leave with it, and op runs again
-        on the others; the error is raised once no row is left."""
+        op marks, (P,) or per trace (rows, P), leave with it, and op runs
+        again on the others; the error is raised once no row is left."""
         while True:
             try:
                 return op()
             except InfeasibleTrellisError as e:
+                if self.clusters > 1:
+                    raise _RowLost from e
                 gone = (np.ones(len(self.index), bool) if e.rows is None
                         else e.rows.reshape(-1, len(self.index)).any(axis=0))
                 self.failed.update(dict.fromkeys(self.index[gone].tolist(), e))
@@ -206,12 +270,13 @@ class _Stack:
                     raise
 
 
-def _exchange_sweep(step, initial, lat, stack, layers, reads, stale, rows_out):
+def _exchange_sweep(step, initial, lat, stack, chunk, layers, reads, stale, rows_out):
     """Step the lattice's stacked front, from its `initial` block, through
     `layers` with `step` (`Trellis.step_forward` or `step_backward`). At
     each layer of `reads` ({layer: message position}) the front is
     combined with the stale opposite sweep into that position's posterior
-    rows, and each trace's row receives its gamma update."""
+    rows, per cluster of `chunk`, and each trace's row receives its gamma
+    update from its own cluster's traces."""
     b = initial(lat)
     stack.front = np.broadcast_to(b[:, None], (len(b), len(stack.index)) + b.shape[1:])
     for t in layers:
@@ -221,70 +286,100 @@ def _exchange_sweep(step, initial, lat, stack, layers, reads, stale, rows_out):
 
         def read():
             beta_b, beta_e, beta_i, beta_o = stack.beta.T
-            rows, combined = combine_beliefs(stack.front, stale.layers[t], beta_b)
+            rows, combined = combine_beliefs(stack.front, stale.layers[t], beta_b, chunk)
             post = _posterior_row(combined, beta_o)
             if not (beta_e.any() or beta_i.any()):
                 return post, None
-            return post, gamma_updates(rows, beta_e, beta_i)
+            return post, gamma_updates(rows, beta_e, beta_i, chunk.real)
 
-        rows_out[stack.index, reads[t]], gammas = stack.run(read)
+        rows_out[stack.index, :, reads[t]], gammas = stack.run(read)
         if gammas is not None:
-            stack.front = update_forward(stack.front, gammas.swapaxes(0, 1))
+            stack.front = update_forward(stack.front, chunk.unpad(gammas).swapaxes(0, 1))
 
 
-def _exchange(encoder, lat, fwd, bwd, betas):
+def _exchange(encoder, lat, fwd, bwd, betas, chunk):
     """Both exchange sweeps over the stored read layers of the exact
     per-trace sweeps, which they only read, for every point of `betas` at
     once: the lattice's front has one row per (trace, point). Returns per
-    point its PosteriorTable, or the InfeasibleTrellisError that ended its
-    row, as that point's exchange alone gives; a point's row ends when any
-    of its traces' rows vanishes."""
+    cluster of `chunk`, per point, its PosteriorTable, or the
+    InfeasibleTrellisError that ended its row, as that point's exchange
+    alone gives; a point's row ends when any of its traces' rows vanishes.
+    With several clusters no row may end: `_RowLost` is raised instead."""
     L = encoder.L
     half = L // 2
-    stack = _Stack(betas)
-    rows_out = np.empty((len(betas), L, encoder.msg_size))
+    stack = _Stack(betas, chunk.C)
+    rows_out = np.empty((len(betas), chunk.C, L, encoder.msg_size))
     try:
         # a forward-updating sweep estimates the first half at its post layers
         first = {lat.post_read_layer[l]: l for l in range(half)}
-        _exchange_sweep(Trellis.step_forward, Trellis.initial_forward_block, lat, stack,
+        _exchange_sweep(Trellis.step_forward, Trellis.initial_forward_block, lat, stack, chunk,
                         range(1, max(first, default=0) + 1), first, bwd, rows_out)
         # a backward-updating sweep estimates the second half from the other end
         second = {lat.input_read_layer[l]: l for l in range(half, L)}
         _exchange_sweep(Trellis.step_backward, Trellis.initial_backward_block, lat, stack,
-                        range(len(lat.layers) - 2, min(second) - 1, -1), second, fwd,
+                        chunk, range(len(lat.layers) - 2, min(second) - 1, -1), second, fwd,
                         rows_out)
     except InfeasibleTrellisError:
         if len(stack.index):
             raise
         # every row has left the stack, each with its own error
-    return [stack.failed.get(r) or PosteriorTable.from_rows(rows_out[r])
-            for r in range(len(betas))]
+    return [[stack.failed.get(p) or PosteriorTable.from_rows(rows_out[p, c])
+             for p in range(len(betas))] for c in range(chunk.C)]
 
 
-def run_trellis_bma(encoder, traces, params, betas, delta=None, offset=None):
-    """Approximate message posteriors from K traces at per-trace trellis
-    cost, one decode per entry of `betas`, a nonempty list or tuple of
-    BetaParams.
+def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
+    """Approximate message posteriors of a chunk of clusters at per-trace
+    trellis cost, one decode per cluster and entry of `betas`, a nonempty
+    list or tuple of BetaParams. `clusters` is a nonempty sequence of trace
+    lists (a single cluster being a list of one), `offsets` None or one
+    scrambling vector (or None) per cluster.
 
-    Each trace's one-trace trellis is swept once by the exact engine, all
-    traces as rows of one lattice (`trellis.build_lattice`); one exchange
-    then decodes
-    every entry at once, its front holding one row per (trace, entry).
-    Returns, per entry, its PosteriorTable (hard estimates are its row
-    argmaxes) or the InfeasibleTrellisError its row of the exchange
-    raised, equal to that entry decoded alone. Infeasible traces are
-    dropped with a warning naming each one; every trace being infeasible
-    is raised, and an empty trace list is a ConfigError.
+    A decode is a chunk of clusters x a beta stack. Every trace of every
+    cluster is a row of one lattice (`trellis.build_lattice`), each row
+    carrying its cluster's offset, and is swept once by the exact engine;
+    one exchange then decodes every (cluster, entry) at once, its front
+    holding one row per (trace, entry), each cluster's beliefs combined
+    over its own rows. Returns, per cluster, a list with per entry its
+    PosteriorTable (hard estimates are its row argmaxes) or the
+    InfeasibleTrellisError its row of the exchange raised, equal to that
+    cluster and entry decoded alone; or, for a cluster whose every trace
+    was infeasible, that error. Infeasible traces are dropped with a
+    warning naming each one. A chunk of several clusters whose exchange
+    loses a row is decoded again cluster by cluster from its kept traces,
+    so that the row's cluster alone loses it. An empty cluster is a
+    ConfigError.
     """
-    if len(traces) == 0:
+    if (not isinstance(clusters, (list, tuple)) or not clusters
+            or not all(isinstance(c, (list, tuple)) for c in clusters)):
+        raise ConfigError("clusters must be a nonempty list of trace lists, a single "
+                          "cluster being a list of one")
+    if not all(clusters):
         raise ConfigError("Trellis BMA needs at least one trace")
     if (not isinstance(betas, (list, tuple)) or not betas
             or not all(isinstance(b, BetaParams) for b in betas)):
         raise ConfigError(f"betas must be a nonempty list or tuple of BetaParams, a single "
                           f"point being a sequence of them of length 1; got {betas!r}")
-    lat, fwd, bwd, _ = init_single_trace_trellises(
-        encoder, traces, params, delta=delta, offset=offset)
-    return _exchange(encoder, lat, fwd, bwd, betas)
+    offsets = [None] * len(clusters) if offsets is None else offsets
+    if len(offsets) != len(clusters):
+        raise ConfigError(f"need one offset per cluster: got {len(offsets)} "
+                          f"for {len(clusters)} clusters")
+    traces = [y for c in clusters for y in c]
+    owner = [c for c, ys in enumerate(clusters) for _ in ys]
+    try:
+        lat, fwd, bwd, kept = init_single_trace_trellises(
+            encoder, traces, params, delta=delta, offsets=[offsets[c] for c in owner],
+            sizes=[len(c) for c in clusters])
+    except InfeasibleTrellisError as e:
+        return [e] * len(clusters)
+    mine = [[k for k in kept if owner[k] == c] for c in range(len(clusters))]
+    try:
+        posts = iter(_exchange(encoder, lat, fwd, bwd, betas,
+                               _Chunk([len(ks) for ks in mine if ks])))
+    except _RowLost:
+        return [run_trellis_bma(encoder, [[traces[k] for k in ks]], params, betas,
+                                delta=delta, offsets=[offsets[c]])[0] if ks
+                else _no_trace_left() for c, ks in enumerate(mine)]
+    return [next(posts) if ks else _no_trace_left() for ks in mine]
 
 
 # Tuned sweep defaults, keyed by (data kind, target metric, code tag, trace

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from idsrecon import evaluation
 from idsrecon.cli import main
 
 
@@ -269,14 +270,17 @@ def test_flags_override_config(tmp_path):
     assert len((out / "centers.txt").read_text().strip().splitlines()) == 2
 
 
-def test_evaluate_jobs_identical(tmp_path):
-    out = _simulate(tmp_path, n=16, traces=4, length=20)
+@pytest.mark.parametrize("algo", ["bmala", "trellis-bma"])
+def test_evaluate_jobs_identical(tmp_path, algo):
+    # 30 clusters at K=2: Trellis BMA decodes them in 3 chunks
+    out = _simulate(tmp_path, n=30, traces=4, length=20)
+    assert len(evaluation.chunked(list(range(30)), algo, 2, 1)) >= 3
     reports = []
     for jobs, name in (("1", "j1"), ("2", "j2")):
         res = tmp_path / name
         rc = main(["evaluate", "--centers", str(out / "centers.txt"),
                    "--clusters", str(out / "clusters.txt"),
-                   "--code", "identity:20", "--algo", "bmala",
+                   "--code", "identity:20", "--algo", algo,
                    "--k-list", "2", "--metric", "hamming", "--split", "all",
                    "--seed", "3", "--jobs", jobs, "-o", str(res)])
         assert rc == 0
@@ -374,6 +378,7 @@ def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, command, fla
 NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from idsrecon import evaluation
 from idsrecon.cli import main
 root = sys.argv[1]
 data = ["--centers", root + "/data/centers.txt", "--clusters", root + "/data/clusters.txt",

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -125,19 +126,19 @@ def test_run_algorithm_dispatch():
     x = rng.integers(4, size=15).astype(np.int8)
     traces = [np.asarray(transmit(x, PAPER, rng, DNA)) for _ in range(3)]
     for algo in ("bcjr-multitrace", "trellis-bma", "multiply-posteriors", "bmala"):
-        [(post, hard)] = run_algorithm(algo, enc, traces, PAPER, delta=8,
-                                       betas=[BetaParams(1, 0.5, 0, 1)])
+        [[(post, hard)]] = run_algorithm(algo, enc, [traces], PAPER, delta=8,
+                                         betas=[BetaParams(1, 0.5, 0, 1)])
         assert len(hard) == 15
         if post is not None:
             assert post.probs.shape == (15, 4)
-    [(post, hard)] = run_algorithm("bmala-map", enc, traces, PAPER, delta=8)
+    [[(post, hard)]] = run_algorithm("bmala-map", enc, [traces], PAPER, delta=8)
     assert post.probs.shape == (15, 4)
     with pytest.raises(ConfigError, match="default_betas"):
-        run_algorithm("trellis-bma", enc, traces, PAPER, delta=8)
+        run_algorithm("trellis-bma", enc, [traces], PAPER, delta=8)
     with pytest.raises(ConfigError):
-        run_algorithm("nope", enc, traces, PAPER)
+        run_algorithm("nope", enc, [traces], PAPER)
     with pytest.raises(ConfigError):
-        run_algorithm("bmala", mr_encoder(15, 2, DNA), traces, PAPER)
+        run_algorithm("bmala", mr_encoder(15, 2, DNA), [traces], PAPER)
 
 
 def test_scrambled_eval_reproducible_and_consistent():
@@ -306,10 +307,48 @@ def test_sweep_matches_scoring_each_point_alone():
     assert table2 == table
 
 
+def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
+    # the usable clusters are cut into chunks in cluster order; chunks of one
+    # (CHUNK_ROWS = 1) give the same tables, reports and warnings. Without
+    # insertions a trace longer than its strand is unexplainable: cluster 2
+    # is infeasible at init, and beta_o = 300 underflows every noisy cluster
+    params = IDSParams(0.0, 0.05, 0.05, 0.9)
+    enc = mr_encoder(24, 3, DNA)
+    rng = np.random.default_rng(0)
+    clusters = simulate_clusters(6, 4, 24, params, seed=1)
+    clusters.insert(2, Cluster(rng.integers(4, size=24),
+                               [rng.integers(4, size=27) for _ in range(4)]))
+    center = rng.integers(4, size=24)
+    clusters.append(Cluster(center, [center] * 4))
+    grid = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5, 300.0)}
+    assert len(evaluation.chunked(clusters, "trellis-bma", 3, 2)) == 2
+    runs = []
+    for rows in (evaluation.CHUNK_ROWS, 1):
+        monkeypatch.setattr(evaluation, "CHUNK_ROWS", rows)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            _, table = sweep_betas(clusters, enc, 3, "entropy", 5, params, delta=8, grid=grid)
+            rep = scrambled_eval(clusters, enc, "trellis-bma", 3, "entropy", 5, params,
+                                 delta=8, betas=BetaParams(1, 0.1, 0, 0.5))
+        runs.append((table, rep, [r.getMessage() for r in caplog.records]))
+    (table, rep, lines), (table1, rep1, lines1) = runs
+    assert [bp for bp, _ in table] == [bp for bp, _ in table1]
+    assert [v for _, v in table] == pytest.approx([v for _, v in table1], rel=1e-12)
+    assert (rep.n_samples, rep.skipped) == (rep1.n_samples, rep1.skipped) == (7, 1)
+    for name, (value, half) in rep.metrics.items():
+        assert (value, half) == pytest.approx(rep1.metrics[name], rel=1e-12), name
+    assert any(line.startswith("cluster 2 infeasible: every trace") for line in lines)
+    assert any("infeasible at beta point 1" in line for line in lines)
+    for prefix in ("cluster", "dropping"):
+        assert ([line for line in lines if line.startswith(prefix)]
+                == [line for line in lines1 if line.startswith(prefix)])
+
+
 def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
-    # the sweep and the evaluation share one per-cluster task: each usable
-    # cluster is decoded by one run_algorithm call at the whole grid, whose
-    # per-trace trellises are built and swept once
+    # the sweep and the evaluation share one chunk task: each chunk of usable
+    # clusters is decoded by one run_algorithm call at the whole grid, whose
+    # per-trace trellises are built and swept once; 5 clusters of 2 traces x
+    # 4 points cut into chunks of 3 and 2 (CHUNK_ROWS = 24)
     calls = {"run_algorithm": 0, "init": 0}
 
     def counted(module, name, key):
@@ -329,12 +368,12 @@ def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
             "beta_o": (0.5,)}
     _, table = sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8, grid=grid)
     assert len(table) == 4
-    assert calls == {"run_algorithm": 5, "init": 5}
+    assert calls == {"run_algorithm": 2, "init": 2}
     # a decode is always a stack of betas: none, or a bare BetaParams, is refused
     with pytest.raises(TypeError, match="betas"):
-        run_trellis_bma(enc, clusters[0].traces, PAPER, delta=8)
+        run_trellis_bma(enc, [clusters[0].traces], PAPER, delta=8)
     with pytest.raises(ConfigError, match="sequence of them"):
-        run_trellis_bma(enc, clusters[0].traces, PAPER, BetaParams(1, 0, 0, 1), delta=8)
+        run_trellis_bma(enc, [clusters[0].traces], PAPER, BetaParams(1, 0, 0, 1), delta=8)
 
 
 def test_sweep_grid_keys_checked():

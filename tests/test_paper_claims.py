@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from idsrecon import DNA, IDSParams, default_betas, identity_encoder, simulate_clusters
-from idsrecon.evaluation import _Z, _eval_one
+from idsrecon.evaluation import _Z, _eval_chunk, chunked
 from idsrecon.trellis_bma import MULTIPLY_POSTERIORS
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -42,13 +42,13 @@ CLUSTERS = simulate_clusters(30, 6, 40, PAPER, seed=SEED)
 @functools.lru_cache(maxsize=None)
 def _hamming(algorithm, k, betas=None):
     """Per decode (one per beta point, or one), the Hamming rate of each
-    cluster, from the per-cluster task `scrambled_eval` runs."""
-    rates = []
-    for idx, cl in enumerate(CLUSTERS):
-        _, scores = _eval_one((idx, cl, ENC, algorithm, k, PAPER, 8,
-                               None if betas is None else list(betas), SEED))
-        rates.append([s["hamming"] for s in scores])
-    return np.array(rates).T
+    cluster, from the chunk tasks `scrambled_eval` runs."""
+    betas = None if betas is None else list(betas)
+    scores = {}
+    for chunk in chunked(list(enumerate(CLUSTERS)), algorithm, k,
+                         1 if betas is None else len(betas)):
+        scores.update(_eval_chunk((chunk, ENC, algorithm, k, PAPER, 8, betas, SEED)))
+    return np.array([[s["hamming"] for s in scores[idx]] for idx in range(len(CLUSTERS))]).T
 
 
 def _tbma(k, *extra):

@@ -5,9 +5,11 @@ tie them back to what does not: exhaustive enumeration (posteriors) and a
 rule-by-rule constructor with its own forward-backward pass (every cell of
 both sweeps, under a drift bound too). The lattice that steps Trellis BMA's
 per-trace trellises together is tied back to each trace's own trellis, and
-a Trellis BMA decode of a beta stack to each point decoded alone."""
+a Trellis BMA decode of a beta stack to each point decoded alone, and a
+decode of a chunk of clusters to each cluster decoded alone."""
 
 import functools
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from idsrecon import (BINARY, DNA, BetaParams, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, compute_posteriors,
                       identity_encoder, init_single_trace_trellises, mr_encoder,
-                      run_trellis_bma, transmit_batch)
+                      run_trellis_bma, simulate_clusters, transmit_batch)
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import DEFAULT_SWEEP_GRID
 from oracle import (assert_cells_match, assert_lattice_row_matches, joint_posteriors,
@@ -155,10 +157,11 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
             pass
     if not own:
         with pytest.raises(InfeasibleTrellisError, match="every trace was infeasible"):
-            init_single_trace_trellises(enc, traces, params, delta=delta, offset=offset)
+            init_single_trace_trellises(enc, traces, params, delta=delta,
+                                        offsets=[offset] * len(traces))
         return
     lat, fs, bs, kept = init_single_trace_trellises(enc, traces, params, delta=delta,
-                                                    offset=offset)
+                                                    offsets=[offset] * len(traces))
     assert kept == sorted(own)
     full_f, full_b = lat.forward(), lat.backward()
     for part, full in ((fs, full_f), (bs, full_b)):
@@ -187,8 +190,9 @@ _STACK_TRACES = transmit_batch(
 
 
 def _decode(points):
-    return run_trellis_bma(_STACK_ENC, _STACK_TRACES, _STACK_PARAMS, points, delta=6,
-                           offset=_STACK_Z)
+    [out] = run_trellis_bma(_STACK_ENC, [_STACK_TRACES], _STACK_PARAMS, points, delta=6,
+                            offsets=[_STACK_Z])
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,3 +235,131 @@ def test_beta_stack_rows_equal_single_decodes(case):
         _assert_same(out, _alone(bp))
     for i, out in zip(perm, _decode([points[i] for i in perm])):
         _assert_same(out, got[i])
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def _logged(fn, *args, **kwargs):
+    """fn's result and the warning lines the package logged during it."""
+    handler, log = _Lines(), logging.getLogger("idsrecon")
+    log.addHandler(handler)
+    try:
+        return fn(*args, **kwargs), handler.lines
+    finally:
+        log.removeHandler(handler)
+
+
+def _assert_chunk_size_free(enc, clusters, params, delta, offsets, betas):
+    """The clusters decoded as one chunk and as chunks of one give the same
+    results (posteriors within 1e-12; hard estimates, errors and warnings
+    identical), and return them."""
+    whole, lines = _logged(run_trellis_bma, enc, clusters, params, betas, delta=delta,
+                           offsets=offsets)
+    alone_lines = []
+    for got, ys, z in zip(whole, clusters, offsets):
+        [one], more = _logged(run_trellis_bma, enc, [ys], params, betas, delta=delta,
+                              offsets=[z])
+        alone_lines += more
+        if isinstance(one, InfeasibleTrellisError):
+            assert type(got) is type(one) and str(got) == str(one)
+            continue
+        assert len(got) == len(one) == len(betas)
+        for a, b in zip(got, one):
+            if isinstance(b, InfeasibleTrellisError):
+                assert type(a) is type(b) and str(a) == str(b)
+            else:
+                assert np.abs(a.probs - b.probs).max() <= 1e-12
+                assert np.array_equal(a.hard, b.hard)
+    # the chunk warns about each cluster's dropped traces in cluster order
+    assert lines == alone_lines
+    return whole, lines
+
+
+CHUNK_BETAS = [BetaParams(1, 0, 0, 1), BetaParams(0, 0.5, 0.1, 0.5),
+               BetaParams(1, 5.0, 0.5, 1.0), BetaParams(1, 0.1, 0, 300.0)]
+
+
+@st.composite
+def chunks(draw):
+    """A code, rates, a drift bound and 2-4 clusters of 1-3 traces of mixed
+    lengths (noisy, cut, random, or noiseless copies), each with its own
+    message and optional offset; and 1-3 beta points, beta_o = 300 among
+    them, which underflows all but confident clusters."""
+    kind = draw(st.sampled_from(["identity", "mr", "cc"]))
+    if kind == "identity":
+        enc = identity_encoder(draw(st.integers(1, 10)), draw(st.sampled_from([BINARY, DNA])))
+    elif kind == "mr":
+        n = draw(st.integers(2, 10))
+        enc = mr_encoder(n, draw(st.integers(1, min(3, n - 1))), DNA)
+    else:
+        enc = cc_encoder(draw(st.integers(1, 2)), draw(st.integers(1, 5)), DNA)
+    size = enc.alphabet.size
+    w = [draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+         draw(st.integers(1, 6))]
+    params = IDSParams(*[v / sum(w) for v in w])
+    clusters, offsets = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        offset = None
+        if draw(st.booleans()):
+            offset = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.N,
+                                            max_size=enc.N)), dtype=np.int8)
+        msg = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.L,
+                                     max_size=enc.L)), dtype=np.int8)
+        x = enc.encode(msg)
+        if offset is not None:
+            x = ((x + offset) % size).astype(np.int8)
+        n = draw(st.integers(1, 3))
+        if draw(st.integers(0, 3)) == 0:
+            traces = [x] * n
+        else:
+            traces = list(transmit_batch(x, params, n, draw(st.integers(0, 2**31)),
+                                         alphabet_size=size))
+        for i in range(n):
+            how = draw(st.sampled_from(["keep", "keep", "cut", "random"]))
+            if how == "cut":
+                traces[i] = traces[i][:draw(st.integers(0, len(traces[i])))]
+            elif how == "random":
+                traces[i] = np.array(draw(st.lists(st.integers(0, size - 1),
+                                                   max_size=enc.N + 4)), dtype=np.int8)
+        clusters.append(traces)
+        offsets.append(offset)
+    delta = draw(st.sampled_from([3, 8, 2, None, 1]))
+    betas = draw(st.lists(st.sampled_from(CHUNK_BETAS), min_size=1, max_size=3))
+    return enc, clusters, params, delta, offsets, betas
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(chunks())
+def test_results_do_not_depend_on_chunk_size(case):
+    _assert_chunk_size_free(*case)
+
+
+def test_chunk_with_dropped_traces_and_a_row_lost_by_one_cluster():
+    # without insertions a trace longer than its strand is unexplainable: one
+    # cluster drops one trace, one drops all; beta_o = 300 underflows the
+    # noisy clusters' combined beliefs but not the noiseless one's, so the
+    # chunk loses a (cluster, beta) row and decodes again cluster by cluster
+    params = IDSParams(0.0, 0.05, 0.05, 0.9)
+    enc = mr_encoder(24, 3, DNA)
+    rng = np.random.default_rng(0)
+    noisy = [c.traces[:3] for c in simulate_clusters(2, 3, 24, params, seed=1)]
+    center = rng.integers(4, size=24).astype(np.int8)
+    clusters = [noisy[0], noisy[1][:2] + [rng.integers(4, size=27).astype(np.int8)],
+                [rng.integers(4, size=27).astype(np.int8) for _ in range(2)], [center] * 3]
+    offsets = [rng.integers(4, size=24).astype(np.int8), None,
+               rng.integers(4, size=24).astype(np.int8), None]
+    betas = [BetaParams(1, 0.1, 0, 0.5), BetaParams(1, 0.1, 0, 300.0)]
+    whole, lines = _assert_chunk_size_free(enc, clusters, params, 8, offsets, betas)
+    assert [line.split(":")[0] for line in lines] == [
+        "dropping trace 2", "dropping trace 0", "dropping trace 1"]
+    assert str(whole[2]) == "every trace was infeasible under the drift bound"
+    assert all(isinstance(whole[c][0], PosteriorTable) for c in (0, 1, 3))
+    assert isinstance(whole[0][1], InfeasibleTrellisError)
+    assert isinstance(whole[3][1], PosteriorTable)

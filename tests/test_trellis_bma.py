@@ -9,7 +9,7 @@ from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellis
                       default_betas, identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
 from idsrecon.trellis import build_lattice
-from idsrecon.trellis_bma import TUNED_BETAS, _Stack, code_tag, gamma_updates
+from idsrecon.trellis_bma import TUNED_BETAS, _Chunk, _Stack, code_tag, gamma_updates
 from oracle import assert_lattice_row_matches
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -46,7 +46,8 @@ def test_init_keeps_only_the_exchange_read_layers():
     # own trellis's cells, through the map from pointers to lattice cells
     enc, _, z, traces = _cluster(3, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
     half = enc.L // 2
-    lat, fs, bs, kept = init_single_trace_trellises(enc, traces, PAPER, delta=8, offset=z)
+    lat, fs, bs, kept = init_single_trace_trellises(enc, traces, PAPER, delta=8,
+                                                    offsets=[z] * len(traces))
     assert kept == [0, 1, 2]
     reads = ((fs, lat.input_read_layer[half:]), (bs, lat.post_read_layer[:half]))
     for part, want in reads:
@@ -72,14 +73,14 @@ def test_reduction_identity_multiply_posteriors():
     cases.append(_cluster(9, k=3, encoder=cc_encoder(2, 6, DNA), offset=True))
     cases.append(_cluster(10, k=2, encoder=identity_encoder(1, DNA)))
     for enc, msg, z, traces in cases:
-        [got] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0, 0, 1)],
-                                offset=z)
+        [[got]] = run_trellis_bma(enc, [traces], PAPER, betas=[BetaParams(1, 0, 0, 1)],
+                                  offsets=[z])
         prod = np.ones((enc.L, 4))
         for y in traces:
             prod *= compute_posteriors(build_trellis(enc, [y], PAPER, offset=z)).probs
         prod /= prod.sum(axis=1, keepdims=True)
         assert np.max(np.abs(got.probs - prod) / np.maximum(prod, 1e-12)) < 1e-9
-        [(mp, _)] = run_algorithm("multiply-posteriors", enc, traces, PAPER, offset=z)
+        [[(mp, _)]] = run_algorithm("multiply-posteriors", enc, [traces], PAPER, offsets=[z])
         assert np.array_equal(mp.probs, got.probs)
 
 
@@ -89,13 +90,13 @@ def test_k1_reduces_to_exact_posterior():
              _cluster(42, k=1, encoder=mr_encoder(16, 3, DNA), offset=True),
              _cluster(44, k=1, encoder=cc_encoder(2, 10, DNA, codeword_len=14), offset=True)]
     for enc, msg, z, traces in cases:
-        [got] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0, 0, 1)],
-                                offset=z)
+        [[got]] = run_trellis_bma(enc, [traces], PAPER, betas=[BetaParams(1, 0, 0, 1)],
+                                  offsets=[z])
         exact = compute_posteriors(build_trellis(enc, traces, PAPER, offset=z))
         assert np.max(np.abs(got.probs - exact.probs)) < 1e-9
         # beta_e is irrelevant with a single trace when beta_i = 0
-        [other] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 3.0, 0, 1)],
-                                  offset=z)
+        [[other]] = run_trellis_bma(enc, [traces], PAPER,
+                                    betas=[BetaParams(1, 3.0, 0, 1)], offsets=[z])
         assert np.max(np.abs(other.probs - exact.probs)) < 1e-9
 
 
@@ -110,7 +111,10 @@ def test_readers_sum_states_and_window_of_each_message():
     stale[1, 2, 0, 3] = 0.0  # 0**0 = 1 for the row with beta_b = 0
     front[2, 1, :, 3] = 0.0  # one belief entry is zero
     beta_b = np.array([0.0, 0.5, 1.0])
-    rows, combined = combine_beliefs(front, stale, beta_b)
+    rows, combined = combine_beliefs(front, stale, beta_b, _Chunk([K]))
+    # one cluster: its K traces fill the one row of the (P, 1, K, M) layout
+    assert rows.shape == (P, 1, K, M) and combined.shape == (P, 1, M)
+    rows, combined = rows[:, 0], combined[:, 0]
     want = np.zeros((P, K, M))
     for k, p, s, m, w in np.ndindex(K, P, S, M, W):
         weight = 1.0 if beta_b[p] == 0 else stale[k, s, m, w] ** beta_b[p]
@@ -143,15 +147,15 @@ def test_no_update_when_exchange_weights_zero():
     # beta_e = beta_i = 0 leaves the sweep equal to multiply-posteriors even
     # with beta_b and beta_o varied
     enc, msg, _, traces = _cluster(77, n=12, k=3)
-    [a] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(0.5, 0, 0, 0.7)])
-    [b] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(0.5, 1e-12, 1e-12, 0.7)])
+    [[a]] = run_trellis_bma(enc, [traces], PAPER, betas=[BetaParams(0.5, 0, 0, 0.7)])
+    [[b]] = run_trellis_bma(enc, [traces], PAPER, betas=[BetaParams(0.5, 1e-12, 1e-12, 0.7)])
     assert np.max(np.abs(a.probs - b.probs)) < 1e-6
 
 
 def test_rows_normalised_and_beta_o_preserves_argmax():
     enc, msg, _, traces = _cluster(90, n=25, k=4)
-    [a] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0.5, 0.1, 1.0)])
-    [b] = run_trellis_bma(enc, traces, PAPER, betas=[BetaParams(1, 0.5, 0.1, 0.3)])
+    [[a]] = run_trellis_bma(enc, [traces], PAPER, betas=[BetaParams(1, 0.5, 0.1, 1.0)])
+    [[b]] = run_trellis_bma(enc, [traces], PAPER, betas=[BetaParams(1, 0.5, 0.1, 0.3)])
     assert np.abs(a.probs.sum(axis=1) - 1).max() < 1e-9
     assert np.abs(b.probs.sum(axis=1) - 1).max() < 1e-9
     assert np.array_equal(a.hard, b.hard)
@@ -160,8 +164,8 @@ def test_rows_normalised_and_beta_o_preserves_argmax():
 def test_trace_permutation_invariance():
     enc, msg, _, traces = _cluster(91, n=18, k=4)
     betas = BetaParams(1, 0.5, 0.1, 0.5)
-    [a] = run_trellis_bma(enc, traces, PAPER, betas=[betas])
-    [b] = run_trellis_bma(enc, traces[::-1], PAPER, betas=[betas])
+    [[a]] = run_trellis_bma(enc, [traces], PAPER, betas=[betas])
+    [[b]] = run_trellis_bma(enc, [traces[::-1]], PAPER, betas=[betas])
     assert np.max(np.abs(a.probs - b.probs)) < 1e-9
     assert np.array_equal(a.hard, b.hard)
 
@@ -175,12 +179,12 @@ def test_infeasible_traces_dropped_with_warning(caplog):
     traces = [np.asarray(transmit(x, params, rng, alphabet=DNA)) for _ in range(2)]
     bogus = np.zeros(17, dtype=np.int8)
     with caplog.at_level(logging.WARNING):
-        [got] = run_trellis_bma(enc, traces + [bogus], params,
-                                betas=[BetaParams(1, 0, 0, 1)])
+        [[got]] = run_trellis_bma(enc, [traces + [bogus]], params,
+                                  betas=[BetaParams(1, 0, 0, 1)])
     dropped = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("dropping trace")]
     assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), dropped
-    [ref] = run_trellis_bma(enc, traces, params, betas=[BetaParams(1, 0, 0, 1)])
+    [[ref]] = run_trellis_bma(enc, [traces], params, betas=[BetaParams(1, 0, 0, 1)])
     assert np.max(np.abs(got.probs - ref.probs)) < 1e-9
 
 
@@ -189,15 +193,16 @@ def test_sequence_of_betas_equals_single_calls(caplog):
     # the last point's beta_o underflows the combined belief of this cluster
     points = [BetaParams(1, 0.5, 0.1, 0.5), BetaParams(0, 1.0, 0, 1.0),
               BetaParams(1, 0, 0, 1), BetaParams(1, 0.1, 0, 1e4)]
-    got = run_trellis_bma(enc, traces, PAPER, delta=8, betas=points, offset=z)
+    [got] = run_trellis_bma(enc, [traces], PAPER, delta=8, betas=points, offsets=[z])
     assert len(got) == len(points)
     for bp, post in zip(points[:3], got):
-        [one] = run_trellis_bma(enc, traces, PAPER, delta=8, betas=[bp], offset=z)
+        [[one]] = run_trellis_bma(enc, [traces], PAPER, delta=8, betas=[bp], offsets=[z])
         assert np.array_equal(post.probs, one.probs)
     # an exchange that loses its mass fails its own entry only
     assert isinstance(got[3], InfeasibleTrellisError)
     with pytest.raises(InfeasibleTrellisError, match=re.escape(str(got[3]))):
-        raise run_trellis_bma(enc, traces, PAPER, delta=8, betas=points[3:4], offset=z)[0]
+        raise run_trellis_bma(enc, [traces], PAPER, delta=8, betas=points[3:4],
+                              offsets=[z])[0][0]
 
     # the per-trace init runs once for the whole sequence, so an infeasible
     # trace is warned about once, not once per entry
@@ -207,18 +212,18 @@ def test_sequence_of_betas_equals_single_calls(caplog):
     x = rng.integers(4, size=12).astype(np.int8)
     traces = [np.asarray(transmit(x, params, rng, alphabet=DNA)) for _ in range(2)]
     with caplog.at_level(logging.WARNING):
-        got = run_trellis_bma(enc, traces + [np.zeros(17, dtype=np.int8)], params,
-                              betas=points[:3])
+        [got] = run_trellis_bma(enc, [traces + [np.zeros(17, dtype=np.int8)]], params,
+                                betas=points[:3])
     dropped = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("dropping trace")]
     assert len(dropped) == 1 and dropped[0].startswith("dropping trace 2: "), dropped
     for bp, post in zip(points, got):
-        [ref] = run_trellis_bma(enc, traces, params, betas=[bp])
+        [[ref]] = run_trellis_bma(enc, [traces], params, betas=[bp])
         assert np.array_equal(post.probs, ref.probs)
 
     for bad in ([], [(1, 0, 0, 1)], (1, 0, 0, 1), None):
         with pytest.raises(ConfigError, match="sequence of them"):
-            run_trellis_bma(enc, traces, params, betas=bad)
+            run_trellis_bma(enc, [traces], params, betas=bad)
 
 
 def test_gamma_updates_equal_nested_powers():
@@ -234,7 +239,7 @@ def test_gamma_updates_equal_nested_powers():
         rows[:, :, 2] += 0.1  # one symbol keeps mass in every belief
         beta_e = rng.choice([0.0, 0.02, 0.5, 1.0, 5.0], size=7)
         beta_i = rng.choice([0.0, 0.1, 0.5], size=7)
-        got = gamma_updates(rows, beta_e, beta_i)
+        got = gamma_updates(rows[:, None], beta_e, beta_i)[:, 0]  # one cluster of k
         for p in range(7):
             for i in range(k):
                 g = pow0(rows[p, i], beta_i[p])
@@ -263,7 +268,7 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
     # a lattice step fails per (trace, beta row); in the exchange a beta row
     # leaves when any of its trace rows vanished, and the others step on
     enc, _, z, traces = _cluster(94, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
-    lat = build_lattice(enc, traces, PAPER, delta=8, offset=z)
+    lat = build_lattice(enc, traces, PAPER, delta=8, offsets=[z] * len(traces))
     t = 6
     good = lat.forward().layers[t - 1]
     front = np.stack([good, 3.0 * good, 2.0 * good], axis=1)
@@ -271,7 +276,7 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
     with pytest.raises(InfeasibleTrellisError, match=f"forward mass vanished at layer {t} ") as e:
         lat.step_forward(t, front)
     assert e.value.rows.tolist() == [[False] * 3, [False, True, False], [False] * 3]
-    stack = _Stack([BetaParams(1, 0, 0, 1)] * 3)
+    stack = _Stack([BetaParams(1, 0, 0, 1)] * 3, 1)
     stack.front = front
     out = stack.run(lambda: lat.step_forward(t, stack.front)[0])
     assert stack.index.tolist() == [0, 2] and list(stack.failed) == [1]
@@ -285,8 +290,8 @@ def test_row_that_vanishes_leaves_the_stack_alone():
     # read layers; the rows around it decode on as if alone
     enc, _, z, traces = _cluster(93, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
     points = [BetaParams(1, 0.5, 0.1, 0.5), BetaParams(0, 300.0, 0, 1), BetaParams(1, 0, 0, 1)]
-    got = run_trellis_bma(enc, traces, PAPER, delta=8, betas=points, offset=z)
-    alone = [run_trellis_bma(enc, traces, PAPER, delta=8, betas=[bp], offset=z)[0]
+    [got] = run_trellis_bma(enc, [traces], PAPER, delta=8, betas=points, offsets=[z])
+    alone = [run_trellis_bma(enc, [traces], PAPER, delta=8, betas=[bp], offsets=[z])[0][0]
              for bp in points]
     assert isinstance(got[1], InfeasibleTrellisError)
     assert isinstance(alone[1], InfeasibleTrellisError)
@@ -298,7 +303,7 @@ def test_row_that_vanishes_leaves_the_stack_alone():
 def test_empty_trace_set_rejected():
     enc = identity_encoder(10, DNA)
     with pytest.raises(ConfigError, match="at least one trace"):
-        run_trellis_bma(enc, [], PAPER, [BetaParams(1, 0, 0, 1)])
+        run_trellis_bma(enc, [[]], PAPER, [BetaParams(1, 0, 0, 1)])
 
 
 def test_tuned_default_tables():
@@ -347,7 +352,7 @@ def test_linear_cost_in_traces():
     traces = [np.asarray(transmit(x, PAPER, rng, alphabet=DNA)) for _ in range(max(sizes))]
     betas = BetaParams(0, 0.5, 0.1, 0.5)
     for k in sizes:  # warm every size
-        run_trellis_bma(enc, traces[:k], PAPER, delta=12, betas=[betas])
+        run_trellis_bma(enc, [traces[:k]], PAPER, delta=12, betas=[betas])
     best_r2 = -np.inf
     for _ in range(3):  # wall-clock noise only ever hurts linearity
         times = {}
@@ -355,7 +360,7 @@ def test_linear_cost_in_traces():
             best = np.inf
             for _ in range(7):
                 t0 = time.perf_counter()
-                run_trellis_bma(enc, traces[:k], PAPER, delta=12, betas=[betas])
+                run_trellis_bma(enc, [traces[:k]], PAPER, delta=12, betas=[betas])
                 best = min(best, time.perf_counter() - t0)
             times[k] = best
         ks = np.array(sorted(times))
