@@ -69,7 +69,8 @@ def compute_posteriors(trellis):
     front and the block stepped into). A trellis where that would exceed
     STORED_BUDGET_BYTES is refused with a ConfigError before any sweep
     starts, since the joint trellis grows exponentially in the number of
-    traces.
+    traces. A row 0 whose mass vanishes in either sweep raises the
+    InfeasibleTrellisError formed from that sweep's death record.
     """
     sizes = [trellis.rows * math.prod(lay.shape) for lay in trellis.layers]
     stored = 8 * (sum(sizes[t] for t in trellis.post_read_layer) + 2 * max(sizes))
@@ -81,8 +82,10 @@ def compute_posteriors(trellis):
             f"--delta, or trellis-bma")
     reads = {t: l for l, t in enumerate(trellis.post_read_layer)}
     fs = trellis.forward(keep=reads)
+    if fs.died[0] >= 0:
+        raise InfeasibleTrellisError(trellis.vanished(False, int(fs.died[0])))
     rows = np.empty((trellis.L, trellis.encoder.msg_size))
-    for t, bwd, _ in trellis.fronts(back=True):
+    for t, bwd, _, died in trellis.fronts(back=True):
         l = reads.get(t)
         if l is None:
             continue
@@ -90,5 +93,7 @@ def compute_posteriors(trellis):
         joint = fs.layers[t][0] * bwd[0]
         rows[l] = joint.reshape(joint.shape[:2] + (-1,)).sum(axis=2).sum(axis=0)
         fs.layers[t] = None
+    if died[0] >= 0:
+        raise InfeasibleTrellisError(trellis.vanished(True, int(died[0])))
     return PosteriorTable.from_rows(rows, float(fs.loglik[0]))
 

@@ -77,7 +77,11 @@ transposed.
 
 The steps act on a stack (rows, P, S, M, W...) of P independent fronts per
 row, each as it would be stepped alone: the exact sweeps step a stack of
-one, the Trellis BMA exchange one front per beta point.
+one, the Trellis BMA exchange one front per beta point. A front whose mass
+vanishes is dead: it stays in the stack as zeros with scale 1, and the step
+marks it, so its neighbours step on untouched. A sweep records, per row,
+where its front died and stops once every row is dead; the error text of a
+dead row is formed from that record (`Trellis.vanished`).
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ import numpy as np
 
 from .alphabet import as_indices
 from .channel import IDSParams
-from .errors import ConfigError, InfeasibleTrellisError
+from .errors import ConfigError
 
 BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
 
@@ -156,17 +160,22 @@ class SweepResult:
     by exp(scales[t]), true value = layers[t] * exp(scales[t]) row by row,
     for each layer t the sweep was asked to keep, and None for every other
     layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
+    `died` (rows,) records where each row died: -1 if it lives, else the
+    layer where its mass vanished, or len(layers) if none reached its end
+    cells; a dead row is zero from there on, with loglik -inf.
     """
     layers: list
     scales: np.ndarray
     loglik: np.ndarray
+    died: np.ndarray
 
 
 class Trellis:
     """Built by `build_trellis` (one row of K pointer axes) or
     `build_lattice` (K rows of one axis): the layer arrays and the
-    transfers between them. The error of a step or sweep marks the rows
-    whose mass vanished."""
+    transfers between them. A step marks the fronts whose mass vanished
+    and a sweep records where each row died; `vanished` gives the error
+    text of a dead row."""
 
     def __init__(self, encoder, traces, params, delta, offsets, rows):
         self.encoder = encoder
@@ -393,76 +402,93 @@ class Trellis:
         arr[self._absorbing()] = 1.0
         return arr
 
-    def _rescale(self, t, arr, direction):
+    def _rescale(self, t, arr):
         """(each front of the stack `arr` over its own max, the maxima
-        shaped to broadcast over the stack). Raises unless every max is
-        positive and finite; the error's `rows` marks the fronts that fail,
-        shaped as the stack's (rows, P) axes."""
+        shaped to broadcast over the stack, the (rows, P) mask of the dead
+        fronts or None if none is). A dead front, whose max is not positive
+        and finite, comes back zero with scale 1."""
         cells = len(self.layers[t].shape)
         s = np.maximum.reduce(arr, axis=tuple(range(-cells, 0)), keepdims=True)
         m = s.ravel().tolist()
-        if not (min(m) > 0.0 and sum(m) < math.inf):  # the sum is NaN or inf if any one is
-            raise InfeasibleTrellisError(
-                f"{direction} mass vanished at layer {t} ({self.layers[t].kind}); "
-                f"no path explains the traces (delta={self.delta})",
-                rows=~((s > 0.0) & (s < math.inf)).reshape(arr.shape[:-cells]))
-        return arr / s, s
+        if min(m) > 0.0 and sum(m) < math.inf:  # the sum is NaN or inf if any one is
+            return arr / s, s, None
+        live = (s > 0.0) & (s < math.inf)
+        s = np.where(live, s, 1.0)
+        return np.where(live, arr / s, 0.0), s, ~live.reshape(arr.shape[:-cells])
 
     def step_forward(self, t, arr):
         """Advance a stack of forward fronts from layer t-1 into layer t.
-        Returns (rescaled stack, the front maxima divided out)."""
-        return self._rescale(t, self._pull(t, arr), "forward")
+        Returns (rescaled stack, maxima divided out, dead fronts or None)."""
+        return self._rescale(t, self._pull(t, arr))
 
     def step_backward(self, t, arr):
         """Pull a stack of backward fronts from layer t+1 into layer t."""
-        return self._rescale(t, self._pull(t, arr, back=True), "backward")
+        return self._rescale(t, self._pull(t, arr, back=True))
+
+    def vanished(self, back, t):
+        """The error text of a row that died at t (`SweepResult.died`); None if it lives."""
+        way = "backward" if back else "forward"
+        if t < 0:
+            return None
+        if t == len(self.layers):
+            return f"no {way} mass reaches " + ("the origin" if back else "an absorbing vertex")
+        return (f"{way} mass vanished at layer {t} ({self.layers[t].kind}); "
+                f"no path explains the traces (delta={self.delta})")
 
     def fronts(self, back=False):
         """The one sweep loop: step one direction's front, a stack of one
         per row, from its initial block through every layer, yielding
-        (t, block, maxima) as it reaches layer t, `maxima` being what the
-        step into t divided out of the block ((rows, 1, ...); None for the
-        initial block). A block is not written to after it is yielded."""
+        (t, block, maxima, died) as it reaches layer t, `maxima` being what
+        the step into t divided out of the block ((rows, 1, ...); None for
+        the initial block) and `died` the death record so far. It stops at
+        the layer where its last live row dies. A block is not written to
+        after it is yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
         arr = np.expand_dims(
             self.initial_backward_block() if back else self.initial_forward_block(), 1)
-        s = None
+        s = dead = None
+        died = np.full(self.rows, -1)
         for i, t in enumerate(order):
             if i > 0:
-                arr, s = step(t, arr)
-            yield t, arr.squeeze(1), s
+                arr, s, dead = step(t, arr)
+                if dead is not None:
+                    died[(died < 0) & dead[:, 0]] = t
+            yield t, arr.squeeze(1), s, died
+            if dead is not None and died.min() >= 0:
+                return
 
-    def _sweep(self, back, keep, end, vanished):
-        """Run `fronts` to the end, keeping the blocks of the layers in
-        `keep` (every layer when None). The last block's cells `end` hold
-        each row's total mass."""
+    def _sweep(self, back, keep):
+        """Run `fronts`, keeping the blocks of the layers in `keep` (every
+        layer when None); a row with no mass at its end cells dies too."""
         n = len(self.layers)
         keep = range(n) if keep is None else frozenset(keep)
         kept = [None] * n
         maxima = np.ones((n, self.rows))  # in sweep order
-        for i, (t, arr, s) in enumerate(self.fronts(back)):
+        for i, (t, arr, s, died) in enumerate(self.fronts(back)):
             if s is not None:
                 maxima[i] = s.reshape(self.rows)
             if t in keep:
                 kept[t] = arr
         scales = np.cumsum(np.log(maxima), axis=0)
-        tot = arr[end].sum(axis=-1)
-        if (tot <= 0.0).any():
-            raise InfeasibleTrellisError(vanished, rows=tot <= 0.0)
-        return SweepResult(kept, scales[::-1] if back else scales, np.log(tot) + scales[-1])
+        tot = np.ones(self.rows)
+        if i == n - 1:  # the last layer was reached
+            tot = arr[self._origin() if back else self._absorbing()].sum(axis=-1)
+            died[(died < 0) & (tot <= 0.0)] = n
+        live = died < 0
+        loglik = np.where(live, np.log(np.where(live, tot, 1.0)) + scales[-1], -math.inf)
+        return SweepResult(kept, scales[::-1] if back else scales, loglik, died)
 
     def forward(self, keep=None):
         """Forward sweep from the origin, keeping the layers whose indices
         are in `keep` (every layer when None, none when empty)."""
-        return self._sweep(False, keep, self._absorbing(),
-                           "no forward mass reaches an absorbing vertex")
+        return self._sweep(False, keep)
 
     def backward(self, keep=None):
         """Backward sweep from the absorbing vertices to the origin; `keep`
         as for `forward`."""
-        return self._sweep(True, keep, self._origin(), "no backward mass reaches the origin")
+        return self._sweep(True, keep)
 
 
 def _build(encoder, traces, params, delta, offsets, rows):
@@ -500,8 +526,8 @@ def build_trellis(encoder, traces, params, delta=None, offset=None):
     length-N scrambling vector added to the encoder output before
     transmission.
 
-    No sweep runs here: an infeasible trellis raises from its first sweep,
-    at the layer where the mass vanishes.
+    No sweep runs here: an infeasible trellis's sweeps record where its
+    mass vanishes (`SweepResult.died`).
     """
     return _build(encoder, traces, params, delta, None if offset is None else [offset], 1)
 

@@ -22,6 +22,13 @@ the chunk's traces x beta points x encoder states x message symbols x
 window. Each cluster's beliefs are combined, and each trace's gamma taken,
 over that cluster's own rows only (`_Chunk`), so a cluster decodes as it
 would alone.
+
+Rows are independent, so nothing that dies is taken out of the lattice. A
+trace whose own trellis has no path is a dead row: an empty slot of its
+cluster, as a missing trace is. A (cluster, beta point) decode whose front
+or belief vanishes ends with that error while the rest decode on; the
+sweeps stop once every decode has ended. So one lattice is built, and one
+init and one exchange run, per chunk, whatever dies.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 
 from .bcjr import PosteriorTable
 from .errors import ConfigError, InfeasibleTrellisError
-from .trellis import Trellis, build_lattice
+from .trellis import build_lattice
 # not called here: the name stays because perfbench/spans.py wraps it in this module
 from .trellis import build_trellis  # noqa: F401
 
@@ -91,16 +98,6 @@ def _pow_rows(arr, b, shared=False):
     return out
 
 
-def _vanished(tot, message):
-    """Raise `message` for the stack rows whose total `tot` is not positive."""
-    if any(v <= 0.0 for v in tot.ravel().tolist()):
-        raise InfeasibleTrellisError(message, rows=tot.ravel() <= 0.0)
-
-
-def _no_trace_left():
-    return InfeasibleTrellisError("every trace was infeasible under the drift bound")
-
-
 def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=None,
                                 sizes=None):
     """Run both exact sweeps of every trace's one-trace trellis, the traces
@@ -113,64 +110,76 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
     the forward sweep the input layers of the second half of the message,
     the backward sweep the post read layers of the first half.
 
-    Traces whose trellis has no surviving path under `delta` are dropped
-    with a warning naming each one by its index in its cluster (real
-    clusters contain outlier reads), and the sweeps rerun on the rest; all
-    traces being infeasible is an error. Returns (lattice, forward sweep,
-    backward sweep, indices of the kept traces in `traces`), the lattice's
-    rows being the kept traces.
+    A trace whose trellis has no surviving path under `delta` stays a
+    (dead) row of the lattice and is dropped with a warning naming it by
+    its index in its cluster (real clusters contain outlier reads). The
+    backward sweep is None if every trace died in the forward one. Returns
+    (lattice, forward sweep, backward sweep, indices of the kept traces).
     """
     half = encoder.L // 2
     sizes = [len(traces)] if sizes is None else sizes
     in_cluster = [j for n in sizes for j in range(n)]
-    kept, dropped = list(range(len(traces))), {}
-    while kept:
-        lat = build_lattice(encoder, [traces[k] for k in kept], params, delta=delta,
-                            offsets=None if offsets is None else [offsets[k] for k in kept])
-        try:
-            fs = lat.forward(keep=lat.input_read_layer[half:])
-            bs = lat.backward(keep=lat.post_read_layer[:half])
-            break
-        except InfeasibleTrellisError as e:
-            gone = e.rows.reshape(len(kept), -1).any(axis=1)
-            dropped.update((k, e) for k, g in zip(kept, gone) if g)
-            kept = [k for k, g in zip(kept, gone) if not g]
-    for k in sorted(dropped):
-        logger.warning("dropping trace %d: %s", in_cluster[k], dropped[k])
-    if not kept:
-        raise _no_trace_left()
-    return lat, fs, bs, kept
+    lat = build_lattice(encoder, traces, params, delta=delta, offsets=offsets)
+    fs = lat.forward(keep=lat.input_read_layer[half:])
+    lost = [lat.vanished(False, t) for t in fs.died.tolist()]
+    bs = None
+    if not all(lost):
+        bs = lat.backward(keep=lat.post_read_layer[:half])
+        lost = [e or lat.vanished(True, t) for e, t in zip(lost, bs.died.tolist())]
+    for k, e in enumerate(lost):
+        if e:
+            logger.warning("dropping trace %d: %s", in_cluster[k], e)
+    return lat, fs, bs, [k for k, e in enumerate(lost) if not e]
 
 
 class _Chunk:
-    """Where the lattice's rows sit among a chunk's clusters: row r is the
-    j-th kept trace of the c-th cluster that kept any, at slot (c, j) of a
-    (C, K) grid, K being the most traces any of them kept. `pad` lays a
-    (P, rows, ...) stack out on that grid, 1.0 in the empty slots, so a
-    product over a cluster's slots multiplies its own traces in order;
-    `unpad` reads the rows back. `real` marks the slots that hold a row,
-    None when all do (then both are reshapes)."""
+    """Where the lattice's rows sit among a chunk's clusters, and which
+    (beta point, cluster) decodes still run. Row r is the j-th trace of the
+    c-th cluster, at slot (c, j) of a (C, K) grid, K being the most traces
+    any cluster has. The (P, C, K) mask `real` marks the slots that hold a
+    kept trace of a running decode (`full` if all do). `pad` lays a (P,
+    rows, ...) stack out on that grid with `fill` in the other slots, so a
+    product over a cluster's slots multiplies its kept traces in order;
+    `unpad` reads every row back; both are reshapes while `full`. `errors`
+    holds each ended (point, cluster) decode's error, and `over` is set
+    once every decode has ended."""
 
-    def __init__(self, sizes):
+    def __init__(self, sizes, kept, points):
         self.C, self.K = len(sizes), max(sizes)
-        self.slot = self.real = None
-        if min(sizes) < self.K:
-            self.slot = np.concatenate([c * self.K + np.arange(n) for c, n in enumerate(sizes)])
-            self.real = np.zeros(self.C * self.K, bool)
-            self.real[self.slot] = True
-            self.real = self.real.reshape(self.C, self.K)
+        self.slot = np.concatenate([c * self.K + np.arange(n) for c, n in enumerate(sizes)])
+        real = np.zeros(self.C * self.K, bool)
+        real[self.slot[kept]] = True
+        self.real = np.broadcast_to(real.reshape(self.C, self.K), (points, self.C, self.K))
+        self.full, self.over, self.errors = real.all(), False, {}
 
-    def pad(self, arr):
+    def pad(self, arr, fill=1.0):
         shape = (arr.shape[0], self.C, self.K) + arr.shape[2:]
-        if self.slot is None:
+        if self.full:
             return arr.reshape(shape)
-        out = np.ones((arr.shape[0], self.C * self.K) + arr.shape[2:])
+        out = np.empty((arr.shape[0], self.C * self.K) + arr.shape[2:], dtype=arr.dtype)
         out[:, self.slot] = arr
-        return out.reshape(shape)
+        out = out.reshape(shape)
+        out[~self.real] = fill
+        return out
 
     def unpad(self, arr):
         flat = arr.reshape((arr.shape[0], self.C * self.K) + arr.shape[3:])
-        return flat if self.slot is None else flat[:, self.slot]
+        return flat if self.full else flat[:, self.slot]
+
+    def end(self, lost, message):
+        """End, with InfeasibleTrellisError(message), each running decode
+        that has a real slot marked in `lost` (broadcast to (P, C, K));
+        returns whether any ended."""
+        if not lost.any():
+            return False
+        lost = (self.real & lost).any(axis=2)
+        if not lost.any():
+            return False
+        error = InfeasibleTrellisError(message)
+        self.errors.update(dict.fromkeys(map(tuple, np.argwhere(lost).tolist()), error))
+        self.real = self.real & ~lost[..., None]
+        self.full, self.over = False, not self.real.any()
+        return True
 
 
 def combine_beliefs(front, stale, beta_b, chunk):
@@ -182,26 +191,28 @@ def combine_beliefs(front, stale, beta_b, chunk):
     For trace k and message symbol m the belief is the sum of
     front_k * stale_k**beta_b over the layer's encoder states and window,
     at index m of its message axis. Rows are normalised (the sweeps rescale
-    layers freely, so only ratios carry information). Returns ((P, C, K, M)
-    beliefs laid out by `chunk.pad`, their product over each cluster's
-    traces, (P, C, M)).
+    layers freely, so only ratios carry information); a decode with a real
+    row of no mass ends. Returns ((P, C, K, M) beliefs laid out by
+    `chunk.pad`, their product over each cluster's traces, (P, C, M)).
     """
     powed = _pow_rows(stale, beta_b, shared=True)
     rows = (front.swapaxes(0, 1) * powed).sum(axis=4).sum(axis=2)
-    tot = rows.sum(axis=2)
-    _vanished(chunk.pad(tot).min(axis=2), "belief row lost all mass during the sweep")
-    rows = chunk.pad(rows / tot[..., None])
+    tot = chunk.pad(rows.sum(axis=2))
+    if chunk.end(tot <= 0.0, "belief row lost all mass during the sweep"):
+        tot[~chunk.real] = 1.0
+    rows = chunk.pad(rows) / tot[..., None]
     return rows, np.multiply.reduce(rows, axis=2)
 
 
-def gamma_updates(rows, beta_e, beta_i, real=None):
+def gamma_updates(rows, beta_e, beta_i, chunk=None):
     """The unnormalised update gamma for each stack row and trellis, shaped
     as the (P, C, K, M) beliefs `rows` of C clusters of K slots: a
     trellis's own belief to the beta_i power times the belief of every
     other trace of its cluster to the beta_e power, multiplied in trace
-    order. Each belief is raised to each power once. `real` (C, K) marks
-    the slots that hold a trace (None: all); the others hold beliefs of
-    1.0, a factor of 1, and their gammas are not read."""
+    order. Each belief is raised to each power once. `chunk` (None: every
+    slot is real) says which slots are real; the others hold beliefs of
+    1.0, a factor of 1, and their gammas are not read. A decode with a real
+    gamma of no mass ends."""
     n = rows.shape[2]
     # factor j + 1 is trace j's belief to beta_e, and 1 for trellis j itself
     factors = np.empty((n + 1,) + rows.shape)
@@ -210,9 +221,11 @@ def gamma_updates(rows, beta_e, beta_i, real=None):
     factors[1 + np.arange(n), :, :, np.arange(n)] = 1.0
     g = np.multiply.reduce(factors, axis=0)
     m = g.max(axis=3, keepdims=True)
-    if real is not None:
-        m[:, ~real] = 1.0
-    _vanished(m.min(axis=2), "gamma update vanished for one trellis")
+    if chunk is not None:
+        if not chunk.full:
+            m[~chunk.real] = 1.0
+        if chunk.end(m[..., 0] <= 0.0, "gamma update vanished for one trellis"):
+            m[~chunk.real] = 1.0
     return g / m
 
 
@@ -226,105 +239,69 @@ def update_forward(front, gamma):
     return front * g[..., None, :, None]
 
 
-def _posterior_row(combined, beta_o):
+def _posterior_row(combined, beta_o, chunk):
     row = _pow_rows(combined, beta_o)
     tot = row.sum(axis=-1, keepdims=True)
-    _vanished(tot, "combined belief has no mass")
+    if chunk.end(tot <= 0.0, "combined belief has no mass"):
+        tot[tot <= 0.0] = 1.0
     return row / tot
 
 
-class _RowLost(Exception):
-    """A (cluster, beta) row of a stack of several clusters vanished. The
-    stack's beta rows are shared by its clusters, so it cannot leave alone."""
-
-
-class _Stack:
-    """The rows of a beta stack still in the exchange: their indices in the
-    stack as given, their betas (columns b, e, i, o), and the stacked front
-    (rows, P, S, M, W); `failed` holds the error of each row that left. A
-    stack of one cluster's rows loses single beta rows; one of several
-    clusters raises `_RowLost` instead."""
-
-    def __init__(self, betas, clusters):
-        self.index = np.arange(len(betas))
-        self.beta = np.array([bp.as_tuple() for bp in betas])
-        self.front, self.failed = None, {}
-        self.clusters = clusters
-
-    def run(self, op):
-        """op() on the rows left. The rows that an InfeasibleTrellisError of
-        op marks, (P,) or per trace (rows, P), leave with it, and op runs
-        again on the others; the error is raised once no row is left."""
-        while True:
-            try:
-                return op()
-            except InfeasibleTrellisError as e:
-                if self.clusters > 1:
-                    raise _RowLost from e
-                gone = (np.ones(len(self.index), bool) if e.rows is None
-                        else e.rows.reshape(-1, len(self.index)).any(axis=0))
-                self.failed.update(dict.fromkeys(self.index[gone].tolist(), e))
-                self.index, self.beta = self.index[~gone], self.beta[~gone]
-                self.front = self.front[:, ~gone]
-                if not len(self.index):
-                    raise
-
-
-def _exchange_sweep(step, initial, lat, stack, chunk, layers, reads, stale, rows_out):
-    """Step the lattice's stacked front, from its `initial` block, through
-    `layers` with `step` (`Trellis.step_forward` or `step_backward`). At
-    each layer of `reads` ({layer: message position}) the front is
-    combined with the stale opposite sweep into that position's posterior
-    rows, per cluster of `chunk`, and each trace's row receives its gamma
-    update from its own cluster's traces."""
-    b = initial(lat)
-    stack.front = np.broadcast_to(b[:, None], (len(b), len(stack.index)) + b.shape[1:])
+def _exchange_sweep(lat, back, chunk, betas, width, layers, reads, stale, rows_out):
+    """Step the lattice's stacked front, one row per (trace, beta point),
+    from its initial block through `layers`, forward or with `back`
+    backward. At each layer of `reads` ({layer: message position}) the
+    front is combined with the stale opposite sweep into that position's
+    posterior rows, per cluster of `chunk`, and each trace's row receives
+    its gamma update from its own cluster's traces, the beliefs summing
+    each position's first `width` cells. A decode whose real front dies
+    ends, with the error text of that step; the sweep stops once every
+    decode has ended."""
+    beta_b, beta_e, beta_i, beta_o = betas
+    step = lat.step_backward if back else lat.step_forward
+    b = lat.initial_backward_block() if back else lat.initial_forward_block()
+    front = np.broadcast_to(b[:, None], (len(b), len(beta_b)) + b.shape[1:])
     for t in layers:
-        stack.front = stack.run(lambda: step(lat, t, stack.front)[0])
+        if chunk.over:
+            return
+        front, _, dead = step(t, front)
+        if dead is not None:
+            chunk.end(chunk.pad(dead.T, fill=False), lat.vanished(back, t))
         if t not in reads:
             continue
-
-        def read():
-            beta_b, beta_e, beta_i, beta_o = stack.beta.T
-            rows, combined = combine_beliefs(stack.front, stale.layers[t], beta_b, chunk)
-            post = _posterior_row(combined, beta_o)
-            if not (beta_e.any() or beta_i.any()):
-                return post, None
-            return post, gamma_updates(rows, beta_e, beta_i, chunk.real)
-
-        rows_out[stack.index, :, reads[t]], gammas = stack.run(read)
-        if gammas is not None:
-            stack.front = update_forward(stack.front, chunk.unpad(gammas).swapaxes(0, 1))
+        w = width[lat.layers[t].npos]
+        rows, combined = combine_beliefs(front[..., :w], stale.layers[t][..., :w], beta_b,
+                                         chunk)
+        rows_out[:, :, reads[t]] = _posterior_row(combined, beta_o, chunk)
+        if beta_e.any() or beta_i.any():
+            gammas = gamma_updates(rows, beta_e, beta_i, chunk)
+            front = update_forward(front, chunk.unpad(gammas).swapaxes(0, 1))
 
 
-def _exchange(encoder, lat, fwd, bwd, betas, chunk):
+def _exchange(encoder, lat, fwd, bwd, betas, chunk, kept):
     """Both exchange sweeps over the stored read layers of the exact
     per-trace sweeps, which they only read, for every point of `betas` at
-    once: the lattice's front has one row per (trace, point). Returns per
-    cluster of `chunk`, per point, its PosteriorTable, or the
-    InfeasibleTrellisError that ended its row, as that point's exchange
-    alone gives; a point's row ends when any of its traces' rows vanishes.
-    With several clusters no row may end: `_RowLost` is raised instead."""
+    once: the lattice's front has one row per (trace, point). Returns the
+    (P, C, L, M) posterior rows of each (point, cluster) decode of `chunk`,
+    as that decode alone gives them; a decode that ended (a real row of it
+    vanished) has its error in `chunk.errors` instead."""
     L = encoder.L
     half = L // 2
-    stack = _Stack(betas, chunk.C)
-    rows_out = np.empty((len(betas), chunk.C, L, encoder.msg_size))
-    try:
-        # a forward-updating sweep estimates the first half at its post layers
-        first = {lat.post_read_layer[l]: l for l in range(half)}
-        _exchange_sweep(Trellis.step_forward, Trellis.initial_forward_block, lat, stack, chunk,
-                        range(1, max(first, default=0) + 1), first, bwd, rows_out)
-        # a backward-updating sweep estimates the second half from the other end
-        second = {lat.input_read_layer[l]: l for l in range(half, L)}
-        _exchange_sweep(Trellis.step_backward, Trellis.initial_backward_block, lat, stack,
-                        chunk, range(len(lat.layers) - 2, min(second) - 1, -1), second, fwd,
-                        rows_out)
-    except InfeasibleTrellisError:
-        if len(stack.index):
-            raise
-        # every row has left the stack, each with its own error
-    return [[stack.failed.get(p) or PosteriorTable.from_rows(rows_out[p, c])
-             for p in range(len(betas))] for c in range(chunk.C)]
+    betas = np.array([bp.as_tuple() for bp in betas]).T
+    # each position's widest window among the `kept` rows: a dead row may
+    # widen the axis, and a belief summing its zero cells would round
+    # otherwise than the kept rows' own lattice
+    width = (lat.hi - lat.lo)[:, kept].max(axis=(1, 2)) + 1
+    rows_out = np.empty((betas.shape[1], chunk.C, L, encoder.msg_size))
+    # a forward-updating sweep estimates the first half at its post layers
+    first = {lat.post_read_layer[l]: l for l in range(half)}
+    _exchange_sweep(lat, False, chunk, betas, width, range(1, max(first, default=0) + 1),
+                    first, bwd, rows_out)
+    # a backward-updating sweep estimates the second half from the other end
+    second = {lat.input_read_layer[l]: l for l in range(half, L)}
+    _exchange_sweep(lat, True, chunk, betas, width,
+                    range(len(lat.layers) - 2, min(second) - 1, -1), second, fwd, rows_out)
+    return rows_out
 
 
 def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
@@ -339,15 +316,12 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     carrying its cluster's offset, and is swept once by the exact engine;
     one exchange then decodes every (cluster, entry) at once, its front
     holding one row per (trace, entry), each cluster's beliefs combined
-    over its own rows. Returns, per cluster, a list with per entry its
+    over its own kept rows. Returns, per cluster, a list with per entry its
     PosteriorTable (hard estimates are its row argmaxes) or the
-    InfeasibleTrellisError its row of the exchange raised, equal to that
-    cluster and entry decoded alone; or, for a cluster whose every trace
-    was infeasible, that error. Infeasible traces are dropped with a
-    warning naming each one. A chunk of several clusters whose exchange
-    loses a row is decoded again cluster by cluster from its kept traces,
-    so that the row's cluster alone loses it. An empty cluster is a
-    ConfigError.
+    InfeasibleTrellisError that ended its decode, equal to that cluster and
+    entry decoded alone; or, for a cluster whose every trace was
+    infeasible, that error. Infeasible traces are dropped with a warning
+    naming each one. An empty cluster is a ConfigError.
     """
     if (not isinstance(clusters, (list, tuple)) or not clusters
             or not all(isinstance(c, (list, tuple)) for c in clusters)):
@@ -365,21 +339,16 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
                           f"for {len(clusters)} clusters")
     traces = [y for c in clusters for y in c]
     owner = [c for c, ys in enumerate(clusters) for _ in ys]
-    try:
-        lat, fwd, bwd, kept = init_single_trace_trellises(
-            encoder, traces, params, delta=delta, offsets=[offsets[c] for c in owner],
-            sizes=[len(c) for c in clusters])
-    except InfeasibleTrellisError as e:
-        return [e] * len(clusters)
-    mine = [[k for k in kept if owner[k] == c] for c in range(len(clusters))]
-    try:
-        posts = iter(_exchange(encoder, lat, fwd, bwd, betas,
-                               _Chunk([len(ks) for ks in mine if ks])))
-    except _RowLost:
-        return [run_trellis_bma(encoder, [[traces[k] for k in ks]], params, betas,
-                                delta=delta, offsets=[offsets[c]])[0] if ks
-                else _no_trace_left() for c, ks in enumerate(mine)]
-    return [next(posts) if ks else _no_trace_left() for ks in mine]
+    sizes = [len(c) for c in clusters]
+    lat, fwd, bwd, kept = init_single_trace_trellises(
+        encoder, traces, params, delta=delta, offsets=[offsets[c] for c in owner], sizes=sizes)
+    chunk = _Chunk(sizes, kept, len(betas))
+    rows = _exchange(encoder, lat, fwd, bwd, betas, chunk, kept) if kept else None
+    alive = {owner[k] for k in kept}
+    return [[chunk.errors.get((p, c)) or PosteriorTable.from_rows(rows[p, c])
+             for p in range(len(betas))] if c in alive
+            else InfeasibleTrellisError("every trace was infeasible under the drift bound")
+            for c in range(len(clusters))]
 
 
 # Tuned sweep defaults, keyed by (data kind, target metric, code tag, trace

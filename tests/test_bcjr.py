@@ -159,5 +159,9 @@ def test_zero_likelihood_reports_infeasible():
     params = IDSParams(0.0, 0.2, 0.2, 0.6)
     y = np.zeros(5, dtype=np.int8)
     tr = build_trellis(enc, [y], params)
-    with pytest.raises(InfeasibleTrellisError):
-        tr.forward(keep=())
+    # the front lives to the last layer with no mass at the absorbing cell
+    f = tr.forward(keep=())
+    assert f.died.tolist() == [len(tr.layers)] and f.loglik.tolist() == [-np.inf]
+    with pytest.raises(InfeasibleTrellisError,
+                       match="^no forward mass reaches an absorbing vertex$"):
+        compute_posteriors(tr)

@@ -10,6 +10,7 @@ decode of a chunk of clusters to each cluster decoded alone."""
 
 import functools
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from idsrecon import (BINARY, DNA, BetaParams, IDSParams, InfeasibleTrellisError
                       build_trellis, cc_encoder, compute_posteriors,
                       identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_trellis_bma, simulate_clusters, transmit_batch)
+from idsrecon import trellis_bma
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import DEFAULT_SWEEP_GRID
 from oracle import (assert_cells_match, assert_lattice_row_matches, joint_posteriors,
@@ -71,9 +73,12 @@ def test_trellis_readers_agree_with_references(case):
         rows, loglik = joint_posteriors(enc, traces, params, uniform_prior(enc), offset=offset)
     except ValueError:
         rows = None
-    try:
-        full_f = tr.forward()
-    except InfeasibleTrellisError:
+    full_f = tr.forward()
+    if full_f.died[0] >= 0:
+        # the posterior reader raises the error of the sweep's death record
+        with pytest.raises(InfeasibleTrellisError) as e:
+            compute_posteriors(tr)
+        assert str(e.value) == tr.vanished(False, full_f.died[0])
         full_f = None
     # a drift bound only removes paths: unexplainable traces stay infeasible
     if rows is None or delta is None:
@@ -143,40 +148,47 @@ def trace_sets(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(trace_sets())
 def test_lattice_rows_equal_each_traces_own_trellis(case):
-    # the lattice keeps exactly the traces whose own trellis has a path; at
-    # every layer of both full sweeps each kept row holds that trellis's
-    # cells in its clipped window and exact zeros past it (the mask after
-    # every transfer), and the init keeps the exchange's read layers of them
+    # the lattice keeps exactly the traces whose own trellis has a path, and
+    # warns about each other one with the error its own trellis raises; the
+    # dead traces stay rows of the lattice. At every layer of both full
+    # sweeps each kept row holds that trellis's cells in its clipped window
+    # and exact zeros past it (the mask after every transfer), and the init
+    # keeps the exchange's read layers of them
     enc, traces, params, offset, delta = case
-    own = {}
+    own, lost = {}, []
     for k, y in enumerate(traces):
         tr = build_trellis(enc, [y], params, delta=delta, offset=offset)
-        try:
-            own[k] = tr, tr.forward(), tr.backward()
-        except InfeasibleTrellisError:
-            pass
+        f, b = tr.forward(), tr.backward()
+        if f.died[0] < 0 and b.died[0] < 0:
+            own[k] = tr, f, b
+            continue
+        with pytest.raises(InfeasibleTrellisError) as e:
+            compute_posteriors(tr)
+        lost.append(f"dropping trace {k}: {e.value}")
+    (lat, fs, bs, kept), lines = _logged(init_single_trace_trellises, enc, traces, params,
+                                         delta=delta, offsets=[offset] * len(traces))
+    assert kept == sorted(own) and lines == lost
+    assert lat.rows == len(traces)
     if not own:
-        with pytest.raises(InfeasibleTrellisError, match="every trace was infeasible"):
-            init_single_trace_trellises(enc, traces, params, delta=delta,
-                                        offsets=[offset] * len(traces))
+        [got] = run_trellis_bma(enc, [traces], params, [BetaParams()], delta=delta,
+                                offsets=[offset])
+        assert str(got) == "every trace was infeasible under the drift bound"
         return
-    lat, fs, bs, kept = init_single_trace_trellises(enc, traces, params, delta=delta,
-                                                    offsets=[offset] * len(traces))
-    assert kept == sorted(own)
     full_f, full_b = lat.forward(), lat.backward()
     for part, full in ((fs, full_f), (bs, full_b)):
         assert np.array_equal(part.loglik, full.loglik)
+        assert np.array_equal(part.died, full.died)
         for t, block in enumerate(part.layers):
             assert block is None or np.array_equal(block, full.layers[t])
     half = enc.L // 2
     assert [t for t, a in enumerate(fs.layers) if a is not None] == lat.input_read_layer[half:]
     everywhere = range(len(lat.layers))
-    for i, k in enumerate(kept):
+    for k in kept:
         tr, f, b = own[k]
-        assert_lattice_row_matches(full_f, i, tr, f, everywhere)
-        assert_lattice_row_matches(full_b, i, tr, b, everywhere)
+        assert_lattice_row_matches(full_f, k, tr, f, everywhere)
+        assert_lattice_row_matches(full_b, k, tr, b, everywhere)
         for mine, ref in ((full_f, f), (full_b, b)):
-            assert abs(mine.loglik[i] - ref.loglik[0]) <= 1e-12 * max(1.0, abs(ref.loglik[0]))
+            assert abs(mine.loglik[k] - ref.loglik[0]) <= 1e-12 * max(1.0, abs(ref.loglik[0]))
 
 
 BETA_VALUES = sorted({0.0}.union(*DEFAULT_SWEEP_GRID.values()))
@@ -256,16 +268,24 @@ def _logged(fn, *args, **kwargs):
         log.removeHandler(handler)
 
 
+def _decode_once(*args, **kwargs):
+    """run_trellis_bma's result and warning lines, checking that the call
+    built exactly one lattice, whatever died in it."""
+    with mock.patch.object(trellis_bma, "build_lattice",
+                           wraps=trellis_bma.build_lattice) as build:
+        out = _logged(run_trellis_bma, *args, **kwargs)
+    assert build.call_count == 1
+    return out
+
+
 def _assert_chunk_size_free(enc, clusters, params, delta, offsets, betas):
     """The clusters decoded as one chunk and as chunks of one give the same
     results (posteriors within 1e-12; hard estimates, errors and warnings
-    identical), and return them."""
-    whole, lines = _logged(run_trellis_bma, enc, clusters, params, betas, delta=delta,
-                           offsets=offsets)
+    identical), each call building one lattice, and return them."""
+    whole, lines = _decode_once(enc, clusters, params, betas, delta=delta, offsets=offsets)
     alone_lines = []
     for got, ys, z in zip(whole, clusters, offsets):
-        [one], more = _logged(run_trellis_bma, enc, [ys], params, betas, delta=delta,
-                              offsets=[z])
+        [one], more = _decode_once(enc, [ys], params, betas, delta=delta, offsets=[z])
         alone_lines += more
         if isinstance(one, InfeasibleTrellisError):
             assert type(got) is type(one) and str(got) == str(one)
@@ -345,7 +365,7 @@ def test_chunk_with_dropped_traces_and_a_row_lost_by_one_cluster():
     # without insertions a trace longer than its strand is unexplainable: one
     # cluster drops one trace, one drops all; beta_o = 300 underflows the
     # noisy clusters' combined beliefs but not the noiseless one's, so the
-    # chunk loses a (cluster, beta) row and decodes again cluster by cluster
+    # chunk ends those (cluster, beta) decodes alone while the rest decode on
     params = IDSParams(0.0, 0.05, 0.05, 0.9)
     enc = mr_encoder(24, 3, DNA)
     rng = np.random.default_rng(0)

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
-                      build_trellis, cc_encoder, identity_encoder, mr_encoder,
-                      transmit)
+                      build_trellis, cc_encoder, compute_posteriors, identity_encoder,
+                      mr_encoder, transmit)
 from oracle import assert_cells_match, random_params, trace_likelihood
 
 
@@ -100,8 +101,15 @@ def test_infeasible_under_tight_delta():
     # a trace far longer than the drift bound allows
     y = np.zeros(12, dtype=np.int8)
     tr = build_trellis(enc, [y], params, delta=1)
-    with pytest.raises(InfeasibleTrellisError):
-        tr.forward(keep=())
+    # the sweep records the layer where the mass vanished and stops there;
+    # the posterior reader raises that record's error
+    f = tr.forward()
+    assert f.died.tolist() == [2] and f.loglik.tolist() == [-math.inf]
+    assert f.layers[2] is not None and not f.layers[2].any() and f.layers[3] is None
+    msg = "forward mass vanished at layer 2 (ids); no path explains the traces (delta=1)"
+    assert tr.vanished(False, 2) == msg
+    with pytest.raises(InfeasibleTrellisError, match=re.escape(msg)):
+        compute_posteriors(tr)
 
 
 def test_keep_set_stores_only_its_layers():

@@ -9,7 +9,7 @@ from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellis
                       default_betas, identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
 from idsrecon.trellis import build_lattice
-from idsrecon.trellis_bma import TUNED_BETAS, _Chunk, _Stack, code_tag, gamma_updates
+from idsrecon.trellis_bma import TUNED_BETAS, _Chunk, code_tag, gamma_updates
 from oracle import assert_lattice_row_matches
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -111,7 +111,7 @@ def test_readers_sum_states_and_window_of_each_message():
     stale[1, 2, 0, 3] = 0.0  # 0**0 = 1 for the row with beta_b = 0
     front[2, 1, :, 3] = 0.0  # one belief entry is zero
     beta_b = np.array([0.0, 0.5, 1.0])
-    rows, combined = combine_beliefs(front, stale, beta_b, _Chunk([K]))
+    rows, combined = combine_beliefs(front, stale, beta_b, _Chunk([K], list(range(K)), P))
     # one cluster: its K traces fill the one row of the (P, 1, K, M) layout
     assert rows.shape == (P, 1, K, M) and combined.shape == (P, 1, M)
     rows, combined = rows[:, 0], combined[:, 0]
@@ -250,39 +250,52 @@ def test_gamma_updates_equal_nested_powers():
 
 
 def test_stacked_step_marks_only_its_dead_rows():
-    # a joint trellis stack is (1 row, P fronts, S, M, W...)
+    # a joint trellis stack is (1 row, P fronts, S, M, W...): the dead front
+    # comes back zero with scale 1 and marked, and its neighbours as if
+    # stepped alone
     enc, _, z, traces = _cluster(94, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)
     tr = build_trellis(enc, traces, PAPER, delta=8, offset=z)
     t = 6
     good = tr.forward().layers[t - 1]
     stack = np.stack([good, np.zeros_like(good), 3.0 * good], axis=1)
-    with pytest.raises(InfeasibleTrellisError, match=f"forward mass vanished at layer {t} ") as e:
-        tr.step_forward(t, stack)
-    assert e.value.rows.tolist() == [[False, True, False]]
-    out, _ = tr.step_forward(t, stack[:, [0, 2]])
-    for row, alone in zip(out[0], (good, 3.0 * good)):
-        assert np.array_equal(row, tr.step_forward(t, alone[:, None])[0][0, 0])
+    out, s, dead = tr.step_forward(t, stack)
+    assert dead.tolist() == [[False, True, False]]
+    assert not out[0, 1].any() and s[0, 1].item() == 1.0
+    for p, alone in ((0, good), (2, 3.0 * good)):
+        one, s_one, none = tr.step_forward(t, alone[:, None])
+        assert none is None
+        assert np.array_equal(out[0, p], one[0, 0]) and s[0, p] == s_one[0, 0]
+    assert tr.vanished(False, t) == (f"forward mass vanished at layer {t} "
+                                     f"({tr.layers[t].kind}); no path explains the traces "
+                                     f"(delta=8)")
 
 
 def test_lattice_step_marks_only_its_dead_trace_rows():
-    # a lattice step fails per (trace, beta row); in the exchange a beta row
-    # leaves when any of its trace rows vanished, and the others step on
+    # a lattice step marks a dead front per (trace, beta row); the exchange
+    # ends the decode that holds it, and the other fronts step on untouched
     enc, _, z, traces = _cluster(94, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
     lat = build_lattice(enc, traces, PAPER, delta=8, offsets=[z] * len(traces))
     t = 6
     good = lat.forward().layers[t - 1]
     front = np.stack([good, 3.0 * good, 2.0 * good], axis=1)
     front[1, 1] = 0.0  # trace 1's row of beta row 1
-    with pytest.raises(InfeasibleTrellisError, match=f"forward mass vanished at layer {t} ") as e:
-        lat.step_forward(t, front)
-    assert e.value.rows.tolist() == [[False] * 3, [False, True, False], [False] * 3]
-    stack = _Stack([BetaParams(1, 0, 0, 1)] * 3, 1)
-    stack.front = front
-    out = stack.run(lambda: lat.step_forward(t, stack.front)[0])
-    assert stack.index.tolist() == [0, 2] and list(stack.failed) == [1]
-    assert stack.front.shape[1] == 2
-    for row, alone in zip(out.swapaxes(0, 1), (good, 2.0 * good)):
-        assert np.array_equal(row, lat.step_forward(t, alone[:, None])[0][:, 0])
+    out, s, dead = lat.step_forward(t, front)
+    assert dead.tolist() == [[False] * 3, [False, True, False], [False] * 3]
+    assert not out[1, 1].any() and s[1, 1].item() == 1.0
+    for p, alone in enumerate((good, 3.0 * good, 2.0 * good)):
+        one, s_one, _ = lat.step_forward(t, alone[:, None])
+        for k in range(3):
+            if (k, p) != (1, 1):
+                assert np.array_equal(out[k, p], one[k, 0]) and s[k, p] == s_one[k, 0]
+    chunk = _Chunk([3], [0, 1, 2], 3)
+    assert chunk.end(chunk.pad(dead.T, fill=False), lat.vanished(False, t))
+    assert list(chunk.errors) == [(1, 0)] and not chunk.over
+    assert str(chunk.errors[1, 0]).startswith(f"forward mass vanished at layer {t} ")
+    # an ended decode's slots read 1.0, and it does not end again
+    assert chunk.pad(np.zeros((3, 3))).tolist() == [[[0.0] * 3], [[1.0] * 3], [[0.0] * 3]]
+    again = np.zeros((3, 1, 3), bool)
+    again[1] = True
+    assert not chunk.end(again, "again") and str(chunk.errors[1, 0]) != "again"
 
 
 def test_row_that_vanishes_leaves_the_stack_alone():
