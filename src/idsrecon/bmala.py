@@ -12,15 +12,27 @@ lookahead windows against the consensus lookahead:
 
 A trace whose windows match nothing well is benched for a few positions
 (its pointer keeps pace with the consensus) and then votes again.
+
+A mis-resolved vote desynchronises everything downstream, so the front
+half of a cluster's estimate comes from a sweep over its traces and the
+back half from a sweep over the reversed traces. Each sweep runs only the
+positions it emits: n//2 forward and n - n//2 reversed, or one forward
+sweep of n positions for a single trace or n = 1.
+
+`bmala_reconstruct` steps every sweep of a chunk of clusters in lockstep:
+each (cluster, direction, trace) is a row of one padded uint8 trace
+matrix, with per-row pointer and bench state, and one position is one
+round of array operations over all rows. Its decisions, ties included,
+are those of the scalar per-trace loop kept in `tests/oracle.py`, which
+the tests compare it with exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .alphabet import as_indices
 from .bcjr import compute_posteriors
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleTrellisError
 from .trellis import build_trellis
 
 
@@ -31,167 +43,191 @@ MIN_AGREE = 0.7     # window match fraction below which we bench
 RESYNC_WINDOW = 6   # consensus history matched when rejoining
 RESYNC_SPAN = 5     # pointer offsets tried on rejoin
 
-
-def _window_score(trace, start, ref):
-    """Fraction of `ref` matched by trace[start:]; absent symbols mismatch."""
-    if len(ref) == 0:
-        return 1.0
-    hits = 0
-    for d, r in enumerate(ref):
-        p = start + d
-        if p < len(trace) and trace[p] == r:
-            hits += 1
-    return hits / len(ref)
+PAD = 255  # fills the trace matrix around each trace; equals no symbol
+_D = np.arange(LOOKAHEAD)
+# symbols ptr .. ptr+LOOKAHEAD+1 of an active row, and within them the
+# deletion, substitution and insertion windows (starts ptr, ptr+1, ptr+2)
+_SPAN = np.arange(LOOKAHEAD + 2)
+_WINDOWS = np.arange(3)[:, None] + _D
+# rejoin offsets in order of preference: ties go to the smaller |d|, then
+# to the negative d
+_OFFSETS = np.array(sorted(range(-RESYNC_SPAN, RESYNC_SPAN + 1), key=lambda d: (abs(d), d > 0)))
 
 
-def _resync(trace, base, expected, out, pos):
-    """Re-derive a pointer for a rejoining trace by matching its recent
-    symbols against the consensus emitted while it sat out.
-
-    Candidate pointers near `expected` are scored by aligning trace[p-w:p]
-    to the last w consensus symbols; candidates below `base` (symbols the
-    trace already consumed before benching) are never considered, so
-    pointers stay monotone. Returns (new pointer, matched fraction).
+def bmala_reconstruct(clusters, n, alphabet_size=4):
+    """Consensus estimates of the length-n channel inputs of a chunk of
+    clusters from hard votes: a (clusters, n) int8 array, one row per
+    entry of `clusters`, a nonempty sequence of trace lists (index
+    arrays). An estimate has exactly length n: it is padded with symbol 0
+    where every trace ran out. A symbol outside [0, alphabet_size) is a
+    ConfigError naming its cluster and trace.
     """
-    w = min(RESYNC_WINDOW, pos)
-    if w == 0:
-        return max(base, expected), 1.0
-    ref = out[pos - w:pos]
-    best = (-1.0, 0)
-    for d in range(-RESYNC_SPAN, RESYNC_SPAN + 1):
-        p = expected + d
-        if p < base or p > len(trace):
-            continue
-        hits = 0
-        for i in range(w):
-            q = p - w + i
-            if 0 <= q < len(trace) and trace[q] == ref[i]:
-                hits += 1
-        score = hits / w
-        if score > best[0] or (score == best[0] and abs(d) < abs(best[1])):
-            best = (score, d)
-    if best[0] < 0.0:
-        return min(max(base, expected), len(trace)), 0.0
-    return expected + best[1], best[0]
-
-
-def bmala_reconstruct(traces, n, alphabet=None, alphabet_size=4, pointer_log=None):
-    """Consensus estimate of the length-n channel input from hard votes.
-
-    Accepts index arrays (or symbol strings together with `alphabet`).
-    Output has exactly length n: short inputs are padded with symbol 0.
-    `pointer_log`, when a list, receives the pointer vector after every
-    emitted position (diagnostics; forward half only).
-
-    A mis-resolved vote desynchronises everything downstream, so the back
-    half is estimated by the same sweep over the reversed traces.
-    """
-    as_text = alphabet is not None and traces and isinstance(traces[0], str)
-    if alphabet is not None:
-        traces = [as_indices(y, alphabet) for y in traces]
-        alphabet_size = alphabet.size
-    traces = [np.asarray(y) for y in traces]
-    if not traces:
-        raise ConfigError("bmala needs at least one trace")
+    if not isinstance(clusters, (list, tuple)) or not clusters:
+        raise ConfigError("clusters must be a nonempty list of trace lists, a single "
+                          "cluster being a list of one")
     if n < 1:
         raise ConfigError("target length must be positive")
-    fwd = _sweep(traces, n, alphabet_size, pointer_log)
-    if n > 1 and len(traces) > 1:
-        rev = _sweep([y[::-1] for y in traces], n, alphabet_size, None)[::-1]
-        out = np.concatenate([fwd[:n // 2], rev[n // 2:]])
-    else:
-        out = fwd
-    if as_text:
-        return alphabet.decode(out)
-    return out
+    if not 1 <= alphabet_size < PAD:
+        raise ConfigError(f"bmala handles alphabets of 1 to {PAD - 1} symbols")
+    half = n // 2
+    rows, sweep, npos, first, pair = [], [], [], [], []
+    for traces in clusters:
+        if len(traces) == 0:
+            raise ConfigError("bmala needs at least one trace")
+        traces = [np.asarray(y) for y in traces]
+        pair.append(n > 1 and len(traces) > 1)
+        first.append(len(npos))  # the cluster's forward sweep; its reversed one is next
+        rows += traces
+        sweep += [len(npos)] * len(traces)
+        npos.append(half if pair[-1] else n)
+        if pair[-1]:
+            rows += [y[::-1] for y in traces]
+            sweep += [len(npos)] * len(traces)
+            npos.append(n - half)
+    flat = np.concatenate(rows)
+    if ((flat < 0) | (flat >= alphabet_size)).any():
+        for c, traces in enumerate(clusters):
+            for k, y in enumerate(map(np.asarray, traces)):
+                bad = y[(y < 0) | (y >= alphabet_size)]
+                if len(bad):
+                    raise ConfigError(f"cluster {c} trace {k}: symbol {bad[0]} is outside "
+                                      f"the alphabet of {alphabet_size} symbols")
+    out = _lockstep(flat, np.array([len(y) for y in rows]), np.array(sweep), np.array(npos),
+                    alphabet_size)
+
+    est = np.zeros((len(clusters), n), dtype=np.int8)
+    for c, (f, both) in enumerate(zip(first, pair)):
+        est[c] = np.concatenate([out[f, :half], out[f + 1, n - half - 1::-1]]) if both else out[f]
+    return est
 
 
-def _sweep(traces, n, alphabet_size, pointer_log):
-    K = len(traces)
-    ptr = [0] * K
-    benched_until = [0] * K
-    bench_pos = [0] * K  # consensus position at bench time, for rejoin pacing
-    out = np.zeros(n, dtype=np.int8)
+def _lockstep(flat, lens, sweep, npos, A):
+    """Run every sweep to its npos positions; the rows are the traces
+    `flat` cut at `lens`, row r belonging to sweep `sweep[r]`. Returns the
+    (sweeps, max npos) int8 outputs, 0 past a sweep's stop."""
+    R, S = len(lens), len(npos)
+    # row r's symbol at pointer p sits at T[base[r] + p]; p = -1 and every
+    # p >= lens[r] read PAD, up to the furthest window of an active row
+    width = int(lens.max()) + LOOKAHEAD + 2
+    T = np.full((R, width), PAD, dtype=np.uint8)
+    T[:, 1:][np.arange(width - 1) < lens[:, None]] = flat
+    T = T.ravel()
+    base = np.arange(R) * width + 1
+    ptr = np.zeros(R, dtype=np.int64)
+    benched_until = np.zeros(R, dtype=np.int64)
+    bench_pos = np.zeros(R, dtype=np.int64)
+    stopped = np.zeros(S, dtype=bool)
+    out = np.zeros((S, int(npos.max())), dtype=np.int8)
+    state = (T, base, lens, width, ptr, bench_pos, sweep, out)
 
-    for pos in range(n):
-        # rejoin benched traces whose bench expired, re-deriving their
-        # pointer from the consensus emitted while they sat out
-        for k in range(K):
-            if benched_until[k] == pos and pos > 0 and ptr[k] < len(traces[k]):
-                expected = ptr[k] + (pos - bench_pos[k])
-                new_ptr, score = _resync(traces[k], ptr[k], expected, out, pos)
-                if score >= MIN_AGREE:
-                    ptr[k] = min(new_ptr, len(traces[k]))
-                else:
-                    benched_until[k] = pos + BENCH_STEPS
-        active = [k for k in range(K)
-                  if benched_until[k] <= pos and ptr[k] < len(traces[k])]
-        if not active:
-            # everyone benched or exhausted: recall the benched traces
-            for k in range(K):
-                if benched_until[k] > pos and ptr[k] < len(traces[k]):
-                    expected = ptr[k] + (pos - bench_pos[k])
-                    new_ptr, _ = _resync(traces[k], ptr[k], expected, out, pos)
-                    ptr[k] = min(new_ptr, len(traces[k]))
-                    benched_until[k] = pos
-            active = [k for k in range(K) if ptr[k] < len(traces[k])]
-            if not active:
-                break  # all traces exhausted; remaining output stays padded
-        votes = np.zeros(alphabet_size, dtype=np.int32)
-        for k in active:
-            votes[traces[k][ptr[k]]] += 1
-        s_hat = int(np.argmax(votes))  # plurality, ties to the lowest symbol
-        out[pos] = s_hat
+    for pos in range(out.shape[1]):
+        running = (npos > pos) & ~stopped
+        if not running.any():
+            break
+        live = running[sweep] & (ptr < lens)
+        if pos:
+            # rejoin benched traces whose bench expired, re-deriving their
+            # pointer from the consensus emitted while they sat out
+            back = np.flatnonzero(live & (benched_until == pos))
+            if len(back):
+                new, score = _resync(state, back, pos)
+                ok = score >= MIN_AGREE
+                ptr[back] = np.where(ok, np.minimum(new, lens[back]), ptr[back])
+                benched_until[back[~ok]] = pos + BENCH_STEPS
+                live = running[sweep] & (ptr < lens)
+        active = live & (benched_until <= pos)
+        idle = running & (np.bincount(sweep[active], minlength=S) == 0)
+        if idle.any():
+            # everyone benched or exhausted: recall the benched traces; a
+            # sweep whose traces are all exhausted stops, its rest padded
+            recall = np.flatnonzero(live & idle[sweep])
+            if len(recall):
+                new, _ = _resync(state, recall, pos)
+                ptr[recall] = np.minimum(new, lens[recall])
+                benched_until[recall] = pos
+                active[recall] = ptr[recall] < lens[recall]
+            stopped |= idle & (np.bincount(sweep[active], minlength=S) == 0)
 
-        agree = [k for k in active if traces[k][ptr[k]] == s_hat]
+        a = np.flatnonzero(active)
+        sa = sweep[a]
+        window = T[(base[a] + ptr[a])[:, None] + _SPAN]
+        sym = window[:, 0]
+        # plurality, ties to the lowest symbol; a sweep without votes emits 0
+        vote = np.bincount(sa * A + sym, minlength=S * A).reshape(S, A).argmax(axis=1)
+        out[:, pos] = vote
+        agree = sym == vote[sa]
         # consensus lookahead: per offset, plurality of the agreeing traces'
-        # post-advance symbols
-        ref = []
-        for d in range(LOOKAHEAD):
-            v = np.zeros(alphabet_size, dtype=np.int32)
-            any_vote = False
-            for k in agree:
-                p = ptr[k] + 1 + d
-                if p < len(traces[k]):
-                    v[traces[k][p]] += 1
-                    any_vote = True
-            if not any_vote:
-                break
-            ref.append(int(np.argmax(v)))
+        # post-advance symbols, as long as any of them has one
+        ahead = window[agree, 1:LOOKAHEAD + 1]
+        there = ahead != PAD
+        slot = (sa[agree, None] * LOOKAHEAD + _D) * A + ahead
+        counts = np.bincount(slot[there], minlength=S * LOOKAHEAD * A).reshape(S, LOOKAHEAD, A)
+        ref = counts.argmax(axis=2)
+        reflen = counts.any(axis=2).sum(axis=1)
 
-        for k in active:
-            if traces[k][ptr[k]] == s_hat:
-                ptr[k] += 1
-                continue
-            tr = traces[k]
-            s_sub = _window_score(tr, ptr[k] + 1, ref)
-            s_del = _window_score(tr, ptr[k], ref)
-            if ptr[k] + 1 < len(tr) and tr[ptr[k] + 1] == s_hat:
-                s_ins = _window_score(tr, ptr[k] + 2, ref)
-            else:
-                s_ins = -1.0
-            best = max(s_sub, s_del, s_ins)
-            if best < MIN_AGREE:
-                # cannot explain the disagreement: bench the trace; its
-                # pointer freezes until it resyncs on rejoin
-                benched_until[k] = pos + BENCH_STEPS
-                bench_pos[k] = pos
-            elif s_sub >= s_del and s_sub >= s_ins:
-                ptr[k] += 1
-            elif s_del >= s_ins:
-                pass
-            else:
-                ptr[k] += 2
-        if pointer_log is not None:
-            pointer_log.append(tuple(ptr))
-
+        ptr[a[agree]] += 1
+        if agree.all():
+            continue
+        d = a[~agree]
+        sd = sa[~agree]
+        win = window[~agree]
+        m = reflen[sd][:, None]
+        hits = ((win[:, _WINDOWS] == ref[sd][:, None, :]) & (_D < m[:, :, None])).sum(axis=2)
+        score = np.where(m > 0, hits / np.maximum(m, 1), 1.0)
+        s_del, s_sub, s_ins = score.T
+        s_ins = np.where(win[:, 1] == vote[sd], s_ins, -1.0)
+        bench = np.maximum(np.maximum(s_sub, s_del), s_ins) < MIN_AGREE
+        sub = (s_sub >= s_del) & (s_sub >= s_ins)
+        ins = ~sub & (s_del < s_ins)
+        ptr[d] += np.where(bench, 0, sub + 2 * ins)
+        # a trace that cannot explain the disagreement sits out; its pointer
+        # freezes until it resyncs on rejoin
+        benched_until[d[bench]] = pos + BENCH_STEPS
+        bench_pos[d[bench]] = pos
     return out
 
 
-def bmala_map(traces, encoder, params, delta=None, offset=None):
-    """Coded variant: the consensus estimate is treated as a single observed
-    trace and decoded exactly on a one-trace trellis under the channel
-    estimate `params`, every message equally likely."""
-    x_hat = bmala_reconstruct(traces, encoder.N, alphabet_size=encoder.alphabet.size)
-    tr = build_trellis(encoder, [x_hat], params, delta=delta, offset=offset)
-    return compute_posteriors(tr)
+def _resync(state, rows, pos):
+    """New pointers of rejoining `rows` and their matched fractions.
+
+    Candidate pointers p near the expected one, ptr + (pos - bench_pos),
+    are scored by aligning the row's symbols p-w .. p-1 to the last w
+    consensus symbols of its sweep; p below ptr (symbols the trace already
+    consumed) or past the trace's end is never taken, so pointers stay
+    monotone. Without a candidate, the pointer is the expected one, at
+    least ptr, and the fraction 0; the caller clips pointers to the end.
+    """
+    T, base, lens, width, ptr, bench_pos, sweep, out = state
+    w = min(RESYNC_WINDOW, pos)  # pos >= 1: a trace rejoins at pos 1 at the earliest
+    start = ptr[rows]
+    expected = start + (pos - bench_pos[rows])
+    p = expected[:, None] + _OFFSETS
+    q = np.clip(p[:, :, None] + np.arange(-w, 0), -1, width - 2)
+    hits = (T[base[rows, None, None] + q] == out[sweep[rows], pos - w:pos][:, None, :]).sum(axis=2)
+    hits = np.where((p >= start[:, None]) & (p <= lens[rows, None]), hits, -1)
+    best = hits.argmax(axis=1)
+    top = hits[np.arange(len(rows)), best]
+    new = np.where(top >= 0, p[np.arange(len(rows)), best], np.maximum(start, expected))
+    return new, np.where(top >= 0, top / w, 0.0)
+
+
+def bmala_map(clusters, encoder, params, delta=None, offsets=None):
+    """Coded variant, per cluster of a chunk: its consensus estimate is
+    treated as a single observed trace and decoded exactly on a one-trace
+    trellis under the channel estimate `params`, every message equally
+    likely. `offsets` is None or one scrambling vector (or None) per
+    cluster. Returns per cluster its PosteriorTable or the
+    InfeasibleTrellisError of its trellis."""
+    offsets = [None] * len(clusters) if offsets is None else offsets
+    if len(offsets) != len(clusters):
+        raise ConfigError(f"need one offset per cluster: got {len(offsets)} "
+                          f"for {len(clusters)} clusters")
+    out = []
+    for x_hat, offset in zip(bmala_reconstruct(clusters, encoder.N, encoder.alphabet.size),
+                             offsets):
+        try:
+            out.append(compute_posteriors(build_trellis(encoder, [x_hat], params,
+                                                        delta=delta, offset=offset)))
+        except InfeasibleTrellisError as e:
+            out.append(e)
+    return out

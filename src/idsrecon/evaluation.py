@@ -9,9 +9,10 @@ offset inside the channel model. Per-cluster randomness is derived from
 
 The usable clusters are decoded in chunks (`chunked`), one task each: a
 Trellis BMA chunk is as many clusters as fit CHUNK_ROWS trace rows x beta
-points, every other algorithm's is one cluster. The chunk boundaries are
-fixed by cluster order, K and the number of beta points, never by `jobs`,
-and a cluster decodes in a chunk as it would alone.
+points, a BMALA or BMALA-MAP chunk CHUNK_ROWS clusters, whose sweeps step
+in lockstep, and a joint-trellis chunk one cluster. The chunk boundaries
+are fixed by cluster order, K and the number of beta points, never by
+`jobs`, and a cluster decodes in a chunk as it would alone.
 """
 
 from __future__ import annotations
@@ -207,8 +208,9 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
     pair (PosteriorTable or None, hard estimate), or the
     InfeasibleTrellisError of that beta point's exchange. A cluster
     infeasible for every point has that error in place of its list.
-    Trellis BMA decodes the chunk in one call (`run_trellis_bma`); the
-    other algorithms decode cluster by cluster.
+    Trellis BMA, BMALA and BMALA-MAP decode the chunk in one call
+    (`run_trellis_bma`, `bmala_reconstruct`, `bmala_map`); the joint
+    trellis decodes cluster by cluster.
     """
     offsets = [None] * len(clusters) if offsets is None else offsets
     if algorithm == "multiply-posteriors":
@@ -226,41 +228,40 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if algorithm == "bmala" and (encoder.L != encoder.N or encoder.n_states != 1):
         raise ConfigError("plain bmala handles uncoded strands only; use bmala-map")
+    if algorithm == "bmala":
+        size = encoder.alphabet.size
+        x_hats = bmala_reconstruct(clusters, encoder.N, size)
+        return [[(None, x if z is None else unscramble(x, z, size))]
+                for x, z in zip(x_hats, offsets)]
+    if algorithm == "bmala-map":
+        posts = bmala_map(clusters, encoder, params, delta=delta, offsets=offsets)
+        return [p if isinstance(p, InfeasibleTrellisError) else [(p, p.hard)] for p in posts]
     out = []
     for traces, offset in zip(clusters, offsets):
         try:
-            out.append([_decode_one(algorithm, encoder, traces, params, delta, offset)])
+            post = compute_posteriors(build_trellis(encoder, traces, params, delta=delta,
+                                                    offset=offset))
         except InfeasibleTrellisError as e:
             out.append(e)
+            continue
+        out.append([(post, post.hard)])
     return out
 
 
-def _decode_one(algorithm, encoder, traces, params, delta, offset):
-    """One cluster's (PosteriorTable or None, hard estimate) by the exact
-    joint trellis, BMALA-MAP or BMALA."""
-    if algorithm == "bmala":
-        x_hat = bmala_reconstruct(traces, encoder.N, alphabet_size=encoder.alphabet.size)
-        return None, x_hat if offset is None else unscramble(x_hat, offset,
-                                                             encoder.alphabet.size)
-    if algorithm == "bmala-map":
-        post = bmala_map(traces, encoder, params, delta=delta, offset=offset)
-    else:
-        post = compute_posteriors(build_trellis(encoder, traces, params, delta=delta,
-                                                offset=offset))
-    return post, post.hard
-
-
-CHUNK_ROWS = 24  # trace rows x beta points that one Trellis BMA chunk holds at most
+CHUNK_ROWS = 24  # trace rows x beta points of a Trellis BMA chunk, clusters of a BMALA one
 
 
 def chunked(items, algorithm, k, points):
     """`items`, one per cluster, cut in order into the chunks that one
     `run_algorithm` call decodes: for Trellis BMA as many clusters as fit
     CHUNK_ROWS rows of K traces x `points` beta points, at least one; for
-    every other algorithm one cluster. The cut depends on nothing else."""
+    BMALA and BMALA-MAP CHUNK_ROWS clusters; for the joint trellis one
+    cluster. The cut depends on nothing else."""
     size = 1
     if algorithm in ("trellis-bma", "multiply-posteriors"):
         size = max(1, CHUNK_ROWS // (k * points))
+    elif algorithm in ("bmala", "bmala-map"):
+        size = CHUNK_ROWS
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 

@@ -3,13 +3,16 @@
 Everything here enumerates explicitly: channel likelihoods sum over all
 event sequences by recursion (no shared dynamic program with the library),
 and posteriors marginalise over every message. Only usable for tiny
-instances, which is the point.
+instances, which is the point. BMALA is kept as its scalar per-trace loop,
+the ground truth for the library's lockstep arrays.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from idsrecon.bmala import BENCH_STEPS, LOOKAHEAD, MIN_AGREE, RESYNC_SPAN, RESYNC_WINDOW
 
 
 def trace_likelihood(x, y, p_ins, p_del, p_sub, p_cor, alphabet_size):
@@ -280,3 +283,150 @@ def random_params(rng, max_ins=0.4):
             v = v / v.sum()
         if v[0] <= max_ins:
             return IDSParams(*[float(t) for t in v])
+
+
+# ----------------------------------------------------------------------
+# BMALA as the scalar loop: per output position, a Python loop over the
+# traces and the lookahead windows, both sweeps over all n positions. The
+# library steps a chunk's sweeps in lockstep as arrays and must equal this
+# exactly.
+
+def bmala_window_score(trace, start, ref):
+    """Fraction of `ref` matched by trace[start:]; absent symbols mismatch."""
+    if len(ref) == 0:
+        return 1.0
+    hits = 0
+    for d, r in enumerate(ref):
+        p = start + d
+        if p < len(trace) and trace[p] == r:
+            hits += 1
+    return hits / len(ref)
+
+
+def bmala_resync(trace, base, expected, out, pos):
+    """Re-derive a pointer for a rejoining trace by matching its recent
+    symbols against the consensus emitted while it sat out.
+
+    Candidate pointers near `expected` are scored by aligning trace[p-w:p]
+    to the last w consensus symbols; candidates below `base` (symbols the
+    trace already consumed before benching) are never considered, so
+    pointers stay monotone. Returns (new pointer, matched fraction).
+    """
+    w = min(RESYNC_WINDOW, pos)
+    if w == 0:
+        return max(base, expected), 1.0
+    ref = out[pos - w:pos]
+    best = (-1.0, 0)
+    for d in range(-RESYNC_SPAN, RESYNC_SPAN + 1):
+        p = expected + d
+        if p < base or p > len(trace):
+            continue
+        hits = 0
+        for i in range(w):
+            q = p - w + i
+            if 0 <= q < len(trace) and trace[q] == ref[i]:
+                hits += 1
+        score = hits / w
+        if score > best[0] or (score == best[0] and abs(d) < abs(best[1])):
+            best = (score, d)
+    if best[0] < 0.0:
+        return min(max(base, expected), len(trace)), 0.0
+    return expected + best[1], best[0]
+
+
+def bmala_sweep(traces, n, alphabet_size, pointer_log=None):
+    """One BMALA sweep over all n positions of one cluster's traces.
+    `pointer_log`, when a list, receives the pointer vector after every
+    emitted position."""
+    K = len(traces)
+    ptr = [0] * K
+    benched_until = [0] * K
+    bench_pos = [0] * K  # consensus position at bench time, for rejoin pacing
+    out = np.zeros(n, dtype=np.int8)
+
+    for pos in range(n):
+        # rejoin benched traces whose bench expired, re-deriving their
+        # pointer from the consensus emitted while they sat out
+        for k in range(K):
+            if benched_until[k] == pos and pos > 0 and ptr[k] < len(traces[k]):
+                expected = ptr[k] + (pos - bench_pos[k])
+                new_ptr, score = bmala_resync(traces[k], ptr[k], expected, out, pos)
+                if score >= MIN_AGREE:
+                    ptr[k] = min(new_ptr, len(traces[k]))
+                else:
+                    benched_until[k] = pos + BENCH_STEPS
+        active = [k for k in range(K)
+                  if benched_until[k] <= pos and ptr[k] < len(traces[k])]
+        if not active:
+            # everyone benched or exhausted: recall the benched traces
+            for k in range(K):
+                if benched_until[k] > pos and ptr[k] < len(traces[k]):
+                    expected = ptr[k] + (pos - bench_pos[k])
+                    new_ptr, _ = bmala_resync(traces[k], ptr[k], expected, out, pos)
+                    ptr[k] = min(new_ptr, len(traces[k]))
+                    benched_until[k] = pos
+            active = [k for k in range(K) if ptr[k] < len(traces[k])]
+            if not active:
+                break  # all traces exhausted; remaining output stays padded
+        votes = np.zeros(alphabet_size, dtype=np.int32)
+        for k in active:
+            votes[traces[k][ptr[k]]] += 1
+        s_hat = int(np.argmax(votes))  # plurality, ties to the lowest symbol
+        out[pos] = s_hat
+
+        agree = [k for k in active if traces[k][ptr[k]] == s_hat]
+        # consensus lookahead: per offset, plurality of the agreeing traces'
+        # post-advance symbols
+        ref = []
+        for d in range(LOOKAHEAD):
+            v = np.zeros(alphabet_size, dtype=np.int32)
+            any_vote = False
+            for k in agree:
+                p = ptr[k] + 1 + d
+                if p < len(traces[k]):
+                    v[traces[k][p]] += 1
+                    any_vote = True
+            if not any_vote:
+                break
+            ref.append(int(np.argmax(v)))
+
+        for k in active:
+            if traces[k][ptr[k]] == s_hat:
+                ptr[k] += 1
+                continue
+            tr = traces[k]
+            s_sub = bmala_window_score(tr, ptr[k] + 1, ref)
+            s_del = bmala_window_score(tr, ptr[k], ref)
+            if ptr[k] + 1 < len(tr) and tr[ptr[k] + 1] == s_hat:
+                s_ins = bmala_window_score(tr, ptr[k] + 2, ref)
+            else:
+                s_ins = -1.0
+            best = max(s_sub, s_del, s_ins)
+            if best < MIN_AGREE:
+                # cannot explain the disagreement: bench the trace; its
+                # pointer freezes until it resyncs on rejoin
+                benched_until[k] = pos + BENCH_STEPS
+                bench_pos[k] = pos
+            elif s_sub >= s_del and s_sub >= s_ins:
+                ptr[k] += 1
+            elif s_del >= s_ins:
+                pass
+            else:
+                ptr[k] += 2
+        if pointer_log is not None:
+            pointer_log.append(tuple(ptr))
+
+    return out
+
+
+def bmala_reconstruct(traces, n, alphabet_size=4, pointer_log=None):
+    """One cluster's BMALA estimate by the scalar loop: the forward sweep's
+    first n//2 symbols, then the reversed sweep's, each sweep over all n
+    positions (one forward sweep for one trace or n = 1). `pointer_log`
+    gets the forward sweep's pointers."""
+    traces = [np.asarray(y) for y in traces]
+    fwd = bmala_sweep(traces, n, alphabet_size, pointer_log)
+    if n > 1 and len(traces) > 1:
+        rev = bmala_sweep([y[::-1] for y in traces], n, alphabet_size, None)[::-1]
+        return np.concatenate([fwd[:n // 2], rev[n // 2:]])
+    return fwd

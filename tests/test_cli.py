@@ -270,11 +270,12 @@ def test_flags_override_config(tmp_path):
     assert len((out / "centers.txt").read_text().strip().splitlines()) == 2
 
 
-@pytest.mark.parametrize("algo", ["bmala", "trellis-bma"])
+@pytest.mark.parametrize("algo", ["bmala", "bmala-map", "trellis-bma"])
 def test_evaluate_jobs_identical(tmp_path, algo):
-    # 30 clusters at K=2: Trellis BMA decodes them in 3 chunks
-    out = _simulate(tmp_path, n=30, traces=4, length=20)
-    assert len(evaluation.chunked(list(range(30)), algo, 2, 1)) >= 3
+    # 50 clusters at K=2: BMALA and BMALA-MAP decode them in 3 chunks of at
+    # most 24 clusters, Trellis BMA in 5 of at most 12
+    out = _simulate(tmp_path, n=50, traces=4, length=20)
+    assert len(evaluation.chunked(list(range(50)), algo, 2, 1)) >= 3
     reports = []
     for jobs, name in (("1", "j1"), ("2", "j2")):
         res = tmp_path / name

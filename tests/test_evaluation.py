@@ -311,8 +311,14 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
     # the usable clusters are cut into chunks in cluster order; chunks of one
     # (CHUNK_ROWS = 1) give the same tables, reports and warnings. Without
     # insertions a trace longer than its strand is unexplainable: cluster 2
-    # is infeasible at init, and beta_o = 300 underflows every noisy cluster
+    # is infeasible at init, and beta_o = 300 underflows every noisy cluster.
+    # BMALA and BMALA-MAP step a chunk's sweeps in lockstep; decoded without
+    # substitutions too, a consensus must be a scrambled codeword exactly,
+    # so cluster 2's and four noisy clusters' are infeasible, the noiseless
+    # one's is not
     params = IDSParams(0.0, 0.05, 0.05, 0.9)
+    exact = IDSParams(0.0, 0.05, 0.0, 0.95)
+    cc = cc_encoder(2, 12, DNA)
     enc = mr_encoder(24, 3, DNA)
     rng = np.random.default_rng(0)
     clusters = simulate_clusters(6, 4, 24, params, seed=1)
@@ -322,6 +328,7 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
     clusters.append(Cluster(center, [center] * 4))
     grid = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5, 300.0)}
     assert len(evaluation.chunked(clusters, "trellis-bma", 3, 2)) == 2
+    assert len(evaluation.chunked(clusters, "bmala-map", 3, 1)) == 1
     runs = []
     for rows in (evaluation.CHUNK_ROWS, 1):
         monkeypatch.setattr(evaluation, "CHUNK_ROWS", rows)
@@ -330,15 +337,27 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
             _, table = sweep_betas(clusters, enc, 3, "entropy", 5, params, delta=8, grid=grid)
             rep = scrambled_eval(clusters, enc, "trellis-bma", 3, "entropy", 5, params,
                                  delta=8, betas=BetaParams(1, 0.1, 0, 0.5))
-        runs.append((table, rep, [r.getMessage() for r in caplog.records]))
-    (table, rep, lines), (table1, rep1, lines1) = runs
+            hard = [scrambled_eval(clusters, identity_encoder(24, DNA), "bmala", 3, "hamming",
+                                   5, params),
+                    scrambled_eval(clusters, cc, "bmala-map", 3, "entropy", 5, params, delta=8)]
+            bmala_lines = len(caplog.records)
+            hard.append(scrambled_eval(clusters, cc, "bmala-map", 3, "entropy", 5, exact,
+                                       delta=2))
+        lines = [r.getMessage() for r in caplog.records]
+        runs.append((table, [rep] + hard, lines, lines[bmala_lines:]))
+    (table, reps, lines, exact_lines), (table1, reps1, lines1, _) = runs
     assert [bp for bp, _ in table] == [bp for bp, _ in table1]
     assert [v for _, v in table] == pytest.approx([v for _, v in table1], rel=1e-12)
-    assert (rep.n_samples, rep.skipped) == (rep1.n_samples, rep1.skipped) == (7, 1)
-    for name, (value, half) in rep.metrics.items():
-        assert (value, half) == pytest.approx(rep1.metrics[name], rel=1e-12), name
+    assert [(r.n_samples, r.skipped) for r in reps] == [(7, 1), (8, 0), (8, 0), (3, 5)]
+    for rep, rep1 in zip(reps, reps1):
+        assert (rep.n_samples, rep.skipped) == (rep1.n_samples, rep1.skipped)
+        for name, (value, half) in rep.metrics.items():
+            assert (value, half) == pytest.approx(rep1.metrics[name], rel=1e-12), name
     assert any(line.startswith("cluster 2 infeasible: every trace") for line in lines)
     assert any("infeasible at beta point 1" in line for line in lines)
+    # the exact decode's errors, one per infeasible cluster, in cluster order
+    assert [int(line.split()[1]) for line in exact_lines] == [1, 2, 3, 4, 6]
+    assert all(line.endswith("no path explains the traces (delta=2)") for line in exact_lines)
     for prefix in ("cluster", "dropping"):
         assert ([line for line in lines if line.startswith(prefix)]
                 == [line for line in lines1 if line.startswith(prefix)])
