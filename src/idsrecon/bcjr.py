@@ -1,15 +1,18 @@
 """Message posteriors from the trellis sweeps.
 
-`compute_posteriors` is the one reader of message posteriors: it sweeps a
-trellis (`Trellis.forward`/`fronts`, in linear domain with per-layer
-rescaling) and reads each message symbol at its cycle's last post layer,
-in the trellis's row 0, as the BCJR symbol marginal: forward x backward
-summed over the layer's encoder states and pointers, one sum per index of
-its message axis. The joint trellis of `build_trellis` is one row of
-K pointer axes, so a one-trace decode steps one row of one axis, as a row
-of Trellis BMA's lattice does. It keeps only those read layers of the
-forward sweep and streams the backward sweep past them, so its memory is
-a fraction of the trellis.
+`compute_posteriors` is the one reader of message posteriors, for every
+row of a trellis: the joint trellis of `build_trellis` (one row of K
+pointer axes) and the lattice of `build_lattice` (one row per trace, each
+its trace's own one-trace trellis). It sweeps the trellis
+(`Trellis.forward`/`fronts`, in linear domain with per-layer rescaling) and
+reads each message symbol on its cycle's input layer, a cut of the
+trellis, as the BCJR symbol marginal: the forward block there is the
+preceding boundary block repeated along the message axis, so the marginal
+of message m is the boundary block times the backward input block at index
+m of its message axis, summed over the encoder states and pointers. It
+keeps only those boundary blocks of the forward sweep and streams the
+backward sweep past the input layers, so its memory is a fraction of the
+trellis.
 
 The tests check every cell of both sweeps against an independent
 rule-by-rule constructor with its own forward-backward pass, and the
@@ -24,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleTrellisError
+from .trellis import _cycles, _windows
 
 ROW_TOL = 1e-9
 
 MIB = float(1 << 20)
-STORED_BUDGET_BYTES = 1 << 30  # read layers plus two sweep fronts held by compute_posteriors
+STORED_BUDGET_BYTES = 1 << 30  # boundary blocks plus two sweep fronts held by compute_posteriors
 
 
 @dataclass
@@ -56,44 +60,75 @@ class PosteriorTable:
         return cls(probs, np.argmax(probs, axis=1), log_likelihood)
 
 
-def compute_posteriors(trellis):
-    """Exact message posteriors plus the sequence log-likelihood (a float),
-    read in row 0 at each cycle's last post layer (the cycle's last layer
-    that carries its message symbol and has no insertion runs); the joint
-    trellis has that one row.
-
-    The forward sweep keeps only those L read layers. The backward front
-    is not kept: each posterior row is formed as it passes its read layer,
-    and that forward block is freed right after. What is stored at once is
-    at most 8 bytes per read-layer cell plus two of the largest layer (the
-    front and the block stepped into). A trellis where that would exceed
-    STORED_BUDGET_BYTES is refused with a ConfigError before any sweep
-    starts, since the joint trellis grows exponentially in the number of
-    traces. A row 0 whose mass vanishes in either sweep raises the
-    InfeasibleTrellisError formed from that sweep's death record.
-    """
+def stored_bytes(trellis):
+    """What `compute_posteriors` stores at once for `trellis`: 8 bytes per
+    cell of every cycle's boundary block, plus two of the largest layer
+    (the front and the block stepped into)."""
     sizes = [trellis.rows * math.prod(lay.shape) for lay in trellis.layers]
-    stored = 8 * (sum(sizes[t] for t in trellis.post_read_layer) + 2 * max(sizes))
+    return 8 * (sum(sizes[t - 1] for t in trellis.input_read_layer) + 2 * max(sizes))
+
+
+def lattice_row_bytes(encoder, delta):
+    """`stored_bytes` per row of a lattice whose traces all have the
+    codeword's length N, as BMALA-MAP's consensus strings do, from the
+    encoder's cycle schedule and the window rule alone: every such row has
+    the same windows, so r rows store r times this, and no trellis is
+    built to know it."""
+    N = encoder.N
+    lo, hi = _windows(N, np.array(N), delta)
+    width = (hi - lo + 1).tolist()
+    boundary = largest = npos = 0
+    for (S, M), emit, _, _ in _cycles(encoder):
+        u = emit.shape[1]
+        boundary += S * width[npos]
+        largest = max(largest, S * M * max(width[npos:npos + u + 1]))
+        npos += u
+    return 8 * (boundary + 2 * largest)
+
+
+def compute_posteriors(trellis):
+    """Exact message posteriors of every row of `trellis`: per row, its
+    PosteriorTable with the row's sequence log-likelihood (a float), or the
+    InfeasibleTrellisError of a row whose mass vanished, formed from the
+    death record of the sweep where it did (forward first).
+
+    The forward sweep keeps only each cycle's boundary block (the layer
+    before its input layer), all in one buffer. The backward front is not
+    kept: each cycle's posterior rows are formed as it passes the input
+    layer. What is stored at once is `stored_bytes`; a trellis where that
+    would exceed STORED_BUDGET_BYTES is refused with a ConfigError before
+    any sweep starts, since the joint trellis grows exponentially in the
+    number of traces.
+    """
+    stored = stored_bytes(trellis)
     if stored > STORED_BUDGET_BYTES:
         raise ConfigError(
             f"the joint trellis over {trellis.K} traces would store "
             f"{stored / MIB:.0f} MiB of sweep layers (budget "
             f"{STORED_BUDGET_BYTES / MIB:.0f} MiB); use fewer traces, a smaller "
             f"--delta, or trellis-bma")
-    reads = {t: l for l, t in enumerate(trellis.post_read_layer)}
-    fs = trellis.forward(keep=reads)
-    if fs.died[0] >= 0:
-        raise InfeasibleTrellisError(trellis.vanished(False, int(fs.died[0])))
-    rows = np.empty((trellis.L, trellis.encoder.msg_size))
-    for t, bwd, _, died in trellis.fronts(back=True):
-        l = reads.get(t)
-        if l is None:
+    reads = {t: l for l, t in enumerate(trellis.input_read_layer)}
+    fs = trellis.forward(keep=[t - 1 for t in reads])
+    rows = np.zeros((trellis.rows, trellis.L, trellis.encoder.msg_size))
+    died = np.full(trellis.rows, -1)
+    if fs.died.min() < 0:  # some row lives: the forward sweep reached every layer
+        for t, bwd, _, died in trellis.fronts(back=True):
+            l = reads.get(t)
+            if l is None:
+                continue
+            # boundary (rows, S, 1, W...) x input (rows, S, M, W...): sum each
+            # message symbol's states and pointers
+            joint = fs.layers[t - 1] * bwd
+            rows[:, l] = joint.reshape(joint.shape[:3] + (-1,)).sum(axis=3).sum(axis=1)
+    out = []
+    for r in range(trellis.rows):
+        error = (trellis.vanished(False, int(fs.died[r]))
+                 or trellis.vanished(True, int(died[r])))
+        if error:
+            out.append(InfeasibleTrellisError(error))
             continue
-        # the block is (S, M, W...): sum each message symbol's cells
-        joint = fs.layers[t][0] * bwd[0]
-        rows[l] = joint.reshape(joint.shape[:2] + (-1,)).sum(axis=2).sum(axis=0)
-        fs.layers[t] = None
-    if died[0] >= 0:
-        raise InfeasibleTrellisError(trellis.vanished(True, int(died[0])))
-    return PosteriorTable.from_rows(rows, float(fs.loglik[0]))
-
+        try:
+            out.append(PosteriorTable.from_rows(rows[r], float(fs.loglik[r])))
+        except InfeasibleTrellisError as e:
+            out.append(e)
+    return out

@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bcjr import compute_posteriors
-from .errors import ConfigError, InfeasibleTrellisError
-from .trellis import build_trellis
+from .bcjr import compute_posteriors, lattice_row_bytes
+from .errors import ConfigError
+from .trellis import build_lattice
+# not called here: the name stays because perfbench/spans.py wraps it in this module
+from .trellis import build_trellis  # noqa: F401
 
 
 # calibrated on simulated clusters at the measured channel rates
@@ -43,6 +45,7 @@ MIN_AGREE = 0.7     # window match fraction below which we bench
 RESYNC_WINDOW = 6   # consensus history matched when rejoining
 RESYNC_SPAN = 5     # pointer offsets tried on rejoin
 
+LATTICE_BYTES = 1 << 20  # what compute_posteriors may store for one lattice of consensus strings
 PAD = 255  # fills the trace matrix around each trace; equals no symbol
 _D = np.arange(LOOKAHEAD)
 # symbols ptr .. ptr+LOOKAHEAD+1 of an active row, and within them the
@@ -217,17 +220,21 @@ def bmala_map(clusters, encoder, params, delta=None, offsets=None):
     trellis under the channel estimate `params`, every message equally
     likely. `offsets` is None or one scrambling vector (or None) per
     cluster. Returns per cluster its PosteriorTable or the
-    InfeasibleTrellisError of its trellis."""
+    InfeasibleTrellisError of its trellis.
+
+    The consensus strings are the rows of lattices (`build_lattice`), each
+    row carrying its cluster's offset and decoding as its one-trace
+    trellis would. A lattice holds as many rows as keep what `compute_posteriors`
+    stores within LATTICE_BYTES, at least one: a number fixed by the
+    encoder and `delta` (`lattice_row_bytes`), whatever the chunk."""
     offsets = [None] * len(clusters) if offsets is None else offsets
     if len(offsets) != len(clusters):
         raise ConfigError(f"need one offset per cluster: got {len(offsets)} "
                           f"for {len(clusters)} clusters")
+    x_hats = bmala_reconstruct(clusters, encoder.N, encoder.alphabet.size)
+    size = max(1, LATTICE_BYTES // lattice_row_bytes(encoder, delta))
     out = []
-    for x_hat, offset in zip(bmala_reconstruct(clusters, encoder.N, encoder.alphabet.size),
-                             offsets):
-        try:
-            out.append(compute_posteriors(build_trellis(encoder, [x_hat], params,
-                                                        delta=delta, offset=offset)))
-        except InfeasibleTrellisError as e:
-            out.append(e)
+    for i in range(0, len(x_hats), size):
+        out += compute_posteriors(build_lattice(encoder, x_hats[i:i + size], params,
+                                                delta=delta, offsets=offsets[i:i + size]))
     return out

@@ -10,9 +10,11 @@ offset inside the channel model. Per-cluster randomness is derived from
 The usable clusters are decoded in chunks (`chunked`), one task each: a
 Trellis BMA chunk is as many clusters as fit CHUNK_ROWS trace rows x beta
 points, a BMALA or BMALA-MAP chunk CHUNK_ROWS clusters, whose sweeps step
-in lockstep, and a joint-trellis chunk one cluster. The chunk boundaries
-are fixed by cluster order, K and the number of beta points, never by
-`jobs`, and a cluster decodes in a chunk as it would alone.
+in lockstep (BMALA-MAP then decodes the chunk's consensus strings as the
+rows of lattices cut by `bmala.LATTICE_BYTES`), and a joint-trellis chunk
+one cluster. The chunk boundaries are fixed by cluster order, K and the
+number of beta points, never by `jobs`, and a cluster decodes in a chunk
+as it would alone.
 """
 
 from __future__ import annotations
@@ -238,13 +240,9 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
         return [p if isinstance(p, InfeasibleTrellisError) else [(p, p.hard)] for p in posts]
     out = []
     for traces, offset in zip(clusters, offsets):
-        try:
-            post = compute_posteriors(build_trellis(encoder, traces, params, delta=delta,
-                                                    offset=offset))
-        except InfeasibleTrellisError as e:
-            out.append(e)
-            continue
-        out.append([(post, post.hard)])
+        post = compute_posteriors(build_trellis(encoder, traces, params, delta=delta,
+                                                offset=offset))[0]
+        out.append(post if isinstance(post, InfeasibleTrellisError) else [(post, post.hard)])
     return out
 
 

@@ -17,8 +17,12 @@ with `a` pointer axes:
   next layer.
 * post: the codeword symbol has been explained on every axis; the next
   symbol is loaded, or the buffers are cleared into the next boundary layer.
-  These layers carry the cycle's message symbol and have no insertions, so
-  they are where posteriors are read.
+
+Every path crosses a cycle's input layer once, at a cell that carries the
+cycle's message symbol, so that layer is a cut on which the symbol's
+posterior is read (`bcjr.compute_posteriors`). Its forward block is the
+preceding boundary block repeated along the message axis, so a reader
+stores the boundary block and multiplies it into the backward input block.
 
 Pointers count explained trace symbols (0..R_k, i.e. the paper-style pointer
 minus one); the origin is all-zeros and absorbing cells have every pointer
@@ -141,6 +145,20 @@ def _cycles(encoder):
     return tuple(out)
 
 
+def _windows(N, R, delta):
+    """The window rule: (lo, hi), shaped (N+1,) + R.shape, of every position
+    n = 0..N for traces of the lengths in the integer array R. A bound
+    below 1 admits no path and is refused."""
+    if delta is None:
+        lo = np.zeros((N + 1,) + R.shape, dtype=np.int64)
+        return lo, lo + R
+    if delta < 1:
+        raise ConfigError(f"--delta must be at least 1, got {delta}: a drift bound of "
+                          f"{delta} leaves no path through the trellis")
+    c = np.floor(np.arange(N + 1).reshape((-1,) + (1,) * R.ndim) * R / N + 0.5).astype(np.int64)
+    return np.maximum(c - delta, 0), np.minimum(c + delta, R)
+
+
 @functools.lru_cache(maxsize=256)
 def _chain(width, coeff):
     """An ids layer's insertion runs as a read-only (width, width) matrix,
@@ -206,12 +224,7 @@ class Trellis:
         rows, axes, N, A, p = self.rows, self.axes, self.N, self.A, self.params
         R = np.array(self.R).reshape(rows, axes)
         # lo, hi: (N+1, rows, axes), each window's first and last pointer
-        if self.delta is None:
-            self.lo = np.zeros((N + 1, rows, axes), dtype=np.int64)
-            self.hi = self.lo + R
-        else:
-            c = np.floor(np.arange(N + 1)[:, None, None] * R / N + 0.5).astype(np.int64)
-            self.lo, self.hi = np.maximum(c - self.delta, 0), np.minimum(c + self.delta, R)
+        self.lo, self.hi = _windows(N, R, self.delta)
         span = self.hi - self.lo + 1
         width = span.max(axis=1)  # (N+1, axes)
         self._widths = [tuple(w) for w in width.tolist()]
@@ -375,7 +388,8 @@ class Trellis:
         """Layer t's values from layer t-1's by the transfer between them,
         or with `back` from layer t+1's by that transfer transposed; then an
         ids layer's insertion runs, transposed with `back`, and the mask of
-        layer t's position. `arr` and the result are stacks."""
+        layer t's position. `arr` and the result are stacks; the result is a
+        fresh array, which `_rescale` may overwrite."""
         s = t + 1 if back else t
         a, b = self.layers[s - 1], self.layers[s]
         if b.kind == INPUT:
@@ -390,7 +404,9 @@ class Trellis:
         if lay.kind == IDS:
             out = self._insert(lay, out, back)
         mask = self._masks[lay.npos]
-        return out if mask is None else out * mask
+        if mask is not None:
+            out *= mask
+        return out
 
     def initial_forward_block(self):
         arr = np.zeros((self.rows,) + self.layers[0].shape)
@@ -403,18 +419,21 @@ class Trellis:
         return arr
 
     def _rescale(self, t, arr):
-        """(each front of the stack `arr` over its own max, the maxima
-        shaped to broadcast over the stack, the (rows, P) mask of the dead
-        fronts or None if none is). A dead front, whose max is not positive
-        and finite, comes back zero with scale 1."""
+        """(each front of the stack `arr` over its own max, divided in
+        place, the maxima shaped to broadcast over the stack, the (rows, P)
+        mask of the dead fronts or None if none is). A dead front, whose max
+        is not positive and finite, comes back zero with scale 1."""
         cells = len(self.layers[t].shape)
         s = np.maximum.reduce(arr, axis=tuple(range(-cells, 0)), keepdims=True)
         m = s.ravel().tolist()
         if min(m) > 0.0 and sum(m) < math.inf:  # the sum is NaN or inf if any one is
-            return arr / s, s, None
+            arr /= s
+            return arr, s, None
         live = (s > 0.0) & (s < math.inf)
         s = np.where(live, s, 1.0)
-        return np.where(live, arr / s, 0.0), s, ~live.reshape(arr.shape[:-cells])
+        arr /= s
+        np.copyto(arr, 0.0, where=~live)
+        return arr, s, ~live.reshape(arr.shape[:-cells])
 
     def step_forward(self, t, arr):
         """Advance a stack of forward fronts from layer t-1 into layer t.
@@ -461,16 +480,24 @@ class Trellis:
 
     def _sweep(self, back, keep):
         """Run `fronts`, keeping the blocks of the layers in `keep` (every
-        layer when None); a row with no mass at its end cells dies too."""
+        layer when None), each copied into its slot of one buffer as the
+        sweep passes it; a row with no mass at its end cells dies too."""
         n = len(self.layers)
-        keep = range(n) if keep is None else frozenset(keep)
+        keep = range(n) if keep is None else sorted(set(keep))
+        shapes = [(self.rows,) + self.layers[t].shape for t in keep]
+        ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+        buf = np.empty(ends[-1])
         kept = [None] * n
+        for t, shape, a, b in zip(keep, shapes, ends, ends[1:]):
+            kept[t] = buf[a:b].reshape(shape)
         maxima = np.ones((n, self.rows))  # in sweep order
         for i, (t, arr, s, died) in enumerate(self.fronts(back)):
             if s is not None:
                 maxima[i] = s.reshape(self.rows)
-            if t in keep:
-                kept[t] = arr
+            if kept[t] is not None:
+                np.copyto(kept[t], arr)
+        for t in (range(n - 1 - i) if back else range(i + 1, n)):
+            kept[t] = None  # not reached: every row died before it
         scales = np.cumsum(np.log(maxima), axis=0)
         tot = np.ones(self.rows)
         if i == n - 1:  # the last layer was reached
@@ -500,8 +527,6 @@ def _build(encoder, traces, params, delta, offsets, rows):
     traces = [as_indices(y, encoder.alphabet) for y in traces]
     if len(traces) < 1:
         raise ConfigError("need at least one trace")
-    if delta is not None and delta < 0:
-        raise ConfigError("delta must be nonnegative")
     if offsets is not None:
         if len(offsets) != rows:
             raise ConfigError(f"need one offset per trellis row: got {len(offsets)} "

@@ -67,7 +67,7 @@ def test_posteriors_match_enumeration_oracle():
         except ValueError:
             continue
         tr = build_trellis(enc, traces, params)
-        post = compute_posteriors(tr)
+        [post] = compute_posteriors(tr)
         assert type(post.log_likelihood) is float
         assert np.max(np.abs(post.probs - rows)) < 1e-9
         assert post.log_likelihood == pytest.approx(ll, abs=1e-9 * max(1, abs(ll)))
@@ -103,8 +103,8 @@ def test_trace_order_symmetry():
     enc, traces, params = _instance(31, k=2)
     tr_ab = build_trellis(enc, traces, params)
     tr_ba = build_trellis(enc, traces[::-1], params)
-    pa = compute_posteriors(tr_ab)
-    pb = compute_posteriors(tr_ba)
+    [pa] = compute_posteriors(tr_ab)
+    [pb] = compute_posteriors(tr_ba)
     assert np.max(np.abs(pa.probs - pb.probs)) < 1e-9
 
 
@@ -114,7 +114,7 @@ def test_noiseless_uniform_loglik():
     x = DNA.encode("GATTA")
     tr = build_trellis(enc, [x], params)
     assert tr.forward(keep=()).loglik[0] == pytest.approx(5 * np.log(0.25), abs=1e-9)
-    post = compute_posteriors(tr)
+    [post] = compute_posteriors(tr)
     assert np.allclose(post.probs, np.eye(4)[x])
 
 
@@ -130,22 +130,24 @@ def test_mr_coded_posteriors_match_oracle():
         except ValueError:
             continue
         tr = build_trellis(enc, [y], params)
-        post = compute_posteriors(tr)
+        [post] = compute_posteriors(tr)
         assert np.max(np.abs(post.probs - rows)) < 1e-9
 
 
 def test_budget_counts_read_layers_and_two_fronts(monkeypatch):
-    # a budget between what is stored (read layers plus two of the largest
-    # layer) and both whole sweeps lets the posteriors run, unchanged
+    # a budget between what is stored (each cycle's boundary block, the
+    # layer before its input layer, plus two of the largest layer) and both
+    # whole sweeps lets the posteriors run, unchanged
     enc, traces, params = _instance(9, k=2, n=4, alphabet=DNA)
     tr = build_trellis(enc, traces, params)
     sizes = [math.prod(lay.shape) for lay in tr.layers]
-    stored = 8 * (sum(sizes[t] for t in tr.post_read_layer) + 2 * max(sizes))
+    assert all(tr.layers[t - 1].kind == "boundary" for t in tr.input_read_layer)
+    stored = 8 * (sum(sizes[t - 1] for t in tr.input_read_layer) + 2 * max(sizes))
     whole = 2 * 8 * sum(sizes)
-    assert stored < whole
-    ref = compute_posteriors(tr)
+    assert stored == bcjr.stored_bytes(tr) < whole
+    [ref] = compute_posteriors(tr)
     monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", (stored + whole) // 2)
-    got = compute_posteriors(tr)
+    [got] = compute_posteriors(tr)
     assert np.array_equal(got.probs, ref.probs)
     assert got.log_likelihood == ref.log_likelihood
     monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", stored - 1)
@@ -162,6 +164,6 @@ def test_zero_likelihood_reports_infeasible():
     # the front lives to the last layer with no mass at the absorbing cell
     f = tr.forward(keep=())
     assert f.died.tolist() == [len(tr.layers)] and f.loglik.tolist() == [-np.inf]
-    with pytest.raises(InfeasibleTrellisError,
-                       match="^no forward mass reaches an absorbing vertex$"):
-        compute_posteriors(tr)
+    [err] = compute_posteriors(tr)
+    assert isinstance(err, InfeasibleTrellisError)
+    assert str(err) == "no forward mass reaches an absorbing vertex"

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from idsrecon import (DNA, ConfigError, IDSParams, InfeasibleTrellisError, PosteriorTable,
                       bmala_map, bmala_reconstruct, cc_encoder, hamming_rate,
-                      mr_encoder, transmit, transmit_batch)
+                      mr_encoder, parse_encoder_spec, simulate_clusters, transmit,
+                      transmit_batch)
+from idsrecon import bcjr, bmala, evaluation
+from idsrecon.trellis import build_lattice
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
 
@@ -184,3 +189,44 @@ def test_bmala_map_chunk_returns_each_clusters_outcome():
         assert np.array_equal(posts[c].probs, alone.probs)
     with pytest.raises(ConfigError, match="one offset per cluster"):
         bmala_map(clusters, enc, exact, offsets=[None])
+
+
+def test_lattice_row_bytes_is_what_the_reader_stores():
+    # known from the encoder and delta alone, it is what compute_posteriors
+    # stores per row of a lattice of length-N consensus strings
+    for spec, delta in (("cc:2:0.5:110", 12), ("identity:110", 12), ("mr:24:3", 3),
+                        ("cc:1:0.5:12", None)):
+        enc = parse_encoder_spec(spec)
+        x = np.zeros(enc.N, np.int8)
+        row = bcjr.lattice_row_bytes(enc, delta)
+        for rows in (1, 3):
+            assert bcjr.stored_bytes(build_lattice(enc, [x] * rows, PAPER, delta=delta)) \
+                == rows * row, spec
+    # at delta = 12, 5 rows of the 16-state code fit the cap, and identity:110
+    # is held to a chunk of CHUNK_ROWS clusters before the cap binds
+    cc, identity = parse_encoder_spec("cc:2:0.5:110"), parse_encoder_spec("identity:110")
+    assert bcjr.lattice_row_bytes(cc, 12) == 189384
+    assert bcjr.lattice_row_bytes(identity, 12) == 22448
+    assert bmala.LATTICE_BYTES // 189384 == 5
+    assert bmala.LATTICE_BYTES // 22448 > evaluation.CHUNK_ROWS
+    with pytest.raises(ConfigError, match="--delta must be at least 1"):
+        bmala_map([[np.zeros(110, np.int8)]], cc, PAPER, delta=0)
+
+
+def test_bmala_map_decodes_lattices_cut_by_stored_bytes(monkeypatch):
+    # 12 consensus strings of the 16-state code at delta = 12 decode as
+    # lattices of 5, 5 and 2 rows, each row as it does alone
+    enc = parse_encoder_spec("cc:2:0.5:110")
+    rng = np.random.default_rng(4)
+    clusters = [c.traces[:4] for c in simulate_clusters(12, 4, 110, PAPER, seed=4)]
+    offsets = [rng.integers(4, size=110).astype(np.int8) for _ in clusters]
+    runs = []
+    for cap in (bmala.LATTICE_BYTES, 1):
+        monkeypatch.setattr(bmala, "LATTICE_BYTES", cap)
+        with mock.patch.object(bmala, "build_lattice", wraps=bmala.build_lattice) as build:
+            runs.append(bmala_map(clusters, enc, PAPER, delta=12, offsets=offsets))
+        runs.append([len(call.args[1]) for call in build.call_args_list])
+    posts, rows, alone, ones = runs
+    assert rows == [5, 5, 2] and ones == [1] * 12
+    for a, b in zip(posts, alone):
+        assert np.array_equal(a.probs, b.probs) and a.log_likelihood == b.log_likelihood

@@ -82,8 +82,8 @@ def test_reconstruct_noiseless_recovers_centers(tmp_path):
 
 def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
     # the joint trellis at identity:24, K=5, delta=12 would hold about
-    # 3 GiB of read layers and sweep fronts: refused before any sweep, from
-    # either command
+    # 1.2 GiB of boundary blocks and sweep fronts: refused before any sweep,
+    # from either command
     out = _simulate(tmp_path)
     rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:24",

@@ -10,7 +10,7 @@ from idsrecon import (DNA, BetaParams, Cluster, ConfigError, DatasetError,
                       run_algorithm, run_trellis_bma, scramble, scrambled_eval,
                       simulate_clusters, split_dataset, sweep_betas,
                       symbolwise_cross_entropy, transmit, write_dataset)
-from idsrecon import evaluation, trellis_bma
+from idsrecon import bmala, evaluation, trellis_bma
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import write_plot_csv, write_report_csv
 
@@ -309,7 +309,8 @@ def test_sweep_matches_scoring_each_point_alone():
 
 def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
     # the usable clusters are cut into chunks in cluster order; chunks of one
-    # (CHUNK_ROWS = 1) give the same tables, reports and warnings. Without
+    # (CHUNK_ROWS = 1), and BMALA-MAP lattices of one consensus each
+    # (LATTICE_BYTES = 1), give the same tables, reports and warnings. Without
     # insertions a trace longer than its strand is unexplainable: cluster 2
     # is infeasible at init, and beta_o = 300 underflows every noisy cluster.
     # BMALA and BMALA-MAP step a chunk's sweeps in lockstep; decoded without
@@ -330,8 +331,10 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
     assert len(evaluation.chunked(clusters, "trellis-bma", 3, 2)) == 2
     assert len(evaluation.chunked(clusters, "bmala-map", 3, 1)) == 1
     runs = []
-    for rows in (evaluation.CHUNK_ROWS, 1):
+    for rows, cap in ((evaluation.CHUNK_ROWS, bmala.LATTICE_BYTES), (1, bmala.LATTICE_BYTES),
+                      (evaluation.CHUNK_ROWS, 1)):
         monkeypatch.setattr(evaluation, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(bmala, "LATTICE_BYTES", cap)
         caplog.clear()
         with caplog.at_level(logging.WARNING):
             _, table = sweep_betas(clusters, enc, 3, "entropy", 5, params, delta=8, grid=grid)
@@ -345,22 +348,23 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
                                        delta=2))
         lines = [r.getMessage() for r in caplog.records]
         runs.append((table, [rep] + hard, lines, lines[bmala_lines:]))
-    (table, reps, lines, exact_lines), (table1, reps1, lines1, _) = runs
-    assert [bp for bp, _ in table] == [bp for bp, _ in table1]
-    assert [v for _, v in table] == pytest.approx([v for _, v in table1], rel=1e-12)
+    (table, reps, lines, exact_lines) = runs[0]
     assert [(r.n_samples, r.skipped) for r in reps] == [(7, 1), (8, 0), (8, 0), (3, 5)]
-    for rep, rep1 in zip(reps, reps1):
-        assert (rep.n_samples, rep.skipped) == (rep1.n_samples, rep1.skipped)
-        for name, (value, half) in rep.metrics.items():
-            assert (value, half) == pytest.approx(rep1.metrics[name], rel=1e-12), name
     assert any(line.startswith("cluster 2 infeasible: every trace") for line in lines)
     assert any("infeasible at beta point 1" in line for line in lines)
     # the exact decode's errors, one per infeasible cluster, in cluster order
     assert [int(line.split()[1]) for line in exact_lines] == [1, 2, 3, 4, 6]
     assert all(line.endswith("no path explains the traces (delta=2)") for line in exact_lines)
-    for prefix in ("cluster", "dropping"):
-        assert ([line for line in lines if line.startswith(prefix)]
-                == [line for line in lines1 if line.startswith(prefix)])
+    for table1, reps1, lines1, _ in runs[1:]:
+        assert [bp for bp, _ in table] == [bp for bp, _ in table1]
+        assert [v for _, v in table] == pytest.approx([v for _, v in table1], rel=1e-12)
+        for rep, rep1 in zip(reps, reps1):
+            assert (rep.n_samples, rep.skipped) == (rep1.n_samples, rep1.skipped)
+            for name, (value, half) in rep.metrics.items():
+                assert (value, half) == pytest.approx(rep1.metrics[name], rel=1e-12), name
+        for prefix in ("cluster", "dropping"):
+            assert ([line for line in lines if line.startswith(prefix)]
+                    == [line for line in lines1 if line.startswith(prefix)])
 
 
 def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):

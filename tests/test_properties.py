@@ -4,9 +4,11 @@ The sweeps step each layer by one of a few transfers, so these properties
 tie them back to what does not: exhaustive enumeration (posteriors) and a
 rule-by-rule constructor with its own forward-backward pass (every cell of
 both sweeps, under a drift bound too). The lattice that steps Trellis BMA's
-per-trace trellises together is tied back to each trace's own trellis, and
-a Trellis BMA decode of a beta stack to each point decoded alone, and a
-decode of a chunk of clusters to each cluster decoded alone."""
+per-trace trellises together is tied back to each trace's own trellis, as
+is each row the posterior reader reads from a lattice of equal-length
+traces (BMALA-MAP's consensus strings); a Trellis BMA decode of a beta
+stack to each point decoded alone, and a decode of a chunk of clusters to
+each cluster decoded alone."""
 
 import functools
 import logging
@@ -14,14 +16,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from idsrecon import (BINARY, DNA, BetaParams, IDSParams, InfeasibleTrellisError,
+from idsrecon import (BINARY, DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, compute_posteriors,
                       identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_trellis_bma, simulate_clusters, transmit_batch)
 from idsrecon import trellis_bma
 from idsrecon.bcjr import PosteriorTable
+from idsrecon.trellis import build_lattice
 from idsrecon.evaluation import DEFAULT_SWEEP_GRID
 from oracle import (assert_cells_match, assert_lattice_row_matches, joint_posteriors,
                     uniform_prior)
@@ -75,10 +78,10 @@ def test_trellis_readers_agree_with_references(case):
         rows = None
     full_f = tr.forward()
     if full_f.died[0] >= 0:
-        # the posterior reader raises the error of the sweep's death record
-        with pytest.raises(InfeasibleTrellisError) as e:
-            compute_posteriors(tr)
-        assert str(e.value) == tr.vanished(False, full_f.died[0])
+        # the posterior reader returns the error of the sweep's death record
+        [err] = compute_posteriors(tr)
+        assert isinstance(err, InfeasibleTrellisError)
+        assert str(err) == tr.vanished(False, full_f.died[0])
         full_f = None
     # a drift bound only removes paths: unexplainable traces stay infeasible
     if rows is None or delta is None:
@@ -88,12 +91,14 @@ def test_trellis_readers_agree_with_references(case):
     full_b = tr.backward()
     loglik_f = full_f.loglik[0]
     assert abs(full_b.loglik[0] - loglik_f) < 1e-9 * max(1.0, abs(loglik_f))
-    # the streamed posteriors are the whole sweeps' product at the read layers
-    post = compute_posteriors(tr)
-    # a read block is (S, M, W...): a symbol's mass sums its states and pointers
-    prod = [(full_f.layers[t][0] * full_b.layers[t][0])
+    # the streamed posteriors are the whole sweeps' product on each cycle's
+    # input layer, the forward side read at the boundary before it: an input
+    # block is (S, M, W...), the boundary's (S, 1, W...) repeated along the
+    # message axis, and a symbol's mass sums its states and pointers
+    [post] = compute_posteriors(tr)
+    prod = [(full_f.layers[t - 1][0] * full_b.layers[t][0])
             .reshape(tr.layers[t].shape[:2] + (-1,)).sum(axis=2).sum(axis=0)
-            for t in tr.post_read_layer]
+            for t in tr.input_read_layer]
     assert np.array_equal(post.probs, PosteriorTable.from_rows(prod).probs)
     assert post.log_likelihood == loglik_f
     # the oracle walks the same drift bound, so every cell is checked, the
@@ -153,8 +158,13 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
     # dead traces stay rows of the lattice. At every layer of both full
     # sweeps each kept row holds that trellis's cells in its clipped window
     # and exact zeros past it (the mask after every transfer), and the init
-    # keeps the exchange's read layers of them
+    # keeps the exchange's read layers of them. A drift bound of 0 admits
+    # no path and is refused before anything is built
     enc, traces, params, offset, delta = case
+    if delta == 0:
+        with pytest.raises(ConfigError, match="^--delta must be at least 1, got 0"):
+            init_single_trace_trellises(enc, traces, params, delta=delta)
+        return
     own, lost = {}, []
     for k, y in enumerate(traces):
         tr = build_trellis(enc, [y], params, delta=delta, offset=offset)
@@ -162,9 +172,9 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
         if f.died[0] < 0 and b.died[0] < 0:
             own[k] = tr, f, b
             continue
-        with pytest.raises(InfeasibleTrellisError) as e:
-            compute_posteriors(tr)
-        lost.append(f"dropping trace {k}: {e.value}")
+        [err] = compute_posteriors(tr)
+        assert isinstance(err, InfeasibleTrellisError)
+        lost.append(f"dropping trace {k}: {err}")
     (lat, fs, bs, kept), lines = _logged(init_single_trace_trellises, enc, traces, params,
                                          delta=delta, offsets=[offset] * len(traces))
     assert kept == sorted(own) and lines == lost
@@ -189,6 +199,99 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
         assert_lattice_row_matches(full_b, k, tr, b, everywhere)
         for mine, ref in ((full_f, f), (full_b, b)):
             assert abs(mine.loglik[k] - ref.loglik[0]) <= 1e-12 * max(1.0, abs(ref.loglik[0]))
+
+
+@st.composite
+def equal_length_lattices(draw):
+    """A code, rates (zero entries often) and 1-5 traces of one length R
+    near N (BMALA-MAP's consensus strings have R = N), each with its own
+    message and optional offset: codewords sent through the channel or
+    not, or random strings, cut or padded to R; and a drift bound."""
+    kind = draw(st.sampled_from(["identity", "mr", "cc"]))
+    if kind == "identity":
+        enc = identity_encoder(draw(st.integers(1, 12)), draw(st.sampled_from([BINARY, DNA])))
+    elif kind == "mr":
+        n = draw(st.integers(2, 12))
+        enc = mr_encoder(n, draw(st.integers(1, min(3, n - 1))), DNA)
+    else:
+        enc = cc_encoder(draw(st.integers(1, 2)), draw(st.integers(1, 6)), DNA)
+    size = enc.alphabet.size
+    w = [draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+         draw(st.integers(1, 6))]
+    params = IDSParams(*[v / sum(w) for v in w])
+    R = max(0, enc.N + draw(st.sampled_from([0, 0, 1, -1, 2, 4])))
+    symbols = st.lists(st.integers(0, size - 1), min_size=R, max_size=R)
+    traces, offsets = [], []
+    for _ in range(draw(st.sampled_from([3, 1, 5, 2, 4]))):
+        offset = None
+        if draw(st.booleans()):
+            offset = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.N,
+                                            max_size=enc.N)), dtype=np.int8)
+        msg = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.L,
+                                     max_size=enc.L)), dtype=np.int8)
+        x = enc.encode(msg)
+        if offset is not None:
+            x = ((x + offset) % size).astype(np.int8)
+        y = np.array(draw(symbols), dtype=np.int8)
+        how = draw(st.sampled_from(["sent", "clean", "random"]))
+        if how != "random":
+            if how == "sent":
+                [x] = transmit_batch(x, params, 1, draw(st.integers(0, 2**31)),
+                                     alphabet_size=size)
+            y[:len(x)] = x[:R]
+        traces.append(y)
+        offsets.append(offset)
+    delta = draw(st.sampled_from([None, 1, 2, 3, 8]))
+    return enc, traces, params, offsets, delta
+
+
+def _drift_case():
+    """Three codewords of mr:12:3 with two insertions each, at rates with
+    no deletions or substitutions: with a drift bound of 1, the middle one,
+    whose insertions sit at a third and two thirds of it, has no path (it
+    has one under a bound of 2), while its neighbours, with both insertions
+    in front, decode."""
+    enc = mr_encoder(12, 3, DNA)
+    rng = np.random.default_rng(0)
+    traces, offsets = [], []
+    for c in range(3):
+        z = rng.integers(4, size=enc.N).astype(np.int8)
+        x = (enc.encode(rng.integers(4, size=enc.L).astype(np.int8)) + z) % 4
+        cuts = [0, 0] if c != 1 else [4, 8]
+        traces.append(np.insert(x, cuts, [1, 2]).astype(np.int8))
+        offsets.append(z)
+    return enc, traces, IDSParams(0.1, 0.0, 0.0, 0.9), offsets, 1
+
+
+DRIFT_CASE = _drift_case()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(equal_length_lattices())
+@example(DRIFT_CASE)
+def test_equal_length_lattice_rows_read_as_their_own_trellis(case):
+    # the per-row reader on a lattice of equal-length traces, each row with
+    # its own offset: every row's posteriors, hard estimate and
+    # log-likelihood equal its own one-row trellis's bit for bit, and a row
+    # with no path gets its own trellis's error while its neighbours decode
+    enc, traces, params, offsets, delta = case
+    got = compute_posteriors(build_lattice(enc, traces, params, delta=delta, offsets=offsets))
+    assert len(got) == len(traces)
+    for y, z, mine in zip(traces, offsets, got):
+        [own] = compute_posteriors(build_trellis(enc, [y], params, delta=delta, offset=z))
+        if isinstance(own, InfeasibleTrellisError):
+            assert type(mine) is InfeasibleTrellisError and str(mine) == str(own)
+        else:
+            assert isinstance(mine, PosteriorTable)
+            assert np.array_equal(mine.probs, own.probs)
+            assert np.array_equal(mine.hard, own.hard)
+            assert mine.log_likelihood == own.log_likelihood
+    if case is DRIFT_CASE:
+        assert [type(p) for p in got] == [PosteriorTable, InfeasibleTrellisError, PosteriorTable]
+        assert str(got[1]).endswith("no path explains the traces (delta=1)")
+        [wider] = compute_posteriors(build_trellis(enc, [traces[1]], params, delta=2,
+                                                   offset=offsets[1]))
+        assert isinstance(wider, PosteriorTable)
 
 
 BETA_VALUES = sorted({0.0}.union(*DEFAULT_SWEEP_GRID.values()))

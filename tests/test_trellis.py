@@ -1,10 +1,9 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
-from idsrecon import (BINARY, DNA, IDSParams, InfeasibleTrellisError,
+from idsrecon import (BINARY, DNA, ConfigError, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, compute_posteriors, identity_encoder,
                       mr_encoder, transmit)
 from oracle import assert_cells_match, random_params, trace_likelihood
@@ -108,8 +107,21 @@ def test_infeasible_under_tight_delta():
     assert f.layers[2] is not None and not f.layers[2].any() and f.layers[3] is None
     msg = "forward mass vanished at layer 2 (ids); no path explains the traces (delta=1)"
     assert tr.vanished(False, 2) == msg
-    with pytest.raises(InfeasibleTrellisError, match=re.escape(msg)):
-        compute_posteriors(tr)
+    [err] = compute_posteriors(tr)
+    assert isinstance(err, InfeasibleTrellisError) and str(err) == msg
+
+
+def test_drift_bound_below_one_refused():
+    # a bound of 0 leaves no path, even for one noiseless trace equal to its
+    # strand: it is refused by its flag's name; a bound of 1 decodes that trace
+    enc = identity_encoder(6, DNA)
+    y = DNA.encode("ACGTAC")
+    params = IDSParams(0.01, 0.01, 0.01, 0.97)
+    for delta in (0, -1):
+        with pytest.raises(ConfigError, match=f"^--delta must be at least 1, got {delta}"):
+            build_trellis(enc, [y], params, delta=delta)
+    [post] = compute_posteriors(build_trellis(enc, [y], params, delta=1))
+    assert np.array_equal(post.hard, y)
 
 
 def test_keep_set_stores_only_its_layers():
@@ -118,6 +130,9 @@ def test_keep_set_stores_only_its_layers():
     keep = {0, tr.post_read_layer[1], n - 1}
     for sweep in (tr.forward, tr.backward):
         full = sweep()
+        # the kept blocks are slots of one buffer
+        layers = sweep(keep=keep).layers
+        assert len({id(layers[t].base) for t in keep}) == 1
         for ks in (keep, ()):
             part = sweep(keep=ks)
             assert np.array_equal(part.scales, full.scales)

@@ -77,7 +77,7 @@ def test_reduction_identity_multiply_posteriors():
                                   offsets=[z])
         prod = np.ones((enc.L, 4))
         for y in traces:
-            prod *= compute_posteriors(build_trellis(enc, [y], PAPER, offset=z)).probs
+            prod *= compute_posteriors(build_trellis(enc, [y], PAPER, offset=z))[0].probs
         prod /= prod.sum(axis=1, keepdims=True)
         assert np.max(np.abs(got.probs - prod) / np.maximum(prod, 1e-12)) < 1e-9
         [[(mp, _)]] = run_algorithm("multiply-posteriors", enc, [traces], PAPER, offsets=[z])
@@ -92,7 +92,7 @@ def test_k1_reduces_to_exact_posterior():
     for enc, msg, z, traces in cases:
         [[got]] = run_trellis_bma(enc, [traces], PAPER, betas=[BetaParams(1, 0, 0, 1)],
                                   offsets=[z])
-        exact = compute_posteriors(build_trellis(enc, traces, PAPER, offset=z))
+        [exact] = compute_posteriors(build_trellis(enc, traces, PAPER, offset=z))
         assert np.max(np.abs(got.probs - exact.probs)) < 1e-9
         # beta_e is irrelevant with a single trace when beta_i = 0
         [[other]] = run_trellis_bma(enc, [traces], PAPER,
