@@ -1,9 +1,9 @@
 """Message posteriors from the trellis sweeps.
 
 `compute_posteriors` is the one reader of message posteriors, for every
-row of a trellis: the joint trellis of `build_trellis` (one row of K
-pointer axes) and the lattice of `build_lattice` (one row per trace, each
-its trace's own one-trace trellis). It sweeps the trellis
+row of a trellis of `build_trellis`: a joint trellis (a row of K pointer
+axes per cluster) or a lattice of one-trace trellises (a row per trace,
+as BMALA-MAP decodes its consensus strings). It sweeps the trellis
 (`Trellis.forward`/`fronts`, in linear domain with per-layer rescaling) and
 reads each message symbol on its cycle's input layer, a cut of the
 trellis, as the BCJR symbol marginal: the forward block there is the
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleTrellisError
-from .trellis import _cycles, _windows
 
 ROW_TOL = 1e-9
 
@@ -68,24 +67,6 @@ def stored_bytes(trellis):
     return 8 * (sum(sizes[t - 1] for t in trellis.input_read_layer) + 2 * max(sizes))
 
 
-def lattice_row_bytes(encoder, delta):
-    """`stored_bytes` per row of a lattice whose traces all have the
-    codeword's length N, as BMALA-MAP's consensus strings do, from the
-    encoder's cycle schedule and the window rule alone: every such row has
-    the same windows, so r rows store r times this, and no trellis is
-    built to know it."""
-    N = encoder.N
-    lo, hi = _windows(N, np.array(N), delta)
-    width = (hi - lo + 1).tolist()
-    boundary = largest = npos = 0
-    for (S, M), emit, _, _ in _cycles(encoder):
-        u = emit.shape[1]
-        boundary += S * width[npos]
-        largest = max(largest, S * M * max(width[npos:npos + u + 1]))
-        npos += u
-    return 8 * (boundary + 2 * largest)
-
-
 def compute_posteriors(trellis):
     """Exact message posteriors of every row of `trellis`: per row, its
     PosteriorTable with the row's sequence log-likelihood (a float), or the
@@ -103,7 +84,7 @@ def compute_posteriors(trellis):
     stored = stored_bytes(trellis)
     if stored > STORED_BUDGET_BYTES:
         raise ConfigError(
-            f"the joint trellis over {trellis.K} traces would store "
+            f"the joint trellis over {trellis.axes} traces would store "
             f"{stored / MIB:.0f} MiB of sweep layers (budget "
             f"{STORED_BUDGET_BYTES / MIB:.0f} MiB); use fewer traces, a smaller "
             f"--delta, or trellis-bma")

@@ -304,7 +304,8 @@ def cmd_reconstruct(args):
     # clusters without a trace stay undecoded; the others decode in chunks
     outcomes = {}
     todo = [(i, cl.traces[:args.k]) for i, cl in enumerate(clusters) if cl.traces]
-    for chunk in evaluation.chunked(todo, args.algo, args.k, 1):
+    for chunk in evaluation.chunked(todo, [len(traces) for _, traces in todo], args.algo,
+                                    encoder, args.delta, 1):
         decoded = run_algorithm(args.algo, encoder, [traces for _, traces in chunk], params,
                                 delta=args.delta, betas=points)
         for (i, _), outs in zip(chunk, decoded):

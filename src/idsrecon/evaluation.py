@@ -7,14 +7,12 @@ maps its codeword onto the cluster center, and decoding with the scramble
 offset inside the channel model. Per-cluster randomness is derived from
 (seed, cluster index), so parallel evaluation order cannot change results.
 
-The usable clusters are decoded in chunks (`chunked`), one task each: a
-Trellis BMA chunk is as many clusters as fit CHUNK_ROWS trace rows x beta
-points, a BMALA or BMALA-MAP chunk CHUNK_ROWS clusters, whose sweeps step
-in lockstep (BMALA-MAP then decodes the chunk's consensus strings as the
-rows of lattices cut by `bmala.LATTICE_BYTES`), and a joint-trellis chunk
-one cluster. The chunk boundaries are fixed by cluster order, K and the
-number of beta points, never by `jobs`, and a cluster decodes in a chunk
-as it would alone.
+The usable clusters are decoded in chunks (`chunked`), one task and one
+decode call each, cut by one byte budget, CHUNK_BYTES, into the longest
+runs of clusters whose decode holds at most that much (`cluster_bytes`,
+known before anything is built), at least one cluster each; a joint
+trellis chunk also ends where the trace count changes. The cut never
+depends on `jobs`, and a cluster decodes in a chunk as it would alone.
 """
 
 from __future__ import annotations
@@ -31,11 +29,11 @@ import numpy as np
 
 from .alphabet import DNA
 from .bcjr import compute_posteriors
-from .bmala import bmala_map, bmala_reconstruct
+from .bmala import LOOKAHEAD, bmala_map, bmala_reconstruct
 from .channel import IDSParams
 from .codes import scramble, unscramble
 from .errors import ConfigError, DatasetError, InfeasibleTrellisError
-from .trellis import build_trellis
+from .trellis import STEP_BLOCKS, build_trellis, row_bytes
 from .trellis_bma import MULTIPLY_POSTERIORS, BetaParams, default_betas, run_trellis_bma
 
 logger = logging.getLogger(__name__)
@@ -210,9 +208,9 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
     pair (PosteriorTable or None, hard estimate), or the
     InfeasibleTrellisError of that beta point's exchange. A cluster
     infeasible for every point has that error in place of its list.
-    Trellis BMA, BMALA and BMALA-MAP decode the chunk in one call
-    (`run_trellis_bma`, `bmala_reconstruct`, `bmala_map`); the joint
-    trellis decodes cluster by cluster.
+    Every algorithm decodes the chunk in one call (`run_trellis_bma`,
+    `bmala_reconstruct`, `bmala_map`, or the joint trellis of the chunk, one
+    row per cluster, whose clusters must then have one trace count).
     """
     offsets = [None] * len(clusters) if offsets is None else offsets
     if algorithm == "multiply-posteriors":
@@ -237,30 +235,49 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
                 for x, z in zip(x_hats, offsets)]
     if algorithm == "bmala-map":
         posts = bmala_map(clusters, encoder, params, delta=delta, offsets=offsets)
-        return [p if isinstance(p, InfeasibleTrellisError) else [(p, p.hard)] for p in posts]
-    out = []
-    for traces, offset in zip(clusters, offsets):
-        post = compute_posteriors(build_trellis(encoder, traces, params, delta=delta,
-                                                offset=offset))[0]
-        out.append(post if isinstance(post, InfeasibleTrellisError) else [(post, post.hard)])
-    return out
+    else:
+        posts = compute_posteriors(build_trellis(encoder, clusters, params, delta=delta,
+                                                 offsets=offsets))
+    return [p if isinstance(p, InfeasibleTrellisError) else [(p, p.hard)] for p in posts]
 
 
-CHUNK_ROWS = 24  # trace rows x beta points of a Trellis BMA chunk, clusters of a BMALA one
+CHUNK_BYTES = 11 << 18  # what one decode call may hold, summed over its clusters: 2.75 MiB
 
 
-def chunked(items, algorithm, k, points):
-    """`items`, one per cluster, cut in order into the chunks that one
-    `run_algorithm` call decodes: for Trellis BMA as many clusters as fit
-    CHUNK_ROWS rows of K traces x `points` beta points, at least one; for
-    BMALA and BMALA-MAP CHUNK_ROWS clusters; for the joint trellis one
-    cluster. The cut depends on nothing else."""
-    size = 1
-    if algorithm in ("trellis-bma", "multiply-posteriors"):
-        size = max(1, CHUNK_ROWS // (k * points))
-    elif algorithm in ("bmala", "bmala-map"):
-        size = CHUNK_ROWS
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def cluster_bytes(algorithm, encoder, delta, k, points):
+    """What decoding a cluster of k length-N traces at `points` beta points
+    holds, without a build (`trellis.row_bytes`): per trellis row its held
+    bytes, STEP_BLOCKS largest blocks (per point in the exchange) and
+    boundary blocks, those the Trellis BMA init keeps or, on a joint or
+    BMALA-MAP row of k or 1 axes, all. BMALA's 2k lockstep rows hold 3
+    bytes per padded symbol and 48 words of state, indices and objects."""
+    if algorithm == "bmala":
+        return 2 * k * (3 * (encoder.N + LOOKAHEAD + 2) + 48 * 8)
+    tbma = algorithm in ("trellis-bma", "multiply-posteriors")
+    boundary, largest, held = row_bytes(encoder, delta,
+                                        1 if tbma or algorithm == "bmala-map" else k)
+    held = held.sum() + STEP_BLOCKS * (points if tbma else 1) * largest.max()
+    if tbma:
+        half = encoder.L // 2
+        return k * int(held + boundary[half:].sum() + boundary[1:half + 1].sum())
+    return int(held + boundary.sum())
+
+
+def chunked(items, counts, algorithm, encoder, delta, points):
+    """`items`, one per cluster of counts[i] traces, cut in order into the
+    chunks one `run_algorithm` call decodes: the longest runs whose
+    `cluster_bytes` sum to at most CHUNK_BYTES, at least one cluster each,
+    a joint-trellis run also of one trace count."""
+    size = {k: cluster_bytes(algorithm, encoder, delta, k, points) for k in set(counts)}
+    chunks, used = [], 0
+    for item, k in zip(items, counts):
+        if (not chunks or used + size[k] > CHUNK_BYTES
+                or algorithm == "bcjr-multitrace" and k != last):
+            chunks.append([])
+            used = 0
+        chunks[-1].append(item)
+        used, last = used + size[k], k
+    return chunks
 
 
 # ----------------------------------------------------------------------
@@ -386,13 +403,14 @@ def _evaluate(clusters, encoder, algorithm, k, metric, seed, params, delta, beta
         params = IDSParams(*params)
     usable, skipped = _usable(clusters, encoder, k, max_clusters)
 
+    points = 1 if betas is None else len(betas)
     tasks = [(chunk, encoder, algorithm, k, params, delta, betas, seed)
-             for chunk in chunked(usable, algorithm, k, 1 if betas is None else len(betas))]
+             for chunk in chunked(usable, [k] * len(usable), algorithm, encoder, delta, points)]
     results = _run_tasks(_eval_chunk, tasks, jobs)
     return [_report(algorithm, encoder, k,
                     [None if results[idx] is None else results[idx][i] for idx, _ in usable],
                     skipped)
-            for i in range(1 if betas is None else len(betas))]
+            for i in range(points)]
 
 
 def scrambled_eval(clusters, encoder, algorithm, k, metric, seed, params,

@@ -33,21 +33,20 @@ r and pointer axis j, and a layer's block is (rows, S, M, W_0 .. W_{a-1}):
 the rows, the cycle's encoder states, its message symbols, then a pointer
 axis each. An input, ids or post layer holds the cycle's full (state,
 message) grid, the states being those the previous boundary reaches; a
-boundary layer has a message axis of 1. Rows are independent. The exact
-joint trellis (`build_trellis`) is one row of K axes. Trellis BMA's
-per-trace trellises (`build_lattice`) are K rows of one axis, each row its
-trace's own one-trace trellis, stepped beside the others: Davey & MacKay's
-drift lattice ("Reliable communication over channels with insertions,
-deletions, and substitutions", IEEE Trans. IT 2001). Its rows may come from
-several clusters of one encoder: each row carries its own scramble offset,
-added to the encoder's output to give the symbol it transmitted (the joint
-trellis has one row and one offset).
+boundary layer has a message axis of 1. Rows are independent, each built
+from its own list of traces (`build_trellis`): the exact joint trellis is
+a row of K axes per cluster, and Trellis BMA's per-trace trellises are K
+rows of one axis, stepped beside each other: Davey & MacKay's drift
+lattice ("Reliable communication over channels with insertions,
+deletions, and substitutions", IEEE Trans. IT 2001). Rows may come from
+several clusters of one encoder: each row carries its own scramble
+offset, added to the encoder's output to give the symbol it transmitted.
 
 The encoder's cycle schedule, each cycle's (state, message) transitions
 and emissions, is computed once per encoder (`_cycles`); a build adds only
 each row's offset. An ids layer stores its substitute/correct weights as
 indices into the (|A|, |A|+1) table of weights by (transmitted symbol,
-trace symbol or none), gathered at each step.
+trace symbol or none), in two parts summed and gathered at each step.
 
 One window rule. After n codeword symbols, the trace of length R on a
 (row, axis) has the pointer window [lo, hi] with c = floor(n*R/N + 0.5),
@@ -101,6 +100,8 @@ from .channel import IDSParams
 from .errors import ConfigError
 
 BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
+LAYER_BYTES = 64  # per row and layer: windows, symbols, masks, scales, posterior rows
+STEP_BLOCKS = 5  # largest blocks held in a step: front, block stepped into, temporaries
 
 
 @dataclass
@@ -111,8 +112,7 @@ class _Layer:
     shape: tuple = ()      # one row's block: (S, M, W_0 .. W_{a-1}), M = 1 at a boundary
     rows: np.ndarray | None = None     # boundary: the (S, M) grid of the previous cycle,
                                        # the state each of its cells clears into
-    subcor: np.ndarray | None = None   # ids: substitute/correct weights, as indices
-                                       # into the trellis's flat weight table
+    subcor: tuple | None = None        # ids: weight indices in two parts (`_subcor`)
 
 
 def _index_type(size):
@@ -189,11 +189,9 @@ class SweepResult:
 
 
 class Trellis:
-    """Built by `build_trellis` (one row of K pointer axes) or
-    `build_lattice` (K rows of one axis): the layer arrays and the
-    transfers between them. A step marks the fronts whose mass vanished
-    and a sweep records where each row died; `vanished` gives the error
-    text of a dead row."""
+    """Built by `build_trellis`: the layer arrays and the transfers between
+    them. A step marks the fronts whose mass vanished and a sweep records
+    where each row died; `vanished` gives the error text of a dead row."""
 
     def __init__(self, encoder, traces, params, delta, offsets, rows):
         self.encoder = encoder
@@ -229,9 +227,9 @@ class Trellis:
         width = span.max(axis=1)  # (N+1, axes)
         self._widths = [tuple(w) for w in width.tolist()]
         wmax = int(width.max())
-        # per position, (rows, 1, 1, 1, W...) with 1 on each row's window;
+        # per position, (rows, 1, 1, 1, W...), True on each row's window;
         # None if no row is narrower
-        inside = (np.arange(wmax) < span[..., None]).astype(float)  # (N+1, rows, axes, wmax)
+        inside = np.arange(wmax) < span[..., None]  # (N+1, rows, axes, wmax)
         narrow = (span < width[:, None]).any(axis=(1, 2)).tolist()
         self._masks = [functools.reduce(np.multiply, (
             inside[n, :, j, :w].reshape((rows, 1, 1, 1)
@@ -255,15 +253,14 @@ class Trellis:
                               tuple(slice(d, min(a, b + d)) for d, a, b in zip(s, wa, wb)),
                               tuple(slice(0, min(a - d, b)) for d, a, b in zip(s, wa, wb))))
             self._moves.append(moves)
-        # the trace symbol each source cell (all but the last) explains, A for none
-        ptr = self.lo[..., None] + np.arange(wmax - 1)  # (N+1, rows, axes, wmax-1)
-        ypad = np.full((self.K, max(int(R.max()), 1)), A, dtype=_index_type(A))
+        # the trace symbol each source cell (all but the last) explains, A for
+        # none: per (row, axis), the run of wmax-1 symbols from each window's lo
+        ypad = np.full((self.K, int(R.max()) + wmax), A, dtype=_index_type(A))
         for k, y in enumerate(self.traces):
             ypad[k, :len(y)] = y
-        ypad = ypad.reshape(rows, axes, -1)
-        self._sym = np.where(ptr < R[..., None],
-                             ypad[np.arange(rows)[:, None, None], np.arange(axes)[:, None],
-                                  ptr.clip(max=ypad.shape[-1] - 1)], A)
+        runs = np.lib.stride_tricks.sliding_window_view(ypad, wmax - 1, axis=1)
+        self._sym = runs.reshape((rows, axes) + runs.shape[1:])[
+            np.arange(rows)[:, None], np.arange(axes), self.lo]  # (N+1, rows, axes, wmax-1)
         # substitute/correct weight by (on-deck symbol, trace symbol or A), flat
         w_sub = p.p_sub / (A - 1) if A > 1 else 0.0
         weight = np.where(np.arange(A)[:, None] == np.arange(A + 1), p.p_cor, w_sub)
@@ -304,14 +301,15 @@ class Trellis:
     def _subcor(self, npos, axis, cx):
         """Substitute/correct weights of an ids layer on `axis` after `npos`
         codeword symbols whose cells have the on-deck codeword symbols `cx`,
-        as indices into the flat weight table, by (row, state, message,
-        source pointer), for each cell of the axis but the last (its
-        successor lies outside), shaped to broadcast along the axis over a
+        as indices into the flat weight table, for each cell of the axis
+        but the last (its successor lies outside): the pair (on-deck symbol
+        x (|A|+1) by (row, state, message), trace symbol by (row, source
+        pointer)) whose sum is the index, each shaped to broadcast over a
         stack. The weight is zero at pointer R: no symbol left to explain."""
-        w = self._widths[npos][axis]
-        idx = cx[..., None] * (self.A + 1) + self._sym[npos, :, axis, None, None, :w - 1]
-        return idx.reshape((self.rows, 1) + cx.shape[1:]
-                           + tuple(w - 1 if j == axis else 1 for j in range(self.axes)))
+        w, ones = self._widths[npos][axis], (1,) * self.axes
+        sym = self._sym[npos, :, axis, :w - 1].reshape(
+            (self.rows, 1, 1, 1) + tuple(w - 1 if j == axis else 1 for j in range(self.axes)))
+        return (cx * (self.A + 1)).reshape(cx.shape[:1] + (1,) + cx.shape[1:] + ones), sym
 
     def _origin(self):
         """Index of the origin cells in a first-layer block: q_init, nothing
@@ -358,7 +356,7 @@ class Trellis:
         if back:
             src, dst = dst, src
         out = arr * self.params.p_del
-        out[dst] += arr[src] * self._weight.take(a.subcor)
+        out[dst] += arr[src] * self._weight.take(np.add(*a.subcor))
         return out
 
     def _clear(self, a, b, arr, back):
@@ -498,7 +496,7 @@ class Trellis:
                 np.copyto(kept[t], arr)
         for t in (range(n - 1 - i) if back else range(i + 1, n)):
             kept[t] = None  # not reached: every row died before it
-        scales = np.cumsum(np.log(maxima), axis=0)
+        scales = np.cumsum(np.log(maxima, out=maxima), axis=0)
         tot = np.ones(self.rows)
         if i == n - 1:  # the last layer was reached
             tot = arr[self._origin() if back else self._absorbing()].sum(axis=-1)
@@ -518,19 +516,27 @@ class Trellis:
         return self._sweep(True, keep)
 
 
-def _build(encoder, traces, params, delta, offsets, rows):
-    """The `Trellis` of `rows` rows, its arguments checked and converted to
-    index arrays; `offsets` (one per row, each None or length N) becomes a
-    (rows, N) array, zero for None, or None if every one is zero."""
+def build_trellis(encoder, rows, params, delta=None, offsets=None):
+    """The trellis whose row r is the joint trellis, under a uniform message
+    prior, of rows[r], a list of traces, one per pointer axis: a row of K
+    traces is a cluster's joint trellis, and rows of one trace each are
+    Trellis BMA's and BMALA-MAP's one-trace trellises. `delta` bounds
+    pointer drift (None = exact); `offsets` is None or one scrambling
+    vector per row (each None or length N), added to the encoder output.
+    No sweep runs here: an infeasible row's sweeps record where its mass
+    vanishes (`SweepResult.died`)."""
     if not isinstance(params, IDSParams):
         params = IDSParams(*params)
-    traces = [as_indices(y, encoder.alphabet) for y in traces]
-    if len(traces) < 1:
+    if not rows or len(rows[0]) < 1:
         raise ConfigError("need at least one trace")
+    if any(len(traces) != len(rows[0]) for traces in rows):
+        raise ConfigError(f"every trellis row needs the same number of traces: got "
+                          f"{sorted({len(traces) for traces in rows})}")
+    traces = [as_indices(y, encoder.alphabet) for ys in rows for y in ys]
     if offsets is not None:
-        if len(offsets) != rows:
+        if len(offsets) != len(rows):
             raise ConfigError(f"need one offset per trellis row: got {len(offsets)} "
-                              f"for {rows} rows")
+                              f"for {len(rows)} rows")
         offsets = [np.zeros(encoder.N, np.int8) if z is None
                    else as_indices(z, encoder.alphabet) for z in offsets]
         if any(len(z) != encoder.N for z in offsets):
@@ -540,28 +546,22 @@ def _build(encoder, traces, params, delta, offsets, rows):
             offsets = None
     if sum(encoder.emission_counts) != encoder.N:
         raise ConfigError("encoder emission counts do not sum to N")
-    return Trellis(encoder, traces, params, delta, offsets, rows)
+    return Trellis(encoder, traces, params, delta, offsets, len(rows))
 
 
-def build_trellis(encoder, traces, params, delta=None, offset=None):
-    """Construct the joint trellis for `traces` (a list of K observed
-    sequences) under a uniform message prior: one row of K pointer axes.
-
-    `delta` bounds pointer drift (None = exact); `offset` is an optional
-    length-N scrambling vector added to the encoder output before
-    transmission.
-
-    No sweep runs here: an infeasible trellis's sweeps record where its
-    mass vanishes (`SweepResult.died`).
-    """
-    return _build(encoder, traces, params, delta, None if offset is None else [offset], 1)
-
-
-def build_lattice(encoder, traces, params, delta=None, offsets=None):
-    """Construct the one-trace trellises of `traces` as K rows of one
-    pointer axis, with the arguments of `build_trellis` but one scrambling
-    vector per trace in `offsets` (each None or length N; None for all):
-    row k is stepped exactly as trace k's own trellis steps it. The traces
-    may come from several clusters, each row carrying its cluster's
-    offset."""
-    return _build(encoder, traces, params, delta, offsets, len(traces))
+def row_bytes(encoder, delta, axes=1):
+    """Bytes per row of a trellis of rows of `axes` length-N traces, known
+    without a build; every such row has the same windows. Three (L,)
+    arrays, per message cycle: its boundary block before its input layer,
+    its largest block, and what the row holds besides: its ids layers'
+    indices and LAYER_BYTES a layer."""
+    lo, hi = _windows(encoder.N, np.array(encoder.N), delta)
+    width = (hi - lo + 1).tolist()
+    index = np.dtype(_index_type(encoder.alphabet.size)).itemsize
+    out, npos = [], 0
+    for (S, M), emit, _, _ in _cycles(encoder):
+        u = emit.shape[1]
+        out.append((8 * S * width[npos] ** axes, 8 * S * M * max(width[npos:npos + u + 1]) ** axes,
+                    axes * S * M * index * u + LAYER_BYTES * (2 + u * (axes + 1))))
+        npos += u
+    return np.array(out, dtype=np.int64).T

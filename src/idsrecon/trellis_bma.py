@@ -1,16 +1,16 @@
 """Belief-exchanging reconstruction from per-trace trellises.
 
 Each trace's exact one-trace trellis is swept once, forward and backward;
-the K trellises are the K rows of one pointer axis of a single
-`trellis.Trellis` (`build_lattice`), stepped together layer by layer. A
-forward sweep then re-runs all K forward recursions in
-lockstep: at each message cycle the per-trace beliefs are combined, an
-estimate is emitted, and every trace's forward values are reweighted per
-message symbol by a factor gamma derived from the other traces, steering
-each decoder's synchronisation with the consensus. The first half of the
-message is estimated this way; a mirrored sweep updating the backward
-values estimates the second half from the other end. Total cost is linear
-in the number of traces.
+the K trellises are the K rows of one `trellis.Trellis` (`build_trellis`
+with one trace per row), stepped together layer by layer. A forward sweep
+then re-runs all K forward recursions in lockstep: at each message cycle
+the per-trace beliefs are combined, an estimate is emitted, and every
+trace's forward values are reweighted per message symbol by a factor
+gamma derived from the other traces, steering each decoder's
+synchronisation with the consensus. The first half of the message is
+estimated this way; a mirrored sweep updating the backward values
+estimates the second half from the other end. Total cost is linear in the
+number of traces.
 
 A decode is a chunk of clusters x a stack of beta points; a single cluster
 is a chunk of one, a single decode a stack of one. The traces of every
@@ -41,9 +41,7 @@ import numpy as np
 
 from .bcjr import PosteriorTable
 from .errors import ConfigError, InfeasibleTrellisError
-from .trellis import build_lattice
-# not called here: the name stays because perfbench/spans.py wraps it in this module
-from .trellis import build_trellis  # noqa: F401
+from .trellis import build_trellis
 
 logger = logging.getLogger(__name__)
 
@@ -101,14 +99,15 @@ def _pow_rows(arr, b, shared=False):
 def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=None,
                                 sizes=None):
     """Run both exact sweeps of every trace's one-trace trellis, the traces
-    being the rows of one lattice (`build_lattice`). `traces` holds a chunk
+    being the rows of one lattice (`build_trellis`). `traces` holds a chunk
     of clusters' traces, cluster by cluster, `sizes` how many each cluster
     has (None: one cluster), and `offsets` one scrambling vector per trace
     (None: no scrambling).
 
-    Each sweep keeps only the layers the exchange reads as its stale side:
-    the forward sweep the input layers of the second half of the message,
-    the backward sweep the post read layers of the first half.
+    The exchange reads, as its stale side, the forward sweep at the input
+    layers of the second half of the message and the backward sweep at the
+    post read layers of the first half; each sweep keeps only the boundary
+    blocks beside them, from which `_stale` rebuilds the read blocks.
 
     A trace whose trellis has no surviving path under `delta` stays a
     (dead) row of the lattice and is dropped with a warning naming it by
@@ -119,12 +118,12 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
     half = encoder.L // 2
     sizes = [len(traces)] if sizes is None else sizes
     in_cluster = [j for n in sizes for j in range(n)]
-    lat = build_lattice(encoder, traces, params, delta=delta, offsets=offsets)
-    fs = lat.forward(keep=lat.input_read_layer[half:])
+    lat = build_trellis(encoder, [[y] for y in traces], params, delta=delta, offsets=offsets)
+    fs = lat.forward(keep=[t - 1 for t in lat.input_read_layer[half:]])
     lost = [lat.vanished(False, t) for t in fs.died.tolist()]
     bs = None
     if not all(lost):
-        bs = lat.backward(keep=lat.post_read_layer[:half])
+        bs = lat.backward(keep=[t + 1 for t in lat.post_read_layer[:half]])
         lost = [e or lat.vanished(True, t) for e, t in zip(lost, bs.died.tolist())]
     for k, e in enumerate(lost):
         if e:
@@ -247,6 +246,16 @@ def _posterior_row(combined, beta_o, chunk):
     return row / tot
 
 
+def _stale(lat, sweep, back, t):
+    """The init's `sweep` block (rows, S, M, W) at read layer t: the boundary
+    block before t repeated along the message axis (forward), or the one
+    after t gathered by next state (backward); as a step gives it, since
+    the rescale divides out the load's prior 1/M (exactly if M = 2^n)."""
+    if back:
+        return sweep.layers[t + 1][:, lat.layers[t + 1].rows, 0]
+    return np.repeat(sweep.layers[t - 1], lat.layers[t].shape[1], axis=2)
+
+
 def _exchange_sweep(lat, back, chunk, betas, width, layers, reads, stale, rows_out):
     """Step the lattice's stacked front, one row per (trace, beta point),
     from its initial block through `layers`, forward or with `back`
@@ -270,8 +279,8 @@ def _exchange_sweep(lat, back, chunk, betas, width, layers, reads, stale, rows_o
         if t not in reads:
             continue
         w = width[lat.layers[t].npos]
-        rows, combined = combine_beliefs(front[..., :w], stale.layers[t][..., :w], beta_b,
-                                         chunk)
+        old = _stale(lat, stale, not back, t)[..., :w]
+        rows, combined = combine_beliefs(front[..., :w], old, beta_b, chunk)
         rows_out[:, :, reads[t]] = _posterior_row(combined, beta_o, chunk)
         if beta_e.any() or beta_i.any():
             gammas = gamma_updates(rows, beta_e, beta_i, chunk)
@@ -279,8 +288,8 @@ def _exchange_sweep(lat, back, chunk, betas, width, layers, reads, stale, rows_o
 
 
 def _exchange(encoder, lat, fwd, bwd, betas, chunk, kept):
-    """Both exchange sweeps over the stored read layers of the exact
-    per-trace sweeps, which they only read, for every point of `betas` at
+    """Both exchange sweeps over the read blocks of the exact per-trace
+    sweeps (`_stale`), which they only read, for every point of `betas` at
     once: the lattice's front has one row per (trace, point). Returns the
     (P, C, L, M) posterior rows of each (point, cluster) decode of `chunk`,
     as that decode alone gives them; a decode that ended (a real row of it
@@ -312,7 +321,7 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     scrambling vector (or None) per cluster.
 
     A decode is a chunk of clusters x a beta stack. Every trace of every
-    cluster is a row of one lattice (`trellis.build_lattice`), each row
+    cluster is a row of one lattice (`trellis.build_trellis`), each row
     carrying its cluster's offset, and is swept once by the exact engine;
     one exchange then decodes every (cluster, entry) at once, its front
     holding one row per (trace, entry), each cluster's beliefs combined

@@ -34,7 +34,7 @@ def _true_values(sweep, t):
 
 def test_forward_backward_trivials():
     enc, traces, params = _instance(1)
-    tr = build_trellis(enc, traces, params)
+    tr = build_trellis(enc, [traces], params)
     f, b = tr.forward(), tr.backward()
     # a boundary block is (S, 1, W...): index its message axis with 0
     origin = (0,) * (2 + tr.K)
@@ -51,7 +51,7 @@ def test_forward_backward_trivials():
 def test_vertex_posterior_identities():
     # F(s)B(s) is the mass of the paths through s: at the origin, all of it
     enc, traces, params = _instance(2, k=2)
-    tr = build_trellis(enc, traces, params)
+    tr = build_trellis(enc, [traces], params)
     f, b = tr.forward(), tr.backward()
     origin = (0,) * (2 + tr.K)
     fb = _true_values(f, 0)[origin] * _true_values(b, 0)[origin]
@@ -66,7 +66,7 @@ def test_posteriors_match_enumeration_oracle():
             rows, ll = joint_posteriors(enc, traces, params, uniform_prior(enc))
         except ValueError:
             continue
-        tr = build_trellis(enc, traces, params)
+        tr = build_trellis(enc, [traces], params)
         [post] = compute_posteriors(tr)
         assert type(post.log_likelihood) is float
         assert np.max(np.abs(post.probs - rows)) < 1e-9
@@ -80,7 +80,7 @@ def test_edge_sweep_reference_agrees_with_engine():
     # cell of the layered sweeps
     for seed in range(10):
         enc, traces, params = _instance(seed + 500, k=1 + seed % 2)
-        assert_cells_match(build_trellis(enc, traces, params), enc, traces, params,
+        assert_cells_match(build_trellis(enc, [traces], params), enc, traces, params,
                            label=seed)
 
 
@@ -89,7 +89,7 @@ def test_cut_conservation_across_intra_free_layers():
     # summed F(s)B(s) over each such layer is the total mass
     for seed in range(6):
         enc, traces, params = _instance(seed + 900, k=2)
-        tr = build_trellis(enc, traces, params)
+        tr = build_trellis(enc, [traces], params)
         f, b = tr.forward(), tr.backward()
         for t, lay in enumerate(tr.layers):
             if lay.kind == "ids":
@@ -101,8 +101,8 @@ def test_cut_conservation_across_intra_free_layers():
 
 def test_trace_order_symmetry():
     enc, traces, params = _instance(31, k=2)
-    tr_ab = build_trellis(enc, traces, params)
-    tr_ba = build_trellis(enc, traces[::-1], params)
+    tr_ab = build_trellis(enc, [traces], params)
+    tr_ba = build_trellis(enc, [traces[::-1]], params)
     [pa] = compute_posteriors(tr_ab)
     [pb] = compute_posteriors(tr_ba)
     assert np.max(np.abs(pa.probs - pb.probs)) < 1e-9
@@ -112,7 +112,7 @@ def test_noiseless_uniform_loglik():
     enc = identity_encoder(5, DNA)
     params = IDSParams(0, 0, 0, 1)
     x = DNA.encode("GATTA")
-    tr = build_trellis(enc, [x], params)
+    tr = build_trellis(enc, [[x]], params)
     assert tr.forward(keep=()).loglik[0] == pytest.approx(5 * np.log(0.25), abs=1e-9)
     [post] = compute_posteriors(tr)
     assert np.allclose(post.probs, np.eye(4)[x])
@@ -129,7 +129,7 @@ def test_mr_coded_posteriors_match_oracle():
             rows, _ = joint_posteriors(enc, [y], params, uniform_prior(enc))
         except ValueError:
             continue
-        tr = build_trellis(enc, [y], params)
+        tr = build_trellis(enc, [[y]], params)
         [post] = compute_posteriors(tr)
         assert np.max(np.abs(post.probs - rows)) < 1e-9
 
@@ -139,7 +139,7 @@ def test_budget_counts_read_layers_and_two_fronts(monkeypatch):
     # layer before its input layer, plus two of the largest layer) and both
     # whole sweeps lets the posteriors run, unchanged
     enc, traces, params = _instance(9, k=2, n=4, alphabet=DNA)
-    tr = build_trellis(enc, traces, params)
+    tr = build_trellis(enc, [traces], params)
     sizes = [math.prod(lay.shape) for lay in tr.layers]
     assert all(tr.layers[t - 1].kind == "boundary" for t in tr.input_read_layer)
     stored = 8 * (sum(sizes[t - 1] for t in tr.input_read_layer) + 2 * max(sizes))
@@ -160,7 +160,7 @@ def test_zero_likelihood_reports_infeasible():
     enc = identity_encoder(3, BINARY)
     params = IDSParams(0.0, 0.2, 0.2, 0.6)
     y = np.zeros(5, dtype=np.int8)
-    tr = build_trellis(enc, [y], params)
+    tr = build_trellis(enc, [[y]], params)
     # the front lives to the last layer with no mass at the absorbing cell
     f = tr.forward(keep=())
     assert f.died.tolist() == [len(tr.layers)] and f.loglik.tolist() == [-np.inf]

@@ -10,7 +10,7 @@ from idsrecon import (DNA, ConfigError, IDSParams, InfeasibleTrellisError, Poste
                       mr_encoder, parse_encoder_spec, simulate_clusters, transmit,
                       transmit_batch)
 from idsrecon import bcjr, bmala, evaluation
-from idsrecon.trellis import build_lattice
+from idsrecon.trellis import build_trellis, row_bytes
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
 
@@ -191,41 +191,57 @@ def test_bmala_map_chunk_returns_each_clusters_outcome():
         bmala_map(clusters, enc, exact, offsets=[None])
 
 
+def _row_stored(enc, delta, axes=1):
+    """What compute_posteriors stores per row of length-N traces, from the
+    boundary and largest-block columns of `trellis.row_bytes`."""
+    boundary, largest, _ = row_bytes(enc, delta, axes)
+    return int(boundary.sum() + 2 * largest.max())
+
+
 def test_lattice_row_bytes_is_what_the_reader_stores():
-    # known from the encoder and delta alone, it is what compute_posteriors
-    # stores per row of a lattice of length-N consensus strings
+    # trellis.row_bytes, known from the encoder and delta alone, gives what
+    # compute_posteriors stores per row of a trellis of length-N traces: a
+    # lattice of consensus strings (one axis), or a joint chunk (two axes)
     for spec, delta in (("cc:2:0.5:110", 12), ("identity:110", 12), ("mr:24:3", 3),
                         ("cc:1:0.5:12", None)):
         enc = parse_encoder_spec(spec)
         x = np.zeros(enc.N, np.int8)
-        row = bcjr.lattice_row_bytes(enc, delta)
-        for rows in (1, 3):
-            assert bcjr.stored_bytes(build_lattice(enc, [x] * rows, PAPER, delta=delta)) \
-                == rows * row, spec
-    # at delta = 12, 5 rows of the 16-state code fit the cap, and identity:110
-    # is held to a chunk of CHUNK_ROWS clusters before the cap binds
+        for axes in (1, 2):
+            row = _row_stored(enc, delta, axes)
+            for rows in (1, 3):
+                assert bcjr.stored_bytes(build_trellis(enc, [[x] * axes] * rows, PAPER,
+                                                       delta=delta)) == rows * row, spec
+    # at delta = 12 the budget cuts BMALA-MAP chunks of 11 clusters of the
+    # 16-state code, and of 53 on identity:110
     cc, identity = parse_encoder_spec("cc:2:0.5:110"), parse_encoder_spec("identity:110")
-    assert bcjr.lattice_row_bytes(cc, 12) == 189384
-    assert bcjr.lattice_row_bytes(identity, 12) == 22448
-    assert bmala.LATTICE_BYTES // 189384 == 5
-    assert bmala.LATTICE_BYTES // 22448 > evaluation.CHUNK_ROWS
+    assert _row_stored(cc, 12) == 189384
+    assert _row_stored(identity, 12) == 22448
+    for enc, size in ((cc, 11), (identity, 53)):
+        cut = evaluation.chunked(list(range(120)), [10] * 120, "bmala-map", enc, 12, 1)
+        assert [len(c) for c in cut[:-1]] == [size] * (len(cut) - 1)
+        assert evaluation.CHUNK_BYTES // evaluation.cluster_bytes("bmala-map", enc, 12, 10, 1) \
+            == size
     with pytest.raises(ConfigError, match="--delta must be at least 1"):
         bmala_map([[np.zeros(110, np.int8)]], cc, PAPER, delta=0)
 
 
 def test_bmala_map_decodes_lattices_cut_by_stored_bytes(monkeypatch):
-    # 12 consensus strings of the 16-state code at delta = 12 decode as
-    # lattices of 5, 5 and 2 rows, each row as it does alone
+    # with a budget of 5 rows, 12 consensus strings of the 16-state code at
+    # delta = 12 decode as chunks, each one lattice, of 5, 5 and 2 rows; with
+    # a budget of 1 byte as 12 chunks of one; each row as it does alone
     enc = parse_encoder_spec("cc:2:0.5:110")
     rng = np.random.default_rng(4)
     clusters = [c.traces[:4] for c in simulate_clusters(12, 4, 110, PAPER, seed=4)]
     offsets = [rng.integers(4, size=110).astype(np.int8) for _ in clusters]
     runs = []
-    for cap in (bmala.LATTICE_BYTES, 1):
-        monkeypatch.setattr(bmala, "LATTICE_BYTES", cap)
-        with mock.patch.object(bmala, "build_lattice", wraps=bmala.build_lattice) as build:
-            runs.append(bmala_map(clusters, enc, PAPER, delta=12, offsets=offsets))
-        runs.append([len(call.args[1]) for call in build.call_args_list])
+    for cap in (5 * evaluation.cluster_bytes("bmala-map", enc, 12, 4, 1), 1):
+        monkeypatch.setattr(evaluation, "CHUNK_BYTES", cap)
+        posts = []
+        with mock.patch.object(bmala, "build_trellis", wraps=bmala.build_trellis) as build:
+            for chunk in evaluation.chunked(list(range(12)), [4] * 12, "bmala-map", enc, 12, 1):
+                posts += bmala_map([clusters[c] for c in chunk], enc, PAPER, delta=12,
+                                   offsets=[offsets[c] for c in chunk])
+        runs += [posts, [len(call.args[1]) for call in build.call_args_list]]
     posts, rows, alone, ones = runs
     assert rows == [5, 5, 2] and ones == [1] * 12
     for a, b in zip(posts, alone):

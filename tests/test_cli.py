@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idsrecon import evaluation
+from idsrecon import (DNA, IDSParams, build_trellis, cli, compute_posteriors, evaluation,
+                      load_dataset, parse_encoder_spec, write_dataset)
 from idsrecon.cli import main
 
 
@@ -100,6 +101,40 @@ def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
     # the K=1 results that finished before the refusal are kept
     rows = (tmp_path / "e" / "report.csv").read_text().strip().splitlines()[1:]
     assert rows and all(row.split(",")[2] == "1" for row in rows)
+
+
+def test_reconstruct_joint_trellis_over_clusters_of_2_and_3_traces(tmp_path, monkeypatch):
+    # reconstruct decodes a cluster's first K traces, fewer where it has
+    # fewer: the joint trellis's chunks end where the trace count changes,
+    # and each cluster's estimate and posteriors are its own trellis's
+    out = _simulate(tmp_path, n=8, traces=3, length=16)
+    clusters = load_dataset(out / "centers.txt", out / "clusters.txt")
+    for c in (2, 5):
+        clusters[c].traces = clusters[c].traces[:2]
+    write_dataset(clusters, out / "centers.txt", out / "clusters.txt")
+    enc = parse_encoder_spec("identity:16")
+    counts = [len(cl.traces) for cl in clusters]
+    cut = evaluation.chunked(list(range(8)), counts, "bcjr-multitrace", enc, 6, 1)
+    assert cut == [[0, 1], [2], [3, 4], [5], [6, 7]]
+    calls = []
+    decode = evaluation.run_algorithm
+    monkeypatch.setattr(cli, "run_algorithm",
+                        lambda *args, **kw: calls.append(len(args[2])) or decode(*args, **kw))
+    res = tmp_path / "res"
+    rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
+               "--clusters", str(out / "clusters.txt"), "--code", "identity:16",
+               "--algo", "bcjr-multitrace", "--k", "3", "--delta", "6",
+               "-o", str(res), "--dump-posteriors"])
+    assert rc == 0
+    assert calls == [2, 1, 2, 1, 2]
+    ests = (res / "estimates.txt").read_text().splitlines()
+    rows = (res / "posteriors.csv").read_text().splitlines()[1:]
+    params = IDSParams.from_error_rates(0.017, 0.02, 0.022)
+    for c, cl in enumerate(clusters):
+        [own] = compute_posteriors(build_trellis(enc, [cl.traces], params, delta=6))
+        assert ests[c] == DNA.decode(own.hard)
+        mine = [list(map(float, row.split(",")[2:])) for row in rows if row.startswith(f"{c},")]
+        assert np.allclose(mine, own.probs, rtol=1e-7, atol=0)
 
 
 def test_reconstruct_default_betas_are_the_tuned_ones(tmp_path):
@@ -271,11 +306,14 @@ def test_flags_override_config(tmp_path):
 
 
 @pytest.mark.parametrize("algo", ["bmala", "bmala-map", "trellis-bma"])
-def test_evaluate_jobs_identical(tmp_path, algo):
-    # 50 clusters at K=2: BMALA and BMALA-MAP decode them in 3 chunks of at
-    # most 24 clusters, Trellis BMA in 5 of at most 12
+def test_evaluate_jobs_identical(tmp_path, monkeypatch, algo):
+    # 50 clusters at K=2, under a budget of 20 clusters' bytes: each
+    # algorithm decodes them in 3 chunks, in forked workers that inherit it
     out = _simulate(tmp_path, n=50, traces=4, length=20)
-    assert len(evaluation.chunked(list(range(50)), algo, 2, 1)) >= 3
+    enc = parse_encoder_spec("identity:20")
+    budget = 20 * evaluation.cluster_bytes(algo, enc, 12, 2, 1)
+    monkeypatch.setattr(evaluation, "CHUNK_BYTES", budget)
+    assert len(evaluation.chunked(list(range(50)), [2] * 50, algo, enc, 12, 1)) >= 3
     reports = []
     for jobs, name in (("1", "j1"), ("2", "j2")):
         res = tmp_path / name
@@ -379,7 +417,8 @@ def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, command, fla
 NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
-from idsrecon import evaluation
+from idsrecon import (DNA, IDSParams, build_trellis, cli, compute_posteriors, evaluation,
+                      load_dataset, parse_encoder_spec, write_dataset)
 from idsrecon.cli import main
 root = sys.argv[1]
 data = ["--centers", root + "/data/centers.txt", "--clusters", root + "/data/clusters.txt",

@@ -10,7 +10,7 @@ from idsrecon import (DNA, BetaParams, Cluster, ConfigError, DatasetError,
                       run_algorithm, run_trellis_bma, scramble, scrambled_eval,
                       simulate_clusters, split_dataset, sweep_betas,
                       symbolwise_cross_entropy, transmit, write_dataset)
-from idsrecon import bmala, evaluation, trellis_bma
+from idsrecon import evaluation, trellis_bma
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import write_plot_csv, write_report_csv
 
@@ -308,12 +308,13 @@ def test_sweep_matches_scoring_each_point_alone():
 
 
 def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
-    # the usable clusters are cut into chunks in cluster order; chunks of one
-    # (CHUNK_ROWS = 1), and BMALA-MAP lattices of one consensus each
-    # (LATTICE_BYTES = 1), give the same tables, reports and warnings. Without
-    # insertions a trace longer than its strand is unexplainable: cluster 2
-    # is infeasible at init, and beta_o = 300 underflows every noisy cluster.
-    # BMALA and BMALA-MAP step a chunk's sweeps in lockstep; decoded without
+    # the usable clusters are cut into chunks in cluster order; the default
+    # budget's chunks (one of all 8 clusters, or 4 of 2 for the joint
+    # trellis) and chunks of one (a budget of 1 byte) give the same tables,
+    # reports and warnings. Without insertions a trace longer than its
+    # strand is unexplainable: cluster 2 is infeasible at init, and beta_o =
+    # 300 underflows every noisy cluster. The joint trellis loses cluster 2
+    # too. BMALA and BMALA-MAP step a chunk's sweeps in lockstep; decoded without
     # substitutions too, a consensus must be a scrambled codeword exactly,
     # so cluster 2's and four noisy clusters' are infeasible, the noiseless
     # one's is not
@@ -328,13 +329,13 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
     center = rng.integers(4, size=24)
     clusters.append(Cluster(center, [center] * 4))
     grid = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5, 300.0)}
-    assert len(evaluation.chunked(clusters, "trellis-bma", 3, 2)) == 2
-    assert len(evaluation.chunked(clusters, "bmala-map", 3, 1)) == 1
     runs = []
-    for rows, cap in ((evaluation.CHUNK_ROWS, bmala.LATTICE_BYTES), (1, bmala.LATTICE_BYTES),
-                      (evaluation.CHUNK_ROWS, 1)):
-        monkeypatch.setattr(evaluation, "CHUNK_ROWS", rows)
-        monkeypatch.setattr(bmala, "LATTICE_BYTES", cap)
+    for budget in (evaluation.CHUNK_BYTES, 1):
+        monkeypatch.setattr(evaluation, "CHUNK_BYTES", budget)
+        for algo, code, points, size in (("trellis-bma", enc, 2, 8), ("bmala-map", cc, 1, 8),
+                                         ("bcjr-multitrace", enc, 1, 2)):
+            cut = evaluation.chunked(clusters, [3] * 8, algo, code, 8, points)
+            assert {len(c) for c in cut} == {size if budget > 1 else 1}
         caplog.clear()
         with caplog.at_level(logging.WARNING):
             _, table = sweep_betas(clusters, enc, 3, "entropy", 5, params, delta=8, grid=grid)
@@ -342,14 +343,16 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
                                  delta=8, betas=BetaParams(1, 0.1, 0, 0.5))
             hard = [scrambled_eval(clusters, identity_encoder(24, DNA), "bmala", 3, "hamming",
                                    5, params),
-                    scrambled_eval(clusters, cc, "bmala-map", 3, "entropy", 5, params, delta=8)]
+                    scrambled_eval(clusters, cc, "bmala-map", 3, "entropy", 5, params, delta=8),
+                    scrambled_eval(clusters, enc, "bcjr-multitrace", 3, "entropy", 5, params,
+                                   delta=8)]
             bmala_lines = len(caplog.records)
             hard.append(scrambled_eval(clusters, cc, "bmala-map", 3, "entropy", 5, exact,
                                        delta=2))
         lines = [r.getMessage() for r in caplog.records]
         runs.append((table, [rep] + hard, lines, lines[bmala_lines:]))
     (table, reps, lines, exact_lines) = runs[0]
-    assert [(r.n_samples, r.skipped) for r in reps] == [(7, 1), (8, 0), (8, 0), (3, 5)]
+    assert [(r.n_samples, r.skipped) for r in reps] == [(7, 1), (8, 0), (8, 0), (7, 1), (3, 5)]
     assert any(line.startswith("cluster 2 infeasible: every trace") for line in lines)
     assert any("infeasible at beta point 1" in line for line in lines)
     # the exact decode's errors, one per infeasible cluster, in cluster order
@@ -371,7 +374,7 @@ def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
     # the sweep and the evaluation share one chunk task: each chunk of usable
     # clusters is decoded by one run_algorithm call at the whole grid, whose
     # per-trace trellises are built and swept once; 5 clusters of 2 traces x
-    # 4 points cut into chunks of 3 and 2 (CHUNK_ROWS = 24)
+    # 4 points cut into chunks of 3 and 2 under a budget of 3 clusters' bytes
     calls = {"run_algorithm": 0, "init": 0}
 
     def counted(module, name, key):
@@ -387,6 +390,8 @@ def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
     clusters = simulate_clusters(5, 3, 20, PAPER, seed=8)
     clusters.insert(1, Cluster(clusters[0].center, clusters[0].traces[:1]))
     enc = identity_encoder(20, DNA)
+    monkeypatch.setattr(evaluation, "CHUNK_BYTES",
+                        3 * evaluation.cluster_bytes("trellis-bma", enc, 8, 2, 4))
     grid = {"beta_b": (0.0, 1.0), "beta_e": (0.1, 0.5), "beta_i": (0.0,),
             "beta_o": (0.5,)}
     _, table = sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8, grid=grid)

@@ -45,7 +45,7 @@ def _hamming(algorithm, k, betas=None):
     cluster, from the chunk tasks `scrambled_eval` runs."""
     betas = None if betas is None else list(betas)
     scores = {}
-    for chunk in chunked(list(enumerate(CLUSTERS)), algorithm, k,
+    for chunk in chunked(list(enumerate(CLUSTERS)), [k] * len(CLUSTERS), algorithm, ENC, 8,
                          1 if betas is None else len(betas)):
         scores.update(_eval_chunk((chunk, ENC, algorithm, k, PAPER, 8, betas, SEED)))
     return np.array([[s["hamming"] for s in scores[idx]] for idx in range(len(CLUSTERS))]).T

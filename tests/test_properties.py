@@ -21,10 +21,10 @@ from hypothesis import example, given, settings, strategies as st
 from idsrecon import (BINARY, DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, compute_posteriors,
                       identity_encoder, init_single_trace_trellises, mr_encoder,
+                      parse_encoder_spec,
                       run_trellis_bma, simulate_clusters, transmit_batch)
-from idsrecon import trellis_bma
+from idsrecon import evaluation, trellis_bma
 from idsrecon.bcjr import PosteriorTable
-from idsrecon.trellis import build_lattice
 from idsrecon.evaluation import DEFAULT_SWEEP_GRID
 from oracle import (assert_cells_match, assert_lattice_row_matches, joint_posteriors,
                     uniform_prior)
@@ -67,7 +67,7 @@ def instances(draw):
 def test_trellis_readers_agree_with_references(case):
     enc, traces, params, offset, delta = case
     try:
-        tr = build_trellis(enc, traces, params, delta=delta, offset=offset)
+        tr = build_trellis(enc, [traces], params, delta=delta, offsets=[offset])
     except InfeasibleTrellisError:
         # only a drift bound can shut the absorbing pointers out of the last layer
         assert delta is not None
@@ -158,7 +158,8 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
     # dead traces stay rows of the lattice. At every layer of both full
     # sweeps each kept row holds that trellis's cells in its clipped window
     # and exact zeros past it (the mask after every transfer), and the init
-    # keeps the exchange's read layers of them. A drift bound of 0 admits
+    # keeps the boundary blocks beside the exchange's read layers, from
+    # which each read block is rebuilt exactly. A drift bound of 0 admits
     # no path and is refused before anything is built
     enc, traces, params, offset, delta = case
     if delta == 0:
@@ -167,7 +168,7 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
         return
     own, lost = {}, []
     for k, y in enumerate(traces):
-        tr = build_trellis(enc, [y], params, delta=delta, offset=offset)
+        tr = build_trellis(enc, [[y]], params, delta=delta, offsets=[offset])
         f, b = tr.forward(), tr.backward()
         if f.died[0] < 0 and b.died[0] < 0:
             own[k] = tr, f, b
@@ -191,7 +192,12 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
         for t, block in enumerate(part.layers):
             assert block is None or np.array_equal(block, full.layers[t])
     half = enc.L // 2
-    assert [t for t, a in enumerate(fs.layers) if a is not None] == lat.input_read_layer[half:]
+    assert ([t for t, a in enumerate(fs.layers) if a is not None]
+            == [t - 1 for t in lat.input_read_layer[half:]])
+    for t in lat.input_read_layer[half:]:
+        assert np.array_equal(trellis_bma._stale(lat, fs, False, t), full_f.layers[t])
+    for t in lat.post_read_layer[:half]:
+        assert np.array_equal(trellis_bma._stale(lat, bs, True, t), full_b.layers[t])
     everywhere = range(len(lat.layers))
     for k in kept:
         tr, f, b = own[k]
@@ -275,10 +281,11 @@ def test_equal_length_lattice_rows_read_as_their_own_trellis(case):
     # log-likelihood equal its own one-row trellis's bit for bit, and a row
     # with no path gets its own trellis's error while its neighbours decode
     enc, traces, params, offsets, delta = case
-    got = compute_posteriors(build_lattice(enc, traces, params, delta=delta, offsets=offsets))
+    got = compute_posteriors(build_trellis(enc, [[y] for y in traces], params, delta=delta,
+                                            offsets=offsets))
     assert len(got) == len(traces)
     for y, z, mine in zip(traces, offsets, got):
-        [own] = compute_posteriors(build_trellis(enc, [y], params, delta=delta, offset=z))
+        [own] = compute_posteriors(build_trellis(enc, [[y]], params, delta=delta, offsets=[z]))
         if isinstance(own, InfeasibleTrellisError):
             assert type(mine) is InfeasibleTrellisError and str(mine) == str(own)
         else:
@@ -289,9 +296,36 @@ def test_equal_length_lattice_rows_read_as_their_own_trellis(case):
     if case is DRIFT_CASE:
         assert [type(p) for p in got] == [PosteriorTable, InfeasibleTrellisError, PosteriorTable]
         assert str(got[1]).endswith("no path explains the traces (delta=1)")
-        [wider] = compute_posteriors(build_trellis(enc, [traces[1]], params, delta=2,
-                                                   offset=offsets[1]))
+        [wider] = compute_posteriors(build_trellis(enc, [traces[1:2]], params, delta=2,
+                                                   offsets=offsets[1:2]))
         assert isinstance(wider, PosteriorTable)
+
+
+def test_joint_chunk_rows_equal_each_clusters_own_trellis():
+    # a joint chunk is one row of K pointer axes per cluster. Its rows'
+    # traces differ in length, so their windows differ and the narrower are
+    # masked; without insertions a trace longer than its strand has no path,
+    # so one row is infeasible while its neighbours decode. Every row's
+    # log-likelihood, hard estimate and error text equal its cluster's own
+    # trellis's; its posteriors agree to rounding, since the reader's
+    # pairwise sums over a row's pointer cells follow the padded widths
+    params = IDSParams(0.0, 0.05, 0.05, 0.9)
+    rng = np.random.default_rng(5)
+    for spec, k in (("identity:40", 1), ("mr:40:8", 2), ("cc:2:0.5:24", 2), ("identity:16", 3)):
+        enc = parse_encoder_spec(spec)
+        clusters = [c.traces for c in simulate_clusters(4, k, enc.N, params, seed=k)]
+        clusters.insert(2, [rng.integers(4, size=enc.N + 3).astype(np.int8)] + clusters[0][1:])
+        assert len({len(y) for ys in clusters for y in ys}) > 2
+        offsets = [rng.integers(4, size=enc.N).astype(np.int8), None] * 2 + [None]
+        got = compute_posteriors(build_trellis(enc, clusters, params, delta=6, offsets=offsets))
+        assert [type(p) for p in got].count(InfeasibleTrellisError) == 1
+        for ys, z, mine in zip(clusters, offsets, got):
+            [own] = compute_posteriors(build_trellis(enc, [ys], params, delta=6, offsets=[z]))
+            assert type(mine) is type(own) and str(mine) == str(own)
+            if isinstance(own, PosteriorTable):
+                assert np.abs(mine.probs - own.probs).max() <= 1e-15, spec
+                assert np.array_equal(mine.hard, own.hard), spec
+                assert mine.log_likelihood == own.log_likelihood, spec
 
 
 BETA_VALUES = sorted({0.0}.union(*DEFAULT_SWEEP_GRID.values()))
@@ -371,35 +405,45 @@ def _logged(fn, *args, **kwargs):
         log.removeHandler(handler)
 
 
-def _decode_once(*args, **kwargs):
-    """run_trellis_bma's result and warning lines, checking that the call
-    built exactly one lattice, whatever died in it."""
-    with mock.patch.object(trellis_bma, "build_lattice",
-                           wraps=trellis_bma.build_lattice) as build:
-        out = _logged(run_trellis_bma, *args, **kwargs)
-    assert build.call_count == 1
-    return out
+def _decode_chunks(algorithm, enc, clusters, params, delta, offsets, betas):
+    """run_algorithm's outcomes per cluster over the chunks that `chunked`
+    cuts, and the warning lines, checking that each call built exactly one
+    trellis, whatever died in it."""
+    module = trellis_bma if algorithm == "trellis-bma" else evaluation
+    out, lines = [], []
+    for chunk in evaluation.chunked(list(range(len(clusters))), [len(c) for c in clusters],
+                                    algorithm, enc, delta, len(betas)):
+        with mock.patch.object(module, "build_trellis", wraps=module.build_trellis) as build:
+            got, more = _logged(evaluation.run_algorithm, algorithm, enc,
+                                [clusters[c] for c in chunk], params, delta=delta,
+                                offsets=[offsets[c] for c in chunk], betas=betas)
+        assert build.call_count == 1
+        out += got
+        lines += more
+    return out, lines
 
 
-def _assert_chunk_size_free(enc, clusters, params, delta, offsets, betas):
-    """The clusters decoded as one chunk and as chunks of one give the same
-    results (posteriors within 1e-12; hard estimates, errors and warnings
-    identical), each call building one lattice, and return them."""
-    whole, lines = _decode_once(enc, clusters, params, betas, delta=delta, offsets=offsets)
-    alone_lines = []
-    for got, ys, z in zip(whole, clusters, offsets):
-        [one], more = _decode_once(enc, [ys], params, betas, delta=delta, offsets=[z])
-        alone_lines += more
+def _assert_chunk_size_free(enc, clusters, params, delta, offsets, betas,
+                            algorithm="trellis-bma"):
+    """The clusters decoded in the chunks of the default CHUNK_BYTES and of
+    a budget of 1 byte, each cluster alone, give the same results
+    (posteriors within 1e-12; hard estimates, errors and warnings
+    identical), and return them."""
+    whole, lines = _decode_chunks(algorithm, enc, clusters, params, delta, offsets, betas)
+    with mock.patch.object(evaluation, "CHUNK_BYTES", 1):
+        alone, alone_lines = _decode_chunks(algorithm, enc, clusters, params, delta, offsets,
+                                            betas)
+    for got, one in zip(whole, alone):
         if isinstance(one, InfeasibleTrellisError):
             assert type(got) is type(one) and str(got) == str(one)
             continue
-        assert len(got) == len(one) == len(betas)
+        assert len(got) == len(one) == (len(betas) if algorithm == "trellis-bma" else 1)
         for a, b in zip(got, one):
             if isinstance(b, InfeasibleTrellisError):
                 assert type(a) is type(b) and str(a) == str(b)
             else:
-                assert np.abs(a.probs - b.probs).max() <= 1e-12
-                assert np.array_equal(a.hard, b.hard)
+                assert np.abs(a[0].probs - b[0].probs).max() <= 1e-12
+                assert np.array_equal(a[1], b[1])
     # the chunk warns about each cluster's dropped traces in cluster order
     assert lines == alone_lines
     return whole, lines
@@ -462,6 +506,9 @@ def chunks(draw):
 @given(chunks())
 def test_results_do_not_depend_on_chunk_size(case):
     _assert_chunk_size_free(*case)
+    # the joint trellis decodes a chunk of clusters of one trace count as
+    # one trellis, a row of K pointer axes per cluster
+    _assert_chunk_size_free(*case, algorithm="bcjr-multitrace")
 
 
 def test_chunk_with_dropped_traces_and_a_row_lost_by_one_cluster():
@@ -483,6 +530,6 @@ def test_chunk_with_dropped_traces_and_a_row_lost_by_one_cluster():
     assert [line.split(":")[0] for line in lines] == [
         "dropping trace 2", "dropping trace 0", "dropping trace 1"]
     assert str(whole[2]) == "every trace was infeasible under the drift bound"
-    assert all(isinstance(whole[c][0], PosteriorTable) for c in (0, 1, 3))
+    assert all(isinstance(whole[c][0][0], PosteriorTable) for c in (0, 1, 3))
     assert isinstance(whole[0][1], InfeasibleTrellisError)
-    assert isinstance(whole[3][1], PosteriorTable)
+    assert isinstance(whole[3][1][0], PosteriorTable)

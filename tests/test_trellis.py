@@ -25,7 +25,7 @@ def _tiny(seed=0, n=None, k=1, alphabet=BINARY, params=None, encoder=None,
         y = np.asarray(transmit(x, params, rng, alphabet=alphabet))
         if len(y) <= 7:
             traces.append(y)
-    tr = build_trellis(enc, traces, params, offset=offset)
+    tr = build_trellis(enc, [traces], params, offsets=[offset])
     return tr, enc, traces, params, offset
 
 
@@ -57,7 +57,7 @@ def test_structure_constructor_with_mr_encoder():
         if offset is not None:
             x = (x + offset) % 2
         y = np.asarray(transmit(x, params, rng, alphabet=BINARY))
-        tr = build_trellis(enc, [y], params, offset=offset)
+        tr = build_trellis(enc, [[y]], params, offsets=[offset])
         assert_cells_match(tr, enc, [y], params, offset, label=offset)
 
 
@@ -68,7 +68,7 @@ def test_path_weight_and_total_probability():
     enc = identity_encoder(2, BINARY)
     x = np.array([0, 1], dtype=np.int8)
     y = np.asarray(transmit(x, params, rng, alphabet=BINARY))
-    tr = build_trellis(enc, [y], params)
+    tr = build_trellis(enc, [[y]], params)
     truth = 0.0
     for m0 in range(2):
         for m1 in range(2):
@@ -87,9 +87,9 @@ def test_pruning_monotone_and_exact_at_max_drift():
     y = np.asarray(transmit(x, params, rng, DNA))
     logliks = []
     for delta in (1, 2, 4, 8, max(len(y), 14)):
-        tr = build_trellis(enc, [y], params, delta=delta)
+        tr = build_trellis(enc, [[y]], params, delta=delta)
         logliks.append(tr.forward(keep=()).loglik[0])
-    exact = build_trellis(enc, [y], params, delta=None).forward(keep=()).loglik[0]
+    exact = build_trellis(enc, [[y]], params, delta=None).forward(keep=()).loglik[0]
     assert all(a <= b + 1e-12 for a, b in zip(logliks, logliks[1:]))
     assert logliks[-1] == pytest.approx(exact, abs=1e-9)
 
@@ -99,7 +99,7 @@ def test_infeasible_under_tight_delta():
     enc = identity_encoder(4, BINARY)
     # a trace far longer than the drift bound allows
     y = np.zeros(12, dtype=np.int8)
-    tr = build_trellis(enc, [y], params, delta=1)
+    tr = build_trellis(enc, [[y]], params, delta=1)
     # the sweep records the layer where the mass vanished and stops there;
     # the posterior reader raises that record's error
     f = tr.forward()
@@ -119,8 +119,8 @@ def test_drift_bound_below_one_refused():
     params = IDSParams(0.01, 0.01, 0.01, 0.97)
     for delta in (0, -1):
         with pytest.raises(ConfigError, match=f"^--delta must be at least 1, got {delta}"):
-            build_trellis(enc, [y], params, delta=delta)
-    [post] = compute_posteriors(build_trellis(enc, [y], params, delta=1))
+            build_trellis(enc, [[y]], params, delta=delta)
+    [post] = compute_posteriors(build_trellis(enc, [[y]], params, delta=1))
     assert np.array_equal(post.hard, y)
 
 
@@ -178,6 +178,6 @@ def test_cell_count_scaling_with_traces():
     for k in (1, 2):
         traces = [np.asarray(transmit(x, params, (4, i), alphabet=BINARY))
                   for i in range(k)]
-        tr = build_trellis(enc, traces, params, delta=delta)
+        tr = build_trellis(enc, [traces], params, delta=delta)
         counts[k] = sum(math.prod(lay.shape) for lay in tr.layers)
     assert delta + 1 <= counts[2] / counts[1] <= 1.5 * (2 * delta + 1)
