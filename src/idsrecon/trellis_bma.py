@@ -247,13 +247,10 @@ def _posterior_row(combined, beta_o, chunk):
 
 
 def _stale(lat, sweep, back, t):
-    """The init's `sweep` block (rows, S, M, W) at read layer t: the boundary
-    block before t repeated along the message axis (forward), or the one
-    after t gathered by next state (backward); as a step gives it, since
-    the rescale divides out the load's prior 1/M (exactly if M = 2^n)."""
-    if back:
-        return sweep.layers[t + 1][:, lat.layers[t + 1].rows, 0]
-    return np.repeat(sweep.layers[t - 1], lat.layers[t].shape[1], axis=2)
+    """The init's `sweep` block (rows, S, M, W) at read layer t, stepped
+    from the boundary block it kept beside t, as the sweep stepped it."""
+    step = lat.step_backward if back else lat.step_forward
+    return step(t, sweep.layers[t + 1 if back else t - 1][:, None])[0][:, 0]
 
 
 def _exchange_sweep(lat, back, chunk, betas, width, layers, reads, stale, rows_out):

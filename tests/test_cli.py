@@ -417,8 +417,7 @@ def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, command, fla
 NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
-from idsrecon import (DNA, IDSParams, build_trellis, cli, compute_posteriors, evaluation,
-                      load_dataset, parse_encoder_spec, write_dataset)
+from idsrecon import evaluation
 from idsrecon.cli import main
 root = sys.argv[1]
 data = ["--centers", root + "/data/centers.txt", "--clusters", root + "/data/clusters.txt",
