@@ -122,21 +122,23 @@ def _tag(state):
     return state[:{"b": 2, "i": 2, "d": 4, "p": 3}[state[0]]]
 
 
-def enumerate_trellis_states(encoder, traces, params, prior, offset=None, delta=None):
-    """Independent exhaustive trellis constructor for cell-by-cell checks.
+def trellis_edges(encoder, traces, params, prior, offset=None, delta=None, unreached=False):
+    """Independent exhaustive trellis constructor.
 
     Walks the stage rules over explicit state tuples with plain dict/set
-    bookkeeping, then runs its own forward and backward passes over the
-    resulting edges. `offset` is added to the emitted codeword symbols, as
-    the scrambling does. A drift bound `delta` keeps only states whose
-    every trace pointer lies in its window: after n codeword symbols, trace
-    k's pointer is within floor(n*R_k/N + 0.5) +- delta, clipped to
-    [0, R_k]. A boundary or input layer of cycle l counts the symbols of
-    the cycles before it; the ids and post layers of the cycle's symbol c
-    count that symbol too, since it is explained in every trace at once.
-    Returns {layer tag: sorted forward x backward values of the layer's
-    live states}, live meaning on some origin-to-absorbing path of positive
-    weight; layers with no live state are absent.
+    bookkeeping, from the origin and, with `unreached`, from every boundary
+    state inside the windows, so that states no path from the origin
+    reaches are there too (with forward value 0). `offset` is added to the emitted codeword symbols, as the
+    scrambling does. A drift bound `delta` keeps only states whose every
+    trace pointer lies in its window: after n codeword symbols, trace k's
+    pointer is within floor(n*R_k/N + 0.5) +- delta, clipped to [0, R_k]. A
+    boundary or input layer of cycle l counts the symbols of the cycles
+    before it; the ids and post layers of the cycle's symbol c count that
+    symbol too, since it is explained in every trace at once. Returns (the
+    states reached, ordered so that every edge leads to a later one;
+    {state: [(successor, weight)]}; the origin; the absorbing states). An
+    input state is ("i", l, (q, m), pointers, m, x) and a post
+    state ("p", l, c, (q, m), pointers, m, x): message symbol m is s[-2].
     """
     K = len(traces)
     R = [len(y) for y in traces]
@@ -165,9 +167,19 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None, delta=
             nxt.add(b)
 
     origin = ("b", 0, encoder.q_init, (0,) * K, None, None)
-    frontier = {origin}
-    seen = {origin}
     L = encoder.L
+    frontier, states = {origin}, {encoder.q_init}
+    for l in range(L + 1 if unreached else 0):
+        n = int(starts[l])
+        windows = [range(R[k] + 1) if delta is None else
+                   range(max(0, math.floor(n * r / N + 0.5) - delta),
+                         min(r, math.floor(n * r / N + 0.5) + delta) + 1)
+                   for k, r in enumerate(R)]
+        frontier |= {("b", l, q, ptr, None, None)
+                     for q in states for ptr in itertools.product(*windows)}
+        if l < L:
+            states = {encoder.transition(q, m, l)[0] for q in states for m in range(size)}
+    seen = set(frontier)
     while frontier:
         nxt = set()
         for st in frontier:
@@ -231,19 +243,39 @@ def enumerate_trellis_states(encoder, traces, params, prior, offset=None, delta=
     out = {}
     for (a, b), w in edges.items():
         out.setdefault(a, []).append((b, w))
-    fwd = dict.fromkeys(seen, 0.0)
+    ends = {s for s in seen if s[0] == "b" and s[1] == L and s[3] == tuple(R)}
+    return order, out, origin, ends
+
+
+def forward_backward(order, out, origin, ends):
+    """The forward and backward values of every state of `trellis_edges`,
+    each a plain sum over its in- or out-edges."""
+    fwd = dict.fromkeys(order, 0.0)
     fwd[origin] = 1.0
     for a in order:
         for b, w in out.get(a, ()):
             fwd[b] += fwd[a] * w
-    bwd = dict.fromkeys(seen, 0.0)
+    bwd = dict.fromkeys(order, 0.0)
     for a in reversed(order):
-        if a[0] == "b" and a[1] == L and a[3] == tuple(R):
+        if a in ends:
             bwd[a] = 1.0
         for b, w in out.get(a, ()):
             bwd[a] += w * bwd[b]
+    return fwd, bwd
+
+
+def enumerate_trellis_states(encoder, traces, params, prior, offset=None, delta=None):
+    """Independent exhaustive trellis for cell-by-cell checks: the states
+    and edges of `trellis_edges` under its drift bound, and their own
+    forward and backward passes. Returns {layer tag: sorted forward x
+    backward values of the layer's live states}, live meaning on some
+    origin-to-absorbing path of positive weight; layers with no live state
+    are absent.
+    """
+    order, out, origin, ends = trellis_edges(encoder, traces, params, prior, offset, delta)
+    fwd, bwd = forward_backward(order, out, origin, ends)
     values = {}
-    for s in seen:
+    for s in order:
         if fwd[s] * bwd[s] > 0.0:
             values.setdefault(_tag(s), []).append(fwd[s] * bwd[s])
     return {tag: np.sort(v) for tag, v in values.items()}
@@ -270,6 +302,100 @@ def assert_cells_match(trellis, encoder, traces, params, offset=None, label=None
 
 def uniform_prior(encoder):
     return np.full((encoder.L, encoder.msg_size), 1.0 / encoder.msg_size)
+
+
+def _pow0(x, b):
+    return 1.0 if b == 0.0 else x ** b
+
+
+def trellis_bma_posteriors(encoder, traces, params, betas, delta=None, offset=None):
+    """Trellis BMA's posterior rows of one cluster, by plain loops over each
+    trace's explicit one-trace trellis (`trellis_edges`) and its exact
+    forward and backward values (`forward_backward`).
+
+    A trace with no path is dropped. The first half of the message is read
+    by a forward exchange: one front per kept trace, started at the origin
+    and summed over in-edges layer by layer. At the last post layer of
+    cycle l < L//2, trace k's belief in message symbol m is the sum, over
+    the layer's states of symbol m, of front_k times the exact backward
+    value to the beta_b power, normalised. The posterior row of l is the
+    product of the beliefs to the beta_o power, normalised; then each front
+    is multiplied, at each state of symbol m, by gamma_k(m): its own belief
+    to beta_i times every other kept trace's to beta_e. The second half is
+    read the same way by a backward exchange from the absorbing states, at
+    the input layers of cycles l >= L//2, against the exact forward values.
+    A zero power of a zero is 1, and a layer's states are all those inside
+    its windows, so with beta_b = 0 a backward front counts too where no
+    path from the origin arrives.
+
+    Returns per entry of `betas` the (L, |M|) posterior rows, or None where
+    a belief, the combined belief or a gamma lost all its mass, or every
+    trace was dropped."""
+    prior = uniform_prior(encoder)
+    L, M, half = encoder.L, encoder.msg_size, encoder.L // 2
+    tags = layer_tags(encoder, 1)
+    kept = []
+    for y in traces:
+        order, out, origin, ends = trellis_edges(encoder, [y], params, prior, offset, delta,
+                                                 unreached=True)
+        fwd, bwd = forward_backward(order, out, origin, ends)
+        if bwd[origin] <= 0.0:
+            continue
+        into, layer = {}, {tag: [] for tag in tags}
+        for a in order:
+            layer[_tag(a)].append(a)
+            for b, w in out.get(a, ()):
+                into.setdefault(b, []).append((a, w))
+        kept.append((order, out, into, layer, origin, ends, fwd, bwd))
+    first = {("p", l, encoder.emission_counts[l] - 1): l for l in range(half)}
+    second = {("i", l): l for l in range(half, L)}
+
+    def exchange(bp, back, reads, rows):
+        """One half sweep; False once some mass is lost."""
+        fronts = [dict.fromkeys(t[0], 0.0) for t in kept]
+        for front, (_, _, _, _, origin, ends, _, _) in zip(fronts, kept):
+            for s in ends if back else (origin,):
+                front[s] = 1.0
+        last = min(tags.index(t) for t in reads) if back else max(tags.index(t) for t in reads)
+        for i in range(len(tags) - 1, last - 1, -1) if back else range(last + 1):
+            tag = tags[i]
+            for front, (_, out, into, layer, _, _, _, _) in zip(fronts, kept):
+                for s in reversed(layer[tag]) if back else layer[tag]:
+                    edges = out.get(s, ()) if back else into.get(s, ())
+                    front[s] += sum(front[n] * w for n, w in edges)
+            if tag not in reads:
+                continue
+            beliefs = []
+            for front, (_, _, _, layer, _, _, fwd, bwd) in zip(fronts, kept):
+                stale = fwd if back else bwd
+                bel = np.zeros(M)
+                for s in layer[tag]:
+                    bel[s[-2]] += front[s] * _pow0(stale[s], bp.beta_b)
+                if bel.sum() <= 0.0:
+                    return False
+                beliefs.append(bel / bel.sum())
+            post = np.prod(beliefs, axis=0) ** bp.beta_o
+            if post.sum() <= 0.0:
+                return False
+            rows[reads[tag]] = post / post.sum()
+            for k, (front, (_, _, _, layer, _, _, _, _)) in enumerate(zip(fronts, kept)):
+                gamma = np.ones(M)
+                for j, bel in enumerate(beliefs):
+                    gamma = gamma * np.array([_pow0(v, bp.beta_i if j == k else bp.beta_e)
+                                              for v in bel])
+                if gamma.max() <= 0.0:
+                    return False
+                for s in layer[tag]:
+                    front[s] *= gamma[s[-2]]
+        return True
+
+    result = []
+    for bp in betas:
+        rows = np.zeros((L, M))
+        ok = bool(kept) and all(exchange(bp, back, reads, rows)
+                                for back, reads in ((False, first), (True, second)) if reads)
+        result.append(rows if ok else None)
+    return result
 
 
 def random_params(rng, max_ins=0.4):

@@ -27,7 +27,7 @@ from idsrecon import evaluation, trellis_bma
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import DEFAULT_SWEEP_GRID
 from oracle import (assert_cells_match, assert_lattice_row_matches, joint_posteriors,
-                    uniform_prior)
+                    trellis_bma_posteriors, uniform_prior)
 
 
 @st.composite
@@ -384,6 +384,60 @@ def test_beta_stack_rows_equal_single_decodes(case):
         _assert_same(out, _alone(bp))
     for i, out in zip(perm, _decode([points[i] for i in perm])):
         _assert_same(out, got[i])
+
+
+@st.composite
+def exchange_cases(draw):
+    """A small identity, marker-repeat or convolutional code, rates, 1-4
+    traces of its codeword (some cut), an optional offset, a drift bound,
+    and 1-3 random beta points, beta_b not only 0 or 1."""
+    kind = draw(st.sampled_from(["identity", "mr", "cc"]))
+    if kind == "identity":
+        enc = identity_encoder(draw(st.integers(1, 4)), draw(st.sampled_from([BINARY, DNA])))
+    elif kind == "mr":
+        enc = mr_encoder(draw(st.integers(2, 4)), 1, draw(st.sampled_from([BINARY, DNA])))
+    else:
+        enc = cc_encoder(1, draw(st.integers(1, 2)), DNA)
+    size = enc.alphabet.size
+    w = [draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+         draw(st.integers(1, 6))]
+    params = IDSParams(*[v / sum(w) for v in w])
+    offset = None
+    if draw(st.booleans()):
+        offset = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.N,
+                                        max_size=enc.N)), dtype=np.int8)
+    msg = np.array(draw(st.lists(st.integers(0, size - 1), min_size=enc.L,
+                                 max_size=enc.L)), dtype=np.int8)
+    x = enc.encode(msg)
+    if offset is not None:
+        x = ((x + offset) % size).astype(np.int8)
+    traces = [y[:draw(st.integers(max(0, enc.N - 1), enc.N + 2))] for y in transmit_batch(
+        x, params, draw(st.integers(1, 4)), draw(st.integers(0, 2**31)), alphabet_size=size)]
+    beta = st.floats(0.0, 3.0).map(lambda v: round(v, 2))
+    betas = [BetaParams(draw(st.sampled_from([0.0, 1.0, 0.3, 2.5])), draw(beta), draw(beta),
+                        draw(st.floats(0.1, 3.0)))
+             for _ in range(draw(st.integers(1, 3)))]
+    delta = draw(st.sampled_from([None, 1, 2, 3]))
+    return enc, traces, params, offset, delta, betas
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(exchange_cases())
+def test_exchange_matches_its_oracle(case):
+    # the whole exchange, gamma on each front at its read layer, stale**beta_b,
+    # the leave-one-out product and beta_o at read, against plain loops over
+    # each trace's explicit trellis; a decode ends exactly where the oracle
+    # loses its mass
+    enc, traces, params, offset, delta, betas = case
+    [got] = run_trellis_bma(enc, [traces], params, betas, delta=delta, offsets=[offset])
+    want = trellis_bma_posteriors(enc, traces, params, betas, delta=delta, offset=offset)
+    if isinstance(got, InfeasibleTrellisError):
+        assert want == [None] * len(betas)
+        return
+    for post, rows in zip(got, want):
+        assert isinstance(post, InfeasibleTrellisError) == (rows is None)
+        if rows is not None:
+            assert np.abs(post.probs - rows).max() < 1e-9
 
 
 class _Lines(logging.Handler):
