@@ -244,31 +244,33 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
 CHUNK_BYTES = 11 << 18  # what one decode call may hold, summed over its clusters: 2.75 MiB
 
 
-def cluster_bytes(algorithm, encoder, delta, k, points):
-    """What decoding a cluster of k length-N traces at `points` beta points
-    holds, without a build (`trellis.row_bytes`): per trellis row its held
-    bytes, STEP_BLOCKS largest blocks (per point in the exchange) and
-    boundary blocks, those the Trellis BMA init keeps or, on a joint or
-    BMALA-MAP row of k or 1 axes, all. BMALA's 2k lockstep rows hold 3
-    bytes per padded symbol and 48 words of state, indices and objects."""
+def cluster_bytes(algorithm, encoder, delta, k, triples):
+    """What decoding a cluster of k length-N traces at beta points of
+    `triples` distinct (beta_b, beta_e, beta_i) holds, without a build
+    (`trellis.row_bytes`): per trellis row its held bytes, STEP_BLOCKS
+    largest blocks (per triple in the exchange, which steps one front per
+    triple) and boundary blocks, those the Trellis BMA init keeps or, on a
+    joint or BMALA-MAP row of k or 1 axes, all. BMALA's 2k lockstep rows
+    hold 3 bytes per padded symbol and 48 words of state, indices and
+    objects."""
     if algorithm == "bmala":
         return 2 * k * (3 * (encoder.N + LOOKAHEAD + 2) + 48 * 8)
     tbma = algorithm in ("trellis-bma", "multiply-posteriors")
     boundary, largest, held = row_bytes(encoder, delta,
                                         1 if tbma or algorithm == "bmala-map" else k)
-    held = held.sum() + STEP_BLOCKS * (points if tbma else 1) * largest.max()
+    held = held.sum() + STEP_BLOCKS * (triples if tbma else 1) * largest.max()
     if tbma:
         half = encoder.L // 2
         return k * int(held + boundary[half:].sum() + boundary[1:half + 1].sum())
     return int(held + boundary.sum())
 
 
-def chunked(items, counts, algorithm, encoder, delta, points):
+def chunked(items, counts, algorithm, encoder, delta, triples):
     """`items`, one per cluster of counts[i] traces, cut in order into the
     chunks one `run_algorithm` call decodes: the longest runs whose
     `cluster_bytes` sum to at most CHUNK_BYTES, at least one cluster each,
     a joint-trellis run also of one trace count."""
-    size = {k: cluster_bytes(algorithm, encoder, delta, k, points) for k in set(counts)}
+    size = {k: cluster_bytes(algorithm, encoder, delta, k, triples) for k in set(counts)}
     chunks, used = [], 0
     for item, k in zip(items, counts):
         if (not chunks or used + size[k] > CHUNK_BYTES
@@ -404,8 +406,10 @@ def _evaluate(clusters, encoder, algorithm, k, metric, seed, params, delta, beta
     usable, skipped = _usable(clusters, encoder, k, max_clusters)
 
     points = 1 if betas is None else len(betas)
+    triples = 1 if betas is None else len({bp.as_tuple()[:3] for bp in betas})
     tasks = [(chunk, encoder, algorithm, k, params, delta, betas, seed)
-             for chunk in chunked(usable, [k] * len(usable), algorithm, encoder, delta, points)]
+             for chunk in chunked(usable, [k] * len(usable), algorithm, encoder, delta,
+                                  triples)]
     results = _run_tasks(_eval_chunk, tasks, jobs)
     return [_report(algorithm, encoder, k,
                     [None if results[idx] is None else results[idx][i] for idx, _ in usable],
@@ -450,9 +454,15 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
     Each grid point is scored as `scrambled_eval` with trellis-bma at that
     point would score it, through the same chunk task: a cluster is drawn
     once and decoded at the whole grid as one beta stack, so its exact
-    per-trace sweeps run once and one stacked exchange decodes every point
-    (see `run_trellis_bma`). A cluster infeasible for every point is skipped
-    at every point, one whose exchange fails at a point only there.
+    per-trace sweeps run once and one exchange, stacked over the grid's
+    (beta_b, beta_e, beta_i) triples, decodes every point (see
+    `run_trellis_bma`). A cluster infeasible for every point is skipped at
+    every point, one whose exchange fails at a point only there.
+
+    beta_o only re-exponentiates each posterior row, and x**beta_o keeps a
+    row's argmax, so under the Hamming metric it cannot change a score:
+    every Hamming winner takes the grid's smallest beta_o by the tie-break
+    below. The entropy and rate scores do read beta_o.
 
     `grid` maps each of beta_b, beta_e, beta_i, beta_o to its values.
     Returns (best BetaParams, table of (BetaParams, score)); Hamming and

@@ -16,19 +16,22 @@ A decode is a chunk of clusters x a stack of beta points; a single cluster
 is a chunk of one, a single decode a stack of one. The traces of every
 cluster of the chunk are the rows of one lattice, each row carrying its
 cluster's scramble offset. The exact per-trace sweeps do not depend on the
-hyperparameters beta, so they run once per chunk; the exchange then runs
-once for the whole chunk and stack, its front a (rows, P, S, M, W) block:
-the chunk's traces x beta points x encoder states x message symbols x
-window. Each cluster's beliefs are combined, and each trace's gamma taken,
-over that cluster's own rows only (`_Chunk`), so a cluster decodes as it
-would alone.
+hyperparameters beta, so they run once per chunk. beta_o only reshapes a
+belief when a posterior is read, so the exchange runs once for the whole
+chunk and the distinct (beta_b, beta_e, beta_i) triples of the stack, its
+front a (rows, T, S, M, W) block: the chunk's traces x triples x encoder
+states x message symbols x window; each point's posterior is read from its
+triple's combined belief. Each cluster's beliefs are combined, and each
+trace's gamma taken, over that cluster's own rows only (`_Chunk`), so a
+cluster decodes as it would alone, and each point as it would alone.
 
 Rows are independent, so nothing that dies is taken out of the lattice. A
 trace whose own trellis has no path is a dead row: an empty slot of its
-cluster, as a missing trace is. A (cluster, beta point) decode whose front
-or belief vanishes ends with that error while the rest decode on; the
-sweeps stop once every decode has ended. So one lattice is built, and one
-init and one exchange run, per chunk, whatever dies.
+cluster, as a missing trace is. A (cluster, triple) exchange whose front,
+belief or gamma vanishes ends every point of that triple with that error,
+and a point whose own posterior vanishes ends alone, while the rest decode
+on; the sweeps stop once every decode has ended. So one lattice is built,
+and one init and one exchange run, per chunk, whatever dies.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ class BetaParams:
     beta_b reweights the stale sweep direction when beliefs are read;
     beta_e weights the other traces' beliefs inside the gamma update;
     beta_i weights a trellis's own belief there; beta_o re-exponentiates
-    the combined belief before normalising the reported posterior.
+    the combined belief before normalising the reported posterior. beta_o
+    is read-time only: it never enters the gamma update or the fronts, so
+    points that differ only in beta_o share one exchange.
     """
     beta_b: float = 1.0
     beta_e: float = 0.0
@@ -133,22 +138,29 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
 
 class _Chunk:
     """Where the lattice's rows sit among a chunk's clusters, and which
-    (beta point, cluster) decodes still run. Row r is the j-th trace of the
-    c-th cluster, at slot (c, j) of a (C, K) grid, K being the most traces
-    any cluster has. The (P, C, K) mask `real` marks the slots that hold a
-    kept trace of a running decode (`full` if all do). `pad` lays a (P,
-    rows, ...) stack out on that grid with `fill` in the other slots, so a
-    product over a cluster's slots multiplies its kept traces in order;
-    `unpad` reads every row back; both are reshapes while `full`. `errors`
-    holds each ended (point, cluster) decode's error, and `over` is set
-    once every decode has ended."""
+    decodes still run. Row r is the j-th trace of the c-th cluster, at slot
+    (c, j) of a (C, K) grid, K being the most traces any cluster has. The
+    exchange stacks T (beta_b, beta_e, beta_i) triples; beta point p reads
+    triple `triple_of[p]` (None: there are T points, point p reading triple
+    p). The (P, C) mask `alive` marks the running (point, cluster) decodes,
+    and the (T, C, K) mask `real` the slots that hold a kept trace of a
+    cluster with a running point of that triple (`full` if all do). `pad`
+    lays a (T, rows, ...) stack out on that grid with `fill` in the other
+    slots, so a product over a cluster's slots multiplies its kept traces in
+    order; `unpad` reads every row back; both are reshapes while `full`.
+    `errors` holds each ended (point, cluster) decode's first error, and
+    `over` is set once every decode has ended."""
 
-    def __init__(self, sizes, kept, points):
+    def __init__(self, sizes, kept, triples, triple_of=None):
         self.C, self.K = len(sizes), max(sizes)
         self.slot = np.concatenate([c * self.K + np.arange(n) for c, n in enumerate(sizes)])
         real = np.zeros(self.C * self.K, bool)
         real[self.slot[kept]] = True
-        self.real = np.broadcast_to(real.reshape(self.C, self.K), (points, self.C, self.K))
+        real = real.reshape(self.C, self.K)
+        self.triple_of = triple_of
+        self.real = np.broadcast_to(real, (triples, self.C, self.K))
+        self.alive = np.broadcast_to(real.any(axis=1), (
+            triples if triple_of is None else len(triple_of), self.C))
         self.full, self.over, self.errors = real.all(), False, {}
 
     def pad(self, arr, fill=1.0):
@@ -166,24 +178,36 @@ class _Chunk:
         return flat if self.full else flat[:, self.slot]
 
     def end(self, lost, message):
-        """End, with InfeasibleTrellisError(message), each running decode
-        that has a real slot marked in `lost` (broadcast to (P, C, K));
-        returns whether any ended."""
+        """End, with InfeasibleTrellisError(message), every running point of
+        each (triple, cluster) that has a real slot marked in `lost`
+        (broadcast to (T, C, K)); returns whether any ended."""
         if not lost.any():
             return False
         lost = (self.real & lost).any(axis=2)
+        return self.end_points(lost if self.triple_of is None else lost[self.triple_of],
+                               message)
+
+    def end_points(self, lost, message):
+        """End each running (point, cluster) decode marked in the (P, C)
+        `lost`; a triple's slots of a cluster stop once none of its points
+        runs there. Returns whether any ended."""
+        lost = lost & self.alive
         if not lost.any():
             return False
         error = InfeasibleTrellisError(message)
         self.errors.update(dict.fromkeys(map(tuple, np.argwhere(lost).tolist()), error))
-        self.real = self.real & ~lost[..., None]
-        self.full, self.over = False, not self.real.any()
+        self.alive = running = self.alive & ~lost
+        if self.triple_of is not None:
+            running = np.zeros(self.real.shape[:2], bool)
+            np.logical_or.at(running, self.triple_of, self.alive)
+        self.real = self.real & running[..., None]
+        self.full, self.over = False, not self.alive.any()
         return True
 
 
 def combine_beliefs(front, stale, beta_b, chunk):
     """Per-trace beliefs about the current message symbol at a read layer,
-    for each row of a stacked front (rows, P, S, M, W) and its `beta_b`.
+    for each row of a stacked front (rows, T, S, M, W) and its `beta_b`.
     `stale` is the opposite sweep's (rows, S, M, W) block of the layer, and
     `chunk` (a `_Chunk`) says which cluster each row belongs to.
 
@@ -191,8 +215,8 @@ def combine_beliefs(front, stale, beta_b, chunk):
     front_k * stale_k**beta_b over the layer's encoder states and window,
     at index m of its message axis. Rows are normalised (the sweeps rescale
     layers freely, so only ratios carry information); a decode with a real
-    row of no mass ends. Returns ((P, C, K, M) beliefs laid out by
-    `chunk.pad`, their product over each cluster's traces, (P, C, M)).
+    row of no mass ends. Returns ((T, C, K, M) beliefs laid out by
+    `chunk.pad`, their product over each cluster's traces, (T, C, M)).
     """
     powed = _pow_rows(stale, beta_b, shared=True)
     rows = (front.swapaxes(0, 1) * powed).sum(axis=4).sum(axis=2)
@@ -205,7 +229,7 @@ def combine_beliefs(front, stale, beta_b, chunk):
 
 def gamma_updates(rows, beta_e, beta_i, chunk=None):
     """The unnormalised update gamma for each stack row and trellis, shaped
-    as the (P, C, K, M) beliefs `rows` of C clusters of K slots: a
+    as the (T, C, K, M) beliefs `rows` of C clusters of K slots: a
     trellis's own belief to the beta_i power times the belief of every
     other trace of its cluster to the beta_e power, multiplied in trace
     order. Each belief is raised to each power once. `chunk` (None: every
@@ -231,18 +255,25 @@ def gamma_updates(rows, beta_e, beta_i, chunk=None):
 def update_forward(front, gamma):
     """Rescale a trellis front by gamma(m): the update applied to every
     cell of the read layer at index m of its message axis. A front
-    (..., S, M, W) takes gammas (..., M): a stacked front (rows, P, S, M, W)
-    one row per trace and beta point. Scaling gamma by any positive
+    (..., S, M, W) takes gammas (..., M): a stacked front (rows, T, S, M, W)
+    one row per trace and beta triple. Scaling gamma by any positive
     constant leaves later estimates unchanged."""
     g = np.asarray(gamma, dtype=float)
     return front * g[..., None, :, None]
 
 
 def _posterior_row(combined, beta_o, chunk):
+    """Each point's (P, C, M) posterior row, its triple's (T, C, M)
+    combined belief to its `beta_o`, normalised; a point whose row has no
+    mass ends alone."""
+    if chunk.triple_of is not None:
+        combined = combined[chunk.triple_of]
     row = _pow_rows(combined, beta_o)
     tot = row.sum(axis=-1, keepdims=True)
-    if chunk.end(tot <= 0.0, "combined belief has no mass"):
-        tot[tot <= 0.0] = 1.0
+    lost = tot <= 0.0
+    if lost.any():
+        chunk.end_points(lost[..., 0], "combined belief has no mass")
+        tot[lost] = 1.0
     return row / tot
 
 
@@ -253,17 +284,18 @@ def _stale(lat, sweep, back, t):
     return step(t, sweep.layers[t + 1 if back else t - 1][:, None])[0][:, 0]
 
 
-def _exchange_sweep(lat, back, chunk, betas, width, layers, reads, stale, rows_out):
-    """Step the lattice's stacked front, one row per (trace, beta point),
-    from its initial block through `layers`, forward or with `back`
-    backward. At each layer of `reads` ({layer: message position}) the
-    front is combined with the stale opposite sweep into that position's
-    posterior rows, per cluster of `chunk`, and each trace's row receives
-    its gamma update from its own cluster's traces, the beliefs summing
-    each position's first `width` cells. A decode whose real front dies
-    ends, with the error text of that step; the sweep stops once every
-    decode has ended."""
-    beta_b, beta_e, beta_i, beta_o = betas
+def _exchange_sweep(lat, back, chunk, triples, beta_o, width, layers, reads, stale,
+                    rows_out):
+    """Step the lattice's stacked front, one row per (trace, beta triple of
+    `triples`, (3, T)), from its initial block through `layers`, forward or
+    with `back` backward. At each layer of `reads` ({layer: message
+    position}) the front is combined with the stale opposite sweep, per
+    cluster of `chunk`, into that position's posterior rows, one per point
+    of `beta_o`, and each trace's row receives its gamma update from its
+    own cluster's traces, the beliefs summing each position's first `width`
+    cells. A triple whose real front dies ends its points, with the error
+    text of that step; the sweep stops once every decode has ended."""
+    beta_b, beta_e, beta_i = triples
     step = lat.step_backward if back else lat.step_forward
     b = lat.initial_backward_block() if back else lat.initial_forward_block()
     front = np.broadcast_to(b[:, None], (len(b), len(beta_b)) + b.shape[1:])
@@ -284,28 +316,29 @@ def _exchange_sweep(lat, back, chunk, betas, width, layers, reads, stale, rows_o
             front = update_forward(front, chunk.unpad(gammas).swapaxes(0, 1))
 
 
-def _exchange(encoder, lat, fwd, bwd, betas, chunk, kept):
+def _exchange(encoder, lat, fwd, bwd, triples, beta_o, chunk, kept):
     """Both exchange sweeps over the read blocks of the exact per-trace
-    sweeps (`_stale`), which they only read, for every point of `betas` at
-    once: the lattice's front has one row per (trace, point). Returns the
-    (P, C, L, M) posterior rows of each (point, cluster) decode of `chunk`,
-    as that decode alone gives them; a decode that ended (a real row of it
-    vanished) has its error in `chunk.errors` instead."""
+    sweeps (`_stale`), which they only read, for every (beta_b, beta_e,
+    beta_i) triple of `triples` (3, T) at once: the lattice's front has one
+    row per (trace, triple). Returns the (P, C, L, M) posterior rows of
+    each (point, cluster) decode of `chunk`, point p reading its triple
+    with beta_o[p], as that decode alone gives them; a decode that ended (a
+    real row of its triple vanished, or its own posterior row) has its
+    error in `chunk.errors` instead."""
     L = encoder.L
     half = L // 2
-    betas = np.array([bp.as_tuple() for bp in betas]).T
     # each position's widest window among the `kept` rows: a dead row may
     # widen the axis, and a belief summing its zero cells would round
     # otherwise than the kept rows' own lattice
     width = (lat.hi - lat.lo)[:, kept].max(axis=(1, 2)) + 1
-    rows_out = np.empty((betas.shape[1], chunk.C, L, encoder.msg_size))
+    rows_out = np.empty((len(beta_o), chunk.C, L, encoder.msg_size))
     # a forward-updating sweep estimates the first half at its post layers
     first = {lat.post_read_layer[l]: l for l in range(half)}
-    _exchange_sweep(lat, False, chunk, betas, width, range(1, max(first, default=0) + 1),
-                    first, bwd, rows_out)
+    _exchange_sweep(lat, False, chunk, triples, beta_o, width,
+                    range(1, max(first, default=0) + 1), first, bwd, rows_out)
     # a backward-updating sweep estimates the second half from the other end
     second = {lat.input_read_layer[l]: l for l in range(half, L)}
-    _exchange_sweep(lat, True, chunk, betas, width,
+    _exchange_sweep(lat, True, chunk, triples, beta_o, width,
                     range(len(lat.layers) - 2, min(second) - 1, -1), second, fwd, rows_out)
     return rows_out
 
@@ -321,9 +354,11 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     cluster is a row of one lattice (`trellis.build_trellis`), each row
     carrying its cluster's offset, and is swept once by the exact engine;
     one exchange then decodes every (cluster, entry) at once, its front
-    holding one row per (trace, entry), each cluster's beliefs combined
-    over its own kept rows. Returns, per cluster, a list with per entry its
-    PosteriorTable (hard estimates are its row argmaxes) or the
+    holding one row per (trace, distinct (beta_b, beta_e, beta_i) of the
+    entries), each cluster's beliefs combined over its own kept rows, and
+    each entry's posterior read with its beta_o. Returns, per cluster, a
+    list with per entry its PosteriorTable (hard estimates are its row
+    argmaxes) or the
     InfeasibleTrellisError that ended its decode, equal to that cluster and
     entry decoded alone; or, for a cluster whose every trace was
     infeasible, that error. Infeasible traces are dropped with a warning
@@ -348,8 +383,13 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     sizes = [len(c) for c in clusters]
     lat, fwd, bwd, kept = init_single_trace_trellises(
         encoder, traces, params, delta=delta, offsets=[offsets[c] for c in owner], sizes=sizes)
-    chunk = _Chunk(sizes, kept, len(betas))
-    rows = _exchange(encoder, lat, fwd, bwd, betas, chunk, kept) if kept else None
+    index = {}
+    triple_of = [index.setdefault(bp.as_tuple()[:3], len(index)) for bp in betas]
+    # while no two points share a triple, point p is triple p: no gather
+    chunk = _Chunk(sizes, kept, len(index),
+                   None if len(index) == len(betas) else np.array(triple_of))
+    rows = _exchange(encoder, lat, fwd, bwd, np.array(list(index)).T,
+                     np.array([bp.beta_o for bp in betas]), chunk, kept) if kept else None
     alive = {owner[k] for k in kept}
     return [[chunk.errors.get((p, c)) or PosteriorTable.from_rows(rows[p, c])
              for p in range(len(betas))] if c in alive

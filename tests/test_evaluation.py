@@ -404,6 +404,37 @@ def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
         run_trellis_bma(enc, [clusters[0].traces], PAPER, BetaParams(1, 0, 0, 1), delta=8)
 
 
+def test_chunk_budget_counts_triples_not_points(monkeypatch):
+    # the exchange steps one front per (beta_b, beta_e, beta_i) triple, so a
+    # grid of 4 beta_o values costs a cluster what its one-beta_o grid costs
+    # and is cut into the same chunks: here 2, 2 and 1 of 5 clusters
+    size, sizes, calls = evaluation.cluster_bytes, [], []
+    run = evaluation.run_algorithm
+
+    def sized(*args):
+        sizes.append(size(*args))
+        return sizes[-1]
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "cluster_bytes", sized)
+    monkeypatch.setattr(evaluation, "run_algorithm", counted)
+    clusters = simulate_clusters(5, 3, 20, PAPER, seed=8)
+    enc = identity_encoder(20, DNA)
+    monkeypatch.setattr(evaluation, "CHUNK_BYTES", 2 * size("trellis-bma", enc, 8, 2, 2))
+    triples = {"beta_b": (0.0, 1.0), "beta_e": (0.1,), "beta_i": (0.0,)}
+    for beta_o in ((0.5,), (0.1, 0.5, 0.9, 1.0)):
+        calls.append(0)
+        _, table = sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8,
+                               grid={**triples, "beta_o": beta_o})
+        assert len(table) == 2 * len(beta_o)
+    assert sizes == [size("trellis-bma", enc, 8, 2, 2)] * 2
+    assert sizes[0] < size("trellis-bma", enc, 8, 2, 8)
+    assert calls == [3, 3]
+
+
 def test_sweep_grid_keys_checked():
     clusters = simulate_clusters(2, 3, 20, PAPER, seed=8)
     enc = identity_encoder(20, DNA)

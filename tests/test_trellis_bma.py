@@ -1,5 +1,6 @@
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellis
                       build_trellis, cc_encoder, combine_beliefs, compute_posteriors,
                       default_betas, identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
+from idsrecon.trellis import Trellis
 from idsrecon.trellis_bma import TUNED_BETAS, _Chunk, code_tag, gamma_updates
 from oracle import assert_lattice_row_matches
 
@@ -312,6 +314,48 @@ def test_row_that_vanishes_leaves_the_stack_alone():
     assert str(got[1]) == str(alone[1]) == "gamma update vanished for one trellis"
     for i in (0, 2):
         assert np.array_equal(got[i].probs, alone[i].probs)
+
+
+def test_points_sharing_a_triple_share_one_exchange():
+    # 3 beta_o values x 2 (beta_b, beta_e, beta_i) triples over a chunk of 2
+    # clusters: the exchange steps one front per triple, not per point, and
+    # each point's table or error equals that point decoded alone. beta_o =
+    # 300 underflows every combined belief here and ends only its own point;
+    # beta_e = 300 vanishes a gamma of the second triple at a later read, so
+    # its other points end there, while its beta_o = 300 point keeps its
+    # first error
+    clusters, offsets = [], []
+    for seed in (93, 94):
+        enc, _, z, traces = _cluster(seed, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
+        clusters.append(traces)
+        offsets.append(z)
+    for triples in (((1, 0.5, 0.1), (0, 1.0, 0)), ((1, 0.5, 0.1), (0, 300.0, 0))):
+        points = [BetaParams(*t, o) for o in (0.5, 300.0, 1.0) for t in triples]
+        stepped = []
+
+        def step_forward(self, t, arr, _step=Trellis.step_forward):
+            stepped.append(arr.shape[1])
+            return _step(self, t, arr)
+
+        with mock.patch.object(Trellis, "step_forward", step_forward):
+            got = run_trellis_bma(enc, clusters, PAPER, points, delta=8, offsets=offsets)
+        # the init steps one front per row, the exchange one per triple
+        assert max(stepped) == 2
+        errors = set()
+        for c, outs in enumerate(got):
+            for bp, out in zip(points, outs):
+                [[one]] = run_trellis_bma(enc, [clusters[c]], PAPER, [bp], delta=8,
+                                          offsets=[offsets[c]])
+                assert type(out) is type(one)
+                if isinstance(one, InfeasibleTrellisError):
+                    assert str(out) == str(one)
+                    errors.add((bp.beta_e, bp.beta_o, str(one)))
+                else:
+                    assert np.array_equal(out.probs, one.probs)
+        assert {(t[1], 300.0, "combined belief has no mass") for t in triples} <= errors
+        if triples[1][1] == 300.0:
+            assert {(300.0, o, "gamma update vanished for one trellis")
+                    for o in (0.5, 1.0)} <= errors
 
 
 def test_empty_trace_set_rejected():
