@@ -358,10 +358,9 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     entries), each cluster's beliefs combined over its own kept rows, and
     each entry's posterior read with its beta_o. Returns, per cluster, a
     list with per entry its PosteriorTable (hard estimates are its row
-    argmaxes) or the
-    InfeasibleTrellisError that ended its decode, equal to that cluster and
-    entry decoded alone; or, for a cluster whose every trace was
-    infeasible, that error. Infeasible traces are dropped with a warning
+    argmaxes) or the InfeasibleTrellisError that ended its decode, equal to
+    that cluster and entry decoded alone; or, for a cluster whose every
+    trace was infeasible, that error. Infeasible traces are dropped with a warning
     naming each one. An empty cluster is a ConfigError.
     """
     if (not isinstance(clusters, (list, tuple)) or not clusters
@@ -388,8 +387,9 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     # while no two points share a triple, point p is triple p: no gather
     chunk = _Chunk(sizes, kept, len(index),
                    None if len(index) == len(betas) else np.array(triple_of))
-    rows = _exchange(encoder, lat, fwd, bwd, np.array(list(index)).T,
-                     np.array([bp.beta_o for bp in betas]), chunk, kept) if kept else None
+    rows = _exchange(encoder, lat, fwd, bwd, np.array(list(index), dtype=float).T,
+                     np.array([bp.beta_o for bp in betas], dtype=float), chunk,
+                     kept) if kept else None
     alive = {owner[k] for k in kept}
     return [[chunk.errors.get((p, c)) or PosteriorTable.from_rows(rows[p, c])
              for p in range(len(betas))] if c in alive
