@@ -128,17 +128,18 @@ def trellis_edges(encoder, traces, params, prior, offset=None, delta=None, unrea
     Walks the stage rules over explicit state tuples with plain dict/set
     bookkeeping, from the origin and, with `unreached`, from every boundary
     state inside the windows, so that states no path from the origin
-    reaches are there too (with forward value 0). `offset` is added to the emitted codeword symbols, as the
-    scrambling does. A drift bound `delta` keeps only states whose every
-    trace pointer lies in its window: after n codeword symbols, trace k's
-    pointer is within floor(n*R_k/N + 0.5) +- delta, clipped to [0, R_k]. A
-    boundary or input layer of cycle l counts the symbols of the cycles
-    before it; the ids and post layers of the cycle's symbol c count that
-    symbol too, since it is explained in every trace at once. Returns (the
-    states reached, ordered so that every edge leads to a later one;
-    {state: [(successor, weight)]}; the origin; the absorbing states). An
-    input state is ("i", l, (q, m), pointers, m, x) and a post
-    state ("p", l, c, (q, m), pointers, m, x): message symbol m is s[-2].
+    reaches are there too (with forward value 0). `offset` is added to the
+    emitted codeword symbols, as the scrambling does. A drift bound `delta`
+    keeps only states whose every trace pointer lies in its window: after n
+    codeword symbols, trace k's pointer is within floor(n*R_k/N + 0.5) +-
+    delta, clipped to [0, R_k]. A boundary or input layer of cycle l counts
+    the symbols of the cycles before it; the ids and post layers of the
+    cycle's symbol c count that symbol too, since it is explained in every
+    trace at once. Returns (the states reached, ordered so that every edge
+    leads to a later one; {state: [(successor, weight)]}; the origin; the
+    absorbing states). An input state is ("i", l, (q, m), pointers, m, x)
+    and a post state ("p", l, c, (q, m), pointers, m, x): message symbol m
+    is s[-2].
     """
     K = len(traces)
     R = [len(y) for y in traces]
