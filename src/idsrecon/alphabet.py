@@ -52,10 +52,7 @@ class Alphabet:
 
     def decode(self, seq):
         """Index array -> string of symbol characters."""
-        seq = np.asarray(seq)
-        if seq.size and (seq.min() < 0 or seq.max() >= self.size):
-            raise ConfigError("sequence contains indices outside the alphabet")
-        return "".join(self.symbols[int(i)] for i in seq)
+        return "".join(self.symbols[int(i)] for i in self.validate(seq))
 
     def validate(self, seq):
         seq = np.asarray(seq)

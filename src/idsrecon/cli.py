@@ -15,6 +15,7 @@ import argparse
 import logging
 import secrets
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -261,14 +262,8 @@ def cmd_estimate_channel(args):
     if not 1 <= a <= b <= len(clusters):
         raise ConfigError(f"train range {args.train_range} invalid "
                           f"for {len(clusters)} clusters")
-    pairs = []
-    for cl in clusters[a - 1:b]:
-        for tr in cl.traces:
-            pairs.append((cl.center, tr))
-            if args.max_pairs and len(pairs) >= args.max_pairs:
-                break
-        if args.max_pairs and len(pairs) >= args.max_pairs:
-            break
+    pairs = list(islice(((cl.center, tr) for cl in clusters[a - 1:b] for tr in cl.traces),
+                        args.max_pairs))
     if not pairs:
         raise ConfigError("training range holds no (center, trace) pairs")
     est = estimate_params(pairs)
@@ -301,9 +296,11 @@ def cmd_reconstruct(args):
     if post_fh:
         post_fh.write("cluster,position," +
                       ",".join(f"p_{s}" for s in DNA.symbols) + "\n")
-    # clusters without a trace stay undecoded; the others decode in chunks
+    # clusters without a trace stay undecoded; the others decode in chunks of
+    # one trace count, so they are stably sorted by it to keep runs long
     outcomes = {}
-    todo = [(i, cl.traces[:args.k]) for i, cl in enumerate(clusters) if cl.traces]
+    todo = sorted(((i, cl.traces[:args.k]) for i, cl in enumerate(clusters) if cl.traces),
+                  key=lambda item: len(item[1]))
     for chunk in evaluation.chunked(todo, [len(traces) for _, traces in todo], args.algo,
                                     encoder, args.delta, 1):
         decoded = run_algorithm(args.algo, encoder, [traces for _, traces in chunk], params,

@@ -10,9 +10,10 @@ offset inside the channel model. Per-cluster randomness is derived from
 The usable clusters are decoded in chunks (`chunked`), one task and one
 decode call each, cut by one byte budget, CHUNK_BYTES, into the longest
 runs of clusters whose decode holds at most that much (`cluster_bytes`,
-known before anything is built), at least one cluster each; a joint
-trellis chunk also ends where the trace count changes. The cut never
-depends on `jobs`, and a cluster decodes in a chunk as it would alone.
+known before anything is built), at least one cluster each, and ending
+where the trace count changes: every chunk holds one trace count. The cut
+never depends on `jobs`, and a cluster decodes in a chunk as it would
+alone.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
     infeasible for every point has that error in place of its list.
     Every algorithm decodes the chunk in one call (`run_trellis_bma`,
     `bmala_reconstruct`, `bmala_map`, or the joint trellis of the chunk, one
-    row per cluster, whose clusters must then have one trace count).
+    row per cluster); the chunk's clusters have one trace count (`chunked`).
     """
     offsets = [None] * len(clusters) if offsets is None else offsets
     if algorithm == "multiply-posteriors":
@@ -267,14 +268,13 @@ def cluster_bytes(algorithm, encoder, delta, k, triples):
 
 def chunked(items, counts, algorithm, encoder, delta, triples):
     """`items`, one per cluster of counts[i] traces, cut in order into the
-    chunks one `run_algorithm` call decodes: the longest runs whose
-    `cluster_bytes` sum to at most CHUNK_BYTES, at least one cluster each,
-    a joint-trellis run also of one trace count."""
+    chunks one `run_algorithm` call decodes: the longest runs of one trace
+    count whose `cluster_bytes` sum to at most CHUNK_BYTES, at least one
+    cluster each."""
     size = {k: cluster_bytes(algorithm, encoder, delta, k, triples) for k in set(counts)}
     chunks, used = [], 0
     for item, k in zip(items, counts):
-        if (not chunks or used + size[k] > CHUNK_BYTES
-                or algorithm == "bcjr-multitrace" and k != last):
+        if not chunks or used + size[k] > CHUNK_BYTES or k != last:
             chunks.append([])
             used = 0
         chunks[-1].append(item)

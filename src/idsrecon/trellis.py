@@ -110,7 +110,7 @@ class _Layer:
     npos: int              # codeword symbols explained: the layer has position npos's windows
     axis: int = -1         # ids: the pointer axis whose channel events it models
     shape: tuple = ()      # one row's block: (S, M, W_0 .. W_{a-1}), M = 1 at a boundary
-    rows: np.ndarray | None = None     # boundary: the (S, M) grid of the previous cycle,
+    nxt: np.ndarray | None = None      # boundary: the (S, M) grid of the previous cycle,
                                        # the state each of its cells clears into
     subcor: tuple | None = None        # ids: weight indices in two parts (`_subcor`)
 
@@ -287,13 +287,13 @@ class Trellis:
                 if c == emit.shape[1] - 1:
                     self.post_read_layer[l] = len(self.layers)
                 self._add(POST, npos, grid)
-            self._add(BOUNDARY, npos, (n_next, 1), rows=nxt)
+            self._add(BOUNDARY, npos, (n_next, 1), nxt=nxt)
 
-    def _add(self, kind, npos, grid, axis=-1, cx=None, rows=None):
+    def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None):
         """Append a layer with the (states, messages) `grid` after `npos`
         codeword symbols; an ids layer's cells have the on-deck codeword
         symbols `cx`, shaped (rows or 1,) + grid."""
-        lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], rows=rows)
+        lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], nxt=nxt)
         if kind == IDS:
             lay.subcor = self._subcor(npos, axis, cx)
         self.layers.append(lay)
@@ -364,10 +364,10 @@ class Trellis:
         next encoder state's, a product with the (next states, grid)
         indicator; backward each gathers its next state's."""
         if back:
-            return arr[:, :, b.rows, 0]
+            return arr[:, :, b.nxt, 0]
         lead = arr.shape[:2]
-        onehot = (b.rows.ravel() == np.arange(b.shape[0])[:, None]).astype(float)
-        return (onehot @ arr.reshape(lead + (b.rows.size, -1))).reshape(lead + b.shape)
+        onehot = (b.nxt.ravel() == np.arange(b.shape[0])[:, None]).astype(float)
+        return (onehot @ arr.reshape(lead + (b.nxt.size, -1))).reshape(lead + b.shape)
 
     def _insert(self, lay, arr, back):
         """An ids layer's insertion runs along its pointer axis."""

@@ -12,26 +12,27 @@ estimated this way; a mirrored sweep updating the backward values
 estimates the second half from the other end. Total cost is linear in the
 number of traces.
 
-A decode is a chunk of clusters x a stack of beta points; a single cluster
-is a chunk of one, a single decode a stack of one. The traces of every
-cluster of the chunk are the rows of one lattice, each row carrying its
-cluster's scramble offset. The exact per-trace sweeps do not depend on the
-hyperparameters beta, so they run once per chunk. beta_o only reshapes a
-belief when a posterior is read, so the exchange runs once for the whole
-chunk and the distinct (beta_b, beta_e, beta_i) triples of the stack, its
-front a (rows, T, S, M, W) block: the chunk's traces x triples x encoder
-states x message symbols x window; each point's posterior is read from its
-triple's combined belief. Each cluster's beliefs are combined, and each
-trace's gamma taken, over that cluster's own rows only (`_Chunk`), so a
+A decode is a chunk of C clusters of K traces each x a stack of beta
+points; a single cluster is a chunk of one, a single decode a stack of one.
+The chunk's traces are the C*K rows of one lattice, row r being trace
+r % K of cluster r // K and carrying its cluster's scramble offset. The
+exact per-trace sweeps do not depend on the hyperparameters beta, so they
+run once per chunk. beta_o only reshapes a belief when a posterior is
+read, so the exchange runs once for the whole chunk and the distinct
+(beta_b, beta_e, beta_i) triples of the stack, its front a (rows, T, S, M,
+W) block: the chunk's traces x triples x encoder states x message symbols
+x window; each point's posterior is read from its triple's combined
+belief. Each cluster's beliefs are combined, and each trace's gamma taken,
+over that cluster's own rows only (`_Chunk`, a (T, C, K) grid), so a
 cluster decodes as it would alone, and each point as it would alone.
 
 Rows are independent, so nothing that dies is taken out of the lattice. A
 trace whose own trellis has no path is a dead row: an empty slot of its
-cluster, as a missing trace is. A (cluster, triple) exchange whose front,
-belief or gamma vanishes ends every point of that triple with that error,
-and a point whose own posterior vanishes ends alone, while the rest decode
-on; the sweeps stop once every decode has ended. So one lattice is built,
-and one init and one exchange run, per chunk, whatever dies.
+cluster. A (cluster, triple) exchange whose front, belief or gamma
+vanishes ends every point of that triple with that error, and a point
+whose own posterior vanishes ends alone, while the rest decode on; the
+sweeps stop once every decode has ended. So one lattice is built, and one
+init and one exchange run, per chunk, whatever dies.
 """
 
 from __future__ import annotations
@@ -101,13 +102,12 @@ def _pow_rows(arr, b, shared=False):
     return out
 
 
-def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=None,
-                                sizes=None):
+def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=None, k=None):
     """Run both exact sweeps of every trace's one-trace trellis, the traces
     being the rows of one lattice (`build_trellis`). `traces` holds a chunk
-    of clusters' traces, cluster by cluster, `sizes` how many each cluster
-    has (None: one cluster), and `offsets` one scrambling vector per trace
-    (None: no scrambling).
+    of clusters' traces, cluster by cluster, `k` of each (None: one
+    cluster), and `offsets` one scrambling vector per trace (None: no
+    scrambling).
 
     The exchange reads, as its stale side, the forward sweep at the input
     layers of the second half of the message and the backward sweep at the
@@ -121,8 +121,7 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
     (lattice, forward sweep, backward sweep, indices of the kept traces).
     """
     half = encoder.L // 2
-    sizes = [len(traces)] if sizes is None else sizes
-    in_cluster = [j for n in sizes for j in range(n)]
+    k = k or len(traces)
     lat = build_trellis(encoder, [[y] for y in traces], params, delta=delta, offsets=offsets)
     fs = lat.forward(keep=[t - 1 for t in lat.input_read_layer[half:]])
     lost = [lat.vanished(False, t) for t in fs.died.tolist()]
@@ -130,52 +129,37 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
     if not all(lost):
         bs = lat.backward(keep=[t + 1 for t in lat.post_read_layer[:half]])
         lost = [e or lat.vanished(True, t) for e, t in zip(lost, bs.died.tolist())]
-    for k, e in enumerate(lost):
+    for r, e in enumerate(lost):
         if e:
-            logger.warning("dropping trace %d: %s", in_cluster[k], e)
-    return lat, fs, bs, [k for k, e in enumerate(lost) if not e]
+            logger.warning("dropping trace %d: %s", r % k, e)
+    return lat, fs, bs, [r for r, e in enumerate(lost) if not e]
 
 
 class _Chunk:
-    """Where the lattice's rows sit among a chunk's clusters, and which
-    decodes still run. Row r is the j-th trace of the c-th cluster, at slot
-    (c, j) of a (C, K) grid, K being the most traces any cluster has. The
-    exchange stacks T (beta_b, beta_e, beta_i) triples; beta point p reads
-    triple `triple_of[p]` (None: there are T points, point p reading triple
-    p). The (P, C) mask `alive` marks the running (point, cluster) decodes,
-    and the (T, C, K) mask `real` the slots that hold a kept trace of a
-    cluster with a running point of that triple (`full` if all do). `pad`
-    lays a (T, rows, ...) stack out on that grid with `fill` in the other
-    slots, so a product over a cluster's slots multiplies its kept traces in
-    order; `unpad` reads every row back; both are reshapes while `full`.
-    `errors` holds each ended (point, cluster) decode's first error, and
-    `over` is set once every decode has ended."""
+    """Where the lattice's rows sit among a chunk's C clusters of K traces,
+    and which decodes still run. Row r is trace r % K of cluster r // K, at
+    slot (r // K, r % K) of a (C, K) grid. The exchange stacks T (beta_b,
+    beta_e, beta_i) triples; beta point p reads triple `triple_of[p]`. The
+    (P, C) mask `alive` marks the running (point, cluster) decodes, and the
+    (T, C, K) mask `real` the slots that hold a kept trace of a cluster
+    with a running point of that triple. `pad` lays a (T, rows, ...) stack
+    out on that grid with `fill` in the other slots, so a product over a
+    cluster's slots multiplies its kept traces in order. `errors` holds
+    each ended (point, cluster) decode's first error, and `over` is set
+    once every decode has ended."""
 
-    def __init__(self, sizes, kept, triples, triple_of=None):
-        self.C, self.K = len(sizes), max(sizes)
-        self.slot = np.concatenate([c * self.K + np.arange(n) for c, n in enumerate(sizes)])
-        real = np.zeros(self.C * self.K, bool)
-        real[self.slot[kept]] = True
-        real = real.reshape(self.C, self.K)
+    def __init__(self, C, K, kept, triple_of):
+        real = np.zeros(C * K, bool)
+        real[kept] = True
+        real = real.reshape(C, K)
         self.triple_of = triple_of
-        self.real = np.broadcast_to(real, (triples, self.C, self.K))
-        self.alive = np.broadcast_to(real.any(axis=1), (
-            triples if triple_of is None else len(triple_of), self.C))
-        self.full, self.over, self.errors = real.all(), False, {}
+        self.real = np.broadcast_to(real, (triple_of.max() + 1, C, K))
+        self.alive = np.broadcast_to(real.any(axis=1), (len(triple_of), C))
+        self.over, self.errors = False, {}
 
     def pad(self, arr, fill=1.0):
-        shape = (arr.shape[0], self.C, self.K) + arr.shape[2:]
-        if self.full:
-            return arr.reshape(shape)
-        out = np.empty((arr.shape[0], self.C * self.K) + arr.shape[2:], dtype=arr.dtype)
-        out[:, self.slot] = arr
-        out = out.reshape(shape)
-        out[~self.real] = fill
-        return out
-
-    def unpad(self, arr):
-        flat = arr.reshape((arr.shape[0], self.C * self.K) + arr.shape[3:])
-        return flat if self.full else flat[:, self.slot]
+        arr = arr.reshape(self.real.shape + arr.shape[2:])
+        return np.where(self.real[(...,) + (None,) * (arr.ndim - 3)], arr, fill)
 
     def end(self, lost, message):
         """End, with InfeasibleTrellisError(message), every running point of
@@ -183,9 +167,7 @@ class _Chunk:
         (broadcast to (T, C, K)); returns whether any ended."""
         if not lost.any():
             return False
-        lost = (self.real & lost).any(axis=2)
-        return self.end_points(lost if self.triple_of is None else lost[self.triple_of],
-                               message)
+        return self.end_points((self.real & lost).any(axis=2)[self.triple_of], message)
 
     def end_points(self, lost, message):
         """End each running (point, cluster) decode marked in the (P, C)
@@ -196,12 +178,11 @@ class _Chunk:
             return False
         error = InfeasibleTrellisError(message)
         self.errors.update(dict.fromkeys(map(tuple, np.argwhere(lost).tolist()), error))
-        self.alive = running = self.alive & ~lost
-        if self.triple_of is not None:
-            running = np.zeros(self.real.shape[:2], bool)
-            np.logical_or.at(running, self.triple_of, self.alive)
+        self.alive = self.alive & ~lost
+        running = np.zeros(self.real.shape[:2], bool)
+        np.logical_or.at(running, self.triple_of, self.alive)
         self.real = self.real & running[..., None]
-        self.full, self.over = False, not self.alive.any()
+        self.over = not self.alive.any()
         return True
 
 
@@ -227,15 +208,15 @@ def combine_beliefs(front, stale, beta_b, chunk):
     return rows, np.multiply.reduce(rows, axis=2)
 
 
-def gamma_updates(rows, beta_e, beta_i, chunk=None):
+def gamma_updates(rows, beta_e, beta_i, chunk):
     """The unnormalised update gamma for each stack row and trellis, shaped
     as the (T, C, K, M) beliefs `rows` of C clusters of K slots: a
     trellis's own belief to the beta_i power times the belief of every
     other trace of its cluster to the beta_e power, multiplied in trace
-    order. Each belief is raised to each power once. `chunk` (None: every
-    slot is real) says which slots are real; the others hold beliefs of
-    1.0, a factor of 1, and their gammas are not read. A decode with a real
-    gamma of no mass ends."""
+    order. Each belief is raised to each power once. `chunk` says which
+    slots are real; the others hold beliefs of 1.0, a factor of 1, and
+    their gammas are not read. A decode with a real gamma of no mass
+    ends."""
     n = rows.shape[2]
     # factor j + 1 is trace j's belief to beta_e, and 1 for trellis j itself
     factors = np.empty((n + 1,) + rows.shape)
@@ -244,11 +225,8 @@ def gamma_updates(rows, beta_e, beta_i, chunk=None):
     factors[1 + np.arange(n), :, :, np.arange(n)] = 1.0
     g = np.multiply.reduce(factors, axis=0)
     m = g.max(axis=3, keepdims=True)
-    if chunk is not None:
-        if not chunk.full:
-            m[~chunk.real] = 1.0
-        if chunk.end(m[..., 0] <= 0.0, "gamma update vanished for one trellis"):
-            m[~chunk.real] = 1.0
+    chunk.end(m[..., 0] <= 0.0, "gamma update vanished for one trellis")
+    m[~chunk.real] = 1.0
     return g / m
 
 
@@ -258,17 +236,14 @@ def update_forward(front, gamma):
     (..., S, M, W) takes gammas (..., M): a stacked front (rows, T, S, M, W)
     one row per trace and beta triple. Scaling gamma by any positive
     constant leaves later estimates unchanged."""
-    g = np.asarray(gamma, dtype=float)
-    return front * g[..., None, :, None]
+    return front * gamma[..., None, :, None]
 
 
 def _posterior_row(combined, beta_o, chunk):
     """Each point's (P, C, M) posterior row, its triple's (T, C, M)
     combined belief to its `beta_o`, normalised; a point whose row has no
     mass ends alone."""
-    if chunk.triple_of is not None:
-        combined = combined[chunk.triple_of]
-    row = _pow_rows(combined, beta_o)
+    row = _pow_rows(combined[chunk.triple_of], beta_o)
     tot = row.sum(axis=-1, keepdims=True)
     lost = tot <= 0.0
     if lost.any():
@@ -312,8 +287,8 @@ def _exchange_sweep(lat, back, chunk, triples, beta_o, width, layers, reads, sta
         rows, combined = combine_beliefs(front[..., :w], old, beta_b, chunk)
         rows_out[:, :, reads[t]] = _posterior_row(combined, beta_o, chunk)
         if beta_e.any() or beta_i.any():
-            gammas = gamma_updates(rows, beta_e, beta_i, chunk)
-            front = update_forward(front, chunk.unpad(gammas).swapaxes(0, 1))
+            g = gamma_updates(rows, beta_e, beta_i, chunk)
+            front = update_forward(front, g.reshape(len(beta_b), len(front), -1).swapaxes(0, 1))
 
 
 def _exchange(encoder, lat, fwd, bwd, triples, beta_o, chunk, kept):
@@ -331,7 +306,7 @@ def _exchange(encoder, lat, fwd, bwd, triples, beta_o, chunk, kept):
     # widen the axis, and a belief summing its zero cells would round
     # otherwise than the kept rows' own lattice
     width = (lat.hi - lat.lo)[:, kept].max(axis=(1, 2)) + 1
-    rows_out = np.empty((len(beta_o), chunk.C, L, encoder.msg_size))
+    rows_out = np.empty(chunk.alive.shape + (L, encoder.msg_size))
     # a forward-updating sweep estimates the first half at its post layers
     first = {lat.post_read_layer[l]: l for l in range(half)}
     _exchange_sweep(lat, False, chunk, triples, beta_o, width,
@@ -347,10 +322,10 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     """Approximate message posteriors of a chunk of clusters at per-trace
     trellis cost, one decode per cluster and entry of `betas`, a nonempty
     list or tuple of BetaParams. `clusters` is a nonempty sequence of trace
-    lists (a single cluster being a list of one), `offsets` None or one
-    scrambling vector (or None) per cluster.
+    lists of one length K (a single cluster being a list of one), `offsets`
+    None or one scrambling vector (or None) per cluster.
 
-    A decode is a chunk of clusters x a beta stack. Every trace of every
+    A decode is a chunk of C clusters x a beta stack. Every trace of every
     cluster is a row of one lattice (`trellis.build_trellis`), each row
     carrying its cluster's offset, and is swept once by the exact engine;
     one exchange then decodes every (cluster, entry) at once, its front
@@ -360,8 +335,9 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     list with per entry its PosteriorTable (hard estimates are its row
     argmaxes) or the InfeasibleTrellisError that ended its decode, equal to
     that cluster and entry decoded alone; or, for a cluster whose every
-    trace was infeasible, that error. Infeasible traces are dropped with a warning
-    naming each one. An empty cluster is a ConfigError.
+    trace was infeasible, that error. Infeasible traces are dropped with a
+    warning naming each one. An empty cluster, or clusters of different
+    trace counts, are a ConfigError.
     """
     if (not isinstance(clusters, (list, tuple)) or not clusters
             or not all(isinstance(c, (list, tuple)) for c in clusters)):
@@ -369,6 +345,10 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
                           "cluster being a list of one")
     if not all(clusters):
         raise ConfigError("Trellis BMA needs at least one trace")
+    counts = sorted({len(c) for c in clusters})
+    if len(counts) > 1:
+        raise ConfigError(f"every cluster of a Trellis BMA chunk needs the same number of "
+                          f"traces: got {counts}")
     if (not isinstance(betas, (list, tuple)) or not betas
             or not all(isinstance(b, BetaParams) for b in betas)):
         raise ConfigError(f"betas must be a nonempty list or tuple of BetaParams, a single "
@@ -377,24 +357,21 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     if len(offsets) != len(clusters):
         raise ConfigError(f"need one offset per cluster: got {len(offsets)} "
                           f"for {len(clusters)} clusters")
-    traces = [y for c in clusters for y in c]
-    owner = [c for c, ys in enumerate(clusters) for _ in ys]
-    sizes = [len(c) for c in clusters]
+    C, K = len(clusters), counts[0]
     lat, fwd, bwd, kept = init_single_trace_trellises(
-        encoder, traces, params, delta=delta, offsets=[offsets[c] for c in owner], sizes=sizes)
+        encoder, [y for c in clusters for y in c], params, delta=delta,
+        offsets=[z for z in offsets for _ in range(K)], k=K)
     index = {}
-    triple_of = [index.setdefault(bp.as_tuple()[:3], len(index)) for bp in betas]
-    # while no two points share a triple, point p is triple p: no gather
-    chunk = _Chunk(sizes, kept, len(index),
-                   None if len(index) == len(betas) else np.array(triple_of))
+    triple_of = np.array([index.setdefault(bp.as_tuple()[:3], len(index)) for bp in betas])
+    chunk = _Chunk(C, K, kept, triple_of)
     rows = _exchange(encoder, lat, fwd, bwd, np.array(list(index), dtype=float).T,
                      np.array([bp.beta_o for bp in betas], dtype=float), chunk,
                      kept) if kept else None
-    alive = {owner[k] for k in kept}
+    alive = {r // K for r in kept}
     return [[chunk.errors.get((p, c)) or PosteriorTable.from_rows(rows[p, c])
              for p in range(len(betas))] if c in alive
             else InfeasibleTrellisError("every trace was infeasible under the drift bound")
-            for c in range(len(clusters))]
+            for c in range(C)]
 
 
 # Tuned sweep defaults, keyed by (data kind, target metric, code tag, trace

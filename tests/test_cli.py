@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idsrecon import (DNA, IDSParams, build_trellis, cli, compute_posteriors, evaluation,
-                      load_dataset, parse_encoder_spec, write_dataset)
+from idsrecon import (DNA, IDSParams, cli, default_betas, evaluation, load_dataset,
+                      parse_encoder_spec, write_dataset)
 from idsrecon.cli import main
 
 
@@ -103,19 +103,24 @@ def test_reconstruct_refuses_large_multitrace(tmp_path, capsys):
     assert rows and all(row.split(",")[2] == "1" for row in rows)
 
 
-def test_reconstruct_joint_trellis_over_clusters_of_2_and_3_traces(tmp_path, monkeypatch):
+@pytest.mark.parametrize("algo", ["bcjr-multitrace", "trellis-bma", "bmala-map"])
+def test_reconstruct_joint_trellis_over_clusters_of_2_and_3_traces(tmp_path, monkeypatch,
+                                                                   algo):
     # reconstruct decodes a cluster's first K traces, fewer where it has
-    # fewer: the joint trellis's chunks end where the trace count changes,
-    # and each cluster's estimate and posteriors are its own trellis's
+    # fewer: every chunk holds one trace count, so the clusters are stably
+    # sorted by it before `chunked` cuts them, and each cluster's estimate
+    # and posteriors, written in cluster order, are its own decode's
     out = _simulate(tmp_path, n=8, traces=3, length=16)
     clusters = load_dataset(out / "centers.txt", out / "clusters.txt")
     for c in (2, 5):
         clusters[c].traces = clusters[c].traces[:2]
     write_dataset(clusters, out / "centers.txt", out / "clusters.txt")
     enc = parse_encoder_spec("identity:16")
-    counts = [len(cl.traces) for cl in clusters]
-    cut = evaluation.chunked(list(range(8)), counts, "bcjr-multitrace", enc, 6, 1)
-    assert cut == [[0, 1], [2], [3, 4], [5], [6, 7]]
+    order = [2, 5, 0, 1, 3, 4, 6, 7]
+    counts = [len(clusters[c].traces) for c in order]
+    cut = evaluation.chunked(order, counts, algo, enc, 6, 1)
+    assert [c for chunk in cut for c in chunk] == order and len(cut) >= 2
+    assert all(len({len(clusters[c].traces) for c in chunk}) == 1 for chunk in cut)
     calls = []
     decode = evaluation.run_algorithm
     monkeypatch.setattr(cli, "run_algorithm",
@@ -123,18 +128,20 @@ def test_reconstruct_joint_trellis_over_clusters_of_2_and_3_traces(tmp_path, mon
     res = tmp_path / "res"
     rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
                "--clusters", str(out / "clusters.txt"), "--code", "identity:16",
-               "--algo", "bcjr-multitrace", "--k", "3", "--delta", "6",
+               "--algo", algo, "--k", "3", "--delta", "6",
                "-o", str(res), "--dump-posteriors"])
     assert rc == 0
-    assert calls == [2, 1, 2, 1, 2]
+    assert calls == [len(chunk) for chunk in cut]
     ests = (res / "estimates.txt").read_text().splitlines()
     rows = (res / "posteriors.csv").read_text().splitlines()[1:]
+    assert rows == sorted(rows, key=lambda row: int(row.split(",")[0]))
     params = IDSParams.from_error_rates(0.017, 0.02, 0.022)
+    betas = [default_betas("real", "hamming", enc, 3)] if algo == "trellis-bma" else None
     for c, cl in enumerate(clusters):
-        [own] = compute_posteriors(build_trellis(enc, [cl.traces], params, delta=6))
-        assert ests[c] == DNA.decode(own.hard)
+        [[(post, hard)]] = decode(algo, enc, [cl.traces], params, delta=6, betas=betas)
+        assert ests[c] == DNA.decode(hard)
         mine = [list(map(float, row.split(",")[2:])) for row in rows if row.startswith(f"{c},")]
-        assert np.allclose(mine, own.probs, rtol=1e-7, atol=0)
+        assert np.allclose(mine, post.probs, rtol=1e-7, atol=0)
 
 
 def test_reconstruct_default_betas_are_the_tuned_ones(tmp_path):

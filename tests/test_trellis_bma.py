@@ -114,7 +114,8 @@ def test_readers_sum_states_and_window_of_each_message():
     stale[1, 2, 0, 3] = 0.0  # 0**0 = 1 for the row with beta_b = 0
     front[2, 1, :, 3] = 0.0  # one belief entry is zero
     beta_b = np.array([0.0, 0.5, 1.0])
-    rows, combined = combine_beliefs(front, stale, beta_b, _Chunk([K], list(range(K)), P))
+    rows, combined = combine_beliefs(front, stale, beta_b,
+                                     _Chunk(1, K, list(range(K)), np.arange(P)))
     # one cluster: its K traces fill the one row of the (P, 1, K, M) layout
     assert rows.shape == (P, 1, K, M) and combined.shape == (P, 1, M)
     rows, combined = rows[:, 0], combined[:, 0]
@@ -242,7 +243,8 @@ def test_gamma_updates_equal_nested_powers():
         rows[:, :, 2] += 0.1  # one symbol keeps mass in every belief
         beta_e = rng.choice([0.0, 0.02, 0.5, 1.0, 5.0], size=7)
         beta_i = rng.choice([0.0, 0.1, 0.5], size=7)
-        got = gamma_updates(rows[:, None], beta_e, beta_i)[:, 0]  # one cluster of k
+        one = _Chunk(1, k, list(range(k)), np.arange(7))  # one cluster of k
+        got = gamma_updates(rows[:, None], beta_e, beta_i, one)[:, 0]
         for p in range(7):
             for i in range(k):
                 g = pow0(rows[p, i], beta_i[p])
@@ -290,7 +292,7 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
         for k in range(3):
             if (k, p) != (1, 1):
                 assert np.array_equal(out[k, p], one[k, 0]) and s[k, p] == s_one[k, 0]
-    chunk = _Chunk([3], [0, 1, 2], 3)
+    chunk = _Chunk(1, 3, [0, 1, 2], np.arange(3))
     assert chunk.end(chunk.pad(dead.T, fill=False), lat.vanished(False, t))
     assert list(chunk.errors) == [(1, 0)] and not chunk.over
     assert str(chunk.errors[1, 0]).startswith(f"forward mass vanished at layer {t} ")
@@ -362,6 +364,10 @@ def test_empty_trace_set_rejected():
     enc = identity_encoder(10, DNA)
     with pytest.raises(ConfigError, match="at least one trace"):
         run_trellis_bma(enc, [[]], PAPER, [BetaParams(1, 0, 0, 1)])
+    # a chunk is a clusters x traces grid: clusters of different counts are refused
+    _, _, _, traces = _cluster(5, n=10, k=3)
+    with pytest.raises(ConfigError, match=re.escape("same number of traces: got [2, 3]")):
+        run_trellis_bma(enc, [traces, traces[:2]], PAPER, [BetaParams(1, 0, 0, 1)])
 
 
 def test_tuned_default_tables():
