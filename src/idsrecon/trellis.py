@@ -85,6 +85,22 @@ vanishes is dead: it stays in the stack as zeros with scale 1, and the step
 marks it, so its neighbours step on untouched. A sweep records, per row,
 where its front died and stops once every row is dead; the error text of a
 dead row is formed from that record (`Trellis.vanished`).
+
+Rescaling. A step divides each front by its maximum, and checks it for
+death, only into the layers that are read or end a cycle: boundary layers,
+input layers and each cycle's last post layer (`post_read_layer`), the
+only layers any reader reads. A step into an ids layer or an inner post
+layer divides by nothing, its maximum counting as 1, so scales,
+log-likelihoods and kept blocks mean what they would if every layer were
+rescaled. A front whose mass vanishes in a layer that is not rescaled
+stays zero and is marked dead at the next rescaled layer, which is where
+its death is recorded. Headroom: between two rescaled layers a front
+passes u x axes ids layers (u the cycle's codeword symbols). The
+transfers keep a cell's pointer with weight 1 (advance, insertion runs)
+or p_del (deletion, out of each ids layer), so a cell the windows keep
+falls by at most a factor p_del per ids layer: p_del**(u x axes) over a
+cycle, 1e-12 at p_del = 0.01 for u = 2 and 3 axes, far inside the 1e-308
+of a double.
 """
 
 from __future__ import annotations
@@ -112,6 +128,8 @@ class _Layer:
     shape: tuple = ()      # one row's block: (S, M, W_0 .. W_{a-1}), M = 1 at a boundary
     nxt: np.ndarray | None = None      # boundary: the (S, M) grid of the previous cycle,
                                        # the state each of its cells clears into
+    onehot: np.ndarray | None = None   # boundary: nxt as a (states, S*M) indicator
+    rescale: bool = False              # whether a step into the layer rescales (`_schedule`)
     subcor: tuple | None = None        # ids: weight indices in two parts (`_subcor`)
 
 
@@ -127,11 +145,13 @@ def _cycles(encoder):
     message cycle, the (S, M) grid of (state, message) transitions from the
     states the previous cycles reach, the codeword symbols each emits
     ((S*M, u), state-major, before scrambling), the index of each one's
-    next state among the states reached after the cycle ((S, M)), and the
-    number of those states."""
+    next state among the states reached after the cycle ((S, M)), the
+    number of those states, and the (states, S*M) indicator of those
+    indices, which the clear multiplies by: one array per distinct
+    indicator, as a multi-state code's cycles repeat a few."""
     Mz, A = encoder.msg_size, encoder.alphabet.size
     states = np.array([encoder.q_init], dtype=np.int32)
-    out = []
+    out, onehots = [], {}
     for l in range(encoder.L):
         grid = (len(states), Mz)
         cq, emit = encoder.transition(np.repeat(states, Mz),
@@ -139,9 +159,11 @@ def _cycles(encoder):
         states = np.unique(cq)
         emit, nxt = (emit.astype(_index_type(A)),
                      np.searchsorted(states, cq).reshape(grid).astype(np.int32))
-        emit.setflags(write=False)
-        nxt.setflags(write=False)
-        out.append((grid, emit, nxt, len(states)))
+        onehot = onehots.setdefault((len(states), nxt.tobytes()), (
+            nxt.ravel() == np.arange(len(states))[:, None]).astype(float))
+        for a in (emit, nxt, onehot):
+            a.setflags(write=False)
+        out.append((grid, emit, nxt, len(states), onehot))
     return tuple(out)
 
 
@@ -179,8 +201,11 @@ class SweepResult:
     for each layer t the sweep was asked to keep, and None for every other
     layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
     `died` (rows,) records where each row died: -1 if it lives, else the
-    layer where its mass vanished, or len(layers) if none reached its end
-    cells; a dead row is zero from there on, with loglik -inf.
+    first rescaled layer (boundary, input or a cycle's last post layer)
+    reached after its mass vanished, or len(layers) if none reached its end
+    cells; a dead row is zero from the layer where it vanished on, with
+    loglik -inf. A layer that is not rescaled has scale equal to its
+    predecessor's in sweep order.
     """
     layers: list
     scales: np.ndarray
@@ -270,13 +295,14 @@ class Trellis:
 
     def _schedule(self):
         """The encoder's cycle schedule (`_cycles`) with each row's
-        scramble offset; `_add` gives each layer its geometry."""
+        scramble offset; `_add` gives each layer its geometry. The boundary,
+        input and last post layers are rescaled, and no other."""
         npos = 0
-        self._add(BOUNDARY, npos, (1, 1))
-        for l, (grid, emit, nxt, n_next) in enumerate(_cycles(self.encoder)):
+        self._add(BOUNDARY, npos, (1, 1), rescale=True)
+        for l, (grid, emit, nxt, n_next, onehot) in enumerate(_cycles(self.encoder)):
             self.input_read_layer[l] = len(self.layers)
             # `npos` is still the boundary's: windows change only across an advance
-            self._add(INPUT, npos, grid)
+            self._add(INPUT, npos, grid, rescale=True)
             for c in range(emit.shape[1]):
                 npos += 1
                 # the on-deck codeword symbol, as transmitted, by (row, state, message)
@@ -284,16 +310,18 @@ class Trellis:
                     (emit[:, c] + self.offsets[:, npos - 1, None]) % self.A)
                 for k in range(self.axes):
                     self._add(IDS, npos, grid, axis=k, cx=cx.reshape((-1,) + grid))
-                if c == emit.shape[1] - 1:
+                last = c == emit.shape[1] - 1
+                if last:
                     self.post_read_layer[l] = len(self.layers)
-                self._add(POST, npos, grid)
-            self._add(BOUNDARY, npos, (n_next, 1), nxt=nxt)
+                self._add(POST, npos, grid, rescale=last)
+            self._add(BOUNDARY, npos, (n_next, 1), nxt=nxt, onehot=onehot, rescale=True)
 
-    def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None):
+    def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None, onehot=None, rescale=False):
         """Append a layer with the (states, messages) `grid` after `npos`
         codeword symbols; an ids layer's cells have the on-deck codeword
         symbols `cx`, shaped (rows or 1,) + grid."""
-        lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], nxt=nxt)
+        lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], nxt=nxt,
+                     onehot=onehot, rescale=rescale)
         if kind == IDS:
             lay.subcor = self._subcor(npos, axis, cx)
         self.layers.append(lay)
@@ -366,8 +394,7 @@ class Trellis:
         if back:
             return arr[:, :, b.nxt, 0]
         lead = arr.shape[:2]
-        onehot = (b.nxt.ravel() == np.arange(b.shape[0])[:, None]).astype(float)
-        return (onehot @ arr.reshape(lead + (b.nxt.size, -1))).reshape(lead + b.shape)
+        return (b.onehot @ arr.reshape(lead + (b.nxt.size, -1))).reshape(lead + b.shape)
 
     def _insert(self, lay, arr, back):
         """An ids layer's insertion runs along its pointer axis."""
@@ -420,7 +447,11 @@ class Trellis:
         """(each front of the stack `arr` over its own max, divided in
         place, the maxima shaped to broadcast over the stack, the (rows, P)
         mask of the dead fronts or None if none is). A dead front, whose max
-        is not positive and finite, comes back zero with scale 1."""
+        is not positive and finite, comes back zero with scale 1. Into a
+        layer that is not rescaled `arr` comes back as it is, with no maxima
+        and no mask (module docstring)."""
+        if not self.layers[t].rescale:
+            return arr, None, None
         cells = len(self.layers[t].shape)
         s = np.maximum.reduce(arr, axis=tuple(range(-cells, 0)), keepdims=True)
         m = s.ravel().tolist()
@@ -435,7 +466,8 @@ class Trellis:
 
     def step_forward(self, t, arr):
         """Advance a stack of forward fronts from layer t-1 into layer t.
-        Returns (rescaled stack, maxima divided out, dead fronts or None)."""
+        Returns (rescaled stack, maxima divided out, dead fronts or None),
+        or (stack, None, None) into a layer that is not rescaled."""
         return self._rescale(t, self._pull(t, arr))
 
     def step_backward(self, t, arr):
@@ -443,7 +475,9 @@ class Trellis:
         return self._rescale(t, self._pull(t, arr, back=True))
 
     def vanished(self, back, t):
-        """The error text of a row that died at t (`SweepResult.died`); None if it lives."""
+        """The error text of a row that died at t (`SweepResult.died`); None
+        if it lives. t is the first rescaled layer reached after the mass
+        vanished (module docstring)."""
         way = "backward" if back else "forward"
         if t < 0:
             return None
@@ -457,9 +491,10 @@ class Trellis:
         per row, from its initial block through every layer, yielding
         (t, block, maxima, died) as it reaches layer t, `maxima` being what
         the step into t divided out of the block ((rows, 1, ...); None for
-        the initial block) and `died` the death record so far. It stops at
-        the layer where its last live row dies. A block is not written to
-        after it is yielded."""
+        the initial block and a layer that is not rescaled) and `died` the
+        death record so far, which names the first rescaled layer after a
+        row's mass vanished. It stops at the layer where its last live row
+        is recorded dead. A block is not written to after it is yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
@@ -559,7 +594,7 @@ def row_bytes(encoder, delta, axes=1):
     width = (hi - lo + 1).tolist()
     index = np.dtype(_index_type(encoder.alphabet.size)).itemsize
     out, npos = [], 0
-    for (S, M), emit, _, _ in _cycles(encoder):
+    for (S, M), emit, *_ in _cycles(encoder):
         u = emit.shape[1]
         out.append((8 * S * width[npos] ** axes, 8 * S * M * max(width[npos:npos + u + 1]) ** axes,
                     axes * S * M * index * u + LAYER_BYTES * (2 + u * (axes + 1))))

@@ -89,17 +89,26 @@ def _pow(arr, b):
     return np.power(arr, b)
 
 
-def _pow_rows(arr, b, shared=False):
-    """Row r of the stack `arr` to the power b[r], with one scalar-exponent
-    `_pow` per distinct value, so each row is bit-identical to powering it
-    alone. A `shared` arr is one block read by every row."""
-    vals = set(b.tolist())
-    if len(vals) == 1:
-        return _pow(arr, vals.pop())
-    out = np.empty((len(b),) + (arr.shape if shared else arr.shape[1:]))
-    for v in vals:
-        out[b == v] = _pow(arr if shared else arr[b == v], v)
-    return out
+class _Powers:
+    """One exponent b[r] per stack row r, grouped once by value: calling it
+    on a stack raises row r to b[r] with one scalar-exponent `_pow` per
+    distinct value, so each row is bit-identical to powering it alone. A
+    decode's exponents never change, so its exchange groups them once."""
+
+    def __init__(self, b):
+        self.rows = len(b)
+        self.zero = not b.any()
+        self.groups = [(v, np.flatnonzero(b == v)) for v in dict.fromkeys(b.tolist())]
+
+    def __call__(self, arr, shared=False):
+        """The stack `arr` to the rows' powers; a `shared` arr is one block
+        read by every row."""
+        if len(self.groups) == 1:
+            return _pow(arr, self.groups[0][0])
+        out = np.empty((self.rows,) + (arr.shape if shared else arr.shape[1:]))
+        for v, rows in self.groups:
+            out[rows] = _pow(arr if shared else arr[rows], v)
+        return out
 
 
 def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=None, k=None):
@@ -188,7 +197,8 @@ class _Chunk:
 
 def combine_beliefs(front, stale, beta_b, chunk):
     """Per-trace beliefs about the current message symbol at a read layer,
-    for each row of a stacked front (rows, T, S, M, W) and its `beta_b`.
+    for each row of a stacked front (rows, T, S, M, W) and its `beta_b` (a
+    `_Powers` of T exponents).
     `stale` is the opposite sweep's (rows, S, M, W) block of the layer, and
     `chunk` (a `_Chunk`) says which cluster each row belongs to.
 
@@ -199,7 +209,7 @@ def combine_beliefs(front, stale, beta_b, chunk):
     row of no mass ends. Returns ((T, C, K, M) beliefs laid out by
     `chunk.pad`, their product over each cluster's traces, (T, C, M)).
     """
-    powed = _pow_rows(stale, beta_b, shared=True)
+    powed = beta_b(stale, shared=True)
     rows = (front.swapaxes(0, 1) * powed).sum(axis=4).sum(axis=2)
     tot = chunk.pad(rows.sum(axis=2))
     if chunk.end(tot <= 0.0, "belief row lost all mass during the sweep"):
@@ -212,16 +222,16 @@ def gamma_updates(rows, beta_e, beta_i, chunk):
     """The unnormalised update gamma for each stack row and trellis, shaped
     as the (T, C, K, M) beliefs `rows` of C clusters of K slots: a
     trellis's own belief to the beta_i power times the belief of every
-    other trace of its cluster to the beta_e power, multiplied in trace
-    order. Each belief is raised to each power once. `chunk` says which
-    slots are real; the others hold beliefs of 1.0, a factor of 1, and
-    their gammas are not read. A decode with a real gamma of no mass
-    ends."""
+    other trace of its cluster to the beta_e power (each a `_Powers` of T
+    exponents), multiplied in trace order. Each belief is raised to each
+    power once. `chunk` says which slots are real; the others hold beliefs
+    of 1.0, a factor of 1, and their gammas are not read. A decode with a
+    real gamma of no mass ends."""
     n = rows.shape[2]
     # factor j + 1 is trace j's belief to beta_e, and 1 for trellis j itself
     factors = np.empty((n + 1,) + rows.shape)
-    factors[0] = _pow_rows(rows, beta_i)
-    factors[1:] = _pow_rows(rows, beta_e).transpose(2, 0, 1, 3)[:, :, :, None]
+    factors[0] = beta_i(rows)
+    factors[1:] = beta_e(rows).transpose(2, 0, 1, 3)[:, :, :, None]
     factors[1 + np.arange(n), :, :, np.arange(n)] = 1.0
     g = np.multiply.reduce(factors, axis=0)
     m = g.max(axis=3, keepdims=True)
@@ -241,9 +251,9 @@ def update_forward(front, gamma):
 
 def _posterior_row(combined, beta_o, chunk):
     """Each point's (P, C, M) posterior row, its triple's (T, C, M)
-    combined belief to its `beta_o`, normalised; a point whose row has no
-    mass ends alone."""
-    row = _pow_rows(combined[chunk.triple_of], beta_o)
+    combined belief to its `beta_o` (a `_Powers` of P exponents),
+    normalised; a point whose row has no mass ends alone."""
+    row = beta_o(combined[chunk.triple_of])
     tot = row.sum(axis=-1, keepdims=True)
     lost = tot <= 0.0
     if lost.any():
@@ -262,18 +272,19 @@ def _stale(lat, sweep, back, t):
 def _exchange_sweep(lat, back, chunk, triples, beta_o, width, layers, reads, stale,
                     rows_out):
     """Step the lattice's stacked front, one row per (trace, beta triple of
-    `triples`, (3, T)), from its initial block through `layers`, forward or
-    with `back` backward. At each layer of `reads` ({layer: message
-    position}) the front is combined with the stale opposite sweep, per
-    cluster of `chunk`, into that position's posterior rows, one per point
-    of `beta_o`, and each trace's row receives its gamma update from its
-    own cluster's traces, the beliefs summing each position's first `width`
-    cells. A triple whose real front dies ends its points, with the error
-    text of that step; the sweep stops once every decode has ended."""
+    `triples`, three `_Powers` of T exponents), from its initial block
+    through `layers`, forward or with `back` backward. At each layer of
+    `reads` ({layer: message position}) the front is combined with the
+    stale opposite sweep, per cluster of `chunk`, into that position's
+    posterior rows, one per point of `beta_o`, and each trace's row
+    receives its gamma update from its own cluster's traces, the beliefs
+    summing each position's first `width` cells. A triple whose real front
+    dies ends its points, with the error text of that step; the sweep stops
+    once every decode has ended."""
     beta_b, beta_e, beta_i = triples
     step = lat.step_backward if back else lat.step_forward
     b = lat.initial_backward_block() if back else lat.initial_forward_block()
-    front = np.broadcast_to(b[:, None], (len(b), len(beta_b)) + b.shape[1:])
+    front = np.broadcast_to(b[:, None], (len(b), beta_b.rows) + b.shape[1:])
     for t in layers:
         if chunk.over:
             return
@@ -286,20 +297,21 @@ def _exchange_sweep(lat, back, chunk, triples, beta_o, width, layers, reads, sta
         old = _stale(lat, stale, not back, t)[..., :w]
         rows, combined = combine_beliefs(front[..., :w], old, beta_b, chunk)
         rows_out[:, :, reads[t]] = _posterior_row(combined, beta_o, chunk)
-        if beta_e.any() or beta_i.any():
+        if not (beta_e.zero and beta_i.zero):
             g = gamma_updates(rows, beta_e, beta_i, chunk)
-            front = update_forward(front, g.reshape(len(beta_b), len(front), -1).swapaxes(0, 1))
+            front = update_forward(front, g.reshape(beta_b.rows, len(front), -1).swapaxes(0, 1))
 
 
 def _exchange(encoder, lat, fwd, bwd, triples, beta_o, chunk, kept):
     """Both exchange sweeps over the read blocks of the exact per-trace
     sweeps (`_stale`), which they only read, for every (beta_b, beta_e,
     beta_i) triple of `triples` (3, T) at once: the lattice's front has one
-    row per (trace, triple). Returns the (P, C, L, M) posterior rows of
-    each (point, cluster) decode of `chunk`, point p reading its triple
-    with beta_o[p], as that decode alone gives them; a decode that ended (a
-    real row of its triple vanished, or its own posterior row) has its
-    error in `chunk.errors` instead."""
+    row per (trace, triple), and each exponent row is grouped once
+    (`_Powers`). Returns the (P, C, L, M) posterior rows of each (point,
+    cluster) decode of `chunk`, point p reading its triple with beta_o[p],
+    as that decode alone gives them; a decode that ended (a real row of its
+    triple vanished, or its own posterior row) has its error in
+    `chunk.errors` instead."""
     L = encoder.L
     half = L // 2
     # each position's widest window among the `kept` rows: a dead row may
@@ -307,6 +319,7 @@ def _exchange(encoder, lat, fwd, bwd, triples, beta_o, chunk, kept):
     # otherwise than the kept rows' own lattice
     width = (lat.hi - lat.lo)[:, kept].max(axis=(1, 2)) + 1
     rows_out = np.empty(chunk.alive.shape + (L, encoder.msg_size))
+    triples, beta_o = [_Powers(b) for b in triples], _Powers(beta_o)
     # a forward-updating sweep estimates the first half at its post layers
     first = {lat.post_read_layer[l]: l for l in range(half)}
     _exchange_sweep(lat, False, chunk, triples, beta_o, width,

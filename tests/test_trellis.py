@@ -100,13 +100,16 @@ def test_infeasible_under_tight_delta():
     # a trace far longer than the drift bound allows
     y = np.zeros(12, dtype=np.int8)
     tr = build_trellis(enc, [[y]], params, delta=1)
-    # the sweep records the layer where the mass vanished and stops there;
-    # the posterior reader raises that record's error
+    # the mass vanishes in the ids layer 2, which is not rescaled; the sweep
+    # records the next rescaled layer, the post layer 3, and stops there; the
+    # posterior reader raises that record's error
     f = tr.forward()
-    assert f.died.tolist() == [2] and f.loglik.tolist() == [-math.inf]
-    assert f.layers[2] is not None and not f.layers[2].any() and f.layers[3] is None
-    msg = "forward mass vanished at layer 2 (ids); no path explains the traces (delta=1)"
-    assert tr.vanished(False, 2) == msg
+    assert [lay.kind for lay in tr.layers[1:4]] == ["input", "ids", "post"]
+    assert f.layers[1].any() and not f.layers[2].any()
+    assert f.died.tolist() == [3] and f.loglik.tolist() == [-math.inf]
+    assert not f.layers[3].any() and f.layers[4] is None
+    msg = "forward mass vanished at layer 3 (post); no path explains the traces (delta=1)"
+    assert tr.vanished(False, 3) == msg
     [err] = compute_posteriors(tr)
     assert isinstance(err, InfeasibleTrellisError) and str(err) == msg
 
@@ -122,6 +125,32 @@ def test_drift_bound_below_one_refused():
             build_trellis(enc, [[y]], params, delta=delta)
     [post] = compute_posteriors(build_trellis(enc, [[y]], params, delta=1))
     assert np.array_equal(post.hard, y)
+
+
+def test_steps_rescale_only_the_read_and_cycle_end_layers():
+    # both sweeps divide out a maximum exactly at the boundary, input and
+    # last post layers, a post layer being last when a boundary follows it:
+    # not at ids layers (one per axis) nor at the inner post layers of the
+    # marker-repeat and convolutional codes' 2-symbol cycles; a layer that
+    # is not rescaled keeps its predecessor's scale
+    rng = np.random.default_rng(5)
+    params = IDSParams(0.05, 0.05, 0.05, 0.85)
+    for enc, k in ((identity_encoder(6, DNA), 1), (mr_encoder(12, 2, DNA), 1),
+                   (cc_encoder(2, 5, DNA), 1), (identity_encoder(4, DNA), 3)):
+        x = enc.encode(rng.integers(4, size=enc.L))
+        traces = [np.asarray(transmit(x, params, rng, DNA)) for _ in range(k)]
+        tr = build_trellis(enc, [traces], params, delta=3)
+        kinds = [lay.kind for lay in tr.layers] + ["boundary"]
+        want = {t for t, kind in enumerate(kinds[:-1]) if kind in ("boundary", "input")
+                or kind == "post" and kinds[t + 1] == "boundary"}
+        assert len(want) == 1 + 3 * enc.L
+        assert sum(kind == "post" for kind in kinds) == enc.N
+        for back in (False, True):
+            got = {t for t, _, s, _ in tr.fronts(back) if s is not None}
+            assert got == want - {len(tr.layers) - 1 if back else 0}
+            scales = (tr.backward() if back else tr.forward()).scales[:, 0]
+            for t in set(range(len(tr.layers))) - want:
+                assert scales[t] == scales[t + 1 if back else t - 1]
 
 
 def test_keep_set_stores_only_its_layers():

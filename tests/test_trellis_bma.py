@@ -10,7 +10,7 @@ from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellis
                       default_betas, identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
 from idsrecon.trellis import Trellis
-from idsrecon.trellis_bma import TUNED_BETAS, _Chunk, code_tag, gamma_updates
+from idsrecon.trellis_bma import TUNED_BETAS, _Chunk, _Powers, code_tag, gamma_updates
 from oracle import assert_lattice_row_matches
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
@@ -114,7 +114,7 @@ def test_readers_sum_states_and_window_of_each_message():
     stale[1, 2, 0, 3] = 0.0  # 0**0 = 1 for the row with beta_b = 0
     front[2, 1, :, 3] = 0.0  # one belief entry is zero
     beta_b = np.array([0.0, 0.5, 1.0])
-    rows, combined = combine_beliefs(front, stale, beta_b,
+    rows, combined = combine_beliefs(front, stale, _Powers(beta_b),
                                      _Chunk(1, K, list(range(K)), np.arange(P)))
     # one cluster: its K traces fill the one row of the (P, 1, K, M) layout
     assert rows.shape == (P, 1, K, M) and combined.shape == (P, 1, M)
@@ -244,7 +244,7 @@ def test_gamma_updates_equal_nested_powers():
         beta_e = rng.choice([0.0, 0.02, 0.5, 1.0, 5.0], size=7)
         beta_i = rng.choice([0.0, 0.1, 0.5], size=7)
         one = _Chunk(1, k, list(range(k)), np.arange(7))  # one cluster of k
-        got = gamma_updates(rows[:, None], beta_e, beta_i, one)[:, 0]
+        got = gamma_updates(rows[:, None], _Powers(beta_e), _Powers(beta_i), one)[:, 0]
         for p in range(7):
             for i in range(k):
                 g = pow0(rows[p, i], beta_i[p])
@@ -255,13 +255,20 @@ def test_gamma_updates_equal_nested_powers():
 
 
 def test_stacked_step_marks_only_its_dead_rows():
-    # a joint trellis stack is (1 row, P fronts, S, M, W...): the dead front
-    # comes back zero with scale 1 and marked, and its neighbours as if
-    # stepped alone
+    # a joint trellis stack is (1 row, P fronts, S, M, W...): stepped into a
+    # rescaled layer, the dead front comes back zero with scale 1 and
+    # marked, and its neighbours as if stepped alone; stepped into an ids
+    # layer, nothing is rescaled and nothing marked
     enc, _, z, traces = _cluster(94, k=1, encoder=mr_encoder(16, 3, DNA), offset=True)
     tr = build_trellis(enc, [traces], PAPER, delta=8, offsets=[z])
-    t = 6
-    good = tr.forward().layers[t - 1]
+    t = 7
+    assert tr.layers[t - 1].kind == "ids" and tr.layers[t].kind == "post"
+    f = tr.forward()
+    before = f.layers[t - 2]
+    ids, s, dead = tr.step_forward(t - 1, np.stack([before, np.zeros_like(before)], axis=1))
+    assert s is None and dead is None
+    assert np.array_equal(ids[:, 0], f.layers[t - 1]) and not ids[:, 1].any()
+    good = f.layers[t - 1]
     stack = np.stack([good, np.zeros_like(good), 3.0 * good], axis=1)
     out, s, dead = tr.step_forward(t, stack)
     assert dead.tolist() == [[False, True, False]]
@@ -280,8 +287,14 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
     # ends the decode that holds it, and the other fronts step on untouched
     enc, _, z, traces = _cluster(94, k=3, encoder=mr_encoder(16, 3, DNA), offset=True)
     lat = build_trellis(enc, [[y] for y in traces], PAPER, delta=8, offsets=[z] * len(traces))
-    t = 6
-    good = lat.forward().layers[t - 1]
+    t = 7  # a post layer, rescaled; the ids layer before it is not
+    f = lat.forward()
+    before = np.stack([f.layers[t - 2]] * 2, axis=1)
+    before[1, 1] = 0.0
+    ids, s, dead = lat.step_forward(t - 1, before)
+    assert lat.layers[t - 1].kind == "ids" and s is None and dead is None
+    assert not ids[1, 1].any() and np.array_equal(ids[:, 0], f.layers[t - 1])
+    good = f.layers[t - 1]
     front = np.stack([good, 3.0 * good, 2.0 * good], axis=1)
     front[1, 1] = 0.0  # trace 1's row of beta row 1
     out, s, dead = lat.step_forward(t, front)
