@@ -67,11 +67,17 @@ insertion runs:
   n -> n+1, the only transfer across which windows change;
 * consume (ids layer of axis k -> the next layer): deletion, p_del times
   the cell, plus substitute/correct, a shift by one along pointer axis k
-  times the weight of explaining that trace symbol;
+  times the weight of explaining that trace symbol. The shift is one flat
+  add on the C-ordered block, a stride (the cells of the axes after k)
+  on; the window's edge cell has weight 0, so it adds nothing across
+  into the next run of axis k. The result is allocated before the one
+  block-sized temporary: a temporary allocated first leaves a hole that
+  the heap keeps once it is freed, which raises peak memory;
 * clear (post -> boundary): each (state, message) cell is added into its
   next encoder state's;
-* insertion runs: a (W, W) matrix on the ids layer's pointer axis
-  (`_chain`).
+* insertion runs: a (W_k, W_k) matrix on the ids layer's pointer axis k
+  (`_chain`), times the block viewed as (..., W_k, cells after k), one
+  product on the right on the last axis.
 
 Each is written once and read in both directions: the backward sweep applies
 it transposed, the repeat becoming a sum over the message axis, the clear's
@@ -278,14 +284,19 @@ class Trellis:
                               tuple(slice(d, min(a, b + d)) for d, a, b in zip(s, wa, wb)),
                               tuple(slice(0, min(a - d, b)) for d, a, b in zip(s, wa, wb))))
             self._moves.append(moves)
-        # the trace symbol each source cell (all but the last) explains, A for
-        # none: per (row, axis), the run of wmax-1 symbols from each window's lo
+        # the trace symbol each cell's substitute/correct move explains, A for
+        # none: per (row, axis), A, the run of symbols from each window's lo,
+        # A at the axis's last cell; (N+1, rows, axes, wmax+1), read at cells
+        # 1..W forward and 0..W-1 backward (`_subcor`)
         ypad = np.full((self.K, int(R.max()) + wmax), A, dtype=_index_type(A))
         for k, y in enumerate(self.traces):
             ypad[k, :len(y)] = y
         runs = np.lib.stride_tricks.sliding_window_view(ypad, wmax - 1, axis=1)
-        self._sym = runs.reshape((rows, axes) + runs.shape[1:])[
+        runs = runs.reshape((rows, axes) + runs.shape[1:])[
             np.arange(rows)[:, None], np.arange(axes), self.lo]  # (N+1, rows, axes, wmax-1)
+        self._sym = np.full(runs.shape[:-1] + (wmax + 1,), A, dtype=runs.dtype)
+        self._sym[..., 1:wmax] = runs
+        np.put_along_axis(self._sym, width[:, None, :, None], A, axis=-1)
         # substitute/correct weight by (on-deck symbol, trace symbol or A), flat
         w_sub = p.p_sub / (A - 1) if A > 1 else 0.0
         weight = np.where(np.arange(A)[:, None] == np.arange(A + 1), p.p_cor, w_sub)
@@ -329,15 +340,19 @@ class Trellis:
     def _subcor(self, npos, axis, cx):
         """Substitute/correct weights of an ids layer on `axis` after `npos`
         codeword symbols whose cells have the on-deck codeword symbols `cx`,
-        as indices into the flat weight table, for each cell of the axis
-        but the last (its successor lies outside): the pair (on-deck symbol
-        x (|A|+1) by (row, state, message), trace symbol by (row, source
-        pointer)) whose sum is the index, each shaped to broadcast over a
-        stack. The weight is zero at pointer R: no symbol left to explain."""
+        as indices into the flat weight table, one per cell of the axis:
+        (on-deck symbol x (|A|+1) by (row, state, message), then the trace
+        symbol by (row, pointer) forward and backward), the index being the
+        first plus either of the others, each shaped to broadcast over a
+        stack. Forward, cell v's is the weight of its move to v+1 and the
+        last cell's is zero, its successor lying outside; backward, the
+        weights are shifted up by one cell, the first cell's zero. The
+        weight is zero at pointer R too: no symbol left to explain."""
         w, ones = self._widths[npos][axis], (1,) * self.axes
-        sym = self._sym[npos, :, axis, :w - 1].reshape(
-            (self.rows, 1, 1, 1) + tuple(w - 1 if j == axis else 1 for j in range(self.axes)))
-        return (cx * (self.A + 1)).reshape(cx.shape[:1] + (1,) + cx.shape[1:] + ones), sym
+        shape = (self.rows, 1, 1, 1) + tuple(w if j == axis else 1 for j in range(self.axes))
+        sym = self._sym[npos, :, axis, :w + 1]
+        return ((cx * (self.A + 1)).reshape(cx.shape[:1] + (1,) + cx.shape[1:] + ones),
+                sym[:, 1:].reshape(shape), sym[:, :-1].reshape(shape))
 
     def _origin(self):
         """Index of the origin cells in a first-layer block: q_init, nothing
@@ -378,14 +393,23 @@ class Trellis:
 
     def _consume(self, a, arr, back):
         """Ids a of axis k -> the next layer, in the same windows: deletion
-        keeps the pointer, substitute/correct moves it up by one."""
-        after = (slice(None),) * (self.axes - 1 - a.axis)  # the pointer axes after k
-        src, dst = (Ellipsis, slice(None, -1)) + after, (Ellipsis, slice(1, None)) + after
+        keeps the pointer, substitute/correct moves it up by one. The
+        result is allocated first, then the C-ordered block of weighted
+        sources, each cell times the weight of its move (`_subcor`); one
+        cell up axis k is a stride of cells on in both, so the shift is one
+        flat add, and the edge cell's zero weight keeps it inside each run
+        of axis k. `arr` may be in any memory order."""
+        cx, fwd, bwd = a.subcor
+        out = np.multiply(arr, self.params.p_del, out=np.empty(arr.shape))
+        src = np.multiply(arr, self._weight.take(np.add(cx, bwd if back else fwd)),
+                          out=np.empty(arr.shape))
+        stride = math.prod(arr.shape[5 + a.axis:])  # the cells of the pointer axes after k
+        out, src = out.reshape(-1), src.reshape(-1)
         if back:
-            src, dst = dst, src
-        out = arr * self.params.p_del
-        out[dst] += arr[src] * self._weight.take(np.add(*a.subcor))
-        return out
+            out[:-stride] += src[stride:]
+        else:
+            out[stride:] += src[:-stride]
+        return out.reshape(arr.shape)
 
     def _clear(self, a, b, arr, back):
         """Post a -> boundary b: each (state, message) cell is added into its
@@ -397,14 +421,16 @@ class Trellis:
         return (b.onehot @ arr.reshape(lead + (b.nxt.size, -1))).reshape(lead + b.shape)
 
     def _insert(self, lay, arr, back):
-        """An ids layer's insertion runs along its pointer axis."""
+        """An ids layer's insertion runs along its pointer axis k: on the
+        last axis a product on the right; on any other, the matrix times
+        the (..., W_k, cells after k) view of the C-ordered block."""
         ax = lay.axis - self.axes
         chain = _chain(lay.shape[ax], self.params.p_ins / self.A)
-        if not back:
+        if back:
             chain = chain.T
-        if ax == -1:  # the swaps would be no-ops, at a cost per step
-            return arr @ chain
-        return (arr.swapaxes(ax, -1) @ chain).swapaxes(ax, -1)
+        if ax == -1:
+            return arr @ chain.T
+        return (chain @ arr.reshape(arr.shape[:ax] + (arr.shape[ax], -1))).reshape(arr.shape)
 
     # ------------------------------------------------------------------
     # inference sweeps over the layer arrays

@@ -54,9 +54,10 @@ def instances(draw):
     if offset is not None:
         x = (x + offset) % size
     # traces cut to N + 2 symbols keep the oracle small; a cut trace may be
-    # unexplainable, which the properties cover too
+    # unexplainable, which the properties cover too. Up to 3 traces: the
+    # middle of 3 pointer axes is the only one with axes on both sides
     traces = [y[:enc.N + 2] for y in transmit_batch(
-        np.asarray(x, dtype=np.int8), params, draw(st.integers(1, 2)),
+        np.asarray(x, dtype=np.int8), params, draw(st.integers(1, 3)),
         draw(st.integers(0, 2**31)), alphabet_size=size)]
     delta = draw(st.sampled_from([None, 1, 2, 3]))
     return enc, traces, params, offset, delta

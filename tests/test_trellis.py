@@ -210,3 +210,40 @@ def test_cell_count_scaling_with_traces():
         tr = build_trellis(enc, [traces], params, delta=delta)
         counts[k] = sum(math.prod(lay.shape) for lay in tr.layers)
     assert delta + 1 <= counts[2] / counts[1] <= 1.5 * (2 * delta + 1)
+
+
+def test_steps_do_not_depend_on_memory_order():
+    # a front may come in any memory order (the clear's backward gather
+    # returns one that is not C-ordered): C- and F-ordered copies of each
+    # front step into equal blocks, maxima and death masks, in both
+    # directions through every layer. The joint chunk's rows differ in
+    # length, so the narrower row's cells past its window are masked
+    rng = np.random.default_rng(11)
+    params = IDSParams(0.1, 0.1, 0.05, 0.75)
+    joint = identity_encoder(5, DNA)
+    x = joint.encode(rng.integers(4, size=joint.L))
+    rows = [[np.asarray(transmit(x, params, rng, DNA)) for _ in range(3)] for _ in range(2)]
+    rows[1][0] = rows[1][0][:3]
+    lattice = mr_encoder(12, 2, DNA)
+    x = lattice.encode(rng.integers(4, size=lattice.L))
+    cc = cc_encoder(1, 4, DNA)
+    y = cc.encode(rng.integers(4, size=cc.L))
+    cases = ((joint, rows, None),
+             (lattice, [[np.asarray(transmit(x, params, rng, DNA))] for _ in range(4)], 3),
+             (cc, [[np.asarray(transmit(y, params, rng, DNA)) for _ in range(2)]], 3))
+    for enc, trace_rows, delta in cases:
+        tr = build_trellis(enc, trace_rows, params, delta=delta)
+        if enc is joint:
+            assert any(mask is not None for mask in tr._masks)
+        n = len(tr.layers)
+        for back, order in ((False, range(1, n)), (True, range(n - 2, -1, -1))):
+            step = tr.step_backward if back else tr.step_forward
+            arr = np.expand_dims(
+                tr.initial_backward_block() if back else tr.initial_forward_block(), 1)
+            for t in order:
+                c_out = step(t, np.ascontiguousarray(arr))
+                f_out = step(t, np.asfortranarray(arr))
+                for c, f in zip(c_out, f_out):
+                    assert (c is None) == (f is None) and (c is None or np.array_equal(c, f))
+                arr = c_out[0]
+            assert arr.any()
