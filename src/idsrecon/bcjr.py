@@ -21,17 +21,17 @@ posteriors against exhaustive enumeration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleTrellisError
+from .trellis import STEP_BLOCKS
 
 ROW_TOL = 1e-9
 
 MIB = float(1 << 20)
-STORED_BUDGET_BYTES = 1 << 30  # boundary blocks plus two sweep fronts held by compute_posteriors
+STORED_BUDGET_BYTES = 1 << 30  # what compute_posteriors may hold (`Trellis.held_bytes`)
 
 
 @dataclass
@@ -59,12 +59,10 @@ class PosteriorTable:
         return cls(probs, np.argmax(probs, axis=1), log_likelihood)
 
 
-def stored_bytes(trellis):
-    """What `compute_posteriors` stores at once for `trellis`: 8 bytes per
-    cell of every cycle's boundary block, plus two of the largest layer
-    (the front and the block stepped into)."""
-    sizes = [trellis.rows * math.prod(lay.shape) for lay in trellis.layers]
-    return 8 * (sum(sizes[t - 1] for t in trellis.input_read_layer) + 2 * max(sizes))
+def kept_layers(trellis):
+    """The layers `compute_posteriors` keeps from its forward sweep: each
+    cycle's boundary block, the layer before its input layer."""
+    return [t - 1 for t in trellis.input_read_layer]
 
 
 def compute_posteriors(trellis):
@@ -76,20 +74,21 @@ def compute_posteriors(trellis):
     The forward sweep keeps only each cycle's boundary block (the layer
     before its input layer), all in one buffer. The backward front is not
     kept: each cycle's posterior rows are formed as it passes the input
-    layer. What is stored at once is `stored_bytes`; a trellis where that
-    would exceed STORED_BUDGET_BYTES is refused with a ConfigError before
-    any sweep starts, since the joint trellis grows exponentially in the
-    number of traces.
+    layer. What it holds at once, `Trellis.held_bytes` of those blocks and
+    STEP_BLOCKS fronts as `evaluation.chunked` counts it, is refused with a
+    ConfigError over STORED_BUDGET_BYTES before any sweep starts, since the
+    joint trellis grows exponentially in the number of traces.
     """
-    stored = stored_bytes(trellis)
-    if stored > STORED_BUDGET_BYTES:
+    keep = kept_layers(trellis)
+    held = trellis.held_bytes(keep, STEP_BLOCKS)
+    if held > STORED_BUDGET_BYTES:
         raise ConfigError(
             f"the joint trellis over {trellis.axes} traces would store "
-            f"{stored / MIB:.0f} MiB of sweep layers (budget "
+            f"{held / MIB:.0f} MiB of sweep layers (budget "
             f"{STORED_BUDGET_BYTES / MIB:.0f} MiB); use fewer traces, a smaller "
             f"--delta, or trellis-bma")
     reads = {t: l for l, t in enumerate(trellis.input_read_layer)}
-    fs = trellis.forward(keep=[t - 1 for t in reads])
+    fs = trellis.forward(keep=keep)
     rows = np.zeros((trellis.rows, trellis.L, trellis.encoder.msg_size))
     died = np.full(trellis.rows, -1)
     if fs.died.min() < 0:  # some row lives: the forward sweep reached every layer

@@ -10,7 +10,7 @@ offset inside the channel model. Per-cluster randomness is derived from
 The usable clusters are decoded in chunks (`chunked`), one task and one
 decode call each, cut by one byte budget, CHUNK_BYTES, into the longest
 runs of clusters whose decode holds at most that much (`cluster_bytes`,
-known before anything is built), at least one cluster each, and ending
+read from a trellis of one row), at least one cluster each, and ending
 where the trace count changes: every chunk holds one trace count. The cut
 never depends on `jobs`, and a cluster decodes in a chunk as it would
 alone.
@@ -23,18 +23,19 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from itertools import chain, product
+from itertools import chain, groupby, product
 from multiprocessing import get_context
 
 import numpy as np
 
+from . import bcjr, trellis_bma
 from .alphabet import DNA
 from .bcjr import compute_posteriors
 from .bmala import LOOKAHEAD, bmala_map, bmala_reconstruct
 from .channel import IDSParams
 from .codes import scramble, unscramble
 from .errors import ConfigError, DatasetError, InfeasibleTrellisError
-from .trellis import STEP_BLOCKS, build_trellis, row_bytes
+from .trellis import BUFFER_BYTES, STEP_BLOCKS, build_trellis, sizing_row
 from .trellis_bma import MULTIPLY_POSTERIORS, BetaParams, default_betas, run_trellis_bma
 
 logger = logging.getLogger(__name__)
@@ -242,43 +243,39 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
     return [p if isinstance(p, InfeasibleTrellisError) else [(p, p.hard)] for p in posts]
 
 
-CHUNK_BYTES = 11 << 18  # what one decode call may hold, summed over its clusters: 2.75 MiB
+CHUNK_BYTES = 11 << 18  # what one decode call may hold (`cluster_bytes`): 2.75 MiB
 
 
-def cluster_bytes(algorithm, encoder, delta, k, triples):
-    """What decoding a cluster of k length-N traces at beta points of
-    `triples` distinct (beta_b, beta_e, beta_i) holds, without a build
-    (`trellis.row_bytes`): per trellis row its held bytes, STEP_BLOCKS
-    largest blocks (per triple in the exchange, which steps one front per
-    triple) and boundary blocks, those the Trellis BMA init keeps or, on a
-    joint or BMALA-MAP row of k or 1 axes, all. BMALA's 2k lockstep rows
-    hold 3 bytes per padded symbol and 48 words of state, indices and
-    objects."""
+def cluster_bytes(algorithm, encoder, delta, k, triples, clusters):
+    """What one decode call of `clusters` clusters of k length-N traces at
+    beta points of `triples` distinct (beta_b, beta_e, beta_i) holds: its
+    reader's `Trellis.held_bytes` with STEP_BLOCKS fronts (per triple in
+    Trellis BMA's exchange) on the call's rows of `sizing_row`: per
+    cluster, k of one trace (Trellis BMA), one of one trace (BMALA-MAP) or
+    one of k axes (joint). BMALA's 2k lockstep rows a cluster hold 3 bytes
+    per padded symbol and 48 words, filled through numpy's buffers."""
     if algorithm == "bmala":
-        return 2 * k * (3 * (encoder.N + LOOKAHEAD + 2) + 48 * 8)
-    tbma = algorithm in ("trellis-bma", "multiply-posteriors")
-    boundary, largest, held = row_bytes(encoder, delta,
-                                        1 if tbma or algorithm == "bmala-map" else k)
-    held = held.sum() + STEP_BLOCKS * (triples if tbma else 1) * largest.max()
-    if tbma:
-        half = encoder.L // 2
-        return k * int(held + boundary[half:].sum() + boundary[1:half + 1].sum())
-    return int(held + boundary.sum())
+        return clusters * 2 * k * (3 * (encoder.N + LOOKAHEAD + 2) + 48 * 8) + BUFFER_BYTES
+    if algorithm in ("trellis-bma", "multiply-posteriors"):
+        row = sizing_row(encoder, delta)
+        fwd, bwd = trellis_bma.kept_layers(row)
+        return row.held_bytes(fwd + bwd, STEP_BLOCKS * triples, rows=clusters * k)
+    row = sizing_row(encoder, delta, 1 if algorithm == "bmala-map" else k)
+    return row.held_bytes(bcjr.kept_layers(row), STEP_BLOCKS, rows=clusters)
 
 
 def chunked(items, counts, algorithm, encoder, delta, triples):
     """`items`, one per cluster of counts[i] traces, cut in order into the
     chunks one `run_algorithm` call decodes: the longest runs of one trace
-    count whose `cluster_bytes` sum to at most CHUNK_BYTES, at least one
-    cluster each."""
-    size = {k: cluster_bytes(algorithm, encoder, delta, k, triples) for k in set(counts)}
-    chunks, used = [], 0
-    for item, k in zip(items, counts):
-        if not chunks or used + size[k] > CHUNK_BYTES or k != last:
-            chunks.append([])
-            used = 0
-        chunks[-1].append(item)
-        used, last = used + size[k], k
+    count whose decode holds at most CHUNK_BYTES (`cluster_bytes`), at
+    least one cluster each."""
+    chunks = []
+    for k, run in groupby(zip(items, counts), key=lambda pair: pair[1]):
+        # each cluster adds as many bytes to what a call holds
+        one, two = (cluster_bytes(algorithm, encoder, delta, k, triples, n) for n in (1, 2))
+        most = max(1, 1 + (CHUNK_BYTES - one) // (two - one))
+        run = [item for item, _ in run]
+        chunks += [run[i:i + most] for i in range(0, len(run), most)]
     return chunks
 
 

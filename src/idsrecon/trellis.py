@@ -122,8 +122,10 @@ from .channel import IDSParams
 from .errors import ConfigError
 
 BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
-LAYER_BYTES = 64  # per row and layer: windows, symbols, masks, scales, posterior rows
+LAYER_BYTES = 64  # per row and step: windows, symbols, masks, scales, posterior rows
 STEP_BLOCKS = 5  # largest blocks held in a step: front, block stepped into, temporaries
+LAYER_OBJECT_BYTES, IDS_OBJECT_BYTES = 256, 1024  # Python objects of any layer; more of an ids one
+BUFFER_BYTES = 2 * 8 * 8192 + 4096  # numpy's buffers of 8 192 doubles for two operands of an op
 
 
 @dataclass
@@ -317,8 +319,7 @@ class Trellis:
             for c in range(emit.shape[1]):
                 npos += 1
                 # the on-deck codeword symbol, as transmitted, by (row, state, message)
-                cx = emit[:, c] if self.offsets is None else (
-                    (emit[:, c] + self.offsets[:, npos - 1, None]) % self.A)
+                cx = (emit[:, c] + self.offsets[:, npos - 1, None]) % self.A
                 for k in range(self.axes):
                     self._add(IDS, npos, grid, axis=k, cx=cx.reshape((-1,) + grid))
                 last = c == emit.shape[1] - 1
@@ -330,7 +331,7 @@ class Trellis:
     def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None, onehot=None, rescale=False):
         """Append a layer with the (states, messages) `grid` after `npos`
         codeword symbols; an ids layer's cells have the on-deck codeword
-        symbols `cx`, shaped (rows or 1,) + grid."""
+        symbols `cx`, shaped (rows,) + grid."""
         lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], nxt=nxt,
                      onehot=onehot, rescale=rescale)
         if kind == IDS:
@@ -566,6 +567,19 @@ class Trellis:
         loglik = np.where(live, np.log(np.where(live, tot, 1.0)) + scales[-1], -math.inf)
         return SweepResult(kept, scales[::-1] if back else scales, loglik, died)
 
+    def held_bytes(self, keep, fronts, rows=None):
+        """What a reader holds at once on this trellis, or on `rows` rows of
+        its geometry: per row, 8 bytes a cell of the blocks of the layers in
+        `keep` (a layer kept by two sweeps counted twice) and of `fronts`
+        largest blocks, the ids layers' weight indices and LAYER_BYTES a
+        step; whatever the rows, the layers' objects and BUFFER_BYTES."""
+        cells = [math.prod(lay.shape) for lay in self.layers]
+        ids = [lay.subcor[0].nbytes for lay in self.layers if lay.kind == IDS]
+        row = (8 * (sum(cells[t] for t in keep) + fronts * max(cells)) + sum(ids) // self.rows
+               + LAYER_BYTES * (len(cells) - 1))
+        return ((self.rows if rows is None else rows) * row + LAYER_OBJECT_BYTES * len(cells)
+                + IDS_OBJECT_BYTES * len(ids) + BUFFER_BYTES)
+
     def forward(self, keep=None):
         """Forward sweep from the origin, keeping the layers whose indices
         are in `keep` (every layer when None, none when empty)."""
@@ -594,35 +608,22 @@ def build_trellis(encoder, rows, params, delta=None, offsets=None):
         raise ConfigError(f"every trellis row needs the same number of traces: got "
                           f"{sorted({len(traces) for traces in rows})}")
     traces = [as_indices(y, encoder.alphabet) for ys in rows for y in ys]
-    if offsets is not None:
-        if len(offsets) != len(rows):
-            raise ConfigError(f"need one offset per trellis row: got {len(offsets)} "
-                              f"for {len(rows)} rows")
-        offsets = [np.zeros(encoder.N, np.int8) if z is None
-                   else as_indices(z, encoder.alphabet) for z in offsets]
-        if any(len(z) != encoder.N for z in offsets):
-            raise ConfigError("offset length must equal the codeword length")
-        offsets = np.array(offsets, dtype=_index_type(encoder.alphabet.size))
-        if not offsets.any():
-            offsets = None
+    offsets = [None] * len(rows) if offsets is None else offsets
+    if len(offsets) != len(rows):
+        raise ConfigError(f"need one offset per trellis row: got {len(offsets)} "
+                          f"for {len(rows)} rows")
+    offsets = [np.zeros(encoder.N, np.int8) if z is None
+               else as_indices(z, encoder.alphabet) for z in offsets]
+    if any(len(z) != encoder.N for z in offsets):
+        raise ConfigError("offset length must equal the codeword length")
+    offsets = np.array(offsets, dtype=_index_type(encoder.alphabet.size))
     if sum(encoder.emission_counts) != encoder.N:
         raise ConfigError("encoder emission counts do not sum to N")
     return Trellis(encoder, traces, params, delta, offsets, len(rows))
 
 
-def row_bytes(encoder, delta, axes=1):
-    """Bytes per row of a trellis of rows of `axes` length-N traces, known
-    without a build; every such row has the same windows. Three (L,)
-    arrays, per message cycle: its boundary block before its input layer,
-    its largest block, and what the row holds besides: its ids layers'
-    indices and LAYER_BYTES a layer."""
-    lo, hi = _windows(encoder.N, np.array(encoder.N), delta)
-    width = (hi - lo + 1).tolist()
-    index = np.dtype(_index_type(encoder.alphabet.size)).itemsize
-    out, npos = [], 0
-    for (S, M), emit, *_ in _cycles(encoder):
-        u = emit.shape[1]
-        out.append((8 * S * width[npos] ** axes, 8 * S * M * max(width[npos:npos + u + 1]) ** axes,
-                    axes * S * M * index * u + LAYER_BYTES * (2 + u * (axes + 1))))
-        npos += u
-    return np.array(out, dtype=np.int64).T
+@functools.lru_cache(maxsize=32)
+def sizing_row(encoder, delta, axes=1):
+    """The trellis of one row of `axes` length-N traces, which sizes a
+    decode before its own build: every such row has the same windows."""
+    return build_trellis(encoder, [[np.zeros(encoder.N, int)] * axes], (0, 0, 0, 1), delta=delta)

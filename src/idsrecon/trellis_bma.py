@@ -111,6 +111,14 @@ class _Powers:
         return out
 
 
+def kept_layers(lat):
+    """The layers the init's forward and backward sweeps keep, two lists:
+    the boundary blocks beside the read layers `_stale` steps into."""
+    half = lat.L // 2
+    return ([t - 1 for t in lat.input_read_layer[half:]],
+            [t + 1 for t in lat.post_read_layer[:half]])
+
+
 def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=None, k=None):
     """Run both exact sweeps of every trace's one-trace trellis, the traces
     being the rows of one lattice (`build_trellis`). `traces` holds a chunk
@@ -121,7 +129,7 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
     The exchange reads, as its stale side, the forward sweep at the input
     layers of the second half of the message and the backward sweep at the
     post read layers of the first half; each sweep keeps only the boundary
-    blocks beside them, from which `_stale` rebuilds the read blocks.
+    blocks beside them (`kept_layers`), whence `_stale` steps into them.
 
     A trace whose trellis has no surviving path under `delta` stays a
     (dead) row of the lattice and is dropped with a warning naming it by
@@ -129,14 +137,14 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
     backward sweep is None if every trace died in the forward one. Returns
     (lattice, forward sweep, backward sweep, indices of the kept traces).
     """
-    half = encoder.L // 2
     k = k or len(traces)
     lat = build_trellis(encoder, [[y] for y in traces], params, delta=delta, offsets=offsets)
-    fs = lat.forward(keep=[t - 1 for t in lat.input_read_layer[half:]])
+    fkeep, bkeep = kept_layers(lat)
+    fs = lat.forward(keep=fkeep)
     lost = [lat.vanished(False, t) for t in fs.died.tolist()]
     bs = None
     if not all(lost):
-        bs = lat.backward(keep=[t + 1 for t in lat.post_read_layer[:half]])
+        bs = lat.backward(keep=bkeep)
         lost = [e or lat.vanished(True, t) for e, t in zip(lost, bs.died.tolist())]
     for r, e in enumerate(lost):
         if e:
@@ -151,11 +159,9 @@ class _Chunk:
     beta_e, beta_i) triples; beta point p reads triple `triple_of[p]`. The
     (P, C) mask `alive` marks the running (point, cluster) decodes, and the
     (T, C, K) mask `real` the slots that hold a kept trace of a cluster
-    with a running point of that triple. `pad` lays a (T, rows, ...) stack
-    out on that grid with `fill` in the other slots, so a product over a
-    cluster's slots multiplies its kept traces in order. `errors` holds
-    each ended (point, cluster) decode's first error, and `over` is set
-    once every decode has ended."""
+    with a running point of that triple; a (T, rows, ...) stack reshapes
+    onto that grid. `errors` holds each ended (point, cluster) decode's
+    first error, and `over` is set once every decode has ended."""
 
     def __init__(self, C, K, kept, triple_of):
         real = np.zeros(C * K, bool)
@@ -165,10 +171,6 @@ class _Chunk:
         self.real = np.broadcast_to(real, (triple_of.max() + 1, C, K))
         self.alive = np.broadcast_to(real.any(axis=1), (len(triple_of), C))
         self.over, self.errors = False, {}
-
-    def pad(self, arr, fill=1.0):
-        arr = arr.reshape(self.real.shape + arr.shape[2:])
-        return np.where(self.real[(...,) + (None,) * (arr.ndim - 3)], arr, fill)
 
     def end(self, lost, message):
         """End, with InfeasibleTrellisError(message), every running point of
@@ -206,15 +208,16 @@ def combine_beliefs(front, stale, beta_b, chunk):
     front_k * stale_k**beta_b over the layer's encoder states and window,
     at index m of its message axis. Rows are normalised (the sweeps rescale
     layers freely, so only ratios carry information); a decode with a real
-    row of no mass ends. Returns ((T, C, K, M) beliefs laid out by
-    `chunk.pad`, their product over each cluster's traces, (T, C, M)).
+    row of no mass ends. Returns ((T, C, K, M) beliefs on `chunk`'s grid,
+    1.0 in each slot not real, and their product over each cluster's
+    traces, (T, C, M)).
     """
     powed = beta_b(stale, shared=True)
     rows = (front.swapaxes(0, 1) * powed).sum(axis=4).sum(axis=2)
-    tot = chunk.pad(rows.sum(axis=2))
-    if chunk.end(tot <= 0.0, "belief row lost all mass during the sweep"):
-        tot[~chunk.real] = 1.0
-    rows = chunk.pad(rows) / tot[..., None]
+    rows = rows.reshape(chunk.real.shape + rows.shape[2:])
+    tot = rows.sum(axis=3, keepdims=True)
+    chunk.end(tot[..., 0] <= 0.0, "belief row lost all mass during the sweep")
+    rows = np.divide(rows, tot, out=np.ones_like(rows), where=chunk.real[..., None])
     return rows, np.multiply.reduce(rows, axis=2)
 
 
@@ -290,7 +293,7 @@ def _exchange_sweep(lat, back, chunk, triples, beta_o, width, layers, reads, sta
             return
         front, _, dead = step(t, front)
         if dead is not None:
-            chunk.end(chunk.pad(dead.T, fill=False), lat.vanished(back, t))
+            chunk.end(dead.T.reshape(chunk.real.shape), lat.vanished(back, t))
         if t not in reads:
             continue
         w = width[lat.layers[t].npos]

@@ -7,6 +7,8 @@ from idsrecon import (BINARY, DNA, ConfigError, IDSParams, InfeasibleTrellisErro
                       build_trellis, compute_posteriors, identity_encoder,
                       mr_encoder, transmit)
 from idsrecon import bcjr
+from idsrecon.trellis import (BUFFER_BYTES, IDS_OBJECT_BYTES, LAYER_BYTES, LAYER_OBJECT_BYTES,
+                              STEP_BLOCKS)
 from oracle import assert_cells_match, joint_posteriors, random_params, uniform_prior
 
 
@@ -134,23 +136,35 @@ def test_mr_coded_posteriors_match_oracle():
         assert np.max(np.abs(post.probs - rows)) < 1e-9
 
 
-def test_budget_counts_read_layers_and_two_fronts(monkeypatch):
-    # a budget between what is stored (each cycle's boundary block, the
-    # layer before its input layer, plus two of the largest layer) and both
-    # whole sweeps lets the posteriors run, unchanged
-    enc, traces, params = _instance(9, k=2, n=4, alphabet=DNA)
+def test_budget_counts_read_layers_and_step_blocks(monkeypatch):
+    # the one count of what compute_posteriors holds, from its parts: per
+    # row, each cycle's boundary block (the layer before its input layer),
+    # STEP_BLOCKS of the largest layer, the ids layers' weight indices (a
+    # byte per (state, message) cell) and LAYER_BYTES a step; whatever the
+    # rows, each layer's objects and BUFFER_BYTES. A budget one byte below
+    # it refuses the trellis, and one between it and both whole sweeps lets
+    # the posteriors run, unchanged
+    enc, traces, params = _instance(9, k=2, n=24, alphabet=DNA, max_trace=30)
     tr = build_trellis(enc, [traces], params)
+    keep = bcjr.kept_layers(tr)
+    assert keep == [t - 1 for t in tr.input_read_layer]
+    assert all(tr.layers[t].kind == "boundary" for t in keep)
     sizes = [math.prod(lay.shape) for lay in tr.layers]
-    assert all(tr.layers[t - 1].kind == "boundary" for t in tr.input_read_layer)
-    stored = 8 * (sum(sizes[t - 1] for t in tr.input_read_layer) + 2 * max(sizes))
+    ids = [lay for lay in tr.layers if lay.kind == "ids"]
+    held = (8 * (sum(sizes[t] for t in keep) + STEP_BLOCKS * max(sizes))
+            + sum(math.prod(lay.shape[:2]) for lay in ids) + LAYER_BYTES * (len(sizes) - 1)
+            + LAYER_OBJECT_BYTES * len(sizes) + IDS_OBJECT_BYTES * len(ids) + BUFFER_BYTES)
     whole = 2 * 8 * sum(sizes)
-    assert stored == bcjr.stored_bytes(tr) < whole
+    assert held == tr.held_bytes(keep, STEP_BLOCKS) < whole
     [ref] = compute_posteriors(tr)
-    monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", (stored + whole) // 2)
+    monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", (held + whole) // 2)
     [got] = compute_posteriors(tr)
     assert np.array_equal(got.probs, ref.probs)
     assert got.log_likelihood == ref.log_likelihood
-    monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", stored - 1)
+    monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", held)
+    [got] = compute_posteriors(tr)
+    assert np.array_equal(got.probs, ref.probs)
+    monkeypatch.setattr(bcjr, "STORED_BUDGET_BYTES", held - 1)
     with pytest.raises(ConfigError, match="fewer traces, a smaller --delta"):
         compute_posteriors(tr)
 

@@ -10,7 +10,7 @@ from idsrecon import (DNA, ConfigError, IDSParams, InfeasibleTrellisError, Poste
                       mr_encoder, parse_encoder_spec, simulate_clusters, transmit,
                       transmit_batch)
 from idsrecon import bcjr, bmala, evaluation
-from idsrecon.trellis import build_trellis, row_bytes
+from idsrecon.trellis import STEP_BLOCKS, build_trellis, sizing_row
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
 
@@ -191,36 +191,44 @@ def test_bmala_map_chunk_returns_each_clusters_outcome():
         bmala_map(clusters, enc, exact, offsets=[None])
 
 
-def _row_stored(enc, delta, axes=1):
-    """What compute_posteriors stores per row of length-N traces, from the
-    boundary and largest-block columns of `trellis.row_bytes`."""
-    boundary, largest, _ = row_bytes(enc, delta, axes)
-    return int(boundary.sum() + 2 * largest.max())
+def _held(trellis, rows=None):
+    """What compute_posteriors holds on `trellis`, or on one of `rows` rows
+    of its geometry."""
+    return trellis.held_bytes(bcjr.kept_layers(trellis), STEP_BLOCKS, rows=rows)
 
 
-def test_lattice_row_bytes_is_what_the_reader_stores():
-    # trellis.row_bytes, known from the encoder and delta alone, gives what
-    # compute_posteriors stores per row of a trellis of length-N traces: a
-    # lattice of consensus strings (one axis), or a joint chunk (two axes)
+def test_sizing_row_is_what_the_reader_holds():
+    # trellis.sizing_row, built from the encoder and delta alone, has the
+    # geometry of a built row of length-N traces, scrambled or not: a lattice
+    # of consensus strings (one axis), or a joint chunk (two axes); what
+    # compute_posteriors holds on rows of it grows by one row's bytes a row
+    rng = np.random.default_rng(3)
     for spec, delta in (("cc:2:0.5:110", 12), ("identity:110", 12), ("mr:24:3", 3),
                         ("cc:1:0.5:12", None)):
         enc = parse_encoder_spec(spec)
-        x = np.zeros(enc.N, np.int8)
         for axes in (1, 2):
-            row = _row_stored(enc, delta, axes)
+            row = sizing_row(enc, delta, axes)
+            one, two = _held(row), _held(row, rows=2)
             for rows in (1, 3):
-                assert bcjr.stored_bytes(build_trellis(enc, [[x] * axes] * rows, PAPER,
-                                                       delta=delta)) == rows * row, spec
-    # at delta = 12 the budget cuts BMALA-MAP chunks of 11 clusters of the
-    # 16-state code, and of 53 on identity:110
+                ys = [rng.integers(4, size=enc.N).astype(np.int8) for _ in range(axes)]
+                built = build_trellis(enc, [ys] * rows, PAPER, delta=delta,
+                                      offsets=[rng.integers(4, size=enc.N)] * rows)
+                assert [lay.shape for lay in built.layers] == [lay.shape for lay in row.layers]
+                assert _held(built) == _held(row, rows=rows) == one + (rows - 1) * (two - one)
+    # at delta = 12 a row holds its boundary blocks and 5 fronts (227 784 and
+    # 24 848 bytes), its ids layers' weight indices and 64 bytes a step;
+    # the budget cuts BMALA-MAP chunks of 9 clusters of the 16-state code,
+    # and of 47 on identity:110
     cc, identity = parse_encoder_spec("cc:2:0.5:110"), parse_encoder_spec("identity:110")
-    assert _row_stored(cc, 12) == 189384
-    assert _row_stored(identity, 12) == 22448
-    for enc, size in ((cc, 11), (identity, 53)):
+    for enc, blocks, index, steps, size in ((cc, 227784, 6824, 330, 9),
+                                             (identity, 24848, 440, 440, 47)):
+        row = sizing_row(enc, 12)
+        assert _held(row, rows=2) - _held(row) == blocks + index + 64 * steps
         cut = evaluation.chunked(list(range(120)), [10] * 120, "bmala-map", enc, 12, 1)
         assert [len(c) for c in cut[:-1]] == [size] * (len(cut) - 1)
-        assert evaluation.CHUNK_BYTES // evaluation.cluster_bytes("bmala-map", enc, 12, 10, 1) \
-            == size
+        assert (evaluation.cluster_bytes("bmala-map", enc, 12, 10, 1, size)
+                <= evaluation.CHUNK_BYTES
+                < evaluation.cluster_bytes("bmala-map", enc, 12, 10, 1, size + 1))
     with pytest.raises(ConfigError, match="--delta must be at least 1"):
         bmala_map([[np.zeros(110, np.int8)]], cc, PAPER, delta=0)
 
@@ -234,7 +242,7 @@ def test_bmala_map_decodes_lattices_cut_by_stored_bytes(monkeypatch):
     clusters = [c.traces[:4] for c in simulate_clusters(12, 4, 110, PAPER, seed=4)]
     offsets = [rng.integers(4, size=110).astype(np.int8) for _ in clusters]
     runs = []
-    for cap in (5 * evaluation.cluster_bytes("bmala-map", enc, 12, 4, 1), 1):
+    for cap in (evaluation.cluster_bytes("bmala-map", enc, 12, 4, 1, 5), 1):
         monkeypatch.setattr(evaluation, "CHUNK_BYTES", cap)
         posts = []
         with mock.patch.object(bmala, "build_trellis", wraps=bmala.build_trellis) as build:

@@ -318,7 +318,7 @@ def test_evaluate_jobs_identical(tmp_path, monkeypatch, algo):
     # algorithm decodes them in 3 chunks, in forked workers that inherit it
     out = _simulate(tmp_path, n=50, traces=4, length=20)
     enc = parse_encoder_spec("identity:20")
-    budget = 20 * evaluation.cluster_bytes(algo, enc, 12, 2, 1)
+    budget = evaluation.cluster_bytes(algo, enc, 12, 2, 1, 20)
     monkeypatch.setattr(evaluation, "CHUNK_BYTES", budget)
     assert len(evaluation.chunked(list(range(50)), [2] * 50, algo, enc, 12, 1)) >= 3
     reports = []

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,14 @@ from idsrecon import (DNA, BetaParams, Cluster, ConfigError, DatasetError,
                       simulate_clusters, split_dataset, sweep_betas,
                       symbolwise_cross_entropy, transmit, write_dataset)
 from idsrecon import evaluation, trellis_bma
+from idsrecon.codes import parse_encoder_spec
 from idsrecon.bcjr import PosteriorTable
 from idsrecon.evaluation import write_plot_csv, write_report_csv
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
+# the memory model may over-count a decode's traced peak by at most this
+# factor; it over-counts most (1.48) on BMALA-MAP lattices of one-state codes
+MODEL_MARGIN = 1.6
 
 
 def test_hamming_rate():
@@ -308,16 +313,16 @@ def test_sweep_matches_scoring_each_point_alone():
 
 
 def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
-    # the usable clusters are cut into chunks in cluster order; the default
-    # budget's chunks (one of all 8 clusters, or 4 of 2 for the joint
-    # trellis) and chunks of one (a budget of 1 byte) give the same tables,
-    # reports and warnings. Without insertions a trace longer than its
-    # strand is unexplainable: cluster 2 is infeasible at init, and beta_o =
-    # 300 underflows every noisy cluster. The joint trellis loses cluster 2
-    # too. BMALA and BMALA-MAP step a chunk's sweeps in lockstep; decoded without
-    # substitutions too, a consensus must be a scrambled codeword exactly,
-    # so cluster 2's and four noisy clusters' are infeasible, the noiseless
-    # one's is not
+    # the usable clusters are cut into chunks in cluster order; the chunks
+    # of a budget of two joint clusters' bytes (one of all 8 clusters, or 4
+    # of 2 for the joint trellis) and chunks of one (a budget of 1 byte)
+    # give the same tables, reports and warnings. Without insertions a
+    # trace longer than its strand is unexplainable: cluster 2 is
+    # infeasible at init, and beta_o = 300 underflows every noisy cluster.
+    # The joint trellis loses cluster 2 too. BMALA and BMALA-MAP step a
+    # chunk's sweeps in lockstep; decoded without substitutions too, a
+    # consensus must be a scrambled codeword exactly, so cluster 2's and
+    # four noisy clusters' are infeasible, the noiseless one's is not
     params = IDSParams(0.0, 0.05, 0.05, 0.9)
     exact = IDSParams(0.0, 0.05, 0.0, 0.95)
     cc = cc_encoder(2, 12, DNA)
@@ -330,7 +335,7 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, caplog):
     clusters.append(Cluster(center, [center] * 4))
     grid = {"beta_b": (1.0,), "beta_e": (0.1,), "beta_i": (0.0,), "beta_o": (0.5, 300.0)}
     runs = []
-    for budget in (evaluation.CHUNK_BYTES, 1):
+    for budget in (evaluation.cluster_bytes("bcjr-multitrace", enc, 8, 3, 1, 2), 1):
         monkeypatch.setattr(evaluation, "CHUNK_BYTES", budget)
         for algo, code, points, size in (("trellis-bma", enc, 2, 8), ("bmala-map", cc, 1, 8),
                                          ("bcjr-multitrace", enc, 1, 2)):
@@ -391,7 +396,7 @@ def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
     clusters.insert(1, Cluster(clusters[0].center, clusters[0].traces[:1]))
     enc = identity_encoder(20, DNA)
     monkeypatch.setattr(evaluation, "CHUNK_BYTES",
-                        3 * evaluation.cluster_bytes("trellis-bma", enc, 8, 2, 4))
+                        evaluation.cluster_bytes("trellis-bma", enc, 8, 2, 4, 3))
     grid = {"beta_b": (0.0, 1.0), "beta_e": (0.1, 0.5), "beta_i": (0.0,),
             "beta_o": (0.5,)}
     _, table = sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8, grid=grid)
@@ -404,16 +409,67 @@ def test_sweep_decodes_each_cluster_once_through_run_algorithm(monkeypatch):
         run_trellis_bma(enc, [clusters[0].traces], PAPER, BetaParams(1, 0, 0, 1), delta=8)
 
 
+def test_memory_model_bounds_a_traced_decode():
+    # what `chunked` cuts by, `cluster_bytes`, never under-counts the traced
+    # peak of a decode call, and over-counts it by at most MODEL_MARGIN: the
+    # default budget's first chunk of 12 clusters of length-110 strands at
+    # the paper's rates, delta = 12, per algorithm and code, decoded once
+    # untraced first, so that every cache is filled
+    clusters = simulate_clusters(12, 10, 110, PAPER, seed=3)
+    rng = np.random.default_rng(3)
+    offsets = [rng.integers(4, size=110).astype(np.int8) for _ in clusters]
+    for algorithm, spec, k in (("trellis-bma", "identity:110", 6),
+                               ("trellis-bma", "mr:110:10", 10),
+                               ("trellis-bma", "cc:2:0.5:110", 6),
+                               ("multiply-posteriors", "identity:110", 4),
+                               ("bcjr-multitrace", "identity:110", 2),
+                               ("bcjr-multitrace", "identity:110", 3),
+                               ("bcjr-multitrace", "cc:2:0.5:110", 2),
+                               ("bmala-map", "identity:110", 10),
+                               ("bmala-map", "cc:2:0.5:110", 10),
+                               ("bmala", "identity:110", 10)):
+        enc = parse_encoder_spec(spec)
+        [chunk, *_] = evaluation.chunked(list(range(12)), [k] * 12, algorithm, enc, 12, 1)
+        betas = [BetaParams(1, 0.1, 0, 0.5)] if algorithm == "trellis-bma" else None
+        args = (algorithm, enc, [clusters[c].traces[:k] for c in chunk], PAPER)
+        kwargs = {"delta": 12, "offsets": [offsets[c] for c in chunk], "betas": betas}
+        run_algorithm(*args, **kwargs)
+        tracemalloc.start()
+        try:
+            run_algorithm(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = evaluation.cluster_bytes(algorithm, enc, 12, k, 1, len(chunk))
+        assert peak <= model <= MODEL_MARGIN * peak, (algorithm, spec, k, len(chunk), peak, model)
+
+
+def test_default_budget_cuts_the_ci_runs():
+    # the chunks the CI workflow's comments state: 30 clusters of 2 traces
+    # of length-110 strands at delta = 12, and the death paths' 200 of
+    # length-24 strands at delta = 3, under the default budget
+    for algorithm, spec, k, n, delta, sizes in (
+            ("trellis-bma", "identity:110", 2, 30, 12, [23, 7]),
+            ("multiply-posteriors", "identity:110", 2, 30, 12, [23, 7]),
+            ("bmala-map", "cc:2:0.5:110", 2, 30, 12, [9, 9, 9, 3]),
+            ("bcjr-multitrace", "identity:110", 2, 30, 12, [3] * 10),
+            ("bcjr-multitrace", "identity:110", 3, 30, 12, [1] * 30),
+            ("trellis-bma", "identity:24", 2, 200, 3, [155, 45])):
+        cut = evaluation.chunked(list(range(n)), [k] * n, algorithm, parse_encoder_spec(spec),
+                                 delta, 1)
+        assert [len(c) for c in cut] == sizes, (algorithm, spec, k)
+
+
 def test_chunk_budget_counts_triples_not_points(monkeypatch):
     # the exchange steps one front per (beta_b, beta_e, beta_i) triple, so a
     # grid of 4 beta_o values costs a cluster what its one-beta_o grid costs
     # and is cut into the same chunks: here 2, 2 and 1 of 5 clusters
-    size, sizes, calls = evaluation.cluster_bytes, [], []
+    size, sized_triples, calls = evaluation.cluster_bytes, [], []
     run = evaluation.run_algorithm
 
-    def sized(*args):
-        sizes.append(size(*args))
-        return sizes[-1]
+    def sized(algorithm, encoder, delta, k, triples, clusters):
+        sized_triples.append(triples)
+        return size(algorithm, encoder, delta, k, triples, clusters)
 
     def counted(*args, **kwargs):
         calls[-1] += 1
@@ -423,15 +479,15 @@ def test_chunk_budget_counts_triples_not_points(monkeypatch):
     monkeypatch.setattr(evaluation, "run_algorithm", counted)
     clusters = simulate_clusters(5, 3, 20, PAPER, seed=8)
     enc = identity_encoder(20, DNA)
-    monkeypatch.setattr(evaluation, "CHUNK_BYTES", 2 * size("trellis-bma", enc, 8, 2, 2))
+    monkeypatch.setattr(evaluation, "CHUNK_BYTES", size("trellis-bma", enc, 8, 2, 2, 2))
     triples = {"beta_b": (0.0, 1.0), "beta_e": (0.1,), "beta_i": (0.0,)}
     for beta_o in ((0.5,), (0.1, 0.5, 0.9, 1.0)):
         calls.append(0)
         _, table = sweep_betas(clusters, enc, 2, "hamming", 5, PAPER, delta=8,
                                grid={**triples, "beta_o": beta_o})
         assert len(table) == 2 * len(beta_o)
-    assert sizes == [size("trellis-bma", enc, 8, 2, 2)] * 2
-    assert sizes[0] < size("trellis-bma", enc, 8, 2, 8)
+    assert sized_triples and set(sized_triples) == {2}
+    assert size("trellis-bma", enc, 8, 2, 2, 1) < size("trellis-bma", enc, 8, 2, 8, 1)
     assert calls == [3, 3]
 
 

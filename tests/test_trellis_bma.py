@@ -306,11 +306,14 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
             if (k, p) != (1, 1):
                 assert np.array_equal(out[k, p], one[k, 0]) and s[k, p] == s_one[k, 0]
     chunk = _Chunk(1, 3, [0, 1, 2], np.arange(3))
-    assert chunk.end(chunk.pad(dead.T, fill=False), lat.vanished(False, t))
+    assert chunk.end(dead.T.reshape(chunk.real.shape), lat.vanished(False, t))
     assert list(chunk.errors) == [(1, 0)] and not chunk.over
     assert str(chunk.errors[1, 0]).startswith(f"forward mass vanished at layer {t} ")
-    # an ended decode's slots read 1.0, and it does not end again
-    assert chunk.pad(np.zeros((3, 3))).tolist() == [[[0.0] * 3], [[1.0] * 3], [[0.0] * 3]]
+    # an ended decode's slots read 1.0 in the beliefs, the running ones
+    # their normalised rows, and it does not end again
+    rows, combined = combine_beliefs(front, good, _Powers(np.ones(3)), chunk)
+    assert (rows[1] == 1.0).all() and (combined[1] == 1.0).all()
+    assert np.allclose(rows[[0, 2]].sum(axis=-1), 1.0) and (rows[[0, 2]] < 1.0).all()
     again = np.zeros((3, 1, 3), bool)
     again[1] = True
     assert not chunk.end(again, "again") and str(chunk.errors[1, 0]) != "again"
