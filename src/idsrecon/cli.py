@@ -305,8 +305,7 @@ def cmd_reconstruct(args):
                                     encoder, args.delta, 1):
         decoded = run_algorithm(args.algo, encoder, [traces for _, traces in chunk], params,
                                 delta=args.delta, betas=points)
-        for (i, _), outs in zip(chunk, decoded):
-            outcomes[i] = None if isinstance(outs, InfeasibleTrellisError) else outs[0]
+        outcomes.update((i, outs[0]) for (i, _), outs in zip(chunk, decoded))
     n_fail = 0
     with open(est_path, "w") as fh:
         for i in range(len(clusters)):

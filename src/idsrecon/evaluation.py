@@ -9,7 +9,7 @@ offset inside the channel model. Per-cluster randomness is derived from
 
 The usable clusters are decoded in chunks (`chunked`), one task and one
 decode call each, cut by one byte budget, CHUNK_BYTES, into the longest
-runs of clusters whose decode holds at most that much (`cluster_bytes`,
+runs of clusters whose decode holds at most that much (`call_bytes`,
 read from a trellis of one row), at least one cluster each, and ending
 where the trace count changes: every chunk holds one trace count. The cut
 never depends on `jobs`, and a cluster decodes in a chunk as it would
@@ -19,6 +19,7 @@ alone.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import warnings
@@ -28,14 +29,14 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from . import bcjr, trellis_bma
+from . import bcjr, trellis, trellis_bma
 from .alphabet import DNA
 from .bcjr import compute_posteriors
 from .bmala import LOOKAHEAD, bmala_map, bmala_reconstruct
 from .channel import IDSParams
 from .codes import scramble, unscramble
 from .errors import ConfigError, DatasetError, InfeasibleTrellisError
-from .trellis import BUFFER_BYTES, STEP_BLOCKS, build_trellis, sizing_row
+from .trellis import BUFFER_BYTES, STEP_BLOCKS, build_trellis
 from .trellis_bma import MULTIPLY_POSTERIORS, BetaParams, default_betas, run_trellis_bma
 
 logger = logging.getLogger(__name__)
@@ -208,11 +209,10 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
     of `betas`, the nonempty sequence of BetaParams it needs (see
     `default_betas`), and one for every other algorithm. An outcome is the
     pair (PosteriorTable or None, hard estimate), or the
-    InfeasibleTrellisError of that beta point's exchange. A cluster
-    infeasible for every point has that error in place of its list.
-    Every algorithm decodes the chunk in one call (`run_trellis_bma`,
-    `bmala_reconstruct`, `bmala_map`, or the joint trellis of the chunk, one
-    row per cluster); the chunk's clusters have one trace count (`chunked`).
+    InfeasibleTrellisError that ended that decode. Every algorithm decodes
+    the chunk in one call (`run_trellis_bma`, `bmala_reconstruct`,
+    `bmala_map`, or the joint trellis of the chunk, one row per cluster);
+    the chunk's clusters have one trace count (`chunked`).
     """
     offsets = [None] * len(clusters) if offsets is None else offsets
     if algorithm == "multiply-posteriors":
@@ -223,57 +223,68 @@ def run_algorithm(algorithm, encoder, clusters, params, delta=None, offsets=None
                               "default_betas(kind, metric, encoder, k)")
         posts = run_trellis_bma(encoder, clusters, params, betas, delta=delta,
                                 offsets=offsets)
-        return [ps if isinstance(ps, InfeasibleTrellisError)
-                else [p if isinstance(p, InfeasibleTrellisError) else (p, p.hard) for p in ps]
-                for ps in posts]
-    if algorithm not in ALGORITHMS:
+    elif algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    if algorithm == "bmala" and (encoder.L != encoder.N or encoder.n_states != 1):
-        raise ConfigError("plain bmala handles uncoded strands only; use bmala-map")
-    if algorithm == "bmala":
+    elif algorithm == "bmala":
+        if encoder.L != encoder.N or encoder.n_states != 1:
+            raise ConfigError("plain bmala handles uncoded strands only; use bmala-map")
         size = encoder.alphabet.size
         x_hats = bmala_reconstruct(clusters, encoder.N, size)
         return [[(None, x if z is None else unscramble(x, z, size))]
                 for x, z in zip(x_hats, offsets)]
-    if algorithm == "bmala-map":
-        posts = bmala_map(clusters, encoder, params, delta=delta, offsets=offsets)
+    elif algorithm == "bmala-map":
+        posts = [[p] for p in bmala_map(clusters, encoder, params, delta=delta,
+                                        offsets=offsets)]
     else:
-        posts = compute_posteriors(build_trellis(encoder, clusters, params, delta=delta,
-                                                 offsets=offsets))
-    return [p if isinstance(p, InfeasibleTrellisError) else [(p, p.hard)] for p in posts]
+        posts = [[p] for p in compute_posteriors(build_trellis(
+            encoder, clusters, params, delta=delta, offsets=offsets))]
+    return [[p if isinstance(p, InfeasibleTrellisError) else (p, p.hard) for p in ps]
+            for ps in posts]
 
 
 CHUNK_BYTES = 11 << 18  # what one decode call may hold (`cluster_bytes`): 2.75 MiB
 
 
-def cluster_bytes(algorithm, encoder, delta, k, triples, clusters):
-    """What one decode call of `clusters` clusters of k length-N traces at
-    beta points of `triples` distinct (beta_b, beta_e, beta_i) holds: its
-    reader's `Trellis.held_bytes` with STEP_BLOCKS fronts (per triple in
-    Trellis BMA's exchange) on the call's rows of `sizing_row`: per
-    cluster, k of one trace (Trellis BMA), one of one trace (BMALA-MAP) or
-    one of k axes (joint). BMALA's 2k lockstep rows a cluster hold 3 bytes
-    per padded symbol and 48 words, filled through numpy's buffers."""
+@functools.lru_cache(maxsize=64)
+def call_bytes(algorithm, encoder, delta, k, triples):
+    """What one decode call of clusters of k length-N traces at beta points
+    of `triples` distinct (beta_b, beta_e, beta_i) holds, as the pair (per
+    cluster, per call): its reader's `Trellis.held_bytes` with STEP_BLOCKS
+    fronts (per triple in Trellis BMA's exchange) on a trellis of one row
+    of length-N traces, every such row having the same windows; per cluster
+    k rows of one trace (Trellis BMA), one of one trace (BMALA-MAP) or one
+    of k axes (joint). BMALA's 2k lockstep rows a cluster hold 3 bytes per
+    padded symbol and 48 words, filled through numpy's buffers. The cache
+    keeps the two counts, not the row."""
     if algorithm == "bmala":
-        return clusters * 2 * k * (3 * (encoder.N + LOOKAHEAD + 2) + 48 * 8) + BUFFER_BYTES
+        return 2 * k * (3 * (encoder.N + LOOKAHEAD + 2) + 48 * 8), BUFFER_BYTES
+    axes = k if algorithm == "bcjr-multitrace" else 1
+    row = trellis.build_trellis(encoder, [[np.zeros(encoder.N, int)] * axes], (0, 0, 0, 1),
+                                delta=delta)
     if algorithm in ("trellis-bma", "multiply-posteriors"):
-        row = sizing_row(encoder, delta)
         fwd, bwd = trellis_bma.kept_layers(row)
-        return row.held_bytes(fwd + bwd, STEP_BLOCKS * triples, rows=clusters * k)
-    row = sizing_row(encoder, delta, 1 if algorithm == "bmala-map" else k)
-    return row.held_bytes(bcjr.kept_layers(row), STEP_BLOCKS, rows=clusters)
+        keep, fronts, rows = fwd + bwd, STEP_BLOCKS * triples, k
+    else:
+        keep, fronts, rows = bcjr.kept_layers(row), STEP_BLOCKS, 1
+    per_call = row.held_bytes(keep, fronts, rows=0)
+    return row.held_bytes(keep, fronts, rows=rows) - per_call, per_call
+
+
+def cluster_bytes(algorithm, encoder, delta, k, triples, clusters):
+    """What a decode call of `clusters` clusters holds, by `call_bytes`."""
+    per_cluster, per_call = call_bytes(algorithm, encoder, delta, k, triples)
+    return per_call + clusters * per_cluster
 
 
 def chunked(items, counts, algorithm, encoder, delta, triples):
     """`items`, one per cluster of counts[i] traces, cut in order into the
     chunks one `run_algorithm` call decodes: the longest runs of one trace
-    count whose decode holds at most CHUNK_BYTES (`cluster_bytes`), at
-    least one cluster each."""
+    count whose decode holds at most CHUNK_BYTES (`call_bytes`), at least
+    one cluster each."""
     chunks = []
     for k, run in groupby(zip(items, counts), key=lambda pair: pair[1]):
-        # each cluster adds as many bytes to what a call holds
-        one, two = (cluster_bytes(algorithm, encoder, delta, k, triples, n) for n in (1, 2))
-        most = max(1, 1 + (CHUNK_BYTES - one) // (two - one))
+        per_cluster, per_call = call_bytes(algorithm, encoder, delta, k, triples)
+        most = max(1, (CHUNK_BYTES - per_call) // per_cluster)
         run = [item for item, _ in run]
         chunks += [run[i:i + most] for i in range(0, len(run), most)]
     return chunks
@@ -305,17 +316,18 @@ def _score(post, hard, message):
 
 def _eval_chunk(args):
     """A chunk of clusters drawn and decoded in one `run_algorithm` call:
-    per cluster (idx, per outcome a metric dict or None where it was
-    infeasible; None if every one was)."""
+    per cluster (idx, per outcome a metric dict, or None where it was
+    infeasible). Each infeasible decode is warned about, once per cluster
+    when one error ended every decode of it."""
     chunk, encoder, algorithm, k, params, delta, betas, seed = args
     draws = [_draw(idx, cluster, encoder, k, seed) for idx, cluster in chunk]
     outcomes = run_algorithm(algorithm, encoder, [traces for _, _, traces in draws], params,
                              delta=delta, offsets=[z for _, z, _ in draws], betas=betas)
     results = []
     for (idx, _), (message, _, _), outs in zip(chunk, draws, outcomes):
-        if isinstance(outs, InfeasibleTrellisError):
-            logger.warning("cluster %d infeasible: %s", idx, outs)
-            results.append((idx, None))
+        if isinstance(outs[0], InfeasibleTrellisError) and all(o is outs[0] for o in outs):
+            logger.warning("cluster %d infeasible: %s", idx, outs[0])
+            results.append((idx, [None] * len(outs)))
             continue
         scores = []
         for i, outcome in enumerate(outs):
@@ -408,9 +420,7 @@ def _evaluate(clusters, encoder, algorithm, k, metric, seed, params, delta, beta
              for chunk in chunked(usable, [k] * len(usable), algorithm, encoder, delta,
                                   triples)]
     results = _run_tasks(_eval_chunk, tasks, jobs)
-    return [_report(algorithm, encoder, k,
-                    [None if results[idx] is None else results[idx][i] for idx, _ in usable],
-                    skipped)
+    return [_report(algorithm, encoder, k, [results[idx][i] for idx, _ in usable], skipped)
             for i in range(points)]
 
 

@@ -415,9 +415,10 @@ class Trellis:
     def _clear(self, a, b, arr, back):
         """Post a -> boundary b: each (state, message) cell is added into its
         next encoder state's, a product with the (next states, grid)
-        indicator; backward each gathers its next state's."""
+        indicator; backward each gathers its next state's, in C order, so
+        that the consume which follows runs without numpy's buffers."""
         if back:
-            return arr[:, :, b.nxt, 0]
+            return np.take(arr[:, :, :, 0], b.nxt, axis=2)
         lead = arr.shape[:2]
         return (b.onehot @ arr.reshape(lead + (b.nxt.size, -1))).reshape(lead + b.shape)
 
@@ -620,10 +621,3 @@ def build_trellis(encoder, rows, params, delta=None, offsets=None):
     if sum(encoder.emission_counts) != encoder.N:
         raise ConfigError("encoder emission counts do not sum to N")
     return Trellis(encoder, traces, params, delta, offsets, len(rows))
-
-
-@functools.lru_cache(maxsize=32)
-def sizing_row(encoder, delta, axes=1):
-    """The trellis of one row of `axes` length-N traces, which sizes a
-    decode before its own build: every such row has the same windows."""
-    return build_trellis(encoder, [[np.zeros(encoder.N, int)] * axes], (0, 0, 0, 1), delta=delta)

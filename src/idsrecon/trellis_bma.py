@@ -28,11 +28,12 @@ cluster decodes as it would alone, and each point as it would alone.
 
 Rows are independent, so nothing that dies is taken out of the lattice. A
 trace whose own trellis has no path is a dead row: an empty slot of its
-cluster. A (cluster, triple) exchange whose front, belief or gamma
-vanishes ends every point of that triple with that error, and a point
-whose own posterior vanishes ends alone, while the rest decode on; the
-sweeps stop once every decode has ended. So one lattice is built, and one
-init and one exchange run, per chunk, whatever dies.
+cluster, and a cluster with no other slot ends every point at once. A
+(cluster, triple) exchange whose front, belief or gamma vanishes ends
+every point of that triple with that error, and a point whose own
+posterior vanishes ends alone, while the rest decode on. Every decode's
+end is a record of the chunk (`_Chunk.errors`), so one lattice is built,
+and one init and one exchange run, per chunk, whatever dies.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class _Chunk:
     (T, C, K) mask `real` the slots that hold a kept trace of a cluster
     with a running point of that triple; a (T, rows, ...) stack reshapes
     onto that grid. `errors` holds each ended (point, cluster) decode's
-    first error, and `over` is set once every decode has ended."""
+    first error: a cluster that kept no trace has ended every point."""
 
     def __init__(self, C, K, kept, triple_of):
         real = np.zeros(C * K, bool)
@@ -169,8 +170,8 @@ class _Chunk:
         real = real.reshape(C, K)
         self.triple_of = triple_of
         self.real = np.broadcast_to(real, (triple_of.max() + 1, C, K))
-        self.alive = np.broadcast_to(real.any(axis=1), (len(triple_of), C))
-        self.over, self.errors = False, {}
+        self.alive, self.errors = np.ones((len(triple_of), C), bool), {}
+        self.end_points(~real.any(axis=1), "every trace was infeasible under the drift bound")
 
     def end(self, lost, message):
         """End, with InfeasibleTrellisError(message), every running point of
@@ -183,7 +184,8 @@ class _Chunk:
     def end_points(self, lost, message):
         """End each running (point, cluster) decode marked in the (P, C)
         `lost`; a triple's slots of a cluster stop once none of its points
-        runs there. Returns whether any ended."""
+        runs there (`lost` may broadcast to (P, C)). Returns whether any
+        ended."""
         lost = lost & self.alive
         if not lost.any():
             return False
@@ -193,7 +195,6 @@ class _Chunk:
         running = np.zeros(self.real.shape[:2], bool)
         np.logical_or.at(running, self.triple_of, self.alive)
         self.real = self.real & running[..., None]
-        self.over = not self.alive.any()
         return True
 
 
@@ -282,15 +283,12 @@ def _exchange_sweep(lat, back, chunk, triples, beta_o, width, layers, reads, sta
     posterior rows, one per point of `beta_o`, and each trace's row
     receives its gamma update from its own cluster's traces, the beliefs
     summing each position's first `width` cells. A triple whose real front
-    dies ends its points, with the error text of that step; the sweep stops
-    once every decode has ended."""
+    dies ends its points, with the error text of that step."""
     beta_b, beta_e, beta_i = triples
     step = lat.step_backward if back else lat.step_forward
     b = lat.initial_backward_block() if back else lat.initial_forward_block()
     front = np.broadcast_to(b[:, None], (len(b), beta_b.rows) + b.shape[1:])
     for t in layers:
-        if chunk.over:
-            return
         front, _, dead = step(t, front)
         if dead is not None:
             chunk.end(dead.T.reshape(chunk.real.shape), lat.vanished(back, t))
@@ -350,10 +348,10 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     each entry's posterior read with its beta_o. Returns, per cluster, a
     list with per entry its PosteriorTable (hard estimates are its row
     argmaxes) or the InfeasibleTrellisError that ended its decode, equal to
-    that cluster and entry decoded alone; or, for a cluster whose every
-    trace was infeasible, that error. Infeasible traces are dropped with a
-    warning naming each one. An empty cluster, or clusters of different
-    trace counts, are a ConfigError.
+    that cluster and entry decoded alone; a cluster whose every trace was
+    infeasible has that one error at every entry. Infeasible traces are
+    dropped with a warning naming each one. An empty cluster, or clusters
+    of different trace counts, are a ConfigError.
     """
     if (not isinstance(clusters, (list, tuple)) or not clusters
             or not all(isinstance(c, (list, tuple)) for c in clusters)):
@@ -383,11 +381,8 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     rows = _exchange(encoder, lat, fwd, bwd, np.array(list(index), dtype=float).T,
                      np.array([bp.beta_o for bp in betas], dtype=float), chunk,
                      kept) if kept else None
-    alive = {r // K for r in kept}
     return [[chunk.errors.get((p, c)) or PosteriorTable.from_rows(rows[p, c])
-             for p in range(len(betas))] if c in alive
-            else InfeasibleTrellisError("every trace was infeasible under the drift bound")
-            for c in range(C)]
+             for p in range(len(betas))] for c in range(C)]
 
 
 # Tuned sweep defaults, keyed by (data kind, target metric, code tag, trace

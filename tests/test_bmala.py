@@ -10,7 +10,7 @@ from idsrecon import (DNA, ConfigError, IDSParams, InfeasibleTrellisError, Poste
                       mr_encoder, parse_encoder_spec, simulate_clusters, transmit,
                       transmit_batch)
 from idsrecon import bcjr, bmala, evaluation
-from idsrecon.trellis import STEP_BLOCKS, build_trellis, sizing_row
+from idsrecon.trellis import STEP_BLOCKS, build_trellis
 
 PAPER = IDSParams.from_error_rates(0.017, 0.02, 0.022)
 
@@ -197,24 +197,27 @@ def _held(trellis, rows=None):
     return trellis.held_bytes(bcjr.kept_layers(trellis), STEP_BLOCKS, rows=rows)
 
 
-def test_sizing_row_is_what_the_reader_holds():
-    # trellis.sizing_row, built from the encoder and delta alone, has the
-    # geometry of a built row of length-N traces, scrambled or not: a lattice
-    # of consensus strings (one axis), or a joint chunk (two axes); what
-    # compute_posteriors holds on rows of it grows by one row's bytes a row
+def test_chunk_model_is_what_the_reader_holds():
+    # the chunk model (`evaluation.cluster_bytes`), read from the encoder and
+    # delta alone on a row of length-N traces, is what compute_posteriors
+    # holds on a built chunk of such rows, scrambled or not, each of the
+    # model row's geometry: a lattice of consensus strings (BMALA-MAP, one
+    # axis), or a joint chunk (two axes); it grows by one row's bytes a row
     rng = np.random.default_rng(3)
     for spec, delta in (("cc:2:0.5:110", 12), ("identity:110", 12), ("mr:24:3", 3),
                         ("cc:1:0.5:12", None)):
         enc = parse_encoder_spec(spec)
-        for axes in (1, 2):
-            row = sizing_row(enc, delta, axes)
-            one, two = _held(row), _held(row, rows=2)
+        for algorithm, axes in (("bmala-map", 1), ("bcjr-multitrace", 2)):
+            row = build_trellis(enc, [[np.zeros(enc.N, int)] * axes], PAPER, delta=delta)
+            one, two = (evaluation.cluster_bytes(algorithm, enc, delta, axes, 1, rows)
+                        for rows in (1, 2))
             for rows in (1, 3):
                 ys = [rng.integers(4, size=enc.N).astype(np.int8) for _ in range(axes)]
                 built = build_trellis(enc, [ys] * rows, PAPER, delta=delta,
                                       offsets=[rng.integers(4, size=enc.N)] * rows)
                 assert [lay.shape for lay in built.layers] == [lay.shape for lay in row.layers]
-                assert _held(built) == _held(row, rows=rows) == one + (rows - 1) * (two - one)
+                assert (_held(built) == one + (rows - 1) * (two - one)
+                        == evaluation.cluster_bytes(algorithm, enc, delta, axes, 1, rows))
     # at delta = 12 a row holds its boundary blocks and 5 fronts (227 784 and
     # 24 848 bytes), its ids layers' weight indices and 64 bytes a step;
     # the budget cuts BMALA-MAP chunks of 9 clusters of the 16-state code,
@@ -222,8 +225,8 @@ def test_sizing_row_is_what_the_reader_holds():
     cc, identity = parse_encoder_spec("cc:2:0.5:110"), parse_encoder_spec("identity:110")
     for enc, blocks, index, steps, size in ((cc, 227784, 6824, 330, 9),
                                              (identity, 24848, 440, 440, 47)):
-        row = sizing_row(enc, 12)
-        assert _held(row, rows=2) - _held(row) == blocks + index + 64 * steps
+        per_cluster, _ = evaluation.call_bytes("bmala-map", enc, 12, 10, 1)
+        assert per_cluster == blocks + index + 64 * steps
         cut = evaluation.chunked(list(range(120)), [10] * 120, "bmala-map", enc, 12, 1)
         assert [len(c) for c in cut[:-1]] == [size] * (len(cut) - 1)
         assert (evaluation.cluster_bytes("bmala-map", enc, 12, 10, 1, size)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idsrecon import (DNA, IDSParams, cli, default_betas, evaluation, load_dataset,
-                      parse_encoder_spec, write_dataset)
+from idsrecon import (DNA, BetaParams, IDSParams, cli, default_betas, evaluation,
+                      load_dataset, parse_encoder_spec, write_dataset)
 from idsrecon.cli import main
 
 
@@ -159,6 +159,55 @@ def test_reconstruct_default_betas_are_the_tuned_ones(tmp_path):
         posteriors[name] = (tmp_path / name / "posteriors.csv").read_bytes()
     assert posteriors["default"] == posteriors["real"]
     assert posteriors["default"] != posteriors["multiply"]
+
+
+def test_reconstruct_range_beta_flags_and_blank_estimates(tmp_path, capsys):
+    # --range decodes its slice of the clusters alone; a cluster with no
+    # trace, and one whose every trace is too long for a channel without
+    # insertions, each get a blank estimate line; the four --beta-b/e/i/o
+    # flags decode at that point, and fewer than four are refused
+    out = _simulate(tmp_path, n=6, traces=3, length=20)
+    clusters = load_dataset(out / "centers.txt", out / "clusters.txt")
+    clusters[2].traces = []
+    clusters[4].traces = [np.zeros(24, np.int8)] * 3
+    write_dataset(clusters, out / "centers.txt", out / "clusters.txt")
+    data = ["--centers", str(out / "centers.txt"), "--clusters", str(out / "clusters.txt"),
+            "--code", "identity:20", "--k", "2", "--delta", "6", "--p-ins", "0"]
+    flags = ["--beta-b", "1", "--beta-e", "0.1", "--beta-i", "0", "--beta-o", "0.5"]
+    capsys.readouterr()
+    assert main(["reconstruct"] + data + flags + ["-o", str(tmp_path / "all"),
+                                                  "--dump-posteriors"]) == 0
+    assert "reconstructed 4/6 clusters" in capsys.readouterr().out
+    ests = (tmp_path / "all" / "estimates.txt").read_text().splitlines()
+    assert len(ests) == 6 and ests[2] == ests[4] == ""
+    rows = (tmp_path / "all" / "posteriors.csv").read_text().splitlines()[1:]
+    params = IDSParams.from_error_rates(0, 0.02, 0.022)
+    for c in (0, 1, 3, 5):
+        [[(post, hard)]] = evaluation.run_algorithm(
+            "trellis-bma", parse_encoder_spec("identity:20"), [clusters[c].traces[:2]],
+            params, delta=6, betas=[BetaParams(1, 0.1, 0, 0.5)])
+        assert ests[c] == DNA.decode(hard)
+        mine = [list(map(float, row.split(",")[2:])) for row in rows if row.startswith(f"{c},")]
+        assert np.allclose(mine, post.probs, rtol=1e-7, atol=0)
+    assert main(["reconstruct"] + data + flags + ["--range", "2-5",
+                                                  "-o", str(tmp_path / "part")]) == 0
+    assert (tmp_path / "part" / "estimates.txt").read_text().splitlines() == ests[1:5]
+    capsys.readouterr()
+    assert main(["reconstruct"] + data + flags[:6] + ["-o", str(tmp_path / "three")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: give all four of --beta-b/e/i/o or none")
+    assert not (tmp_path / "three").exists()
+
+
+def test_dataset_error_exits_4(tmp_path, capsys):
+    # a dataset that does not parse is an i/o failure, exit code 4
+    out = _simulate(tmp_path, n=3, traces=2, length=12)
+    (out / "centers.txt").write_text("ACGT\nACGX\nACGT\n")
+    rc = main(["reconstruct", "--centers", str(out / "centers.txt"),
+               "--clusters", str(out / "clusters.txt"), "--code", "identity:12",
+               "-o", str(tmp_path / "r")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith(f"i/o error: {out / 'centers.txt'}:2: ")
 
 
 @pytest.mark.parametrize("command,flag,argv", [

@@ -464,18 +464,18 @@ def test_chunk_budget_counts_triples_not_points(monkeypatch):
     # the exchange steps one front per (beta_b, beta_e, beta_i) triple, so a
     # grid of 4 beta_o values costs a cluster what its one-beta_o grid costs
     # and is cut into the same chunks: here 2, 2 and 1 of 5 clusters
-    size, sized_triples, calls = evaluation.cluster_bytes, [], []
+    size, per, sized_triples, calls = evaluation.cluster_bytes, evaluation.call_bytes, [], []
     run = evaluation.run_algorithm
 
-    def sized(algorithm, encoder, delta, k, triples, clusters):
+    def sized(algorithm, encoder, delta, k, triples):
         sized_triples.append(triples)
-        return size(algorithm, encoder, delta, k, triples, clusters)
+        return per(algorithm, encoder, delta, k, triples)
 
     def counted(*args, **kwargs):
         calls[-1] += 1
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "cluster_bytes", sized)
+    monkeypatch.setattr(evaluation, "call_bytes", sized)
     monkeypatch.setattr(evaluation, "run_algorithm", counted)
     clusters = simulate_clusters(5, 3, 20, PAPER, seed=8)
     enc = identity_encoder(20, DNA)

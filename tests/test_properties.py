@@ -182,8 +182,8 @@ def test_lattice_rows_equal_each_traces_own_trellis(case):
     assert kept == sorted(own) and lines == lost
     assert lat.rows == len(traces)
     if not own:
-        [got] = run_trellis_bma(enc, [traces], params, [BetaParams()], delta=delta,
-                                offsets=[offset])
+        [[got]] = run_trellis_bma(enc, [traces], params, [BetaParams()], delta=delta,
+                                  offsets=[offset])
         assert str(got) == "every trace was infeasible under the drift bound"
         return
     full_f, full_b = lat.forward(), lat.backward()
@@ -432,9 +432,6 @@ def test_exchange_matches_its_oracle(case):
     enc, traces, params, offset, delta, betas = case
     [got] = run_trellis_bma(enc, [traces], params, betas, delta=delta, offsets=[offset])
     want = trellis_bma_posteriors(enc, traces, params, betas, delta=delta, offset=offset)
-    if isinstance(got, InfeasibleTrellisError):
-        assert want == [None] * len(betas)
-        return
     for post, rows in zip(got, want):
         assert isinstance(post, InfeasibleTrellisError) == (rows is None)
         if rows is not None:
@@ -489,9 +486,6 @@ def _assert_chunk_size_free(enc, clusters, params, delta, offsets, betas,
         alone, alone_lines = _decode_chunks(algorithm, enc, clusters, params, delta, offsets,
                                             betas)
     for got, one in zip(whole, alone):
-        if isinstance(one, InfeasibleTrellisError):
-            assert type(got) is type(one) and str(got) == str(one)
-            continue
         assert len(got) == len(one) == (len(betas) if algorithm == "trellis-bma" else 1)
         for a, b in zip(got, one):
             if isinstance(b, InfeasibleTrellisError):
@@ -584,7 +578,7 @@ def test_chunk_with_dropped_traces_and_a_row_lost_by_one_cluster():
     whole, lines = _assert_chunk_size_free(enc, clusters, params, 8, offsets, betas)
     assert [line.split(":")[0] for line in lines] == [
         "dropping trace 2", "dropping trace 0", "dropping trace 1"]
-    assert str(whole[2]) == "every trace was infeasible under the drift bound"
+    assert [str(e) for e in whole[2]] == ["every trace was infeasible under the drift bound"] * 2
     assert all(isinstance(whole[c][0][0], PosteriorTable) for c in (0, 1, 3))
     assert isinstance(whole[0][1], InfeasibleTrellisError)
     assert isinstance(whole[3][1][0], PosteriorTable)

@@ -307,7 +307,7 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
                 assert np.array_equal(out[k, p], one[k, 0]) and s[k, p] == s_one[k, 0]
     chunk = _Chunk(1, 3, [0, 1, 2], np.arange(3))
     assert chunk.end(dead.T.reshape(chunk.real.shape), lat.vanished(False, t))
-    assert list(chunk.errors) == [(1, 0)] and not chunk.over
+    assert list(chunk.errors) == [(1, 0)] and chunk.alive.tolist() == [[True], [False], [True]]
     assert str(chunk.errors[1, 0]).startswith(f"forward mass vanished at layer {t} ")
     # an ended decode's slots read 1.0 in the beliefs, the running ones
     # their normalised rows, and it does not end again
