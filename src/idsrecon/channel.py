@@ -55,12 +55,6 @@ class IDSParams:
         return (self.p_ins, self.p_del, self.p_sub, self.p_cor)
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def transmit(x, params, seed, alphabet=None):
     """Push one input sequence through the channel and return one trace.
 
@@ -99,7 +93,7 @@ def transmit_batch(x, params, count, seed, alphabet_size=None):
     if size < 2 or x.min() < 0 or x.max() >= size:
         raise ConfigError(f"`alphabet_size` {size} must be at least 2 and cover "
                           f"every symbol of x")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back as itself
 
     traces = []
     chunk = max(1, (1 << 21) // max(len(x), 1))

@@ -59,6 +59,13 @@ def _common_args(p, seed=False, jobs=False):
     p.add_argument("--verbose", action="store_true")
 
 
+def _split_args(p):
+    p.add_argument("--train-range", type=str, default="1-2000")
+    p.add_argument("--validation-range", type=str, default="2001-2500")
+    p.add_argument("--test-range", type=str, default="2501-10000")
+    p.add_argument("--max-clusters", type=int, default=None)
+
+
 def _beta_args(p):
     p.add_argument("--beta-b", type=float, default=None)
     p.add_argument("--beta-e", type=float, default=None)
@@ -118,10 +125,7 @@ def build_parser():
     p.add_argument("--delta", type=int, default=12)
     p.add_argument("--split", choices=("train", "validation", "test", "all"),
                    default="test")
-    p.add_argument("--train-range", type=str, default="1-2000")
-    p.add_argument("--validation-range", type=str, default="2001-2500")
-    p.add_argument("--test-range", type=str, default="2501-10000")
-    p.add_argument("--max-clusters", type=int, default=None)
+    _split_args(p)
     p.add_argument("--output", "-o", type=str, default=None)
     subparsers["evaluate"] = p
 
@@ -133,10 +137,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--metric", choices=evaluation.METRICS, default="hamming")
     p.add_argument("--delta", type=int, default=12)
-    p.add_argument("--train-range", type=str, default="1-2000")
-    p.add_argument("--validation-range", type=str, default="2001-2500")
-    p.add_argument("--test-range", type=str, default="2501-10000")
-    p.add_argument("--max-clusters", type=int, default=None)
+    _split_args(p)
     p.add_argument("--grid-beta-b", type=str, default=None, help="comma list")
     p.add_argument("--grid-beta-e", type=str, default=None)
     p.add_argument("--grid-beta-i", type=str, default=None)
@@ -305,7 +306,9 @@ def cmd_reconstruct(args):
                                     encoder, args.delta, 1):
         decoded = run_algorithm(args.algo, encoder, [traces for _, traces in chunk], params,
                                 delta=args.delta, betas=points)
-        outcomes.update((i, outs[0]) for (i, _), outs in zip(chunk, decoded))
+        for (i, _), outs in zip(chunk, decoded):
+            evaluation.warn_infeasible(i, outs)
+            outcomes[i] = outs[0]
     n_fail = 0
     with open(est_path, "w") as fh:
         for i in range(len(clusters)):

@@ -314,29 +314,31 @@ def _score(post, hard, message):
     return out
 
 
+def warn_infeasible(idx, outs):
+    """Warn about each decode of cluster `idx` that ended infeasible, among
+    its `run_algorithm` outcomes `outs`: once when one error ended every
+    decode of it, else once per such beta point."""
+    if isinstance(outs[0], InfeasibleTrellisError) and all(o is outs[0] for o in outs):
+        logger.warning("cluster %d infeasible: %s", idx, outs[0])
+        return
+    for i, outcome in enumerate(outs):
+        if isinstance(outcome, InfeasibleTrellisError):
+            logger.warning("cluster %d infeasible at beta point %d: %s", idx, i, outcome)
+
+
 def _eval_chunk(args):
     """A chunk of clusters drawn and decoded in one `run_algorithm` call:
     per cluster (idx, per outcome a metric dict, or None where it was
-    infeasible). Each infeasible decode is warned about, once per cluster
-    when one error ended every decode of it."""
+    infeasible), each infeasible decode warned about (`warn_infeasible`)."""
     chunk, encoder, algorithm, k, params, delta, betas, seed = args
     draws = [_draw(idx, cluster, encoder, k, seed) for idx, cluster in chunk]
     outcomes = run_algorithm(algorithm, encoder, [traces for _, _, traces in draws], params,
                              delta=delta, offsets=[z for _, z, _ in draws], betas=betas)
     results = []
     for (idx, _), (message, _, _), outs in zip(chunk, draws, outcomes):
-        if isinstance(outs[0], InfeasibleTrellisError) and all(o is outs[0] for o in outs):
-            logger.warning("cluster %d infeasible: %s", idx, outs[0])
-            results.append((idx, [None] * len(outs)))
-            continue
-        scores = []
-        for i, outcome in enumerate(outs):
-            if isinstance(outcome, InfeasibleTrellisError):
-                logger.warning("cluster %d infeasible at beta point %d: %s", idx, i, outcome)
-                scores.append(None)
-            else:
-                scores.append(_score(*outcome, message))
-        results.append((idx, scores))
+        warn_infeasible(idx, outs)
+        results.append((idx, [None if isinstance(o, InfeasibleTrellisError)
+                              else _score(*o, message) for o in outs]))
     return results
 
 

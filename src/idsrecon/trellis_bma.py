@@ -32,8 +32,12 @@ cluster, and a cluster with no other slot ends every point at once. A
 (cluster, triple) exchange whose front, belief or gamma vanishes ends
 every point of that triple with that error, and a point whose own
 posterior vanishes ends alone, while the rest decode on. Every decode's
-end is a record of the chunk (`_Chunk.errors`), so one lattice is built,
-and one init and one exchange run, per chunk, whatever dies.
+end is a record of the chunk, its first error (`_Chunk.errors`), and
+nothing else: an ended decode steps on with the rest through finite values
+that nothing reads. Its beliefs are at most 1, so are their powers and
+its gammas, and a slot of no mass reads 1, so it cannot overflow or form
+0/0. One lattice is built, and one init and one exchange run, per chunk,
+whatever dies.
 """
 
 from __future__ import annotations
@@ -134,19 +138,17 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
 
     A trace whose trellis has no surviving path under `delta` stays a
     (dead) row of the lattice and is dropped with a warning naming it by
-    its index in its cluster (real clusters contain outlier reads). The
-    backward sweep is None if every trace died in the forward one. Returns
-    (lattice, forward sweep, backward sweep, indices of the kept traces).
+    its index in its cluster (real clusters contain outlier reads), with
+    the error of the sweep it died in, forward first. Both sweeps run
+    whatever dies. Returns (lattice, forward sweep, backward sweep,
+    indices of the kept traces).
     """
     k = k or len(traces)
     lat = build_trellis(encoder, [[y] for y in traces], params, delta=delta, offsets=offsets)
     fkeep, bkeep = kept_layers(lat)
-    fs = lat.forward(keep=fkeep)
-    lost = [lat.vanished(False, t) for t in fs.died.tolist()]
-    bs = None
-    if not all(lost):
-        bs = lat.backward(keep=bkeep)
-        lost = [e or lat.vanished(True, t) for e, t in zip(lost, bs.died.tolist())]
+    fs, bs = lat.forward(keep=fkeep), lat.backward(keep=bkeep)
+    lost = [lat.vanished(False, f) or lat.vanished(True, b)
+            for f, b in zip(fs.died.tolist(), bs.died.tolist())]
     for r, e in enumerate(lost):
         if e:
             logger.warning("dropping trace %d: %s", r % k, e)
@@ -155,47 +157,34 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
 
 class _Chunk:
     """Where the lattice's rows sit among a chunk's C clusters of K traces,
-    and which decodes still run. Row r is trace r % K of cluster r // K, at
-    slot (r // K, r % K) of a (C, K) grid. The exchange stacks T (beta_b,
-    beta_e, beta_i) triples; beta point p reads triple `triple_of[p]`. The
-    (P, C) mask `alive` marks the running (point, cluster) decodes, and the
-    (T, C, K) mask `real` the slots that hold a kept trace of a cluster
-    with a running point of that triple; a (T, rows, ...) stack reshapes
-    onto that grid. `errors` holds each ended (point, cluster) decode's
-    first error: a cluster that kept no trace has ended every point."""
+    and which decodes have ended. Row r is trace r % K of cluster r // K, at
+    slot (r // K, r % K) of a (C, K) grid, and the fixed (C, K) mask `real`
+    marks the slots that hold a kept trace; a (T, rows, ...) stack reshapes
+    onto (T, C, K). The exchange stacks T (beta_b, beta_e, beta_i) triples;
+    beta point p reads triple `triple_of[p]`. `errors` holds each ended
+    (point, cluster) decode's first error, which no later end overwrites:
+    a cluster that kept no trace has ended every point."""
 
     def __init__(self, C, K, kept, triple_of):
-        real = np.zeros(C * K, bool)
-        real[kept] = True
-        real = real.reshape(C, K)
+        self.real = np.isin(np.arange(C * K), kept).reshape(C, K)
         self.triple_of = triple_of
-        self.real = np.broadcast_to(real, (triple_of.max() + 1, C, K))
-        self.alive, self.errors = np.ones((len(triple_of), C), bool), {}
-        self.end_points(~real.any(axis=1), "every trace was infeasible under the drift bound")
+        self.errors = {}
+        self.end_points(~self.real.any(axis=1), "every trace was infeasible under the drift bound")
 
     def end(self, lost, message):
-        """End, with InfeasibleTrellisError(message), every running point of
-        each (triple, cluster) that has a real slot marked in `lost`
-        (broadcast to (T, C, K)); returns whether any ended."""
-        if not lost.any():
-            return False
-        return self.end_points((self.real & lost).any(axis=2)[self.triple_of], message)
+        """End, with InfeasibleTrellisError(message), every point of each
+        (triple, cluster) that has a real slot marked in the (T, C, K)
+        `lost`."""
+        if lost.any():
+            self.end_points((self.real & lost).any(axis=2)[self.triple_of], message)
 
     def end_points(self, lost, message):
-        """End each running (point, cluster) decode marked in the (P, C)
-        `lost`; a triple's slots of a cluster stop once none of its points
-        runs there (`lost` may broadcast to (P, C)). Returns whether any
-        ended."""
-        lost = lost & self.alive
-        if not lost.any():
-            return False
+        """End each (point, cluster) decode marked in `lost`, which
+        broadcasts to (P, C), unless it has ended already."""
         error = InfeasibleTrellisError(message)
-        self.errors.update(dict.fromkeys(map(tuple, np.argwhere(lost).tolist()), error))
-        self.alive = self.alive & ~lost
-        running = np.zeros(self.real.shape[:2], bool)
-        np.logical_or.at(running, self.triple_of, self.alive)
-        self.real = self.real & running[..., None]
-        return True
+        shape = (len(self.triple_of), len(self.real))
+        for key in map(tuple, np.argwhere(np.broadcast_to(lost, shape)).tolist()):
+            self.errors.setdefault(key, error)
 
 
 def combine_beliefs(front, stale, beta_b, chunk):
@@ -210,15 +199,15 @@ def combine_beliefs(front, stale, beta_b, chunk):
     at index m of its message axis. Rows are normalised (the sweeps rescale
     layers freely, so only ratios carry information); a decode with a real
     row of no mass ends. Returns ((T, C, K, M) beliefs on `chunk`'s grid,
-    1.0 in each slot not real, and their product over each cluster's
-    traces, (T, C, M)).
+    1.0 in each slot not real or of no mass, and their product over each
+    cluster's traces, (T, C, M)).
     """
     powed = beta_b(stale, shared=True)
     rows = (front.swapaxes(0, 1) * powed).sum(axis=4).sum(axis=2)
-    rows = rows.reshape(chunk.real.shape + rows.shape[2:])
+    rows = rows.reshape(rows.shape[:1] + chunk.real.shape + rows.shape[2:])
     tot = rows.sum(axis=3, keepdims=True)
     chunk.end(tot[..., 0] <= 0.0, "belief row lost all mass during the sweep")
-    rows = np.divide(rows, tot, out=np.ones_like(rows), where=chunk.real[..., None])
+    rows = np.divide(rows, tot, out=np.ones_like(rows), where=chunk.real[..., None] & (tot > 0))
     return rows, np.multiply.reduce(rows, axis=2)
 
 
@@ -230,7 +219,7 @@ def gamma_updates(rows, beta_e, beta_i, chunk):
     exponents), multiplied in trace order. Each belief is raised to each
     power once. `chunk` says which slots are real; the others hold beliefs
     of 1.0, a factor of 1, and their gammas are not read. A decode with a
-    real gamma of no mass ends."""
+    real gamma of no mass ends; a gamma of no mass is divided by 1."""
     n = rows.shape[2]
     # factor j + 1 is trace j's belief to beta_e, and 1 for trellis j itself
     factors = np.empty((n + 1,) + rows.shape)
@@ -240,7 +229,7 @@ def gamma_updates(rows, beta_e, beta_i, chunk):
     g = np.multiply.reduce(factors, axis=0)
     m = g.max(axis=3, keepdims=True)
     chunk.end(m[..., 0] <= 0.0, "gamma update vanished for one trellis")
-    m[~chunk.real] = 1.0
+    m[m <= 0] = 1
     return g / m
 
 
@@ -291,7 +280,7 @@ def _exchange_sweep(lat, back, chunk, triples, beta_o, width, layers, reads, sta
     for t in layers:
         front, _, dead = step(t, front)
         if dead is not None:
-            chunk.end(dead.T.reshape(chunk.real.shape), lat.vanished(back, t))
+            chunk.end(dead.T.reshape((-1,) + chunk.real.shape), lat.vanished(back, t))
         if t not in reads:
             continue
         w = width[lat.layers[t].npos]
@@ -319,7 +308,7 @@ def _exchange(encoder, lat, fwd, bwd, triples, beta_o, chunk, kept):
     # widen the axis, and a belief summing its zero cells would round
     # otherwise than the kept rows' own lattice
     width = (lat.hi - lat.lo)[:, kept].max(axis=(1, 2)) + 1
-    rows_out = np.empty(chunk.alive.shape + (L, encoder.msg_size))
+    rows_out = np.empty((len(beta_o), len(chunk.real), L, encoder.msg_size))
     triples, beta_o = [_Powers(b) for b in triples], _Powers(beta_o)
     # a forward-updating sweep estimates the first half at its post layers
     first = {lat.post_read_layer[l]: l for l in range(half)}

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from idsrecon import (DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellisError,
+from idsrecon import (BINARY, DNA, BetaParams, ConfigError, IDSParams, InfeasibleTrellisError,
                       build_trellis, cc_encoder, combine_beliefs, compute_posteriors,
                       default_betas, identity_encoder, init_single_trace_trellises, mr_encoder,
                       run_algorithm, run_trellis_bma, scramble, transmit, update_forward)
@@ -306,17 +306,53 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
             if (k, p) != (1, 1):
                 assert np.array_equal(out[k, p], one[k, 0]) and s[k, p] == s_one[k, 0]
     chunk = _Chunk(1, 3, [0, 1, 2], np.arange(3))
-    assert chunk.end(dead.T.reshape(chunk.real.shape), lat.vanished(False, t))
-    assert list(chunk.errors) == [(1, 0)] and chunk.alive.tolist() == [[True], [False], [True]]
-    assert str(chunk.errors[1, 0]).startswith(f"forward mass vanished at layer {t} ")
-    # an ended decode's slots read 1.0 in the beliefs, the running ones
-    # their normalised rows, and it does not end again
+    chunk.end(dead.T.reshape((-1,) + chunk.real.shape), lat.vanished(False, t))
+    first = chunk.errors[1, 0]
+    assert list(chunk.errors) == [(1, 0)]
+    assert str(first).startswith(f"forward mass vanished at layer {t} ")
+    # the ended decode steps on: its dead slot reads 1.0, its others their
+    # normalised rows, and every later end, here its belief's, leaves its
+    # first error; the running decodes' beliefs are those of a stack
+    # without it
     rows, combined = combine_beliefs(front, good, _Powers(np.ones(3)), chunk)
-    assert (rows[1] == 1.0).all() and (combined[1] == 1.0).all()
-    assert np.allclose(rows[[0, 2]].sum(axis=-1), 1.0) and (rows[[0, 2]] < 1.0).all()
+    assert (rows[1, 0, 1] == 1.0).all() and np.allclose(rows[1, 0, [0, 2]].sum(axis=-1), 1.0)
+    assert list(chunk.errors) == [(1, 0)] and chunk.errors[1, 0] is first
+    running = _Chunk(1, 3, [0, 1, 2], np.arange(2))
+    want, want_combined = combine_beliefs(front[:, [0, 2]], good, _Powers(np.ones(2)), running)
+    assert not running.errors
+    assert np.array_equal(rows[[0, 2]], want) and np.array_equal(combined[[0, 2]], want_combined)
+    assert np.isfinite(rows).all() and (rows <= 1.0).all() and (combined <= 1.0).all()
     again = np.zeros((3, 1, 3), bool)
     again[1] = True
-    assert not chunk.end(again, "again") and str(chunk.errors[1, 0]) != "again"
+    chunk.end(again, "again")
+    chunk.end_points(True, "again")
+    assert chunk.errors[1, 0] is first
+    assert [str(chunk.errors[p, 0]) for p in (0, 2)] == ["again", "again"]
+
+
+def test_lattice_whose_every_row_dies(caplog):
+    # without insertions, traces longer than the strand have no path under
+    # a drift bound of 3, each dying in the forward sweep at its own layer,
+    # the shortest at the end cells; the init still runs the backward
+    # sweep, and each trace is dropped with its forward error
+    params = IDSParams(0.0, 0.05, 0.05, 0.9)
+    enc = identity_encoder(6, BINARY)
+    traces = [np.zeros(n, dtype=np.int8) for n in (7, 9, 11, 14)]
+    with caplog.at_level(logging.WARNING):
+        lat, fs, bs, kept = init_single_trace_trellises(enc, traces, params, delta=3)
+    assert kept == [] and fs.died.tolist() == [25, 19, 11, 7]
+    assert len(bs.layers) == len(lat.layers) and (bs.died >= 0).all()
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropping trace 0: no forward mass reaches an absorbing vertex",
+        "dropping trace 1: forward mass vanished at layer 19 (post); no path explains the "
+        "traces (delta=3)",
+        "dropping trace 2: forward mass vanished at layer 11 (post); no path explains the "
+        "traces (delta=3)",
+        "dropping trace 3: forward mass vanished at layer 7 (post); no path explains the "
+        "traces (delta=3)"]
+    got = run_trellis_bma(enc, [traces[:2], traces[2:]], params, [BetaParams()] * 2, delta=3)
+    assert [[str(e) for e in c] for c in got] == [
+        ["every trace was infeasible under the drift bound"] * 2] * 2
 
 
 def test_row_that_vanishes_leaves_the_stack_alone():
