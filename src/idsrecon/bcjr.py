@@ -69,8 +69,7 @@ def compute_posteriors(trellis):
     """Exact message posteriors of every row of `trellis`: per row, its
     PosteriorTable with the row's sequence log-likelihood (a float), or the
     InfeasibleTrellisError of a row whose mass vanished, formed from the
-    death record of the sweep where it did (forward first). Both sweeps
-    run to their last layer whatever dies.
+    death record of the sweep where it did (forward first).
 
     The forward sweep keeps only each cycle's boundary block (the layer
     before its input layer), all in one buffer. The backward front is not
@@ -91,14 +90,16 @@ def compute_posteriors(trellis):
     reads = {t: l for l, t in enumerate(trellis.input_read_layer)}
     fs = trellis.forward(keep=keep)
     rows = np.zeros((trellis.rows, trellis.L, trellis.encoder.msg_size))
-    for t, bwd, _, died in trellis.fronts(back=True):
-        l = reads.get(t)
-        if l is None:
-            continue
-        # boundary (rows, S, 1, W...) x input (rows, S, M, W...): sum each
-        # message symbol's states and pointers
-        joint = fs.layers[t - 1] * bwd
-        rows[:, l] = joint.reshape(joint.shape[:3] + (-1,)).sum(axis=3).sum(axis=1)
+    died = np.full(trellis.rows, -1)
+    if fs.died.min() < 0:  # some row lives: the forward sweep reached every layer
+        for t, bwd, _, died in trellis.fronts(back=True):
+            l = reads.get(t)
+            if l is None:
+                continue
+            # boundary (rows, S, 1, W...) x input (rows, S, M, W...): sum each
+            # message symbol's states and pointers
+            joint = fs.layers[t - 1] * bwd
+            rows[:, l] = joint.reshape(joint.shape[:3] + (-1,)).sum(axis=3).sum(axis=1)
     out = []
     for r in range(trellis.rows):
         error = (trellis.vanished(False, int(fs.died[r]))

@@ -313,6 +313,8 @@ def cmd_reconstruct(args):
     with open(est_path, "w") as fh:
         for i in range(len(clusters)):
             outcome = outcomes.get(i)
+            if outcome is None:
+                logger.warning("cluster %d has no traces", i)
             if outcome is None or isinstance(outcome, InfeasibleTrellisError):
                 fh.write("\n")
                 n_fail += 1

@@ -89,8 +89,8 @@ row, each as it would be stepped alone: the exact sweeps step a stack of
 one, the Trellis BMA exchange one front per beta point. A front whose mass
 vanishes is dead: it stays in the stack as zeros with scale 1, and the step
 marks it, so its neighbours step on untouched. A sweep records, per row,
-where its front died and steps on to the last layer whatever dies; the
-error text of a dead row is formed from that record (`Trellis.vanished`).
+where its front died and stops once every row is dead; the error text of a
+dead row is formed from that record (`Trellis.vanished`).
 
 Rescaling. A step divides each front by its maximum, and checks it for
 death, only into the layers that are read or end a cycle: boundary layers,
@@ -207,8 +207,7 @@ class SweepResult:
     `layers[t]` holds that layer's (rows, S, M, W...) block rescaled per row
     by exp(scales[t]), true value = layers[t] * exp(scales[t]) row by row,
     for each layer t the sweep was asked to keep, and None for every other
-    layer; a sweep reaches every layer, whatever dies. `scales` (layers,
-    rows) covers every layer; `loglik` is (rows,).
+    layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
     `died` (rows,) records where each row died: -1 if it lives, else the
     first rescaled layer (boundary, input or a cycle's last post layer)
     reached after its mass vanished, or len(layers) if none reached its end
@@ -522,9 +521,8 @@ class Trellis:
         the step into t divided out of the block ((rows, 1, ...); None for
         the initial block and a layer that is not rescaled) and `died` the
         death record so far, which names the first rescaled layer after a
-        row's mass vanished. It steps to the last layer even when every
-        row is dead, a dead row being zeros with scale 1 that each step
-        leaves so. A block is not written to after it is yielded."""
+        row's mass vanished. It stops at the layer where its last live row
+        is recorded dead. A block is not written to after it is yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
@@ -538,6 +536,8 @@ class Trellis:
                 if dead is not None:
                     died[(died < 0) & dead[:, 0]] = t
             yield t, arr.squeeze(1), s, died
+            if dead is not None and died.min() >= 0:
+                return
 
     def _sweep(self, back, keep):
         """Run `fronts`, keeping the blocks of the layers in `keep` (every
@@ -557,9 +557,13 @@ class Trellis:
                 maxima[i] = s.reshape(self.rows)
             if kept[t] is not None:
                 np.copyto(kept[t], arr)
+        for t in (range(n - 1 - i) if back else range(i + 1, n)):
+            kept[t] = None  # not reached: every row died before it
         scales = np.cumsum(np.log(maxima, out=maxima), axis=0)
-        tot = arr[self._origin() if back else self._absorbing()].sum(axis=-1)
-        died[(died < 0) & (tot <= 0.0)] = n
+        tot = np.ones(self.rows)
+        if i == n - 1:  # the last layer was reached
+            tot = arr[self._origin() if back else self._absorbing()].sum(axis=-1)
+            died[(died < 0) & (tot <= 0.0)] = n
         live = died < 0
         loglik = np.where(live, np.log(np.where(live, tot, 1.0)) + scales[-1], -math.inf)
         return SweepResult(kept, scales[::-1] if back else scales, loglik, died)

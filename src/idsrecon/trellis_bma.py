@@ -139,16 +139,19 @@ def init_single_trace_trellises(encoder, traces, params, delta=None, offsets=Non
     A trace whose trellis has no surviving path under `delta` stays a
     (dead) row of the lattice and is dropped with a warning naming it by
     its index in its cluster (real clusters contain outlier reads), with
-    the error of the sweep it died in, forward first. Both sweeps run
-    whatever dies. Returns (lattice, forward sweep, backward sweep,
-    indices of the kept traces).
+    the error of the sweep it died in, forward first. The backward sweep
+    is None if every trace died in the forward one. Returns (lattice,
+    forward sweep, backward sweep, indices of the kept traces).
     """
     k = k or len(traces)
     lat = build_trellis(encoder, [[y] for y in traces], params, delta=delta, offsets=offsets)
     fkeep, bkeep = kept_layers(lat)
-    fs, bs = lat.forward(keep=fkeep), lat.backward(keep=bkeep)
-    lost = [lat.vanished(False, f) or lat.vanished(True, b)
-            for f, b in zip(fs.died.tolist(), bs.died.tolist())]
+    fs = lat.forward(keep=fkeep)
+    lost = [lat.vanished(False, t) for t in fs.died.tolist()]
+    bs = None
+    if not all(lost):
+        bs = lat.backward(keep=bkeep)
+        lost = [e or lat.vanished(True, t) for e, t in zip(lost, bs.died.tolist())]
     for r, e in enumerate(lost):
         if e:
             logger.warning("dropping trace %d: %s", r % k, e)
@@ -181,10 +184,11 @@ class _Chunk:
     def end_points(self, lost, message):
         """End each (point, cluster) decode marked in `lost`, which
         broadcasts to (P, C), unless it has ended already."""
-        error = InfeasibleTrellisError(message)
         shape = (len(self.triple_of), len(self.real))
-        for key in map(tuple, np.argwhere(np.broadcast_to(lost, shape)).tolist()):
-            self.errors.setdefault(key, error)
+        new = [key for key in map(tuple, np.argwhere(np.broadcast_to(lost, shape)).tolist())
+               if key not in self.errors]
+        if new:
+            self.errors.update(dict.fromkeys(new, InfeasibleTrellisError(message)))
 
 
 def combine_beliefs(front, stale, beta_b, chunk):

@@ -202,12 +202,13 @@ def test_reconstruct_range_beta_flags_and_blank_estimates(tmp_path, capsys):
 
 def test_reconstruct_warns_why_each_estimate_is_blank(tmp_path, caplog):
     # without insertions, beta_o = 300 underflows the combined belief of
-    # three clusters, and a cluster of traces too long for the strand keeps
-    # none: each blank estimate line has one warning naming its cluster and
-    # the error that ended its decode
+    # three clusters, a cluster of traces too long for the strand keeps none
+    # and one has no trace: each blank estimate line has one warning naming
+    # its cluster and why it is blank
     out = _simulate(tmp_path, n=6, traces=3, length=24, seed=1)
     clusters = load_dataset(out / "centers.txt", out / "clusters.txt")
     clusters[2].traces = [np.zeros(30, np.int8)] * 3
+    clusters[5].traces = []
     write_dataset(clusters, out / "centers.txt", out / "clusters.txt")
     with caplog.at_level(logging.WARNING):
         assert main(["reconstruct", "--centers", str(out / "centers.txt"),
@@ -216,12 +217,13 @@ def test_reconstruct_warns_why_each_estimate_is_blank(tmp_path, caplog):
                      "--beta-e", "0.1", "--beta-i", "0", "--beta-o", "300",
                      "-o", str(tmp_path / "rec")]) == 0
     ests = (tmp_path / "rec" / "estimates.txt").read_text().splitlines()
-    assert [i for i, e in enumerate(ests) if not e] == [0, 1, 2, 3]
-    assert [r.getMessage() for r in caplog.records if " infeasible" in r.getMessage()] == [
+    assert [i for i, e in enumerate(ests) if not e] == [0, 1, 2, 3, 5]
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("cluster")] == [
         "cluster 0 infeasible: combined belief has no mass",
         "cluster 1 infeasible: combined belief has no mass",
         "cluster 2 infeasible: every trace was infeasible under the drift bound",
-        "cluster 3 infeasible: combined belief has no mass"]
+        "cluster 3 infeasible: combined belief has no mass",
+        "cluster 5 has no traces"]
 
 
 def test_dataset_error_exits_4(tmp_path, capsys):

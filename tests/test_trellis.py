@@ -101,15 +101,19 @@ def test_infeasible_under_tight_delta():
     y = np.zeros(12, dtype=np.int8)
     tr = build_trellis(enc, [[y]], params, delta=1)
     # the mass vanishes in the ids layer 2, which is not rescaled; the sweep
-    # records the next rescaled layer, the post layer 3, and steps on to the
-    # last layer, every later block of the dead row zero and its record
-    # kept; the posterior reader raises that record's error
+    # records the next rescaled layer, the post layer 3, and stops there, no
+    # row being left; the posterior reader raises that record's error
     f = tr.forward()
     assert [lay.kind for lay in tr.layers[1:4]] == ["input", "ids", "post"]
     assert f.layers[1].any() and not f.layers[2].any()
     assert f.died.tolist() == [3] and f.loglik.tolist() == [-math.inf]
-    assert len(f.layers) == len(tr.layers) and not any(a.any() for a in f.layers[3:])
-    assert f.scales[3:].tolist() == [f.scales[2].tolist()] * (len(tr.layers) - 3)
+    assert not f.layers[3].any() and f.layers[4] is None
+    # beside a live row the sweep steps on to the last layer: every later
+    # block of the dead row is zero, its scale flat and its record still 3
+    both = build_trellis(enc, [[y], [y[:4]]], params, delta=1).forward()
+    assert both.died.tolist() == [3, -1] and both.loglik[1] > -math.inf
+    assert not any(a[0].any() for a in both.layers[3:]) and both.layers[-1][1].any()
+    assert (both.scales[3:, 0] == both.scales[2, 0]).all()
     msg = "forward mass vanished at layer 3 (post); no path explains the traces (delta=1)"
     assert tr.vanished(False, 3) == msg
     [err] = compute_posteriors(tr)

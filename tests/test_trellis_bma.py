@@ -333,15 +333,15 @@ def test_lattice_step_marks_only_its_dead_trace_rows():
 def test_lattice_whose_every_row_dies(caplog):
     # without insertions, traces longer than the strand have no path under
     # a drift bound of 3, each dying in the forward sweep at its own layer,
-    # the shortest at the end cells; the init still runs the backward
-    # sweep, and each trace is dropped with its forward error
+    # the shortest at the end cells; the init skips the backward sweep,
+    # and each trace is dropped with its forward error
     params = IDSParams(0.0, 0.05, 0.05, 0.9)
     enc = identity_encoder(6, BINARY)
     traces = [np.zeros(n, dtype=np.int8) for n in (7, 9, 11, 14)]
     with caplog.at_level(logging.WARNING):
         lat, fs, bs, kept = init_single_trace_trellises(enc, traces, params, delta=3)
     assert kept == [] and fs.died.tolist() == [25, 19, 11, 7]
-    assert len(bs.layers) == len(lat.layers) and (bs.died >= 0).all()
+    assert bs is None
     assert [r.getMessage() for r in caplog.records] == [
         "dropping trace 0: no forward mass reaches an absorbing vertex",
         "dropping trace 1: forward mass vanished at layer 19 (post); no path explains the "
