@@ -9,13 +9,17 @@ The transition map is one broadcasting function, `transition(q, m, step)`:
 broadcasts against an array `m`). It returns the next states, with that
 shape, and the emitted codeword symbols, with that shape plus a trailing
 axis of length `emission_counts[step]`. Scalar inputs give a scalar next
-state. The trellis takes a whole cycle's (state, message) pairs in one
-call; `decode` tries every message symbol of a step in one call.
+state.
+
+`FSMEncoder.cycles` calls it once per message step, on every (state,
+message) pair of the states reachable there, and keeps the result as the
+encoder's one cycle table. The trellis is built from that table, `encode`
+walks it and `decode` inverts the walk; none of them calls `transition`.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -60,33 +64,54 @@ class FSMEncoder:
     def transition(self, q, m, step):
         raise NotImplementedError
 
+    @cached_property
+    def cycles(self):
+        """The cycle table, one (emit, nxt) pair per message step over the
+        states the earlier steps reach from q_init, in increasing order:
+        emit[i*M + m] are the codeword symbols state i emits on message
+        symbol m ((S*M, u), uint8) and nxt[i, m] is the index of its next
+        state among the states reached after the step ((S, M), int32)."""
+        Mz = self.msg_size
+        states = np.array([self.q_init], dtype=np.int32)
+        table = []
+        for l in range(self.L):
+            cq, emit = self.transition(np.repeat(states, Mz),
+                                       np.tile(np.arange(Mz, dtype=np.int32), len(states)), l)
+            states = np.unique(cq)
+            emit, nxt = (emit.astype(np.uint8),
+                         np.searchsorted(states, cq).reshape(-1, Mz).astype(np.int32))
+            emit.setflags(write=False)
+            nxt.setflags(write=False)
+            table.append((emit, nxt))
+        return tuple(table)
+
     def encode(self, message):
+        """Walk the cycle table from state index 0, one message symbol a step."""
         message = as_indices(message, self.alphabet)
         if len(message) != self.L:
             raise ConfigError(f"message length {len(message)} != L={self.L}")
-        out = np.empty(self.N, dtype=np.int8)
-        q = self.q_init
-        pos = 0
-        for step, (m, u) in enumerate(zip(message, self.emission_counts)):
-            q, out[pos:pos + u] = self.transition(q, int(m), step)
-            pos += u
-        return out
+        out, i, Mz = [], 0, self.msg_size
+        for (emit, nxt), m in zip(self.cycles, message.tolist()):
+            out.append(emit[i * Mz + m])
+            i = nxt[i, m]
+        return np.concatenate(out).astype(np.int8)
 
     def decode(self, codeword):
-        """Invert the deterministic FSM by trying every input symbol of a step at once."""
+        """Invert the walk: at each step, the one message symbol whose
+        emissions from the current state match the codeword segment."""
         codeword = as_indices(codeword, self.alphabet)
         if len(codeword) != self.N:
             raise ConfigError(f"codeword length {len(codeword)} != N={self.N}")
         msg = np.empty(self.L, dtype=np.int8)
-        q = self.q_init
-        pos = 0
-        for step, u in enumerate(self.emission_counts):
-            q_next, emitted = self.transition(q, np.arange(self.msg_size), step)
-            hits = np.flatnonzero((emitted == codeword[pos:pos + u]).all(axis=-1))
+        i, pos, Mz = 0, 0, self.msg_size
+        for step, (emit, nxt) in enumerate(self.cycles):
+            u = emit.shape[1]
+            segment = codeword[pos:pos + u]
+            hits = np.flatnonzero((emit[i * Mz:(i + 1) * Mz] == segment).all(axis=-1))
             if len(hits) != 1:
                 raise ConfigError(f"codeword segment at step {step} is not uniquely decodable")
             msg[step] = hits[0]
-            q = int(q_next[hits[0]])
+            i = nxt[i, hits[0]]
             pos += u
         return msg
 

@@ -42,11 +42,12 @@ deletions, and substitutions", IEEE Trans. IT 2001). Rows may come from
 several clusters of one encoder: each row carries its own scramble
 offset, added to the encoder's output to give the symbol it transmitted.
 
-The encoder's cycle schedule, each cycle's (state, message) transitions
-and emissions, is computed once per encoder (`_cycles`); a build adds only
-each row's offset. An ids layer stores its substitute/correct weights as
-indices into the (|A|, |A|+1) table of weights by (transmitted symbol,
-trace symbol or none), in two parts summed and gathered at each step.
+The encoder's cycle table, each cycle's (state, message) transitions and
+emissions, is computed once per encoder (`FSMEncoder.cycles`); a build
+adds only each row's offset. An ids layer stores its substitute/correct
+weights as indices into the (|A|, |A|+1) table of weights by (transmitted
+symbol, trace symbol or none), in two parts summed and gathered at each
+step.
 
 One window rule. After n codeword symbols, the trace of length R on a
 (row, axis) has the pointer window [lo, hi] with c = floor(n*R/N + 0.5),
@@ -62,7 +63,8 @@ its predecessor's by one of four transfers, then, in an ids layer, the
 insertion runs:
 
 * load (boundary -> input): each state's cells are repeated along the
-  message axis, times the uniform message prior;
+  message axis, times the uniform message prior w = 1/|M|, which the step
+  divides out again (Rescaling);
 * advance (input or post -> the next symbol's first ids layer): window
   n -> n+1, the only transfer across which windows change;
 * consume (ids layer of axis k -> the next layer): deletion, p_del times
@@ -76,8 +78,8 @@ insertion runs:
 * clear (post -> boundary): each (state, message) cell is added into its
   next encoder state's;
 * insertion runs: a (W_k, W_k) matrix on the ids layer's pointer axis k
-  (`_chain`), times the block viewed as (..., W_k, cells after k), one
-  product on the right on the last axis.
+  (`_chain`), times the block viewed as (..., W_k, cells after k); on the
+  last axis, one product on the right of the block viewed as (cells, W_k).
 
 Each is written once and read in both directions: the backward sweep applies
 it transposed, the repeat becoming a sum over the message axis, the clear's
@@ -92,21 +94,30 @@ marks it, so its neighbours step on untouched. A sweep records, per row,
 where its front died and stops once every row is dead; the error text of a
 dead row is formed from that record (`Trellis.vanished`).
 
-Rescaling. A step divides each front by its maximum, and checks it for
-death, only into the layers that are read or end a cycle: boundary layers,
-input layers and each cycle's last post layer (`post_read_layer`), the
-only layers any reader reads. A step into an ids layer or an inner post
-layer divides by nothing, its maximum counting as 1, so scales,
-log-likelihoods and kept blocks mean what they would if every layer were
-rescaled. A front whose mass vanishes in a layer that is not rescaled
-stays zero and is marked dead at the next rescaled layer, which is where
-its death is recorded. Headroom: between two rescaled layers a front
-passes u x axes ids layers (u the cycle's codeword symbols). The
-transfers keep a cell's pointer with weight 1 (advance, insertion runs)
-or p_del (deletion, out of each ids layer), so a cell the windows keep
-falls by at most a factor p_del per ids layer: p_del**(u x axes) over a
-cycle, 1e-12 at p_del = 0.01 for u = 2 and 3 axes, far inside the 1e-308
-of a double.
+Rescaling. Only the layers that are read or end a cycle are rescaled:
+boundary layers, input layers and each cycle's last post layer
+(`post_read_layer`), the only layers any reader reads. A step into one
+divides each front, by direction (`_schedule`):
+
+* by its maximum, checking the front for death: into a boundary layer;
+  forward into a last post layer; backward into an input layer;
+* by a known constant: forward into an input layer, whose load repeats the
+  rescaled boundary (maximum 1) without w = 1/|M| and reports maxima of w;
+* by nothing, its maximum counting as 1: backward into a last post layer,
+  a gather of a rescaled boundary (maximum 1); in both directions into the
+  ids and inner post layers.
+
+So scales, log-likelihoods and kept blocks are those of dividing every
+layer by its maximum. A front whose mass vanishes stays zero and is marked
+dead at the next layer whose step takes a maximum, where its death is
+recorded; a known-constant or gathered layer never records one, the
+boundary step before it having done so. Headroom: between two rescaled
+layers a front passes u x axes ids layers (u the cycle's codeword
+symbols). The transfers keep a cell's pointer with weight 1 (advance,
+insertion runs) or p_del (deletion, out of each ids layer), so a cell the
+windows keep falls by at most a factor p_del per ids layer: p_del**(u x
+axes) over a cycle, 1e-12 at p_del = 0.01 for u = 2 and 3 axes, far
+inside the 1e-308 of a double.
 """
 
 from __future__ import annotations
@@ -122,6 +133,7 @@ from .channel import IDSParams
 from .errors import ConfigError
 
 BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
+MAX = "max"  # a step divides by the front's maximum (`_Layer.divide`)
 LAYER_BYTES = 64  # per row and step: windows, symbols, masks, scales, posterior rows
 STEP_BLOCKS = 5  # largest blocks held in a step: front, block stepped into, temporaries
 LAYER_OBJECT_BYTES, IDS_OBJECT_BYTES = 256, 1024  # Python objects of any layer; more of an ids one
@@ -137,7 +149,8 @@ class _Layer:
     nxt: np.ndarray | None = None      # boundary: the (S, M) grid of the previous cycle,
                                        # the state each of its cells clears into
     onehot: np.ndarray | None = None   # boundary: nxt as a (states, S*M) indicator
-    rescale: bool = False              # whether a step into the layer rescales (`_schedule`)
+    divide: tuple = (None, None)       # what a step into the layer divides by, forward and
+                                       # backward: MAX, a known constant or None (`_schedule`)
     subcor: tuple | None = None        # ids: weight indices in two parts (`_subcor`)
 
 
@@ -148,31 +161,18 @@ def _index_type(size):
 
 
 @functools.lru_cache(maxsize=32)
-def _cycles(encoder):
-    """The encoder's cycle schedule, which no trace or offset changes: per
-    message cycle, the (S, M) grid of (state, message) transitions from the
-    states the previous cycles reach, the codeword symbols each emits
-    ((S*M, u), state-major, before scrambling), the index of each one's
-    next state among the states reached after the cycle ((S, M)), the
-    number of those states, and the (states, S*M) indicator of those
-    indices, which the clear multiplies by: one array per distinct
-    indicator, as a multi-state code's cycles repeat a few."""
-    Mz, A = encoder.msg_size, encoder.alphabet.size
-    states = np.array([encoder.q_init], dtype=np.int32)
-    out, onehots = [], {}
-    for l in range(encoder.L):
-        grid = (len(states), Mz)
-        cq, emit = encoder.transition(np.repeat(states, Mz),
-                                      np.tile(np.arange(Mz, dtype=np.int32), len(states)), l)
-        states = np.unique(cq)
-        emit, nxt = (emit.astype(_index_type(A)),
-                     np.searchsorted(states, cq).reshape(grid).astype(np.int32))
-        onehot = onehots.setdefault((len(states), nxt.tobytes()), (
-            nxt.ravel() == np.arange(len(states))[:, None]).astype(float))
-        for a in (emit, nxt, onehot):
-            a.setflags(write=False)
-        out.append((grid, emit, nxt, len(states), onehot))
-    return tuple(out)
+def _indicators(encoder):
+    """Per step of the encoder's cycle table, the (states, S*M) indicator of
+    each (state, message) cell's next state, which the clear multiplies by:
+    one read-only array per distinct indicator, as a multi-state code's
+    cycles repeat a few."""
+    made = {}
+    for _, nxt in encoder.cycles:
+        if nxt.tobytes() not in made:
+            onehot = (nxt.ravel() == np.arange(nxt.max() + 1)[:, None]).astype(float)
+            onehot.setflags(write=False)
+            made[nxt.tobytes()] = onehot
+    return tuple(made[nxt.tobytes()] for _, nxt in encoder.cycles)
 
 
 def _windows(N, R, delta):
@@ -209,11 +209,13 @@ class SweepResult:
     for each layer t the sweep was asked to keep, and None for every other
     layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
     `died` (rows,) records where each row died: -1 if it lives, else the
-    first rescaled layer (boundary, input or a cycle's last post layer)
-    reached after its mass vanished, or len(layers) if none reached its end
-    cells; a dead row is zero from the layer where it vanished on, with
-    loglik -inf. A layer that is not rescaled has scale equal to its
-    predecessor's in sweep order.
+    first layer after its mass vanished whose step takes the maximum (a
+    boundary layer; forward a cycle's last post layer, backward an input
+    layer), or len(layers) if none reached its end cells; a dead row is
+    zero from the layer where it vanished on, with loglik -inf. A layer
+    whose step divides by nothing has scale equal to its predecessor's in
+    sweep order; so has a dead row at every layer from its record on, the
+    forward input layer's known divisor included.
     """
     layers: list
     scales: np.ndarray
@@ -307,15 +309,19 @@ class Trellis:
         self._schedule()
 
     def _schedule(self):
-        """The encoder's cycle schedule (`_cycles`) with each row's
-        scramble offset; `_add` gives each layer its geometry. The boundary,
-        input and last post layers are rescaled, and no other."""
+        """The encoder's cycle table (`FSMEncoder.cycles`) with each row's
+        scramble offset; `_add` gives each layer its geometry and what a
+        step into it divides by, forward and backward (module docstring,
+        Rescaling)."""
         npos = 0
-        self._add(BOUNDARY, npos, (1, 1), rescale=True)
-        for l, (grid, emit, nxt, n_next, onehot) in enumerate(_cycles(self.encoder)):
+        self._add(BOUNDARY, npos, (1, 1), divide=(MAX, MAX))
+        w = 1.0 / self.encoder.msg_size
+        for l, ((emit, nxt), onehot) in enumerate(zip(self.encoder.cycles,
+                                                       _indicators(self.encoder))):
+            grid = nxt.shape
             self.input_read_layer[l] = len(self.layers)
             # `npos` is still the boundary's: windows change only across an advance
-            self._add(INPUT, npos, grid, rescale=True)
+            self._add(INPUT, npos, grid, divide=(w, MAX))
             for c in range(emit.shape[1]):
                 npos += 1
                 # the on-deck codeword symbol, as transmitted, by (row, state, message)
@@ -325,15 +331,17 @@ class Trellis:
                 last = c == emit.shape[1] - 1
                 if last:
                     self.post_read_layer[l] = len(self.layers)
-                self._add(POST, npos, grid, rescale=last)
-            self._add(BOUNDARY, npos, (n_next, 1), nxt=nxt, onehot=onehot, rescale=True)
+                self._add(POST, npos, grid, divide=(MAX, None) if last else (None, None))
+            self._add(BOUNDARY, npos, (len(onehot), 1), nxt=nxt, onehot=onehot,
+                      divide=(MAX, MAX))
 
-    def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None, onehot=None, rescale=False):
+    def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None, onehot=None,
+             divide=(None, None)):
         """Append a layer with the (states, messages) `grid` after `npos`
         codeword symbols; an ids layer's cells have the on-deck codeword
         symbols `cx`, shaped (rows,) + grid."""
         lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], nxt=nxt,
-                     onehot=onehot, rescale=rescale)
+                     onehot=onehot, divide=divide)
         if kind == IDS:
             lay.subcor = self._subcor(npos, axis, cx)
         self.layers.append(lay)
@@ -374,11 +382,12 @@ class Trellis:
 
     def _load(self, a, b, arr, back):
         """Boundary a -> input b: each state's cells are repeated along the
-        message axis, times the uniform message prior."""
-        w = 1.0 / self.encoder.msg_size
+        message axis, times the uniform message prior w. Forward the repeat
+        leaves w out, the step into b dividing by it (`_rescale`); backward
+        the sum over the message axis is multiplied by w."""
         if back:
-            return (arr * w).sum(axis=3, keepdims=True)
-        return np.repeat(arr * w, b.shape[1], axis=3)
+            return arr.sum(axis=3, keepdims=True) * (1.0 / self.encoder.msg_size)
+        return np.repeat(arr, b.shape[1], axis=3)
 
     def _advance(self, a, b, arr, back):
         """Input or post a -> ids b of the next codeword symbol: window n ->
@@ -424,14 +433,15 @@ class Trellis:
 
     def _insert(self, lay, arr, back):
         """An ids layer's insertion runs along its pointer axis k: on the
-        last axis a product on the right; on any other, the matrix times
-        the (..., W_k, cells after k) view of the C-ordered block."""
+        last axis one product on the right of the (cells, W_k) view of the
+        C-ordered block; on any other, the matrix times its (..., W_k,
+        cells after k) view."""
         ax = lay.axis - self.axes
         chain = _chain(lay.shape[ax], self.params.p_ins / self.A)
         if back:
             chain = chain.T
         if ax == -1:
-            return arr @ chain.T
+            return (arr.reshape(-1, arr.shape[-1]) @ chain.T).reshape(arr.shape)
         return (chain @ arr.reshape(arr.shape[:ax] + (arr.shape[ax], -1))).reshape(arr.shape)
 
     # ------------------------------------------------------------------
@@ -471,16 +481,22 @@ class Trellis:
         arr[self._absorbing()] = 1.0
         return arr
 
-    def _rescale(self, t, arr):
-        """(each front of the stack `arr` over its own max, divided in
-        place, the maxima shaped to broadcast over the stack, the (rows, P)
-        mask of the dead fronts or None if none is). A dead front, whose max
-        is not positive and finite, comes back zero with scale 1. Into a
-        layer that is not rescaled `arr` comes back as it is, with no maxima
-        and no mask (module docstring)."""
-        if not self.layers[t].rescale:
+    def _rescale(self, t, arr, back):
+        """What the step into layer t divides the stack `arr` by, in the
+        direction `back` (module docstring, Rescaling): (the stack, the
+        maxima divided out, shaped to broadcast over it, the (rows, P) mask
+        of the dead fronts or None if none is). With MAX each front is
+        divided in place by its own maximum, and a dead front, whose
+        maximum is not positive and finite, comes back zero with maximum 1.
+        With a known constant `arr` comes back as it is, with that constant
+        as every front's maximum and no mask; with nothing, with no maxima
+        and no mask."""
+        divide = self.layers[t].divide[back]
+        if divide is None:
             return arr, None, None
         cells = len(self.layers[t].shape)
+        if divide != MAX:
+            return arr, np.full(arr.shape[:-cells] + (1,) * cells, divide), None
         s = np.maximum.reduce(arr, axis=tuple(range(-cells, 0)), keepdims=True)
         m = s.ravel().tolist()
         if min(m) > 0.0 and sum(m) < math.inf:  # the sum is NaN or inf if any one is
@@ -494,18 +510,22 @@ class Trellis:
 
     def step_forward(self, t, arr):
         """Advance a stack of forward fronts from layer t-1 into layer t.
-        Returns (rescaled stack, maxima divided out, dead fronts or None),
-        or (stack, None, None) into a layer that is not rescaled."""
-        return self._rescale(t, self._pull(t, arr))
+        Returns (rescaled stack, maxima divided out, dead fronts or None):
+        into a boundary or last post layer the maxima of the fronts; into
+        an input layer the prior w for every front and no dead fronts;
+        into an ids or inner post layer (stack, None, None)."""
+        return self._rescale(t, self._pull(t, arr), False)
 
     def step_backward(self, t, arr):
-        """Pull a stack of backward fronts from layer t+1 into layer t."""
-        return self._rescale(t, self._pull(t, arr, back=True))
+        """Pull a stack of backward fronts from layer t+1 into layer t; as
+        `step_forward`, but the maxima of the fronts are taken into a
+        boundary or input layer, and nothing is divided into any other."""
+        return self._rescale(t, self._pull(t, arr, back=True), True)
 
     def vanished(self, back, t):
         """The error text of a row that died at t (`SweepResult.died`); None
-        if it lives. t is the first rescaled layer reached after the mass
-        vanished (module docstring)."""
+        if it lives. t is the first layer after the mass vanished whose step
+        takes the maximum (module docstring)."""
         way = "backward" if back else "forward"
         if t < 0:
             return None
@@ -519,10 +539,11 @@ class Trellis:
         per row, from its initial block through every layer, yielding
         (t, block, maxima, died) as it reaches layer t, `maxima` being what
         the step into t divided out of the block ((rows, 1, ...); None for
-        the initial block and a layer that is not rescaled) and `died` the
-        death record so far, which names the first rescaled layer after a
-        row's mass vanished. It stops at the layer where its last live row
-        is recorded dead. A block is not written to after it is yielded."""
+        the initial block and a layer whose step divides by nothing) and
+        `died` the death record so far, which names the first layer after a
+        row's mass vanished whose step takes the maximum. It stops at the
+        layer where its last live row is recorded dead. A block is not
+        written to after it is yielded."""
         n = len(self.layers)
         order = range(n - 1, -1, -1) if back else range(n)
         step = self.step_backward if back else self.step_forward
@@ -553,8 +574,8 @@ class Trellis:
             kept[t] = buf[a:b].reshape(shape)
         maxima = np.ones((n, self.rows))  # in sweep order
         for i, (t, arr, s, died) in enumerate(self.fronts(back)):
-            if s is not None:
-                maxima[i] = s.reshape(self.rows)
+            if s is not None:  # a dead row's scale stays flat
+                np.copyto(maxima[i], s.reshape(self.rows), where=died < 0)
             if kept[t] is not None:
                 np.copyto(kept[t], arr)
         for t in (range(n - 1 - i) if back else range(i + 1, n)):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from idsrecon import (DNA, ConfigError, cc_encoder, identity_encoder,
+from idsrecon import (BINARY, DNA, ConfigError, cc_encoder, identity_encoder,
                       mr_encoder, parse_encoder_spec, scramble, unscramble)
 
 
@@ -81,6 +81,40 @@ def test_fsm_round_trip():
         for _ in range(10):
             msg = rng.integers(4, size=enc.L).astype(np.int8)
             assert np.array_equal(enc.decode(enc.encode(msg)), msg)
+
+
+def _transition_walk(enc, msg):
+    """The codeword of `msg` by one `transition` call per message symbol."""
+    q, out = enc.q_init, []
+    for step, m in enumerate(msg.tolist()):
+        q, emitted = enc.transition(q, m, step)
+        out += np.ravel(emitted).tolist()
+    return np.array(out, dtype=np.int8)
+
+
+def test_table_walk_equals_transition_loop():
+    # `encode` walks the cycle table and `decode` inverts that walk: the
+    # walk gives what one `transition` call per message symbol gives, on
+    # identity and marker-repeat codes over both alphabets (mr:12:9's
+    # adjacent markers make one step emit 5 symbols) and on convolutional
+    # codes at memories 1-3, with and without puncturing; a codeword whose
+    # marker copy is broken has no message
+    rng = np.random.default_rng(8)
+    chained = mr_encoder(12, 9, DNA)
+    assert chained.emission_counts == (5, 6, 1)
+    for enc in (identity_encoder(7, DNA), identity_encoder(9, BINARY), mr_encoder(12, 3, DNA),
+                chained, mr_encoder(10, 2, BINARY), cc_encoder(1, 6, DNA), cc_encoder(2, 6, DNA),
+                cc_encoder(3, 6, DNA), cc_encoder(1, 6, DNA, codeword_len=9),
+                cc_encoder(2, 8, DNA, codeword_len=11), cc_encoder(3, 6, DNA, codeword_len=7)):
+        for _ in range(20):
+            msg = rng.integers(enc.msg_size, size=enc.L).astype(np.int8)
+            cw = enc.encode(msg)
+            assert cw.dtype == np.int8 and np.array_equal(cw, _transition_walk(enc, msg))
+            assert np.array_equal(enc.decode(cw), msg)
+    cw = chained.encode(np.zeros(chained.L, dtype=np.int8))
+    cw[2] = 1
+    with pytest.raises(ConfigError, match="^codeword segment at step 0 is not uniquely"):
+        chained.decode(cw)
 
 
 def test_encoders_known_codewords():

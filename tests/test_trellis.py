@@ -134,11 +134,16 @@ def test_drift_bound_below_one_refused():
 
 
 def test_steps_rescale_only_the_read_and_cycle_end_layers():
-    # both sweeps divide out a maximum exactly at the boundary, input and
-    # last post layers, a post layer being last when a boundary follows it:
-    # not at ids layers (one per axis) nor at the inner post layers of the
-    # marker-repeat and convolutional codes' 2-symbol cycles; a layer that
-    # is not rescaled keeps its predecessor's scale
+    # each direction takes the front's maximum into its own layers: the
+    # boundary layers and, forward, each cycle's last post layer (a post
+    # layer being last when a boundary follows it) or, backward, each input
+    # layer. Forward into an input layer a step divides by exactly the prior
+    # 1/|M|, which the load left out; backward into a last post layer, a
+    # gather of a boundary whose maximum is 1, by nothing. Neither divides
+    # into ids layers (one per axis) nor into the inner post layers of the
+    # marker-repeat and convolutional codes' 2-symbol cycles, and a layer
+    # without a divisor keeps its predecessor's scale. Every block of a read
+    # or cycle-end layer has maximum 1
     rng = np.random.default_rng(5)
     params = IDSParams(0.05, 0.05, 0.05, 0.85)
     for enc, k in ((identity_encoder(6, DNA), 1), (mr_encoder(12, 2, DNA), 1),
@@ -147,16 +152,28 @@ def test_steps_rescale_only_the_read_and_cycle_end_layers():
         traces = [np.asarray(transmit(x, params, rng, DNA)) for _ in range(k)]
         tr = build_trellis(enc, [traces], params, delta=3)
         kinds = [lay.kind for lay in tr.layers] + ["boundary"]
-        want = {t for t, kind in enumerate(kinds[:-1]) if kind in ("boundary", "input")
-                or kind == "post" and kinds[t + 1] == "boundary"}
-        assert len(want) == 1 + 3 * enc.L
+        boundary = {t for t, kind in enumerate(kinds[:-1]) if kind == "boundary"}
+        inputs = {t for t, kind in enumerate(kinds[:-1]) if kind == "input"}
+        last_post = {t for t, kind in enumerate(kinds[:-1])
+                     if kind == "post" and kinds[t + 1] == "boundary"}
+        assert len(boundary) - 1 == len(inputs) == len(last_post) == enc.L
         assert sum(kind == "post" for kind in kinds) == enc.N
+        reduces = {False: boundary | last_post, True: boundary | inputs}
         for back in (False, True):
-            got = {t for t, _, s, _ in tr.fronts(back) if s is not None}
-            assert got == want - {len(tr.layers) - 1 if back else 0}
-            scales = (tr.backward() if back else tr.forward()).scales[:, 0]
-            for t in set(range(len(tr.layers))) - want:
-                assert scales[t] == scales[t + 1 if back else t - 1]
+            maxima = {t: s for t, _, s, _ in tr.fronts(back) if s is not None}
+            first = len(tr.layers) - 1 if back else 0
+            assert set(maxima) == (reduces[back] | (set() if back else inputs)) - {first}
+            if back:
+                assert not last_post & set(maxima)
+            else:
+                assert all((maxima[t] == 1 / enc.msg_size).all() for t in inputs)
+            sweep = tr.backward() if back else tr.forward()
+            scales = sweep.scales[:, 0]
+            for t in set(range(len(tr.layers))) - set(maxima):
+                if t != first:
+                    assert scales[t] == scales[t + 1 if back else t - 1]
+            for t in boundary | inputs | last_post:
+                assert sweep.layers[t].max() == 1.0
 
 
 def test_keep_set_stores_only_its_layers():
