@@ -106,8 +106,7 @@ class FSMEncoder:
         i, pos, Mz = 0, 0, self.msg_size
         for step, (emit, nxt) in enumerate(self.cycles):
             u = emit.shape[1]
-            segment = codeword[pos:pos + u]
-            hits = np.flatnonzero((emit[i * Mz:(i + 1) * Mz] == segment).all(axis=-1))
+            hits = np.flatnonzero((emit[i * Mz:(i + 1) * Mz] == codeword[pos:pos + u]).all(axis=-1))
             if len(hits) != 1:
                 raise ConfigError(f"codeword segment at step {step} is not uniquely decodable")
             msg[step] = hits[0]

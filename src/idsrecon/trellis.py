@@ -63,8 +63,7 @@ its predecessor's by one of four transfers, then, in an ids layer, the
 insertion runs:
 
 * load (boundary -> input): each state's cells are repeated along the
-  message axis, times the uniform message prior w = 1/|M|, which the step
-  divides out again (Rescaling);
+  message axis, times the uniform message prior;
 * advance (input or post -> the next symbol's first ids layer): window
   n -> n+1, the only transfer across which windows change;
 * consume (ids layer of axis k -> the next layer): deletion, p_del times
@@ -96,22 +95,16 @@ dead row is formed from that record (`Trellis.vanished`).
 
 Rescaling. Only the layers that are read or end a cycle are rescaled:
 boundary layers, input layers and each cycle's last post layer
-(`post_read_layer`), the only layers any reader reads. A step into one
-divides each front, by direction (`_schedule`):
-
-* by its maximum, checking the front for death: into a boundary layer;
-  forward into a last post layer; backward into an input layer;
-* by a known constant: forward into an input layer, whose load repeats the
-  rescaled boundary (maximum 1) without w = 1/|M| and reports maxima of w;
-* by nothing, its maximum counting as 1: backward into a last post layer,
-  a gather of a rescaled boundary (maximum 1); in both directions into the
-  ids and inner post layers.
-
-So scales, log-likelihoods and kept blocks are those of dividing every
-layer by its maximum. A front whose mass vanishes stays zero and is marked
-dead at the next layer whose step takes a maximum, where its death is
-recorded; a known-constant or gathered layer never records one, the
-boundary step before it having done so. Headroom: between two rescaled
+(`post_read_layer`), the only layers any reader reads. A step into one of
+them divides each front by its maximum and checks it for death, except
+backward into a last post layer: that step is a gather of a rescaled
+boundary, whose maximum is already 1 (`_schedule`). A step into any other
+layer (ids layers, inner post layers) divides by nothing, its maximum
+counting as 1, so scales, log-likelihoods and kept blocks mean what they
+would if every layer were rescaled. A front whose mass vanishes stays zero
+and is marked dead at the next layer whose step takes a maximum, which is
+where its death is recorded; a gathered last post layer never records one,
+the boundary step before it having done so. Headroom: between two rescaled
 layers a front passes u x axes ids layers (u the cycle's codeword
 symbols). The transfers keep a cell's pointer with weight 1 (advance,
 insertion runs) or p_del (deletion, out of each ids layer), so a cell the
@@ -133,7 +126,6 @@ from .channel import IDSParams
 from .errors import ConfigError
 
 BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
-MAX = "max"  # a step divides by the front's maximum (`_Layer.divide`)
 LAYER_BYTES = 64  # per row and step: windows, symbols, masks, scales, posterior rows
 STEP_BLOCKS = 5  # largest blocks held in a step: front, block stepped into, temporaries
 LAYER_OBJECT_BYTES, IDS_OBJECT_BYTES = 256, 1024  # Python objects of any layer; more of an ids one
@@ -149,8 +141,8 @@ class _Layer:
     nxt: np.ndarray | None = None      # boundary: the (S, M) grid of the previous cycle,
                                        # the state each of its cells clears into
     onehot: np.ndarray | None = None   # boundary: nxt as a (states, S*M) indicator
-    divide: tuple = (None, None)       # what a step into the layer divides by, forward and
-                                       # backward: MAX, a known constant or None (`_schedule`)
+    rescale: tuple = (False, False)    # whether a step into the layer rescales, forward
+                                       # and backward (`_schedule`)
     subcor: tuple | None = None        # ids: weight indices in two parts (`_subcor`)
 
 
@@ -169,9 +161,8 @@ def _indicators(encoder):
     made = {}
     for _, nxt in encoder.cycles:
         if nxt.tobytes() not in made:
-            onehot = (nxt.ravel() == np.arange(nxt.max() + 1)[:, None]).astype(float)
-            onehot.setflags(write=False)
-            made[nxt.tobytes()] = onehot
+            made[nxt.tobytes()] = (nxt.ravel() == np.arange(nxt.max() + 1)[:, None]).astype(float)
+            made[nxt.tobytes()].setflags(write=False)
     return tuple(made[nxt.tobytes()] for _, nxt in encoder.cycles)
 
 
@@ -210,12 +201,10 @@ class SweepResult:
     layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
     `died` (rows,) records where each row died: -1 if it lives, else the
     first layer after its mass vanished whose step takes the maximum (a
-    boundary layer; forward a cycle's last post layer, backward an input
-    layer), or len(layers) if none reached its end cells; a dead row is
-    zero from the layer where it vanished on, with loglik -inf. A layer
-    whose step divides by nothing has scale equal to its predecessor's in
-    sweep order; so has a dead row at every layer from its record on, the
-    forward input layer's known divisor included.
+    boundary or input layer, or forward a cycle's last post layer), or
+    len(layers) if none reached its end cells; a dead row is zero from the
+    layer where it vanished on, with loglik -inf. A layer whose step
+    divides by nothing has scale equal to its predecessor's in sweep order.
     """
     layers: list
     scales: np.ndarray
@@ -310,18 +299,16 @@ class Trellis:
 
     def _schedule(self):
         """The encoder's cycle table (`FSMEncoder.cycles`) with each row's
-        scramble offset; `_add` gives each layer its geometry and what a
-        step into it divides by, forward and backward (module docstring,
+        scramble offset; `_add` gives each layer its geometry and whether a
+        step into it rescales, forward and backward (module docstring,
         Rescaling)."""
         npos = 0
-        self._add(BOUNDARY, npos, (1, 1), divide=(MAX, MAX))
-        w = 1.0 / self.encoder.msg_size
-        for l, ((emit, nxt), onehot) in enumerate(zip(self.encoder.cycles,
-                                                       _indicators(self.encoder))):
+        self._add(BOUNDARY, npos, (1, 1), rescale=(True, True))
+        for l, ((emit, nxt), onehot) in enumerate(zip(self.encoder.cycles, _indicators(self.encoder))):
             grid = nxt.shape
             self.input_read_layer[l] = len(self.layers)
             # `npos` is still the boundary's: windows change only across an advance
-            self._add(INPUT, npos, grid, divide=(w, MAX))
+            self._add(INPUT, npos, grid, rescale=(True, True))
             for c in range(emit.shape[1]):
                 npos += 1
                 # the on-deck codeword symbol, as transmitted, by (row, state, message)
@@ -331,17 +318,16 @@ class Trellis:
                 last = c == emit.shape[1] - 1
                 if last:
                     self.post_read_layer[l] = len(self.layers)
-                self._add(POST, npos, grid, divide=(MAX, None) if last else (None, None))
+                self._add(POST, npos, grid, rescale=(last, False))
             self._add(BOUNDARY, npos, (len(onehot), 1), nxt=nxt, onehot=onehot,
-                      divide=(MAX, MAX))
+                      rescale=(True, True))
 
-    def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None, onehot=None,
-             divide=(None, None)):
+    def _add(self, kind, npos, grid, axis=-1, cx=None, nxt=None, onehot=None, rescale=(False, False)):
         """Append a layer with the (states, messages) `grid` after `npos`
         codeword symbols; an ids layer's cells have the on-deck codeword
         symbols `cx`, shaped (rows,) + grid."""
         lay = _Layer(kind, npos, axis=axis, shape=grid + self._widths[npos], nxt=nxt,
-                     onehot=onehot, divide=divide)
+                     onehot=onehot, rescale=rescale)
         if kind == IDS:
             lay.subcor = self._subcor(npos, axis, cx)
         self.layers.append(lay)
@@ -382,12 +368,12 @@ class Trellis:
 
     def _load(self, a, b, arr, back):
         """Boundary a -> input b: each state's cells are repeated along the
-        message axis, times the uniform message prior w. Forward the repeat
-        leaves w out, the step into b dividing by it (`_rescale`); backward
-        the sum over the message axis is multiplied by w."""
+        message axis, times the uniform message prior w; backward, the sum
+        over the message axis is multiplied by w."""
+        w = 1.0 / self.encoder.msg_size
         if back:
-            return arr.sum(axis=3, keepdims=True) * (1.0 / self.encoder.msg_size)
-        return np.repeat(arr, b.shape[1], axis=3)
+            return arr.sum(axis=3, keepdims=True) * w
+        return np.repeat(arr * w, b.shape[1], axis=3)
 
     def _advance(self, a, b, arr, back):
         """Input or post a -> ids b of the next codeword symbol: window n ->
@@ -482,21 +468,15 @@ class Trellis:
         return arr
 
     def _rescale(self, t, arr, back):
-        """What the step into layer t divides the stack `arr` by, in the
-        direction `back` (module docstring, Rescaling): (the stack, the
-        maxima divided out, shaped to broadcast over it, the (rows, P) mask
-        of the dead fronts or None if none is). With MAX each front is
-        divided in place by its own maximum, and a dead front, whose
-        maximum is not positive and finite, comes back zero with maximum 1.
-        With a known constant `arr` comes back as it is, with that constant
-        as every front's maximum and no mask; with nothing, with no maxima
-        and no mask."""
-        divide = self.layers[t].divide[back]
-        if divide is None:
+        """(each front of the stack `arr` over its own max, divided in
+        place, the maxima shaped to broadcast over the stack, the (rows, P)
+        mask of the dead fronts or None if none is). A dead front, whose max
+        is not positive and finite, comes back zero with scale 1. Where the
+        step into layer t in the direction `back` does not rescale, `arr`
+        comes back as it is, with no maxima and no mask (module docstring)."""
+        if not self.layers[t].rescale[back]:
             return arr, None, None
         cells = len(self.layers[t].shape)
-        if divide != MAX:
-            return arr, np.full(arr.shape[:-cells] + (1,) * cells, divide), None
         s = np.maximum.reduce(arr, axis=tuple(range(-cells, 0)), keepdims=True)
         m = s.ravel().tolist()
         if min(m) > 0.0 and sum(m) < math.inf:  # the sum is NaN or inf if any one is
@@ -510,16 +490,15 @@ class Trellis:
 
     def step_forward(self, t, arr):
         """Advance a stack of forward fronts from layer t-1 into layer t.
-        Returns (rescaled stack, maxima divided out, dead fronts or None):
-        into a boundary or last post layer the maxima of the fronts; into
-        an input layer the prior w for every front and no dead fronts;
-        into an ids or inner post layer (stack, None, None)."""
+        Returns (rescaled stack, maxima divided out, dead fronts or None)
+        into a boundary, input or last post layer, or (stack, None, None)
+        into an ids or inner post layer."""
         return self._rescale(t, self._pull(t, arr), False)
 
     def step_backward(self, t, arr):
         """Pull a stack of backward fronts from layer t+1 into layer t; as
-        `step_forward`, but the maxima of the fronts are taken into a
-        boundary or input layer, and nothing is divided into any other."""
+        `step_forward`, but a last post layer, a gather of a rescaled
+        boundary, is not rescaled either."""
         return self._rescale(t, self._pull(t, arr, back=True), True)
 
     def vanished(self, back, t):
@@ -574,8 +553,8 @@ class Trellis:
             kept[t] = buf[a:b].reshape(shape)
         maxima = np.ones((n, self.rows))  # in sweep order
         for i, (t, arr, s, died) in enumerate(self.fronts(back)):
-            if s is not None:  # a dead row's scale stays flat
-                np.copyto(maxima[i], s.reshape(self.rows), where=died < 0)
+            if s is not None:
+                maxima[i] = s.reshape(self.rows)
             if kept[t] is not None:
                 np.copyto(kept[t], arr)
         for t in (range(n - 1 - i) if back else range(i + 1, n)):

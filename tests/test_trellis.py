@@ -134,13 +134,13 @@ def test_drift_bound_below_one_refused():
 
 
 def test_steps_rescale_only_the_read_and_cycle_end_layers():
-    # each direction takes the front's maximum into its own layers: the
-    # boundary layers and, forward, each cycle's last post layer (a post
-    # layer being last when a boundary follows it) or, backward, each input
-    # layer. Forward into an input layer a step divides by exactly the prior
-    # 1/|M|, which the load left out; backward into a last post layer, a
-    # gather of a boundary whose maximum is 1, by nothing. Neither divides
-    # into ids layers (one per axis) nor into the inner post layers of the
+    # each direction divides by the front's maximum into its own layers:
+    # the boundary and input layers and, forward only, each cycle's last
+    # post layer (a post layer being last when a boundary follows it); a
+    # forward input layer, the repeated rescaled boundary times 1/|M|, has
+    # maximum exactly 1/|M|, and a backward last post layer, a gather of a
+    # boundary whose maximum is 1, is not divided. No step divides into ids
+    # layers (one per axis) nor into the inner post layers of the
     # marker-repeat and convolutional codes' 2-symbol cycles, and a layer
     # without a divisor keeps its predecessor's scale. Every block of a read
     # or cycle-end layer has maximum 1
@@ -158,14 +158,12 @@ def test_steps_rescale_only_the_read_and_cycle_end_layers():
                      if kind == "post" and kinds[t + 1] == "boundary"}
         assert len(boundary) - 1 == len(inputs) == len(last_post) == enc.L
         assert sum(kind == "post" for kind in kinds) == enc.N
-        reduces = {False: boundary | last_post, True: boundary | inputs}
+        reduces = {False: boundary | inputs | last_post, True: boundary | inputs}
         for back in (False, True):
             maxima = {t: s for t, _, s, _ in tr.fronts(back) if s is not None}
             first = len(tr.layers) - 1 if back else 0
-            assert set(maxima) == (reduces[back] | (set() if back else inputs)) - {first}
-            if back:
-                assert not last_post & set(maxima)
-            else:
+            assert set(maxima) == reduces[back] - {first}
+            if not back:
                 assert all((maxima[t] == 1 / enc.msg_size).all() for t in inputs)
             sweep = tr.backward() if back else tr.forward()
             scales = sweep.scales[:, 0]
