@@ -29,6 +29,7 @@ from .errors import ConfigError, InfeasibleTrellisError
 from .trellis import STEP_BLOCKS
 
 ROW_TOL = 1e-9
+TIE_ULPS = 4  # posteriors this close to a row's maximum tie for its hard symbol
 
 MIB = float(1 << 20)
 STORED_BUDGET_BYTES = 1 << 30  # what compute_posteriors may hold (`Trellis.held_bytes`)
@@ -37,7 +38,8 @@ STORED_BUDGET_BYTES = 1 << 30  # what compute_posteriors may hold (`Trellis.held
 @dataclass
 class PosteriorTable:
     """Per message position l, a distribution over message symbols, plus the
-    argmax hard estimate (ties resolved to the lowest symbol index)."""
+    hard estimate: the smallest symbol whose posterior is within TIE_ULPS
+    ulps of the row's maximum, so that rounding cannot flip a tie."""
     probs: np.ndarray           # (L, |M|), rows sum to 1
     hard: np.ndarray            # (L,), int
     log_likelihood: float | None = None
@@ -56,7 +58,9 @@ class PosteriorTable:
         if (sums <= 0).any():
             raise InfeasibleTrellisError("posterior row with no probability mass")
         probs = rows / sums
-        return cls(probs, np.argmax(probs, axis=1), log_likelihood)
+        top = probs.max(axis=1, keepdims=True)
+        hard = np.argmax(probs >= top - TIE_ULPS * np.spacing(top), axis=1)
+        return cls(probs, hard, log_likelihood)
 
 
 def kept_layers(trellis):

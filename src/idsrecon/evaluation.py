@@ -469,9 +469,11 @@ def sweep_betas(clusters, encoder, k, metric, seed, params, delta=None,
     every point, one whose exchange fails at a point only there.
 
     beta_o only re-exponentiates each posterior row, and x**beta_o keeps a
-    row's argmax, so under the Hamming metric it cannot change a score:
-    every Hamming winner takes the grid's smallest beta_o by the tie-break
-    below. The entropy and rate scores do read beta_o.
+    row's argmax, so under the Hamming metric it changes a score only where
+    it moves a near-tie across the hard estimate's few-ulps tie rule
+    (`PosteriorTable`): otherwise every Hamming winner takes the grid's
+    smallest beta_o by the tie-break below. The entropy and rate scores do
+    read beta_o.
 
     `grid` maps each of beta_b, beta_e, beta_i, beta_o to its values.
     Returns (best BetaParams, table of (BetaParams, score)); Hamming and

@@ -3,8 +3,8 @@
 Stage schedule for one message symbol l (an "input cycle"), for a trellis
 with `a` pointer axes:
 
-    boundary -load-> input -advance-> ids(sym 0, axis 0) -consume-> ..
-        ids(sym 0, axis a-1) -consume-> post(sym 0) -advance->
+    boundary -load-> input -advance-> ids(sym 0, axis 0) -leave-> ..
+        ids(sym 0, axis a-1) -leave-> post(sym 0) -advance->
         ids(sym 1, axis 0) .. -> post(sym u-1) -clear-> boundary
 
 * boundary: message and codeword buffers cleared; cells are (q, pointers).
@@ -14,15 +14,19 @@ with `a` pointer axes:
 * ids: channel events of one codeword symbol on one pointer axis.
   Insertions run inside the layer, each advancing that axis's pointer and
   explaining one trace symbol; deletion and substitute/correct lead to the
-  next layer.
+  next layer. A forward ids block holds the mass entering the layer,
+  before its insertion runs, which the step leaving the layer applies.
 * post: the codeword symbol has been explained on every axis; the next
   symbol is loaded, or the buffers are cleared into the next boundary layer.
 
-Every path crosses a cycle's input layer once, at a cell that carries the
-cycle's message symbol, so that layer is a cut on which the symbol's
-posterior is read (`bcjr.compute_posteriors`). Its forward block is the
-preceding boundary block repeated along the message axis, so a reader
-stores the boundary block and multiplies it into the backward input block.
+Every path enters each layer once, at one cell, so every layer is a cut:
+forward times backward, summed over a layer's cells, is the total mass.
+An ids layer is one because its forward block holds the mass entering it,
+not the mass its insertion runs then spread along the axis. A cycle's
+message symbol is read on its input layer, where every cell carries it
+(`bcjr.compute_posteriors`). Its forward block is the preceding boundary
+block repeated along the message axis, so a reader stores the boundary
+block and multiplies it into the backward input block.
 
 Pointers count explained trace symbols (0..R_k, i.e. the paper-style pointer
 minus one); the origin is all-zeros and absorbing cells have every pointer
@@ -59,31 +63,42 @@ layer. With one row, every axis is exactly its window and nothing is
 masked.
 
 The trellis exists only as these layer arrays. A layer's values come from
-its predecessor's by one of four transfers, then, in an ids layer, the
-insertion runs:
+its predecessor's by one of four transfers:
 
 * load (boundary -> input): each state's cells are repeated along the
   message axis, times the uniform message prior;
 * advance (input or post -> the next symbol's first ids layer): window
   n -> n+1, the only transfer across which windows change;
-* consume (ids layer of axis k -> the next layer): deletion, p_del times
-  the cell, plus substitute/correct, a shift by one along pointer axis k
-  times the weight of explaining that trace symbol. The shift is one flat
-  add on the C-ordered block, a stride (the cells of the axes after k)
-  on; the window's edge cell has weight 0, so it adds nothing across
-  into the next run of axis k. The result is allocated before the one
-  block-sized temporary: a temporary allocated first leaves a hole that
-  the heap keeps once it is freed, which raises peak memory;
+* leave (ids layer of axis k -> the next layer): the layer's insertion
+  runs, then consume, one (W_k, W_k) operator per (row, state, message)
+  on pointer axis k, F = (p_del I + shift diag(w)) Chain. Chain is the
+  insertion runs (`_chain`); consume is deletion, p_del times the cell,
+  plus substitute/correct, a shift by one up axis k times the weight w of
+  explaining that trace symbol;
 * clear (post -> boundary): each (state, message) cell is added into its
-  next encoder state's;
-* insertion runs: a (W_k, W_k) matrix on the ids layer's pointer axis k
-  (`_chain`), times the block viewed as (..., W_k, cells after k); on the
-  last axis, one product on the right of the block viewed as (cells, W_k).
+  next encoder state's.
+
+F takes one of two forms, picked by the block's shape. On a block of
+three or more pointer axes (the joint trellis at K >= 3), F is
+materialised, one stack of W_k x W_k matrices (`_operators`), each
+serving the W^(K-1) cells of the other axes, and applied as one batched
+product over (rows, S, M). Everywhere else, on one-axis lattices and
+joint trellises of K <= 2, where building F would cost about as much as
+it saves, it is applied as its two factors:
+* insertion runs: Chain times the block viewed as (..., W_k, cells after
+  k); on the last axis, one product on the right of the block viewed as
+  (cells, W_k);
+* consume: one flat add on the C-ordered block, a stride (the cells of
+  the axes after k) on; the window's edge cell has weight 0, so it adds
+  nothing across into the next run of axis k. Its result is allocated
+  before its one block-sized temporary: a temporary allocated first
+  leaves a hole that the heap keeps once it is freed, which raises peak
+  memory. The materialised form has neither temporary.
 
 Each is written once and read in both directions: the backward sweep applies
 it transposed, the repeat becoming a sum over the message axis, the clear's
-scatter-add a gather, the shift running the other way, the matrix
-transposed.
+scatter-add a gather, F transposed (consume's shift running the other way,
+then Chain transposed).
 
 The steps act on a stack (rows, P, S, M, W...) of P independent fronts per
 row, each as it would be stepped alone: the exact sweeps step a stack of
@@ -106,11 +121,11 @@ and is marked dead at the next layer whose step takes a maximum, which is
 where its death is recorded; a gathered last post layer never records one,
 the boundary step before it having done so. Headroom: between two rescaled
 layers a front passes u x axes ids layers (u the cycle's codeword
-symbols). The transfers keep a cell's pointer with weight 1 (advance,
-insertion runs) or p_del (deletion, out of each ids layer), so a cell the
-windows keep falls by at most a factor p_del per ids layer: p_del**(u x
-axes) over a cycle, 1e-12 at p_del = 0.01 for u = 2 and 3 axes, far
-inside the 1e-308 of a double.
+symbols). The transfers keep a cell's pointer with weight 1 (advance, an
+insertion run's diagonal) or p_del (deletion, leaving each ids layer), so
+a cell the windows keep falls by at most a factor p_del per ids layer:
+p_del**(u x axes) over a cycle, 1e-12 at p_del = 0.01 for u = 2 and 3
+axes, far inside the 1e-308 of a double.
 """
 
 from __future__ import annotations
@@ -127,7 +142,9 @@ from .errors import ConfigError
 
 BOUNDARY, INPUT, IDS, POST = "boundary", "input", "ids", "post"
 LAYER_BYTES = 64  # per row and step: windows, symbols, masks, scales, posterior rows
-STEP_BLOCKS = 5  # largest blocks held in a step: front, block stepped into, temporaries
+STEP_BLOCKS = 5  # largest blocks held in a step: the front, the block stepped into and
+                 # temporaries, most (two) where F's factors leave an ids layer: the
+                 # insertion runs' result and consume's weighted sources
 LAYER_OBJECT_BYTES, IDS_OBJECT_BYTES = 256, 1024  # Python objects of any layer; more of an ids one
 BUFFER_BYTES = 2 * 8 * 8192 + 4096  # numpy's buffers of 8 192 doubles for two operands of an op
 
@@ -198,7 +215,10 @@ class SweepResult:
     `layers[t]` holds that layer's (rows, S, M, W...) block rescaled per row
     by exp(scales[t]), true value = layers[t] * exp(scales[t]) row by row,
     for each layer t the sweep was asked to keep, and None for every other
-    layer. `scales` (layers, rows) covers every layer; `loglik` is (rows,).
+    layer. A forward ids block is the mass entering the layer, before its
+    insertion runs, a backward one the mass from the cell on, so the
+    product of the two, summed over any layer, is the total mass. `scales`
+    (layers, rows) covers every layer; `loglik` is (rows,).
     `died` (rows,) records where each row died: -1 if it lives, else the
     first layer after its mass vanished whose step takes the maximum (a
     boundary or input layer, or forward a cycle's last post layer), or
@@ -388,13 +408,14 @@ class Trellis:
         return out
 
     def _consume(self, a, arr, back):
-        """Ids a of axis k -> the next layer, in the same windows: deletion
-        keeps the pointer, substitute/correct moves it up by one. The
-        result is allocated first, then the C-ordered block of weighted
-        sources, each cell times the weight of its move (`_subcor`); one
-        cell up axis k is a stride of cells on in both, so the shift is one
-        flat add, and the edge cell's zero weight keeps it inside each run
-        of axis k. `arr` may be in any memory order."""
+        """Consume, F's left factor, from ids a of axis k into the next
+        layer, in the same windows: deletion keeps the pointer,
+        substitute/correct moves it up by one. The result is allocated
+        first, then the C-ordered block of weighted sources, each cell
+        times the weight of its move (`_subcor`); one cell up axis k is a
+        stride of cells on in both, so the shift is one flat add, and the
+        edge cell's zero weight keeps it inside each run of axis k. `arr`
+        may be in any memory order."""
         cx, fwd, bwd = a.subcor
         out = np.multiply(arr, self.params.p_del, out=np.empty(arr.shape))
         src = np.multiply(arr, self._weight.take(np.add(cx, bwd if back else fwd)),
@@ -411,17 +432,17 @@ class Trellis:
         """Post a -> boundary b: each (state, message) cell is added into its
         next encoder state's, a product with the (next states, grid)
         indicator; backward each gathers its next state's, in C order, so
-        that the consume which follows runs without numpy's buffers."""
+        that leaving the ids layer before it runs without numpy's buffers."""
         if back:
             return np.take(arr[:, :, :, 0], b.nxt, axis=2)
         lead = arr.shape[:2]
         return (b.onehot @ arr.reshape(lead + (b.nxt.size, -1))).reshape(lead + b.shape)
 
     def _insert(self, lay, arr, back):
-        """An ids layer's insertion runs along its pointer axis k: on the
-        last axis one product on the right of the (cells, W_k) view of the
-        C-ordered block; on any other, the matrix times its (..., W_k,
-        cells after k) view."""
+        """Chain, F's right factor: an ids layer's insertion runs along its
+        pointer axis k; on the last axis one product on the right of the
+        (cells, W_k) view of the C-ordered block, on any other the matrix
+        times its (..., W_k, cells after k) view."""
         ax = lay.axis - self.axes
         chain = _chain(lay.shape[ax], self.params.p_ins / self.A)
         if back:
@@ -430,15 +451,49 @@ class Trellis:
             return (arr.reshape(-1, arr.shape[-1]) @ chain.T).reshape(arr.shape)
         return (chain @ arr.reshape(arr.shape[:ax] + (arr.shape[ax], -1))).reshape(arr.shape)
 
+    def _leave(self, lay, arr, back):
+        """Ids layer `lay` of axis k -> the next layer: its insertion runs,
+        then consume, the operator F = (p_del I + shift diag(w)) Chain on
+        axis k of each (row, state, message); backward F transposed. On a
+        block of three or more pointer axes, one batched product with the
+        materialised F (`_operators`); on any other, the two factors."""
+        if self.axes >= 3:
+            op = self._operators(lay)
+            if back:
+                op = op.swapaxes(-1, -2)
+            k, lead = lay.axis, arr.shape[:4]
+            if k == self.axes - 1:  # op on the right of the (cells, W_k) view, transposed
+                return (arr.reshape(lead + (-1, arr.shape[-1])) @ op.swapaxes(-1, -2)
+                        ).reshape(arr.shape)
+            view = arr.reshape(lead + (-1, arr.shape[4 + k], math.prod(arr.shape[5 + k:])))
+            return (op[..., None, :, :] @ view).reshape(arr.shape)
+        if back:
+            return self._insert(lay, self._consume(lay, arr, back), back)
+        return self._consume(lay, self._insert(lay, arr, back), back)
+
+    def _operators(self, lay):
+        """Ids layer `lay`'s F as a (rows, 1, S, M, W_k, W_k) stack, one per
+        (row, state, message): row j is p_del times the chain's row j plus
+        the weight of the move from j-1 times the chain's row j-1."""
+        cx, fwd, _ = lay.subcor
+        w = lay.shape[lay.axis - self.axes]
+        chain = _chain(w, self.params.p_ins / self.A)
+        move = self._weight.take(np.add(cx, fwd)).reshape(cx.shape[:4] + (w, 1))
+        op = np.multiply(chain, self.params.p_del, out=np.empty(move.shape[:4] + (w, w)))
+        op[..., 1:, :] += move[..., :-1, :] * chain[:-1]
+        return op
+
     # ------------------------------------------------------------------
     # inference sweeps over the layer arrays
 
     def _pull(self, t, arr, back=False):
         """Layer t's values from layer t-1's by the transfer between them,
-        or with `back` from layer t+1's by that transfer transposed; then an
-        ids layer's insertion runs, transposed with `back`, and the mask of
-        layer t's position. `arr` and the result are stacks; the result is a
-        fresh array, which `_rescale` may overwrite."""
+        or with `back` from layer t+1's by that transfer transposed, then
+        the mask of layer t's position. Leaving an ids layer applies its
+        insertion runs with consume (`_leave`), so a forward step into an
+        ids layer applies no insertion and a backward one applies both.
+        `arr` and the result are stacks; the result is a fresh array, which
+        `_rescale` may overwrite."""
         s = t + 1 if back else t
         a, b = self.layers[s - 1], self.layers[s]
         if b.kind == INPUT:
@@ -446,13 +501,10 @@ class Trellis:
         elif b.kind == BOUNDARY:
             out = self._clear(a, b, arr, back)
         elif a.kind == IDS:
-            out = self._consume(a, arr, back)
+            out = self._leave(a, arr, back)
         else:
             out = self._advance(a, b, arr, back)
-        lay = self.layers[t]
-        if lay.kind == IDS:
-            out = self._insert(lay, out, back)
-        mask = self._masks[lay.npos]
+        mask = self._masks[self.layers[t].npos]
         if mask is not None:
             out *= mask
         return out

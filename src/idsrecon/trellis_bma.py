@@ -339,12 +339,13 @@ def run_trellis_bma(encoder, clusters, params, betas, delta=None, offsets=None):
     holding one row per (trace, distinct (beta_b, beta_e, beta_i) of the
     entries), each cluster's beliefs combined over its own kept rows, and
     each entry's posterior read with its beta_o. Returns, per cluster, a
-    list with per entry its PosteriorTable (hard estimates are its row
-    argmaxes) or the InfeasibleTrellisError that ended its decode, equal to
-    that cluster and entry decoded alone; a cluster whose every trace was
-    infeasible has that one error at every entry. Infeasible traces are
-    dropped with a warning naming each one. An empty cluster, or clusters
-    of different trace counts, are a ConfigError.
+    list with per entry its PosteriorTable (hard estimates as
+    `PosteriorTable.from_rows` takes them) or the InfeasibleTrellisError
+    that ended its decode, equal to that cluster and entry decoded alone;
+    a cluster whose every trace was infeasible has that one error at every
+    entry. Infeasible traces are dropped with a warning naming each one.
+    An empty cluster, or clusters of different trace counts, are a
+    ConfigError.
     """
     if (not isinstance(clusters, (list, tuple)) or not clusters
             or not all(isinstance(c, (list, tuple)) for c in clusters)):

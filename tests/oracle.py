@@ -250,35 +250,42 @@ def trellis_edges(encoder, traces, params, prior, offset=None, delta=None, unrea
 
 def forward_backward(order, out, origin, ends):
     """The forward and backward values of every state of `trellis_edges`,
-    each a plain sum over its in- or out-edges."""
+    each a plain sum over its in- or out-edges, and each state's entering
+    mass: the sum over its in-edges from other layers only, which leaves
+    out an ids layer's insertion edges."""
     fwd = dict.fromkeys(order, 0.0)
-    fwd[origin] = 1.0
+    enter = dict.fromkeys(order, 0.0)
+    fwd[origin] = enter[origin] = 1.0
     for a in order:
         for b, w in out.get(a, ()):
             fwd[b] += fwd[a] * w
+            if _tag(a) != _tag(b):
+                enter[b] += fwd[a] * w
     bwd = dict.fromkeys(order, 0.0)
     for a in reversed(order):
         if a in ends:
             bwd[a] = 1.0
         for b, w in out.get(a, ()):
             bwd[a] += w * bwd[b]
-    return fwd, bwd
+    return fwd, bwd, enter
 
 
 def enumerate_trellis_states(encoder, traces, params, prior, offset=None, delta=None):
     """Independent exhaustive trellis for cell-by-cell checks: the states
     and edges of `trellis_edges` under its drift bound, and their own
-    forward and backward passes. Returns {layer tag: sorted forward x
-    backward values of the layer's live states}, live meaning on some
-    origin-to-absorbing path of positive weight; layers with no live state
-    are absent.
+    forward and backward passes. Returns {layer tag: sorted entering mass x
+    backward values of the layer's live states}, live meaning entered by
+    some origin-to-absorbing path of positive weight; layers with no live
+    state are absent. The entering mass of a state outside an ids layer is
+    its forward value; in an ids layer it leaves out the insertion edges,
+    so every layer is a cut whose values sum to the total mass.
     """
     order, out, origin, ends = trellis_edges(encoder, traces, params, prior, offset, delta)
-    fwd, bwd = forward_backward(order, out, origin, ends)
+    _, bwd, enter = forward_backward(order, out, origin, ends)
     values = {}
     for s in order:
-        if fwd[s] * bwd[s] > 0.0:
-            values.setdefault(_tag(s), []).append(fwd[s] * bwd[s])
+        if enter[s] * bwd[s] > 0.0:
+            values.setdefault(_tag(s), []).append(enter[s] * bwd[s])
     return {tag: np.sort(v) for tag, v in values.items()}
 
 
@@ -287,7 +294,8 @@ def assert_cells_match(trellis, encoder, traces, params, offset=None, label=None
     one row) against the oracle under the trellis's drift bound: per layer,
     the cells where forward x backward is positive are as many as the
     oracle's live states there, with the same sorted values to 1e-9
-    relative."""
+    relative. A forward ids block holds the mass entering the layer, so it
+    meets the oracle's entering mass (`enumerate_trellis_states`)."""
     values = enumerate_trellis_states(encoder, traces, params, uniform_prior(encoder),
                                       offset, trellis.delta)
     tags = layer_tags(encoder, len(traces))
@@ -339,7 +347,7 @@ def trellis_bma_posteriors(encoder, traces, params, betas, delta=None, offset=No
     for y in traces:
         order, out, origin, ends = trellis_edges(encoder, [y], params, prior, offset, delta,
                                                  unreached=True)
-        fwd, bwd = forward_backward(order, out, origin, ends)
+        fwd, bwd, _ = forward_backward(order, out, origin, ends)
         if bwd[origin] <= 0.0:
             continue
         into, layer = {}, {tag: [] for tag in tags}

@@ -86,19 +86,20 @@ def test_edge_sweep_reference_agrees_with_engine():
                            label=seed)
 
 
-def test_cut_conservation_across_intra_free_layers():
-    # every path crosses each layer without intra-layer edges once, so the
-    # summed F(s)B(s) over each such layer is the total mass
-    for seed in range(6):
-        enc, traces, params = _instance(seed + 900, k=2)
-        tr = build_trellis(enc, [traces], params)
-        f, b = tr.forward(), tr.backward()
-        for t, lay in enumerate(tr.layers):
-            if lay.kind == "ids":
-                continue
-            tot = (f.layers[t][0] * b.layers[t][0]).sum()
-            assert (math.log(tot) + f.scales[t, 0] + b.scales[t, 0]
-                    == pytest.approx(f.loglik[0], abs=1e-9))
+def test_cut_conservation_across_every_layer():
+    # every path enters each layer once, and a forward ids block holds the
+    # mass entering the layer, before its insertion runs: so the summed
+    # F(s)B(s) over every layer, ids layers too, is the total mass; at K=3
+    # the ids layers are left by the materialised product form
+    for k in (1, 2, 3):
+        for seed in range(6):
+            enc, traces, params = _instance(seed + 900, k=k)
+            tr = build_trellis(enc, [traces], params)
+            f, b = tr.forward(), tr.backward()
+            for t in range(len(tr.layers)):
+                tot = (f.layers[t][0] * b.layers[t][0]).sum()
+                assert (math.log(tot) + f.scales[t, 0] + b.scales[t, 0]
+                        == pytest.approx(f.loglik[0], abs=1e-9)), (k, seed, t)
 
 
 def test_trace_order_symmetry():
@@ -181,3 +182,18 @@ def test_zero_likelihood_reports_infeasible():
     [err] = compute_posteriors(tr)
     assert isinstance(err, InfeasibleTrellisError)
     assert str(err) == "no forward mass reaches an absorbing vertex"
+
+
+def test_hard_symbol_ties_within_a_few_ulps():
+    # a tie decided by rounding: the 0.48 / 0.48 row, exact and with either
+    # tied entry moved up by 1 ulp, takes the smallest tied symbol; a gap
+    # wider than TIE_ULPS ulps is decided by the maximum
+    row = [0.02, 0.48, 0.48, 0.02]
+    up = np.nextafter(0.48, 1.0)
+    for rows, hard in (([row], [1]), ([[0.02, 0.48, up, 0.02]], [1]),
+                       ([[0.02, up, 0.48, 0.02]], [1]),
+                       ([[0.02, 0.48, 0.48 + 1e-9, 0.02 - 1e-9]], [2]),
+                       ([[0.5, 0.5], [0.4, 0.6]], [0, 1])):
+        assert bcjr.PosteriorTable.from_rows(rows).hard.tolist() == hard, rows
+    gap = 0.48 + 2 * bcjr.TIE_ULPS * np.spacing(0.48)
+    assert bcjr.PosteriorTable.from_rows([[0.02, 0.48, gap, 0.02]]).hard.tolist() == [2]

@@ -45,6 +45,12 @@ def test_structure_matches_independent_constructor():
                  _tiny(0, alphabet=DNA, encoder=cc_encoder(2, 3, DNA)),
                  _tiny(2, alphabet=DNA, encoder=cc_encoder(2, 2, DNA), k=2, scrambled=True)):
         assert_cells_match(*case, label=case[1])
+    # three pointer axes leave each ids layer by the materialised product,
+    # one operator per (state, message), here with a state axis too
+    for case in (_tiny(3, k=3, alphabet=DNA, scrambled=True),
+                 _tiny(4, alphabet=DNA, encoder=cc_encoder(1, 2, DNA), k=3)):
+        assert case[0].axes == 3
+        assert_cells_match(*case, label=case[1])
 
 
 def test_structure_constructor_with_mr_encoder():
